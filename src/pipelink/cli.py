@@ -108,16 +108,6 @@ def load_run_config(path: str | Path) -> RunConfig:
     )
 
 
-def _histogram_from_spec(spec, default: LengthHistogram) -> LengthHistogram:
-    if spec is None:
-        return default
-    if isinstance(spec, str):
-        if spec not in HISTOGRAM_PRESETS:
-            raise ConfigError(f"unknown histogram preset '{spec}'")
-        return spec  # resolved by caller via preset pair
-    return LengthHistogram(buckets=tuple(tuple(b) for b in spec))
-
-
 def _build_trace(cfg: RunConfig, seed_override: int | None) -> Trace:
     spec = cfg.trace_spec
     if "path" in spec:
@@ -374,6 +364,9 @@ def cmd_serve(args) -> int:
     return 0
 
 
+CLUSTER_HELP = "cluster JSON file; each link's bandwidth_bps is in bytes per second"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pipelink",
@@ -393,13 +386,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run one simulation per axis value")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--sweep-axis", required=True, choices=SWEEP_AXES)
-    p_sweep.add_argument("--sweep-values", required=True)
+    p_sweep.add_argument(
+        "--sweep-values",
+        required=True,
+        help="comma-separated axis values; bandwidth is in bytes per second "
+        "(1.25e7 is 100 Mbit/s)",
+    )
     p_sweep.add_argument("--seed", type=int, default=_env_int("PIPELINK_SEED"))
     p_sweep.add_argument("--out", default=os.environ.get("PIPELINK_OUT", "sweep"))
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_plan = sub.add_parser("plan", help="print the partition plan for a cluster")
-    p_plan.add_argument("--cluster", required=True)
+    p_plan.add_argument("--cluster", required=True, help=CLUSTER_HELP)
     p_plan.add_argument("--model", required=True)
     p_plan.add_argument("--gpu-type", required=True)
     p_plan.add_argument("--gpu-count", type=int, default=1)
@@ -410,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--listen", default=os.environ.get("PIPELINK_LISTEN", "127.0.0.1:8080")
     )
-    p_serve.add_argument("--cluster")
+    p_serve.add_argument("--cluster", help=CLUSTER_HELP)
     p_serve.add_argument("--journal")
     p_serve.add_argument("--key-seed", type=int, default=None)
     p_serve.set_defaults(func=cmd_serve)

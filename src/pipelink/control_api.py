@@ -437,13 +437,22 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
+        raw_length = self.headers.get("Content-Length", "0")
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise RegistryError("invalid", f"bad Content-Length {raw_length!r}")
         if length == 0:
             return {}
         try:
-            return json.loads(self.rfile.read(length))
-        except json.JSONDecodeError as exc:
+            body = json.loads(self.rfile.read(length))
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
             raise RegistryError("invalid", f"bad JSON body: {exc}") from None
+        if not isinstance(body, dict):
+            raise RegistryError("invalid", "JSON body must be an object")
+        return body
 
     def _route(self) -> None:
         registry = self.registry

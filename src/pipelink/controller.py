@@ -5,6 +5,10 @@ search starts at one micro-batch and adds more while that measurably fills
 the bottleneck stage's idle time, stopping once the predicted bubble is
 small enough, the marginal utilization gain goes flat, or the configured
 cap is reached.
+
+With the config, profiles, links and bytes per token fixed, a decision
+depends only on ``(clamp_demand(cfg, queued_tokens), phase)``, which is why
+the head schedulers memoise decisions on that key for one run.
 """
 
 from __future__ import annotations
@@ -133,6 +137,11 @@ def predict_bubble(
     return min(1.0, max(0.0, bubble))
 
 
+def clamp_demand(cfg: ControllerConfig, queued_tokens: int) -> int:
+    """The token pool a decision budgets: the demand capped, and at least 1."""
+    return max(1, min(queued_tokens, cfg.max_batched_tokens))
+
+
 def choose_n(
     cfg: ControllerConfig,
     stage_profiles: list[StageProfile],
@@ -153,7 +162,7 @@ def choose_n(
     if num_stages == 0:
         raise ConfigError("need at least one stage profile")
     n_max = cfg.effective_n_max(num_stages)
-    budget_pool = max(1, min(queued_tokens, cfg.max_batched_tokens))
+    budget_pool = clamp_demand(cfg, queued_tokens)
 
     def tokens_for(n: int) -> int:
         if cfg.mode is BudgetMode.TOKEN_SCALED:

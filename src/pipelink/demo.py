@@ -17,7 +17,7 @@ import struct
 import threading
 from collections import deque
 
-from .controller import choose_n
+from .controller import ControllerDecision, choose_n, clamp_demand
 from .engine import BatchPhase, EngineConfig, MicroBatch, admit_and_batch
 from .errors import ConfigError, ProtocolError
 from .placement import TOKEN_FEEDBACK_BYTES, ClusterSpec
@@ -93,6 +93,7 @@ def run_socket_demo(
     ready = deque()
     in_flight: dict[int, MicroBatch] = {}
     payload_to_mb: dict[int, MicroBatch] = {}
+    decision_memo: dict[tuple[int, Phase], ControllerDecision] = {}
     next_mb_id = 0
     next_payload_id = 0
     unfinished = len(requests)
@@ -132,14 +133,18 @@ def run_socket_demo(
                     + sum(mb.batched_tokens for mb in in_flight.values())
                     + sum(r.input_len for r in pending)
                 )
-                decision = choose_n(
-                    cfg.controller,
-                    stage_profiles,
-                    link_profiles,
-                    demand,
-                    phase,
-                    bytes_per_token=bytes_per_token,
-                )
+                key = (clamp_demand(cfg.controller, demand), phase)
+                decision = decision_memo.get(key)
+                if decision is None:
+                    decision = choose_n(
+                        cfg.controller,
+                        stage_profiles,
+                        link_profiles,
+                        key[0],
+                        phase,
+                        bytes_per_token=bytes_per_token,
+                    )
+                    decision_memo[key] = decision
                 capacity = decision.n_microbatches - len(in_flight)
                 if capacity > 0:
                     batches = admit_and_batch(

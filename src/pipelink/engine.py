@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .controller import ControllerConfig, ControllerDecision, choose_n
+from .controller import ControllerConfig, ControllerDecision, choose_n, clamp_demand
 from .errors import ConfigError
 from .placement import TOKEN_FEEDBACK_BYTES, ClusterSpec, ModelSpec, PartitionPlan
 from .profiles import LinkProfile, Phase, StageProfile, compute_time
@@ -326,6 +326,7 @@ class PipelineEngine:
         self._next_mb_id = 0
         self._next_payload_id = 0
         self._last_decision: ControllerDecision | None = None
+        self._decision_memo: dict[tuple[int, Phase], ControllerDecision] = {}
         self._now = 0
 
     def _push(self, time_ns: int, kind: EventKind, subject: int, data: object = None) -> None:
@@ -465,14 +466,18 @@ class PipelineEngine:
             self._last_decision is None
             or self._iteration % self.cfg.controller.decision_stride == 0
         ):
-            decision = choose_n(
-                self.cfg.controller,
-                self.stage_profiles,
-                self.link_profiles,
-                self._demand_tokens(),
-                phase,
-                bytes_per_token=self.bytes_per_token,
-            )
+            key = (clamp_demand(self.cfg.controller, self._demand_tokens()), phase)
+            decision = self._decision_memo.get(key)
+            if decision is None:
+                decision = choose_n(
+                    self.cfg.controller,
+                    self.stage_profiles,
+                    self.link_profiles,
+                    key[0],
+                    phase,
+                    bytes_per_token=self.bytes_per_token,
+                )
+                self._decision_memo[key] = decision
         else:
             decision = self._last_decision
         capacity = decision.n_microbatches - len(self._in_flight)

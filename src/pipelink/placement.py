@@ -248,13 +248,6 @@ def choose_head(nodes: list[NodeDescriptor]) -> str:
     return min(nodes, key=lambda n: (-(n.cpu_score * n.network_score), n.name)).name
 
 
-def rotate_to_head(nodes: list[NodeDescriptor]) -> list[NodeDescriptor]:
-    """Cyclically rotate the list so the chosen head comes first."""
-    head = choose_head(nodes)
-    idx = next(i for i, n in enumerate(nodes) if n.name == head)
-    return nodes[idx:] + nodes[:idx]
-
-
 def reference_payload_bytes(model: ModelSpec) -> int:
     # 1024-token activation, the yardstick for ranking candidate links.
     return 1024 * model.hidden_dim * model.dtype_bytes

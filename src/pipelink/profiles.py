@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import csv
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, ProfileError
@@ -34,14 +34,24 @@ class StageProfile:
     stage_id: int
     layers: int
     entries: dict[tuple[Phase, int], float]
+    # Per phase, the entries as sorted token counts and their seconds; built
+    # once here so that lookups never sort.
+    _tables: dict[Phase, tuple[tuple[int, ...], tuple[float, ...]]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.layers < 1:
             raise ConfigError(f"stage {self.stage_id}: layers must be >= 1")
         if not self.entries:
             raise ConfigError(f"stage {self.stage_id}: empty profile")
-        for phase in self.phases():
-            pts = self.points(phase)
+        tables = {}
+        for phase in sorted({p for p, _ in self.entries}, key=lambda p: p.value):
+            pts = sorted(
+                (tokens, secs)
+                for (p, tokens), secs in self.entries.items()
+                if p == phase
+            )
             if len(pts) < 2:
                 raise ConfigError(
                     f"stage {self.stage_id}: phase {phase.value} needs >= 2 points"
@@ -62,19 +72,24 @@ class StageProfile:
                         f"at {tokens} tokens"
                     )
                 prev = seconds
+            tables[phase] = (tuple(t for t, _ in pts), tuple(s for _, s in pts))
+        object.__setattr__(self, "_tables", tables)
 
     def phases(self) -> list[Phase]:
-        return sorted({p for p, _ in self.entries}, key=lambda p: p.value)
+        return list(self._tables)
 
     def points(self, phase: Phase) -> list[tuple[int, float]]:
-        return sorted(
-            (tokens, secs) for (p, tokens), secs in self.entries.items() if p == phase
-        )
+        xs, ys = self._tables.get(phase, ((), ()))
+        return list(zip(xs, ys))
 
 
 @dataclass(frozen=True)
 class LinkProfile:
-    """Directed link estimate: one-way latency plus available bandwidth."""
+    """Directed link estimate: one-way latency plus available bandwidth.
+
+    ``bandwidth_bps`` is in **bytes** per second, not bits: a 100 Mbit/s
+    link is ``12_500_000``.
+    """
 
     src: str
     dst: str
@@ -100,13 +115,12 @@ def compute_time(profile: StageProfile, phase: Phase, batched_tokens: int) -> fl
     """
     if batched_tokens < 1:
         raise ConfigError("batched_tokens must be >= 1")
-    pts = profile.points(phase)
-    if not pts:
+    table = profile._tables.get(phase)
+    if table is None:
         raise ProfileError(
             f"stage {profile.stage_id} has no entries for phase {phase.value}"
         )
-    xs = [t for t, _ in pts]
-    ys = [s for _, s in pts]
+    xs, ys = table
     i = bisect.bisect_left(xs, batched_tokens)
     if i < len(xs) and xs[i] == batched_tokens:
         return ys[i]

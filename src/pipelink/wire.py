@@ -33,11 +33,16 @@ FLAG_DECODE = 2
 FLAG_SHUTDOWN = 4
 
 HEADER_BYTES = _HEADER.size  # 16
+# Largest frame_length either side accepts, so a corrupt length field cannot
+# make the receiver buffer up to 4 GiB.
+MAX_FRAME_BYTES = 64 << 20
 
 
 def encode_frame(payload_id: int, chunk_index: int, flags: int, body: bytes) -> bytes:
-    header = _HEADER.pack(payload_id, chunk_index, flags)
-    return _LEN.pack(len(header) + len(body)) + header + body
+    length = HEADER_BYTES + len(body)
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
+    return _LEN.pack(length) + _HEADER.pack(payload_id, chunk_index, flags) + body
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
@@ -58,6 +63,8 @@ def read_frame(sock: socket.socket) -> tuple[int, int, int, bytes] | None:
     (length,) = _LEN.unpack(raw_len)
     if length < HEADER_BYTES:
         raise ProtocolError(f"frame shorter than header ({length} bytes)")
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
     rest = _recv_exact(sock, length)
     if rest is None:
         raise ProtocolError("connection closed mid-frame")
@@ -95,6 +102,12 @@ class SocketLinkSender(threading.Thread):
             raise ProtocolError(
                 f"payload {payload.id}: body is {len(body)} bytes, "
                 f"declared {payload.size_bytes}"
+            )
+        # Refuse here, not in the worker thread, a chunk no frame can carry.
+        chunk = min(payload.size_bytes, self._queue.chunk_size or payload.size_bytes)
+        if HEADER_BYTES + chunk > MAX_FRAME_BYTES:
+            raise ProtocolError(
+                f"payload {payload.id}: {chunk}-byte chunks exceed the frame limit"
             )
         with self._cond:
             if self._closing:

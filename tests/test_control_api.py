@@ -1,3 +1,4 @@
+import http.client
 import json
 import threading
 import urllib.error
@@ -226,3 +227,26 @@ def test_http_bad_body_is_invalid(http_server):
     _, base = http_server
     status, body = call(base, "POST", "/services", {"service_name": "x"})
     assert status == 400 and body["code"] == "invalid"
+
+
+@pytest.mark.parametrize(
+    "path, body", [("/nodes", [1, 2]), ("/nodes", "x"), ("/services", [])]
+)
+def test_http_non_object_body_is_invalid(http_server, path, body):
+    _, base = http_server
+    status, reply = call(base, "POST", path, body)
+    assert status == 400 and reply["code"] == "invalid"
+
+
+@pytest.mark.parametrize("length", ["abc", "-1"])
+def test_http_bad_content_length_is_invalid(http_server, length):
+    _, base = http_server
+    conn = http.client.HTTPConnection(base.removeprefix("http://"), timeout=10)
+    try:
+        conn.putrequest("POST", "/nodes")
+        conn.putheader("Content-Length", length)
+        conn.endheaders()
+        resp = conn.getresponse()
+        assert resp.status == 400 and json.loads(resp.read())["code"] == "invalid"
+    finally:
+        conn.close()

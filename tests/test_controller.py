@@ -1,15 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pipelink.controller import (
     BudgetMode,
     ControllerConfig,
     ControllerDecision,
     choose_n,
+    clamp_demand,
     predict_bubble,
     write_decision_log,
 )
 from pipelink.errors import ConfigError
-from pipelink.profiles import LinkProfile, Phase, flat_profile
+from pipelink.profiles import LinkProfile, Phase, flat_profile, synth_profile
 
 
 def ring_links(num_stages, latency_s, bandwidth=1e18):
@@ -156,3 +159,31 @@ def test_controller_config_validation():
         ControllerConfig(max_batched_tokens=0, max_batch_size=1)
     with pytest.raises(ConfigError):
         ControllerConfig(max_batched_tokens=1, max_batch_size=1, bubble_epsilon=1.0)
+
+
+# Unequal stages over slow links, so the decision moves with the demand.
+UNEQUAL = dict(
+    stage_profiles=[
+        synth_profile(4, 1e-5 / capacity, 0.002, stage_id=i)
+        for i, capacity in enumerate((2.0, 1.0, 0.5))
+    ],
+    links=ring_links(3, 0.004, bandwidth=1e7),
+    bytes_per_token=1024,
+)
+
+
+@given(
+    data=st.data(),
+    cap=st.integers(1, 4096),
+    mode=st.sampled_from(BudgetMode),
+    phase=st.sampled_from(Phase),
+)
+@settings(max_examples=200, deadline=None)
+def test_choose_n_depends_only_on_clamped_demand(data, cap, mode, phase):
+    cfg = ControllerConfig(max_batched_tokens=cap, max_batch_size=64, mode=mode)
+    queued = data.draw(st.integers(0, 3 * cap), label="queued_tokens")
+    clamped = clamp_demand(cfg, queued)
+    assert 1 <= clamped <= cap
+    assert choose_n(cfg, queued_tokens=queued, phase=phase, **UNEQUAL) == choose_n(
+        cfg, queued_tokens=clamped, phase=phase, **UNEQUAL
+    )

@@ -2,7 +2,8 @@ from collections import deque
 
 import pytest
 
-from pipelink.controller import ControllerDecision
+import pipelink.engine
+from pipelink.controller import ControllerDecision, clamp_demand
 from pipelink.engine import (
     BatchPhase,
     EventKind,
@@ -14,8 +15,14 @@ from pipelink.engine import (
 from pipelink.errors import ConfigError
 from pipelink.metrics import summarize
 from pipelink.placement import ClusterSpec, ModelSpec, PartitionPlan
-from pipelink.profiles import LinkProfile, flat_profile
-from pipelink.workload import Request, RequestState, Trace, generate_trace
+from pipelink.profiles import LinkProfile, Phase, StageProfile, flat_profile
+from pipelink.workload import (
+    LengthHistogram,
+    Request,
+    RequestState,
+    Trace,
+    generate_trace,
+)
 
 from simsetup import (
     engine_config,
@@ -297,3 +304,59 @@ def test_fcfs_policy_accepted():
         stationary_decode_trace(4), horizon_s=0.1
     )
     assert result.token_emissions
+
+
+class _NeverHits(dict):
+    def get(self, key, default=None):
+        return default
+
+
+class UnmemoisedEngine(PipelineEngine):
+    """Reference: asks the controller at every decision point."""
+
+    def _reset(self):
+        super()._reset()
+        self._decision_memo = _NeverHits()
+
+
+def test_run_decides_once_per_distinct_clamped_demand(monkeypatch):
+    cluster, model, plan, _ = uniform_pipeline(
+        3, 0.002, 0.001, bandwidth=1e7, hidden_dim=64, dtype_bytes=2
+    )
+    # Prefill costs twice decode, so a decision depends on the phase too.
+    profiles = [
+        StageProfile(stage_id=i, layers=1, entries={
+            (phase, tokens): (1 + (phase is Phase.PREFILL)) * (0.001 + 2e-5 * tokens)
+            for phase in Phase for tokens in (1, 256)
+        })
+        for i in range(3)
+    ]
+    cfg = engine_config(
+        plan, model, max_batched_tokens=256, max_batch_size=8, chunk_size=4096
+    )
+    trace = generate_trace(rate=30.0, duration=1.0, seed=8,
+                           output_lengths=LengthHistogram(((4, 40, 1.0),)))
+    decided = []
+    choose_n = pipelink.engine.choose_n
+
+    def counting_choose_n(cfg, stage_profiles, links, queued_tokens, phase, **kw):
+        decided.append((clamp_demand(cfg, queued_tokens), phase))
+        return choose_n(cfg, stage_profiles, links, queued_tokens, phase, **kw)
+
+    monkeypatch.setattr(pipelink.engine, "choose_n", counting_choose_n)
+    reference = UnmemoisedEngine(cfg, cluster, profiles).run(trace)
+    every_point, decided[:] = list(decided), []
+    engine = PipelineEngine(cfg, cluster, profiles)
+    result = engine.run(trace)
+    assert result.all_finished
+    # The memoised run asks once per distinct (clamped demand, phase), at the
+    # point where that key first occurs, and runs exactly as the reference.
+    assert decided == list(dict.fromkeys(every_point))
+    assert {phase for _, phase in decided} == set(Phase)
+    assert len(every_point) > 2 * len(decided)
+    for field in ("events", "link_events", "decisions", "token_emissions"):
+        assert getattr(result, field) == getattr(reference, field), field
+    # A second run starts from an empty memo and decides the same keys again.
+    first, decided[:] = list(decided), []
+    assert engine.run(trace).events == result.events
+    assert decided == first

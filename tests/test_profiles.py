@@ -86,6 +86,52 @@ def test_compute_time_monotone_when_table_is(points, query):
     assert hi >= lo - 1e-15
 
 
+def reference_compute_time(entries, phase, tokens):
+    """Interpolation over the points sorted afresh, with a linear scan."""
+    pts = sorted((t, s) for (p, t), s in entries.items() if p == phase)
+    for i, (x, y) in enumerate(pts):
+        if x == tokens:
+            return y
+        if x > tokens:
+            (x0, y0), (x1, y1) = pts[max(i - 1, 0)], pts[max(i, 1)]
+            break
+    else:
+        (x0, y0), (x1, y1) = pts[-2], pts[-1]
+    return max(y0 + (y1 - y0) / (x1 - x0) * (tokens - x0), 1e-12)
+
+
+monotone_table = st.lists(
+    st.tuples(st.integers(2, 10_000), st.floats(1e-6, 1.0)),
+    min_size=2,
+    max_size=8,
+    unique_by=lambda t: t[0],
+).map(lambda pts: list(zip(sorted(t for t, _ in pts), sorted(s for _, s in pts))))
+
+
+@given(tables=st.tuples(monotone_table, monotone_table), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_compute_time_matches_sorted_points_reference(tables, data):
+    entries = {
+        (phase, tokens): secs
+        for phase, table in zip(Phase, tables)
+        for tokens, secs in table
+    }
+    profile = StageProfile(stage_id=0, layers=1, entries=entries)
+    for phase, table in zip(Phase, tables):
+        xs = [t for t, _ in table]
+        assert profile.points(phase) == table
+        queries = [
+            data.draw(st.sampled_from(xs), label="exact hit"),
+            data.draw(st.integers(1, xs[0] - 1), label="below the table"),
+            data.draw(st.integers(xs[-1] + 1, 4 * xs[-1]), label="above the table"),
+            data.draw(st.integers(xs[0], xs[-1]), label="inside the table"),
+        ]
+        for tokens in queries:
+            assert compute_time(profile, phase, tokens) == reference_compute_time(
+                entries, phase, tokens
+            )
+
+
 def test_transfer_time_arithmetic():
     link = LinkProfile("a", "b", latency_s=0.010, bandwidth_bps=12_500_000)
     assert transfer_time(link, 8_192_000) == pytest.approx(0.66536)

@@ -5,6 +5,7 @@ import pytest
 
 from pipelink.errors import ProtocolError
 from pipelink.transport import LinkPolicy, Payload, PayloadClass
+from pipelink import wire
 from pipelink.wire import (
     FLAG_DECODE,
     FLAG_LAST,
@@ -55,6 +56,38 @@ def test_truncated_frame_raises():
         with pytest.raises(ProtocolError):
             read_frame(b)
     finally:
+        b.close()
+
+
+def test_read_frame_rejects_oversize_length_before_reading_body():
+    a, b = socket.socketpair()
+    try:
+        a.sendall(b"\xff\xff\xff\xff")  # frame_length 0xFFFFFFFF, no body
+        with pytest.raises(ProtocolError, match="exceeds"):
+            read_frame(b)
+    finally:
+        a.close()
+        b.close()
+
+
+def test_encode_frame_rejects_oversize_frame(monkeypatch):
+    monkeypatch.setattr(wire, "MAX_FRAME_BYTES", wire.HEADER_BYTES + 8)
+    assert len(encode_frame(1, 0, FLAG_LAST, b"x" * 8)) == 4 + wire.HEADER_BYTES + 8
+    with pytest.raises(ProtocolError, match="exceeds"):
+        encode_frame(1, 0, FLAG_LAST, b"x" * 9)
+
+
+def test_sender_refuses_payload_whose_chunks_exceed_frame_limit(monkeypatch):
+    monkeypatch.setattr(wire, "MAX_FRAME_BYTES", wire.HEADER_BYTES + 64)
+    a, b = socket.socketpair()
+    try:
+        unchunked = SocketLinkSender(a, chunk_size=None)
+        with pytest.raises(ProtocolError, match="frame limit"):
+            unchunked.send(payload(1, PayloadClass.PREFILL, 65), bytes(65))
+        chunked = SocketLinkSender(a, chunk_size=64)
+        chunked.send(payload(2, PayloadClass.PREFILL, 65), bytes(65))
+    finally:
+        a.close()
         b.close()
 
 
