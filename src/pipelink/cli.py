@@ -180,14 +180,13 @@ def _build_profiles(
     return profiles
 
 
-def _build_engine_config(cfg: RunConfig, plan, seed_override: int | None) -> EngineConfig:
+def _build_engine_config(cfg: RunConfig, plan) -> EngineConfig:
     params = cfg.engine_params
     chunk = params.get("chunk_size", 262144)
     if isinstance(chunk, str):
         chunk = None if chunk.lower() in ("inf", "none", "unchunked") else int(chunk)
     elif chunk is not None and math.isinf(float(chunk)):
         chunk = None
-    seed = seed_override if seed_override is not None else int(params.get("seed", 0))
     return EngineConfig(
         partition=plan,
         model=cfg.model,
@@ -196,7 +195,6 @@ def _build_engine_config(cfg: RunConfig, plan, seed_override: int | None) -> Eng
         scheduling_policy=SchedulingPolicy(
             params.get("scheduling_policy", "decode_priority")
         ),
-        seed=seed,
     )
 
 
@@ -219,7 +217,7 @@ def run_simulation(cfg: RunConfig, seed_override: int | None = None):
     if not trace.requests:
         raise ConfigError("trace is empty; nothing to simulate")
     profiles = _build_profiles(cfg, plan, cluster)
-    engine_cfg = _build_engine_config(cfg, plan, seed_override)
+    engine_cfg = _build_engine_config(cfg, plan)
     engine = PipelineEngine(engine_cfg, cluster, profiles)
     result = engine.run(trace)
     if not result.all_finished:

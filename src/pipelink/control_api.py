@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from .errors import PlacementError, RegistryError
+from .errors import ConfigError, PlacementError, RegistryError
 from .metrics import MetricsReport
 from .placement import (
     MODEL_PRESETS,
@@ -146,11 +146,11 @@ class ClusterRegistry:
             if node.name in self._cluster.nodes:
                 raise RegistryError("conflict", f"node {node.name} already registered")
             for link in links or []:
-                other = link.dst if link.src == node.name else link.src
-                if other not in self._cluster.nodes and other != node.name:
-                    raise RegistryError(
-                        "invalid", f"link references unregistered node {other}"
-                    )
+                for end in (link.src, link.dst):
+                    if end != node.name and end not in self._cluster.nodes:
+                        raise RegistryError(
+                            "invalid", f"link references unregistered node {end}"
+                        )
             self._cluster.nodes[node.name] = node
             for link in links or []:
                 self._cluster.links[(link.src, link.dst)] = link
@@ -331,6 +331,13 @@ class ClusterRegistry:
     def check_invariants(self) -> None:
         """Raise if registry consistency is violated (used heavily by tests)."""
         with self._lock:
+            for src, dst in self._cluster.links:
+                for end in (src, dst):
+                    if end not in self._cluster.nodes:
+                        raise RegistryError(
+                            "invalid",
+                            f"link {src}->{dst} references unregistered node {end}",
+                        )
             booked: dict[str, str] = {}
             for record in self._services.values():
                 if record.state is ServiceState.DELETED:
@@ -462,10 +469,10 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             if self.command == "POST" and parts == ["nodes"]:
                 body = self._read_body()
-                links = [_link_from_dict(l) for l in body.pop("links", [])]
                 try:
+                    links = [_link_from_dict(l) for l in body.pop("links", [])]
                     node = _node_from_dict(body)
-                except (KeyError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError, ConfigError) as exc:
                     raise RegistryError("invalid", f"bad node descriptor: {exc}") from None
                 registry.node_access(node, links=links)
                 self._send_json(201, registry.check_node_status(node.name))

@@ -19,6 +19,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .controller import ControllerConfig, ControllerDecision, choose_n, clamp_demand
 from .errors import ConfigError
@@ -80,12 +81,10 @@ class EngineConfig:
     controller: ControllerConfig
     chunk_size: int | None = DEFAULT_CHUNK_SIZE
     scheduling_policy: SchedulingPolicy = SchedulingPolicy.DECODE_PRIORITY
-    seed: int = 0
     allow_mixed_phase: bool = False
 
 
-@dataclass(frozen=True)
-class EngineEvent:
+class EngineEvent(NamedTuple):
     time_ns: int
     kind: EventKind
     subject: int
@@ -96,13 +95,14 @@ EVENT_LOG_HEADER = ("time_s", "kind", "subject", "stage")
 
 
 def write_event_log(events: list[EngineEvent], path: str | Path) -> None:
+    names = {kind: kind.name for kind in EventKind}
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(EVENT_LOG_HEADER)
-        for ev in events:
-            writer.writerow(
-                [f"{ev.time_ns / NS_PER_S:.6f}", ev.kind.name, ev.subject, ev.stage]
-            )
+        writer.writerows(
+            (f"{time_ns / NS_PER_S:.6f}", names[kind], subject, stage)
+            for time_ns, kind, subject, stage in events
+        )
 
 
 @dataclass
@@ -254,6 +254,8 @@ class _LinkRuntime:
                  dst_stage: int, is_return: bool):
         self.idx = idx
         self.profile = profile
+        self.name = profile.name
+        self.latency_ns = s_to_ns(profile.latency_s)
         self.queue = LinkQueue(chunk_size=chunk_size, policy=policy)
         self.busy = False
         self.dst_stage = dst_stage
@@ -327,10 +329,9 @@ class PipelineEngine:
         self._next_payload_id = 0
         self._last_decision: ControllerDecision | None = None
         self._decision_memo: dict[tuple[int, Phase], ControllerDecision] = {}
-        self._now = 0
 
     def _push(self, time_ns: int, kind: EventKind, subject: int, data: object = None) -> None:
-        heapq.heappush(self._heap, (time_ns, int(kind), subject, self._seq, data))
+        heapq.heappush(self._heap, (time_ns, kind, subject, self._seq, data))
         self._seq += 1
 
     def _log(self, time_ns: int, kind: EventKind, subject: int, stage: int = -1) -> None:
@@ -339,8 +340,7 @@ class PipelineEngine:
     def _log_link(self, link: _LinkRuntime, time_ns: int, payload_id: int,
                   chunk_index: int, size: int, pclass: PayloadClass, event: str) -> None:
         self._link_events.append(
-            LinkEvent(time_ns, link.profile.name, payload_id, chunk_index, size,
-                      pclass, event)
+            LinkEvent(time_ns, link.name, payload_id, chunk_index, size, pclass, event)
         )
 
     # -- link mechanics ----------------------------------------------------
@@ -531,38 +531,34 @@ class PipelineEngine:
         horizon_ns = None if horizon_s is None else s_to_ns(horizon_s)
 
         last_time = 0
-        while self._heap:
-            if horizon_ns is not None and self._heap[0][0] > horizon_ns:
+        heap = self._heap
+        # Local names: attribute access on an enum class is slow in the loop.
+        arrival, boundary = EventKind.ARRIVAL, EventKind.ITERATION_BOUNDARY
+        compute_done, sent = EventKind.COMPUTE_DONE, EventKind.CHUNK_SENT
+        delivered = EventKind.PAYLOAD_DELIVERED
+        while heap:
+            if horizon_ns is not None and heap[0][0] > horizon_ns:
                 last_time = horizon_ns
                 break
-            time_ns, kind_value, subject, _, data = heapq.heappop(self._heap)
-            self._now = time_ns
-            last_time = max(last_time, time_ns)
-            kind = EventKind(kind_value)
-            if kind is EventKind.ARRIVAL:
-                req = self._requests[subject]
-                self._pending.append(req)
-                self._log(time_ns, EventKind.ARRIVAL, subject)
-                self._schedule_boundary(time_ns)
-            elif kind is EventKind.ITERATION_BOUNDARY:
-                self._on_boundary(time_ns)
-            elif kind is EventKind.COMPUTE_DONE:
-                self._on_compute_done(data, subject, time_ns)  # data = stage idx
-            elif kind is EventKind.CHUNK_SENT:
+            time_ns, kind, subject, _, data = heapq.heappop(heap)
+            last_time = time_ns  # the heap pops in time order
+            if kind is sent:
                 link_idx, chunk = data
                 link = self._links[link_idx]
                 self._log_link(link, time_ns, chunk.payload_id, chunk.index,
                                chunk.size_bytes, chunk.phase_class, "sent")
-                self._log(time_ns, EventKind.CHUNK_SENT, chunk.payload_id, -1)
-                latency_ns = s_to_ns(link.profile.latency_s)
-                self._push(
-                    time_ns + latency_ns,
-                    EventKind.PAYLOAD_DELIVERED,
-                    chunk.payload_id,
-                    (link_idx, chunk),
-                )
+                self._log(time_ns, sent, chunk.payload_id, -1)
+                self._push(time_ns + link.latency_ns, delivered, chunk.payload_id, data)
                 self._link_emit_next(link, time_ns)
-            elif kind is EventKind.PAYLOAD_DELIVERED:
+            elif kind is arrival:
+                self._pending.append(self._requests[subject])
+                self._log(time_ns, arrival, subject)
+                self._schedule_boundary(time_ns)
+            elif kind is boundary:
+                self._on_boundary(time_ns)
+            elif kind is compute_done:
+                self._on_compute_done(data, subject, time_ns)  # data = stage idx
+            else:  # PAYLOAD_DELIVERED
                 link_idx, chunk = data
                 link = self._links[link_idx]
                 self._log_link(link, time_ns, chunk.payload_id, chunk.index,
@@ -570,8 +566,7 @@ class PipelineEngine:
                 if not chunk.is_last:
                     continue
                 mb = link.payload_mb.pop(chunk.payload_id)
-                self._log(time_ns, EventKind.PAYLOAD_DELIVERED, chunk.payload_id,
-                          link.dst_stage)
+                self._log(time_ns, delivered, chunk.payload_id, link.dst_stage)
                 if link.is_return:
                     self._apply_feedback(mb, time_ns)
                     self._schedule_boundary(time_ns)
@@ -587,15 +582,12 @@ class PipelineEngine:
                 stage.busy = False
 
         requests = [self._requests[rid] for rid in sorted(self._requests)]
-        ordered_links = [
-            e for _, e in sorted(
-                enumerate(self._link_events), key=lambda t: (t[1].time_ns, t[0])
-            )
-        ]
         return RunResult(
             requests=requests,
             events=self._events,
-            link_events=ordered_links,
+            # Every link event is logged at the current virtual time, so the
+            # list is already in time order.
+            link_events=self._link_events,
             decisions=self._decisions,
             stage_busy_ns=[s.busy_intervals for s in self._stages],
             token_emissions=self._token_emissions,

@@ -146,10 +146,6 @@ class ModelSpec:
             if getattr(self, field_name) < 1:
                 raise ConfigError(f"model {self.name}: {field_name} must be >= 1")
 
-    def activation_bytes(self, tokens: int) -> int:
-        """Bytes transferred for a micro-batch activation of ``tokens``."""
-        return tokens * self.hidden_dim * self.dtype_bytes
-
 
 MODEL_PRESETS: dict[str, ModelSpec] = {
     # Activations are fp16 in both presets; the 4-bit variant only shrinks

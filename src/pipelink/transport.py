@@ -19,7 +19,9 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError, ProtocolError
 from .profiles import LinkProfile
@@ -160,8 +162,7 @@ class LinkQueue:
         return None
 
 
-@dataclass(frozen=True)
-class LinkEvent:
+class LinkEvent(NamedTuple):
     """One row of the emission/delivery log."""
 
     time_ns: int
@@ -172,28 +173,25 @@ class LinkEvent:
     phase_class: PayloadClass
     event: str  # enqueue | emit | sent | deliver
 
-    def as_row(self) -> list:
-        return [
-            f"{self.time_ns / NS_PER_S:.6f}",
-            self.link,
-            self.payload_id,
-            self.chunk_index,
-            self.size_bytes,
-            self.phase_class.value,
-            self.event,
-        ]
-
 
 LINK_LOG_HEADER = ("time_s", "link", "payload_id", "chunk_index", "bytes", "class", "event")
 
+# The one ordering rule of link logs: by time, equal times in logged order
+# (``sorted`` is stable).
+_by_time = attrgetter("time_ns")
+
 
 def write_link_log(events: list[LinkEvent], path: str | Path) -> None:
-    ordered = sorted(enumerate(events), key=lambda t: (t[1].time_ns, t[0]))
+    classes = {pclass: pclass.value for pclass in PayloadClass}
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(LINK_LOG_HEADER)
-        for _, ev in ordered:
-            writer.writerow(ev.as_row())
+        writer.writerows(
+            (f"{time_ns / NS_PER_S:.6f}", link, payload_id, chunk_index, size,
+             classes[pclass], event)
+            for time_ns, link, payload_id, chunk_index, size, pclass, event
+            in sorted(events, key=_by_time)
+        )
 
 
 def transmission_ns(profile: LinkProfile, size_bytes: int) -> int:
@@ -265,7 +263,7 @@ def replay_link(
             )
             start_next(now)
 
-    return [e for _, e in sorted(enumerate(events), key=lambda t: (t[1].time_ns, t[0]))]
+    return sorted(events, key=_by_time)
 
 
 def first_emit_delay_ns(events: list[LinkEvent], payload_id: int) -> int:

@@ -250,3 +250,44 @@ def test_http_bad_content_length_is_invalid(http_server, length):
         assert resp.status == 400 and json.loads(resp.read())["code"] == "invalid"
     finally:
         conn.close()
+
+
+_W0 = {"name": "w0", "gpu_type": "rtx4090", "gpu_count": 1, "gpu_mem_bytes": 8 * GB}
+
+
+@pytest.mark.parametrize(
+    "links",
+    [
+        5,
+        [3],
+        [{"to": "w0", "latency_s": 0.01, "bandwidth_bps": 1e9}],
+        [{"from": "w1", "to": "w0", "latency_s": -1.0, "bandwidth_bps": 1e9}],
+        [{"from": "w0", "to": "ghost", "latency_s": 0.01, "bandwidth_bps": 1e9}],
+    ],
+    ids=["not-a-list", "not-an-object", "no-from", "negative-latency", "ghost-endpoint"],
+)
+def test_http_bad_links_are_invalid(http_server, links):
+    reg, base = http_server
+    assert call(base, "POST", "/nodes", _W0)[0] == 201
+    status, body = call(base, "POST", "/nodes", {**_W0, "name": "w1", "links": links})
+    assert status == 400 and body["code"] == "invalid"
+    assert reg.snapshot()["nodes"] == ["w0"]
+    reg.check_invariants()
+
+
+def test_link_to_unregistered_node_rejected():
+    reg = registry_with_nodes(1)
+    for link in (LinkProfile("n0", "ghost", 0.01, 1e9), LinkProfile("ghost", "n1", 0.01, 1e9)):
+        with pytest.raises(RegistryError) as err:
+            reg.node_access(make_node("n1"), links=[link])
+        assert err.value.code == "invalid" and "ghost" in str(err.value)
+    assert reg.snapshot()["nodes"] == ["n0"]
+    reg.check_invariants()
+
+
+def test_invariants_fail_on_link_to_unregistered_node():
+    reg = registry_with_nodes(2)
+    reg.check_invariants()
+    reg._cluster.links[("n0", "ghost")] = LinkProfile("n0", "ghost", 0.01, 1e9)
+    with pytest.raises(RegistryError, match="ghost"):
+        reg.check_invariants()

@@ -16,6 +16,7 @@ from pipelink.errors import ConfigError
 from pipelink.metrics import summarize
 from pipelink.placement import ClusterSpec, ModelSpec, PartitionPlan
 from pipelink.profiles import LinkProfile, Phase, StageProfile, flat_profile
+from pipelink.transport import s_to_ns
 from pipelink.workload import (
     LengthHistogram,
     Request,
@@ -360,3 +361,33 @@ def test_run_decides_once_per_distinct_clamped_demand(monkeypatch):
     first, decided[:] = list(decided), []
     assert engine.run(trace).events == result.events
     assert decided == first
+
+
+def chunked_three_stage_engine():
+    cluster, model, plan, profiles = uniform_pipeline(
+        3, 0.002, 0.001, bandwidth=1e7, hidden_dim=64, dtype_bytes=2
+    )
+    cfg = engine_config(
+        plan, model, max_batched_tokens=256, max_batch_size=8, chunk_size=4096
+    )
+    return PipelineEngine(cfg, cluster, profiles)
+
+
+@pytest.mark.parametrize("horizon_s", [None, 0.3])
+def test_link_events_are_logged_in_time_order(horizon_s):
+    # Writers and replay rely on this: the run hands the log over unsorted.
+    trace = generate_trace(rate=30.0, duration=1.0, seed=8)
+    result = chunked_three_stage_engine().run(trace, horizon_s=horizon_s)
+    times = [e.time_ns for e in result.link_events]
+    assert any(e.chunk_index > 0 for e in result.link_events)
+    assert times == sorted(times)
+    if horizon_s is not None:
+        assert not result.all_finished
+        assert times[-1] <= s_to_ns(horizon_s)
+
+
+def test_logged_event_kinds_are_members():
+    trace = generate_trace(rate=30.0, duration=1.0, seed=8)
+    result = chunked_three_stage_engine().run(trace)
+    assert {type(e.kind) for e in result.events} == {EventKind}
+    assert {e.kind for e in result.events} == set(EventKind)

@@ -1,3 +1,4 @@
+import csv
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from pipelink.errors import ConfigError, ProtocolError
 from pipelink.profiles import LinkProfile
 from pipelink.transport import (
+    LINK_LOG_HEADER,
     LinkEvent,
     LinkPolicy,
     LinkQueue,
@@ -14,6 +16,7 @@ from pipelink.transport import (
     replay_link,
     s_to_ns,
     transmission_ns,
+    write_link_log,
 )
 
 
@@ -238,3 +241,19 @@ def test_randomized_schedules_hold_invariants(seed):
 def test_transmission_ns_rounding():
     link = LinkProfile("a", "b", 0.0, 12_500_000)
     assert transmission_ns(link, 262_144) == 20_971_520
+
+
+def test_write_link_log_orders_rows_by_time_stably(tmp_path):
+    events = [
+        LinkEvent(2_000, "a->b", 1, 0, 10, PayloadClass.PREFILL, "sent"),
+        LinkEvent(1_000, "a->b", 2, -1, 20, PayloadClass.DECODE, "enqueue"),
+        LinkEvent(2_000, "a->b", 3, 0, 30, PayloadClass.DECODE, "emit"),
+        LinkEvent(1_000, "a->b", 4, -1, 40, PayloadClass.PREFILL, "enqueue"),
+    ]
+    path = tmp_path / "transport.csv"
+    write_link_log(events, path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == list(LINK_LOG_HEADER)
+    assert [row[2] for row in rows] == ["2", "4", "1", "3"]
+    assert rows[0] == ["0.000001", "a->b", "2", "-1", "20", "decode", "enqueue"]
