@@ -14,7 +14,6 @@ from .engine import (
     MicroBatch,
     PipelineEngine,
     RunResult,
-    SchedulingPolicy,
     admit_and_batch,
     measure_bubble,
 )

@@ -23,7 +23,6 @@ from .engine import (
     EngineConfig,
     PipelineEngine,
     RunResult,
-    SchedulingPolicy,
     measure_bubble,
     write_event_log,
 )
@@ -37,7 +36,7 @@ from .placement import (
     resolve_model,
 )
 from .profiles import StageProfile, load_stage_profiles, synth_profile
-from .transport import NS_PER_S, write_link_log
+from .transport import NS_PER_S, LinkPolicy, write_link_log
 from .workload import (
     HISTOGRAM_PRESETS,
     LengthHistogram,
@@ -192,7 +191,7 @@ def _build_engine_config(cfg: RunConfig, plan) -> EngineConfig:
         model=cfg.model,
         controller=_build_controller(cfg.controller_params),
         chunk_size=chunk,
-        scheduling_policy=SchedulingPolicy(
+        scheduling_policy=LinkPolicy(
             params.get("scheduling_policy", "decode_priority")
         ),
     )

@@ -14,7 +14,7 @@ import random
 import secrets
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -26,7 +26,10 @@ from .placement import (
     ModelSpec,
     NodeDescriptor,
     PartitionPlan,
-    Platform,
+    link_from_json,
+    link_to_json,
+    node_from_json,
+    node_to_json,
     plan_deployment,
 )
 from .profiles import LinkProfile
@@ -119,8 +122,8 @@ class ClusterRegistry:
                 op = rec["op"]
                 if op == "node_access":
                     registry.node_access(
-                        _node_from_dict(rec["node"]),
-                        links=[_link_from_dict(l) for l in rec.get("links", [])],
+                        node_from_json(rec["node"]),
+                        links=[link_from_json(l) for l in rec.get("links", [])],
                     )
                 elif op == "node_exit":
                     registry.node_exit(rec["name"], cascade=rec.get("cascade", False))
@@ -157,8 +160,8 @@ class ClusterRegistry:
             self._journal(
                 {
                     "op": "node_access",
-                    "node": _node_to_dict(node),
-                    "links": [_link_to_dict(l) for l in links or []],
+                    "node": node_to_json(node),
+                    "links": [link_to_json(l) for l in links or []],
                 }
             )
 
@@ -174,7 +177,7 @@ class ClusterRegistry:
             util["source"] = "simulated"
             return {
                 "name": node.name,
-                "metadata": _node_to_dict(node),
+                "metadata": node_to_json(node),
                 "hosting": self._assignments.get(name),
                 "utilization": util,
             }
@@ -229,7 +232,19 @@ class ClusterRegistry:
         inference_parameters: dict | None = None,
         _api_key: str | None = None,
     ) -> ServiceRecord:
-        inference_parameters = inference_parameters or {}
+        if inference_parameters is None:
+            inference_parameters = {}
+        for label, value, kind in (
+            ("service_name", service_name, str),
+            ("model_name", model_name, str),
+            ("resource_specification", resource_specification, dict),
+            ("inference_parameters", inference_parameters, dict),
+        ):
+            if not isinstance(value, kind):
+                raise RegistryError(
+                    "invalid",
+                    f"{label} must be a {kind.__name__}, not {type(value).__name__}",
+                )
         with self._lock:
             active = self._services.get(service_name)
             if active is not None and active.state is not ServiceState.DELETED:
@@ -251,7 +266,10 @@ class ClusterRegistry:
                 )
             model = self._catalog[model_name]
             gpu_type = resource_specification["gpu_type"]
-            gpu_count = int(resource_specification.get("gpu_count", 1))
+            try:
+                gpu_count = int(resource_specification.get("gpu_count", 1))
+            except (TypeError, ValueError):
+                raise RegistryError("invalid", "gpu_count must be an integer") from None
             try:
                 plan = plan_deployment(self._free_subcluster(), model, gpu_type, gpu_count)
             except PlacementError as exc:
@@ -370,50 +388,6 @@ class ClusterRegistry:
             }
 
 
-def _node_to_dict(node: NodeDescriptor) -> dict:
-    return {
-        "name": node.name,
-        "platform": node.platform.value,
-        "gpu_type": node.gpu_type,
-        "gpu_count": node.gpu_count,
-        "gpu_mem_bytes": node.gpu_mem_bytes,
-        "capacity_score": node.capacity_score,
-        "cpu_score": node.cpu_score,
-        "network_score": node.network_score,
-    }
-
-
-def _node_from_dict(data: dict) -> NodeDescriptor:
-    return NodeDescriptor(
-        name=data["name"],
-        platform=Platform(data.get("platform", "linux")),
-        gpu_type=data["gpu_type"],
-        gpu_count=int(data["gpu_count"]),
-        gpu_mem_bytes=int(data["gpu_mem_bytes"]),
-        capacity_score=float(data.get("capacity_score", 1.0)),
-        cpu_score=float(data.get("cpu_score", 1.0)),
-        network_score=float(data.get("network_score", 1.0)),
-    )
-
-
-def _link_to_dict(link: LinkProfile) -> dict:
-    return {
-        "from": link.src,
-        "to": link.dst,
-        "latency_s": link.latency_s,
-        "bandwidth_bps": link.bandwidth_bps,
-    }
-
-
-def _link_from_dict(data: dict) -> LinkProfile:
-    return LinkProfile(
-        src=data["from"],
-        dst=data["to"],
-        latency_s=float(data["latency_s"]),
-        bandwidth_bps=float(data["bandwidth_bps"]),
-    )
-
-
 _STATUS_BY_CODE = {
     "conflict": 409,
     "not_found": 404,
@@ -470,8 +444,8 @@ class _Handler(BaseHTTPRequestHandler):
             if self.command == "POST" and parts == ["nodes"]:
                 body = self._read_body()
                 try:
-                    links = [_link_from_dict(l) for l in body.pop("links", [])]
-                    node = _node_from_dict(body)
+                    links = [link_from_json(l) for l in body.pop("links", [])]
+                    node = node_from_json(body)
                 except (KeyError, TypeError, ValueError, ConfigError) as exc:
                     raise RegistryError("invalid", f"bad node descriptor: {exc}") from None
                 registry.node_access(node, links=links)

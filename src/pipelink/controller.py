@@ -1,6 +1,6 @@
 """Per-iteration micro-batch count and token budget selection.
 
-The head engine calls :func:`choose_n` at each iteration boundary.  The
+The head scheduler calls :func:`choose_n` at each iteration boundary.  The
 search starts at one micro-batch and adds more while that measurably fills
 the bottleneck stage's idle time, stopping once the predicted bubble is
 small enough, the marginal utilization gain goes flat, or the configured
@@ -8,7 +8,7 @@ cap is reached.
 
 With the config, profiles, links and bytes per token fixed, a decision
 depends only on ``(clamp_demand(cfg, queued_tokens), phase)``, which is why
-the head schedulers memoise decisions on that key for one run.
+``engine.HeadScheduler`` memoises decisions on that key for one run.
 """
 
 from __future__ import annotations

@@ -27,7 +27,6 @@ from .placement import TOKEN_FEEDBACK_BYTES, ClusterSpec, ModelSpec, PartitionPl
 from .profiles import LinkProfile, Phase, StageProfile, compute_time
 from .transport import (
     DEFAULT_CHUNK_SIZE,
-    Chunk,
     LinkEvent,
     LinkPolicy,
     LinkQueue,
@@ -56,11 +55,6 @@ class BatchPhase(enum.Enum):
     MIXED = "mixed"
 
 
-class SchedulingPolicy(enum.Enum):
-    DECODE_PRIORITY = "decode_priority"
-    FCFS = "fcfs"
-
-
 @dataclass(frozen=True)
 class MicroBatch:
     id: int
@@ -73,6 +67,11 @@ class MicroBatch:
         if not self.request_ids:
             raise ConfigError(f"micro-batch {self.id} has no requests")
 
+    @property
+    def payload_class(self) -> PayloadClass:
+        decode = self.phase is BatchPhase.DECODE
+        return PayloadClass.DECODE if decode else PayloadClass.PREFILL
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -80,7 +79,7 @@ class EngineConfig:
     model: ModelSpec
     controller: ControllerConfig
     chunk_size: int | None = DEFAULT_CHUNK_SIZE
-    scheduling_policy: SchedulingPolicy = SchedulingPolicy.DECODE_PRIORITY
+    scheduling_policy: LinkPolicy = LinkPolicy.DECODE_PRIORITY
     allow_mixed_phase: bool = False
 
 
@@ -238,6 +237,127 @@ def admit_and_batch(
     return batches
 
 
+def ring_links(partition: PartitionPlan, cluster: ClusterSpec) -> list[LinkProfile]:
+    """The links a plan runs over: each stage to the next, then last to head."""
+    names = partition.node_names()
+    for name in names:
+        if name not in cluster.nodes:
+            raise ConfigError(f"plan references unregistered node {name}")
+    links: list[LinkProfile] = []
+    if len(names) >= 2:
+        for src, dst in list(zip(names, names[1:])) + [(names[-1], names[0])]:
+            link = cluster.link(src, dst)
+            if link is None:
+                raise ConfigError(f"cluster is missing required link {src}->{dst}")
+            links.append(link)
+    return links
+
+
+class HeadScheduler:
+    """Head-side scheduling with no clock of its own.
+
+    Owns the request state machine (on fresh copies of the requests), the
+    pending and ready queues, the in-flight micro-batches and the decision
+    memo.  The caller appends arrivals to ``pending`` and supplies the time.
+    """
+
+    def __init__(
+        self,
+        cfg: EngineConfig,
+        stage_profiles: list[StageProfile],
+        link_profiles: list[LinkProfile],
+        requests: list[Request],
+    ):
+        self.cfg = cfg
+        self.stage_profiles = stage_profiles
+        self.link_profiles = link_profiles
+        self.bytes_per_token = cfg.model.hidden_dim * cfg.model.dtype_bytes
+        self.requests: dict[int, Request] = {}  # in trace order
+        for r in requests:
+            if r.id in self.requests:
+                raise ConfigError(f"duplicate request id {r.id} in trace")
+            self.requests[r.id] = r.fresh_copy()
+        self.unfinished = len(self.requests)
+        self.pending: deque[Request] = deque()
+        self.ready: deque[Request] = deque()
+        self.in_flight: dict[int, MicroBatch] = {}
+        self.decisions: list[tuple[int, ControllerDecision]] = []
+        self.token_emissions: list[tuple[int, int]] = []  # (time_ns, request_id)
+        self.iteration = 0
+        self._next_mb_id = 0
+        self._last_decision: ControllerDecision | None = None
+        self._memo: dict[tuple[int, Phase], ControllerDecision] = {}
+
+    def _decide(self) -> ControllerDecision:
+        ctrl = self.cfg.controller
+        if self._last_decision is not None and self.iteration % ctrl.decision_stride:
+            return self._last_decision
+        demand = len(self.ready)
+        demand += sum(mb.batched_tokens for mb in self.in_flight.values())
+        demand += sum(r.input_len for r in self.pending)
+        phase = Phase.DECODE if self.ready else Phase.PREFILL
+        key = (clamp_demand(ctrl, demand), phase)
+        decision = self._memo.get(key)
+        if decision is None:
+            decision = self._memo[key] = choose_n(
+                ctrl,
+                self.stage_profiles,
+                self.link_profiles,
+                key[0],
+                phase,
+                bytes_per_token=self.bytes_per_token,
+            )
+        return decision
+
+    def dispatch(self, now_ns: int) -> list[MicroBatch]:
+        """Start the next iteration's micro-batches, or return none."""
+        if not self.ready and not self.pending:
+            return []
+        decision = self._decide()
+        capacity = decision.n_microbatches - len(self.in_flight)
+        if capacity <= 0:
+            return []
+        batches = admit_and_batch(
+            self.ready,
+            self.pending,
+            decision,
+            self.cfg.controller.max_batch_size,
+            capacity,
+            now_ns / NS_PER_S,
+            allow_mixed=self.cfg.allow_mixed_phase,
+            id_start=self._next_mb_id,
+        )
+        self.iteration += 1
+        self._last_decision = decision
+        self.decisions.append((self.iteration, decision))
+        self._next_mb_id += len(batches)
+        for mb in batches:
+            self.in_flight[mb.id] = mb
+            for rid in mb.request_ids:
+                req = self.requests[rid]
+                if req.state is RequestState.QUEUED:
+                    req.state = RequestState.PREFILL
+        return batches
+
+    def feedback(self, mb: MicroBatch, now_ns: int) -> None:
+        """Emit one token for each request of ``mb``, which reached the head."""
+        del self.in_flight[mb.id]
+        now_s = now_ns / NS_PER_S
+        for rid in mb.request_ids:
+            req = self.requests[rid]
+            req.tokens_emitted += 1
+            self.token_emissions.append((now_ns, rid))
+            if req.state is RequestState.PREFILL:
+                req.first_token_time = now_s
+                req.state = RequestState.DECODING
+            if req.tokens_emitted >= req.output_len:
+                req.state = RequestState.FINISHED
+                req.finish_time = now_s
+                self.unfinished -= 1
+            else:
+                self.ready.append(req)
+
+
 class _StageRuntime:
     def __init__(self, idx: int, profile: StageProfile):
         self.idx = idx
@@ -277,58 +397,31 @@ class PipelineEngine:
             raise ConfigError(
                 f"{num_stages} stages in plan but {len(stage_profiles)} profiles"
             )
-        names = cfg.partition.node_names()
-        for name in names:
-            if name not in cluster.nodes:
-                raise ConfigError(f"plan references unregistered node {name}")
-        link_profiles: list[LinkProfile] = []
-        if num_stages >= 2:
-            hops = list(zip(names, names[1:])) + [(names[-1], names[0])]
-            for src, dst in hops:
-                link = cluster.link(src, dst)
-                if link is None:
-                    raise ConfigError(f"cluster is missing required link {src}->{dst}")
-                link_profiles.append(link)
         self.cfg = cfg
-        self.cluster = cluster
         self.stage_profiles = list(stage_profiles)
-        self.link_profiles = link_profiles
-        self.bytes_per_token = cfg.model.hidden_dim * cfg.model.dtype_bytes
+        self.link_profiles = ring_links(cfg.partition, cluster)
 
     # -- run state ---------------------------------------------------------
 
-    def _reset(self) -> None:
-        policy = (
-            LinkPolicy.DECODE_PRIORITY
-            if self.cfg.scheduling_policy is SchedulingPolicy.DECODE_PRIORITY
-            else LinkPolicy.FCFS
+    def _reset(self, requests: list[Request]) -> None:
+        self._sched = HeadScheduler(
+            self.cfg, self.stage_profiles, self.link_profiles, requests
         )
-        S = len(self.stage_profiles)
         self._stages = [_StageRuntime(i, p) for i, p in enumerate(self.stage_profiles)]
         self._links: list[_LinkRuntime] = []
         for i, lp in enumerate(self.link_profiles):
             is_return = i == len(self.link_profiles) - 1
             dst = 0 if is_return else i + 1
-            self._links.append(
-                _LinkRuntime(i, lp, self.cfg.chunk_size, policy, dst, is_return)
-            )
+            self._links.append(_LinkRuntime(
+                i, lp, self.cfg.chunk_size, self.cfg.scheduling_policy, dst, is_return
+            ))
         self._heap: list[tuple[int, int, int, int, object]] = []
         self._seq = 0
-        self._requests: dict[int, Request] = {}
-        self._pending: deque[Request] = deque()
-        self._ready_decode: deque[Request] = deque()
-        self._in_flight: dict[int, MicroBatch] = {}
         self._boundary_times: set[int] = set()
         self._events: list[EngineEvent] = []
         self._link_events: list[LinkEvent] = []
-        self._decisions: list[tuple[int, ControllerDecision]] = []
-        self._token_emissions: list[tuple[int, int]] = []
         self._first_compute_ns: dict[int, int] = {}
-        self._iteration = 0
-        self._next_mb_id = 0
         self._next_payload_id = 0
-        self._last_decision: ControllerDecision | None = None
-        self._decision_memo: dict[tuple[int, Phase], ControllerDecision] = {}
 
     def _push(self, time_ns: int, kind: EventKind, subject: int, data: object = None) -> None:
         heapq.heappush(self._heap, (time_ns, kind, subject, self._seq, data))
@@ -399,19 +492,14 @@ class PipelineEngine:
 
         last = stage_idx == len(self._stages) - 1
         if not last:
-            pclass = (
-                PayloadClass.DECODE
-                if mb.phase is BatchPhase.DECODE
-                else PayloadClass.PREFILL
-            )
-            size = max(1, mb.batched_tokens * self.bytes_per_token)
-            self._send_payload(self._links[stage_idx], mb, size, pclass, now)
+            size = max(1, mb.batched_tokens * self._sched.bytes_per_token)
+            self._send_payload(self._links[stage_idx], mb, size, mb.payload_class, now)
         elif self._links:
             size = max(1, TOKEN_FEEDBACK_BYTES * len(mb.request_ids))
             self._send_payload(self._links[-1], mb, size, PayloadClass.DECODE, now)
         else:
             # Single-stage pipeline: tokens surface at compute completion.
-            self._apply_feedback(mb, now)
+            self._sched.feedback(mb, now)
             self._schedule_boundary(now)
 
         self._try_start_compute(stage, now)
@@ -420,93 +508,22 @@ class PipelineEngine:
 
     # -- head scheduling ---------------------------------------------------
 
-    def _apply_feedback(self, mb: MicroBatch, now: int) -> None:
-        self._in_flight.pop(mb.id, None)
-        now_s = now / NS_PER_S
-        for rid in mb.request_ids:
-            req = self._requests[rid]
-            req.tokens_emitted += 1
-            self._token_emissions.append((now, rid))
-            if req.state is RequestState.PREFILL:
-                req.first_token_time = now_s
-                if req.output_len == 1:
-                    req.state = RequestState.FINISHED
-                    req.finish_time = now_s
-                else:
-                    req.state = RequestState.DECODING
-                    self._ready_decode.append(req)
-            elif req.state is RequestState.DECODING:
-                if req.tokens_emitted >= req.output_len:
-                    req.state = RequestState.FINISHED
-                    req.finish_time = now_s
-                else:
-                    self._ready_decode.append(req)
-
     def _schedule_boundary(self, now: int) -> None:
         if now in self._boundary_times:
             return
         self._boundary_times.add(now)
-        self._push(now, EventKind.ITERATION_BOUNDARY, self._iteration + 1, None)
-
-    def _demand_tokens(self) -> int:
-        demand = len(self._ready_decode)
-        demand += sum(mb.batched_tokens for mb in self._in_flight.values())
-        demand += sum(r.input_len for r in self._pending)
-        return demand
+        self._push(now, EventKind.ITERATION_BOUNDARY, self._sched.iteration + 1, None)
 
     def _on_boundary(self, now: int) -> None:
         self._boundary_times.discard(now)
         head = self._stages[0]
         if head.busy or head.queue:
             return
-        if not self._ready_decode and not self._pending:
-            return
-        phase = Phase.DECODE if self._ready_decode else Phase.PREFILL
-        if (
-            self._last_decision is None
-            or self._iteration % self.cfg.controller.decision_stride == 0
-        ):
-            key = (clamp_demand(self.cfg.controller, self._demand_tokens()), phase)
-            decision = self._decision_memo.get(key)
-            if decision is None:
-                decision = choose_n(
-                    self.cfg.controller,
-                    self.stage_profiles,
-                    self.link_profiles,
-                    key[0],
-                    phase,
-                    bytes_per_token=self.bytes_per_token,
-                )
-                self._decision_memo[key] = decision
-        else:
-            decision = self._last_decision
-        capacity = decision.n_microbatches - len(self._in_flight)
-        if capacity <= 0:
-            return
-        batches = admit_and_batch(
-            self._ready_decode,
-            self._pending,
-            decision,
-            self.cfg.controller.max_batch_size,
-            capacity,
-            now / NS_PER_S,
-            allow_mixed=self.cfg.allow_mixed_phase,
-            id_start=self._next_mb_id,
-        )
+        batches = self._sched.dispatch(now)
         if not batches:
             return
-        self._iteration += 1
-        self._last_decision = decision
-        self._decisions.append((self._iteration, decision))
-        self._log(now, EventKind.ITERATION_BOUNDARY, self._iteration, 0)
-        self._next_mb_id += len(batches)
-        for mb in batches:
-            self._in_flight[mb.id] = mb
-            for rid in mb.request_ids:
-                req = self._requests[rid]
-                if req.state is RequestState.QUEUED:
-                    req.state = RequestState.PREFILL
-            head.queue.append(mb)
+        self._log(now, EventKind.ITERATION_BOUNDARY, self._sched.iteration, 0)
+        head.queue.extend(batches)
         self._try_start_compute(head, now)
 
     # -- event loop --------------------------------------------------------
@@ -517,21 +534,15 @@ class PipelineEngine:
         Deterministic for a fixed config: identical inputs produce identical
         event logs, reports, and per-request timelines.
         """
-        self._reset()
-        seen = set()
-        for r in trace.requests:
-            if r.id in seen:
-                raise ConfigError(f"duplicate request id {r.id} in trace")
-            seen.add(r.id)
-            req = r.fresh_copy()
-            arrival_ns = s_to_ns(r.arrival_time)
+        self._reset(trace.requests)
+        for req in self._sched.requests.values():
+            arrival_ns = s_to_ns(req.arrival_time)
             req.arrival_time = arrival_ns / NS_PER_S  # snap to the virtual clock
-            self._requests[r.id] = req
-            self._push(arrival_ns, EventKind.ARRIVAL, r.id, None)
+            self._push(arrival_ns, EventKind.ARRIVAL, req.id, None)
         horizon_ns = None if horizon_s is None else s_to_ns(horizon_s)
 
         last_time = 0
-        heap = self._heap
+        heap, sched = self._heap, self._sched
         # Local names: attribute access on an enum class is slow in the loop.
         arrival, boundary = EventKind.ARRIVAL, EventKind.ITERATION_BOUNDARY
         compute_done, sent = EventKind.COMPUTE_DONE, EventKind.CHUNK_SENT
@@ -551,7 +562,7 @@ class PipelineEngine:
                 self._push(time_ns + link.latency_ns, delivered, chunk.payload_id, data)
                 self._link_emit_next(link, time_ns)
             elif kind is arrival:
-                self._pending.append(self._requests[subject])
+                sched.pending.append(sched.requests[subject])
                 self._log(time_ns, arrival, subject)
                 self._schedule_boundary(time_ns)
             elif kind is boundary:
@@ -568,7 +579,7 @@ class PipelineEngine:
                 mb = link.payload_mb.pop(chunk.payload_id)
                 self._log(time_ns, delivered, chunk.payload_id, link.dst_stage)
                 if link.is_return:
-                    self._apply_feedback(mb, time_ns)
+                    sched.feedback(mb, time_ns)
                     self._schedule_boundary(time_ns)
                 else:
                     dst = self._stages[link.dst_stage]
@@ -581,17 +592,16 @@ class PipelineEngine:
                 stage.busy_intervals.append((stage.current_start, last_time))
                 stage.busy = False
 
-        requests = [self._requests[rid] for rid in sorted(self._requests)]
         return RunResult(
-            requests=requests,
+            requests=[sched.requests[rid] for rid in sorted(sched.requests)],
             events=self._events,
             # Every link event is logged at the current virtual time, so the
             # list is already in time order.
             link_events=self._link_events,
-            decisions=self._decisions,
+            decisions=sched.decisions,
             stage_busy_ns=[s.busy_intervals for s in self._stages],
-            token_emissions=self._token_emissions,
+            token_emissions=sched.token_emissions,
             first_compute_ns=self._first_compute_ns,
             end_ns=last_time,
-            all_finished=all(r.state is RequestState.FINISHED for r in requests),
+            all_finished=sched.unfinished == 0,
         )

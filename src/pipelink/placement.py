@@ -72,27 +72,13 @@ class ClusterSpec:
     def from_json_dict(cls, data: dict) -> "ClusterSpec":
         nodes = {}
         for entry in data.get("nodes", []):
-            node = NodeDescriptor(
-                name=entry["name"],
-                platform=Platform(entry.get("platform", "linux")),
-                gpu_type=entry["gpu_type"],
-                gpu_count=int(entry["gpu_count"]),
-                gpu_mem_bytes=int(entry["gpu_mem_bytes"]),
-                capacity_score=float(entry.get("capacity_score", 1.0)),
-                cpu_score=float(entry.get("cpu_score", 1.0)),
-                network_score=float(entry.get("network_score", 1.0)),
-            )
+            node = node_from_json(entry)
             if node.name in nodes:
                 raise ConfigError(f"duplicate node name {node.name}")
             nodes[node.name] = node
         links = {}
         for entry in data.get("links", []):
-            link = LinkProfile(
-                src=entry["from"],
-                dst=entry["to"],
-                latency_s=float(entry["latency_s"]),
-                bandwidth_bps=float(entry["bandwidth_bps"]),
-            )
+            link = link_from_json(entry)
             key = (link.src, link.dst)
             if key in links:
                 raise ConfigError(f"duplicate link {link.src}->{link.dst}")
@@ -101,29 +87,56 @@ class ClusterSpec:
 
     def to_json_dict(self) -> dict:
         return {
-            "nodes": [
-                {
-                    "name": n.name,
-                    "platform": n.platform.value,
-                    "gpu_type": n.gpu_type,
-                    "gpu_count": n.gpu_count,
-                    "gpu_mem_bytes": n.gpu_mem_bytes,
-                    "capacity_score": n.capacity_score,
-                    "cpu_score": n.cpu_score,
-                    "network_score": n.network_score,
-                }
-                for _, n in sorted(self.nodes.items())
-            ],
-            "links": [
-                {
-                    "from": l.src,
-                    "to": l.dst,
-                    "latency_s": l.latency_s,
-                    "bandwidth_bps": l.bandwidth_bps,
-                }
-                for _, l in sorted(self.links.items())
-            ],
+            "nodes": [node_to_json(n) for _, n in sorted(self.nodes.items())],
+            "links": [link_to_json(l) for _, l in sorted(self.links.items())],
         }
+
+
+# The one JSON form of a node and of a link: cluster files, control API, journal.
+
+
+def node_to_json(node: NodeDescriptor) -> dict:
+    return {
+        "name": node.name,
+        "platform": node.platform.value,
+        "gpu_type": node.gpu_type,
+        "gpu_count": node.gpu_count,
+        "gpu_mem_bytes": node.gpu_mem_bytes,
+        "capacity_score": node.capacity_score,
+        "cpu_score": node.cpu_score,
+        "network_score": node.network_score,
+    }
+
+
+def node_from_json(data: dict) -> NodeDescriptor:
+    return NodeDescriptor(
+        name=data["name"],
+        platform=Platform(data.get("platform", "linux")),
+        gpu_type=data["gpu_type"],
+        gpu_count=int(data["gpu_count"]),
+        gpu_mem_bytes=int(data["gpu_mem_bytes"]),
+        capacity_score=float(data.get("capacity_score", 1.0)),
+        cpu_score=float(data.get("cpu_score", 1.0)),
+        network_score=float(data.get("network_score", 1.0)),
+    )
+
+
+def link_to_json(link: LinkProfile) -> dict:
+    return {
+        "from": link.src,
+        "to": link.dst,
+        "latency_s": link.latency_s,
+        "bandwidth_bps": link.bandwidth_bps,
+    }
+
+
+def link_from_json(data: dict) -> LinkProfile:
+    return LinkProfile(
+        src=data["from"],
+        dst=data["to"],
+        latency_s=float(data["latency_s"]),
+        bandwidth_bps=float(data["bandwidth_bps"]),
+    )
 
 
 def load_cluster(path: str | Path) -> ClusterSpec:

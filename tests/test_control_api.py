@@ -9,6 +9,7 @@ import pytest
 from pipelink.control_api import ClusterRegistry, ServiceState, make_server
 from pipelink.errors import RegistryError
 from pipelink.metrics import MetricsReport
+from pipelink.placement import Platform
 from pipelink.profiles import LinkProfile
 
 from simsetup import make_node
@@ -291,3 +292,79 @@ def test_invariants_fail_on_link_to_unregistered_node():
     reg._cluster.links[("n0", "ghost")] = LinkProfile("n0", "ghost", 0.01, 1e9)
     with pytest.raises(RegistryError, match="ghost"):
         reg.check_invariants()
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"resource_specification": 5},
+        {"resource_specification": ["gpu_type"]},
+        {"inference_parameters": 5},
+        {"inference_parameters": []},
+        {"resource_specification": {"gpu_type": "rtx4090", "gpu_count": "x"}},
+        {"resource_specification": {"gpu_type": "rtx4090", "gpu_count": None}},
+        {"service_name": [1]},
+        {"service_name": {"a": 1}},
+        {"model_name": [1]},
+    ],
+    ids=["spec-int", "spec-list", "params-int", "params-list", "gpu-count-text",
+         "gpu-count-null", "name-list", "name-object", "model-list"],
+)
+def test_http_badly_typed_service_is_invalid_and_not_journaled(tmp_path, change):
+    journal = tmp_path / "registry.jsonl"
+    reg = registry_with_nodes(2, journal=journal)
+    server = make_server(reg, "127.0.0.1", 0)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    base = f"http://127.0.0.1:{server.server_address[1]}"
+    try:
+        before = journal.read_bytes()
+        deploy = {
+            "service_name": "svc", "model_name": "tiny-4l",
+            "resource_specification": {"gpu_type": "rtx4090", "gpu_count": 1},
+            **change,
+        }
+        status, body = call(base, "POST", "/services", deploy)
+        assert status == 400 and body["code"] == "invalid"
+        assert journal.read_bytes() == before
+        assert reg.snapshot()["services"] == {}
+        # The server is still up and the same name deploys once well formed.
+        deploy.update(
+            service_name="svc", model_name="tiny-4l",
+            resource_specification={"gpu_type": "rtx4090"}, inference_parameters={},
+        )
+        assert call(base, "POST", "/services", deploy)[0] == 201
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_node_journal_bytes_and_replay_are_stable(tmp_path):
+    # Pinned from the journal format before nodes and links shared one codec.
+    journal = tmp_path / "registry.jsonl"
+    reg = ClusterRegistry(journal_path=journal)
+    reg.node_access(make_node("a", gpu_type="rtx4090", gpu_mem_bytes=8 * GB))
+    reg.node_access(
+        make_node("b", gpu_count=2, capacity=1.5, platform=Platform.WINDOWS),
+        links=[LinkProfile("b", "a", 0.01, 1e9)],
+    )
+    assert journal.read_text() == (
+        '{"links": [], "node": {"capacity_score": 1.0, "cpu_score": 1.0, '
+        '"gpu_count": 1, "gpu_mem_bytes": 8589934592, "gpu_type": "rtx4090", '
+        '"name": "a", "network_score": 1.0, "platform": "linux"}, '
+        '"op": "node_access"}\n'
+        '{"links": [{"bandwidth_bps": 1000000000.0, "from": "b", "latency_s": 0.01, '
+        '"to": "a"}], "node": {"capacity_score": 1.5, "cpu_score": 1.0, '
+        '"gpu_count": 2, "gpu_mem_bytes": 17179869184, "gpu_type": "g", '
+        '"name": "b", "network_score": 1.0, "platform": "windows"}, '
+        '"op": "node_access"}\n'
+    )
+    assert reg.check_node_status("b")["metadata"] == {
+        "name": "b", "platform": "windows", "gpu_type": "g", "gpu_count": 2,
+        "gpu_mem_bytes": 2 * 8 * GB, "capacity_score": 1.5, "cpu_score": 1.0,
+        "network_score": 1.0,
+    }
+    restored = ClusterRegistry.replay(journal)
+    assert restored.snapshot()["nodes"] == ["a", "b"]
+    assert restored.check_node_status("b") == reg.check_node_status("b")
+    assert restored._cluster.links == reg._cluster.links

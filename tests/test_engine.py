@@ -1,3 +1,5 @@
+import dataclasses
+import random
 from collections import deque
 
 import pytest
@@ -7,16 +9,17 @@ from pipelink.controller import ControllerDecision, clamp_demand
 from pipelink.engine import (
     BatchPhase,
     EventKind,
+    HeadScheduler,
     PipelineEngine,
-    SchedulingPolicy,
     admit_and_batch,
     measure_bubble,
+    ring_links,
 )
 from pipelink.errors import ConfigError
 from pipelink.metrics import summarize
 from pipelink.placement import ClusterSpec, ModelSpec, PartitionPlan
 from pipelink.profiles import LinkProfile, Phase, StageProfile, flat_profile
-from pipelink.transport import s_to_ns
+from pipelink.transport import LinkPolicy, s_to_ns
 from pipelink.workload import (
     LengthHistogram,
     Request,
@@ -299,7 +302,7 @@ def test_fcfs_policy_accepted():
     cluster, model, plan, profiles = desk_pipeline()
     cfg = engine_config(
         plan, model, max_batched_tokens=12, max_batch_size=4,
-        scheduling_policy=SchedulingPolicy.FCFS,
+        scheduling_policy=LinkPolicy.FCFS,
     )
     result = PipelineEngine(cfg, cluster, profiles).run(
         stationary_decode_trace(4), horizon_s=0.1
@@ -312,12 +315,12 @@ class _NeverHits(dict):
         return default
 
 
-class UnmemoisedEngine(PipelineEngine):
+class UnmemoisedScheduler(HeadScheduler):
     """Reference: asks the controller at every decision point."""
 
-    def _reset(self):
-        super()._reset()
-        self._decision_memo = _NeverHits()
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._memo = _NeverHits()
 
 
 def test_run_decides_once_per_distinct_clamped_demand(monkeypatch):
@@ -345,7 +348,9 @@ def test_run_decides_once_per_distinct_clamped_demand(monkeypatch):
         return choose_n(cfg, stage_profiles, links, queued_tokens, phase, **kw)
 
     monkeypatch.setattr(pipelink.engine, "choose_n", counting_choose_n)
-    reference = UnmemoisedEngine(cfg, cluster, profiles).run(trace)
+    with monkeypatch.context() as patch:
+        patch.setattr(pipelink.engine, "HeadScheduler", UnmemoisedScheduler)
+        reference = PipelineEngine(cfg, cluster, profiles).run(trace)
     every_point, decided[:] = list(decided), []
     engine = PipelineEngine(cfg, cluster, profiles)
     result = engine.run(trace)
@@ -391,3 +396,75 @@ def test_logged_event_kinds_are_members():
     result = chunked_three_stage_engine().run(trace)
     assert {type(e.kind) for e in result.events} == {EventKind}
     assert {e.kind for e in result.events} == set(EventKind)
+
+
+# -- the head scheduler, driven without a clock --------------------------------
+
+
+def scheduler_setup(decision_stride=1, scheduler=HeadScheduler):
+    cluster, model, plan, _ = uniform_pipeline(
+        3, 0.002, 0.001, bandwidth=1e7, hidden_dim=64, dtype_bytes=2
+    )
+    # Prefill costs twice decode, so the micro-batch count moves with the phase.
+    profiles = [
+        StageProfile(stage_id=i, layers=1, entries={
+            (phase, tokens): (1 + (phase is Phase.PREFILL)) * (0.001 + 2e-5 * tokens)
+            for phase in Phase for tokens in (1, 256)
+        })
+        for i in range(3)
+    ]
+    cfg = engine_config(plan, model, max_batched_tokens=256, max_batch_size=8)
+    cfg = dataclasses.replace(cfg, controller=dataclasses.replace(
+        cfg.controller, decision_stride=decision_stride
+    ))
+    trace = generate_trace(rate=30.0, duration=1.0, seed=8,
+                           output_lengths=LengthHistogram(((1, 12, 1.0),)))
+    sched = scheduler(cfg, profiles, ring_links(plan, cluster), trace.requests)
+    sched.pending.extend(sched.requests.values())
+    return sched, trace
+
+
+def drive(sched, rng):
+    """Run to completion, returning in-flight micro-batches in random order."""
+    now = 0
+    while sched.unfinished:
+        batches = sched.dispatch(now)
+        if batches:
+            cap = sched.decisions[-1][1].n_microbatches
+            assert 0 < len(sched.in_flight) <= cap
+            continue
+        assert sched.in_flight, "stalled with nothing in flight"
+        mb = rng.choice(sorted(sched.in_flight.items()))[1]
+        sched.feedback(mb, now)
+        now += 1000
+
+
+@pytest.mark.parametrize("decision_stride", [1, 3])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_head_scheduler_finishes_every_request_within_the_in_flight_cap(
+    decision_stride, seed
+):
+    sched, trace = scheduler_setup(decision_stride)
+    drive(sched, random.Random(seed))
+    assert not (sched.pending or sched.ready or sched.in_flight)
+    assert len(sched.decisions) > 10
+    assert len({d.n_microbatches for _, d in sched.decisions}) > 1
+    for seed_req in trace.requests:
+        req = sched.requests[seed_req.id]
+        assert req.state is RequestState.FINISHED
+        assert req.tokens_emitted == req.output_len == seed_req.output_len
+        assert req.first_token_time is not None and req.finish_time is not None
+        assert seed_req.state is RequestState.QUEUED and seed_req.tokens_emitted == 0
+    assert len(sched.token_emissions) == sum(r.output_len for r in trace.requests)
+
+
+def test_head_scheduler_reuses_the_decision_between_strides():
+    stride = 3
+    sched, _ = scheduler_setup(stride, scheduler=UnmemoisedScheduler)
+    drive(sched, random.Random(2))
+    decisions = [d for _, d in sched.decisions]
+    assert len(decisions) > 3 * stride
+    # Without a memo every fresh decision is a new object, so identity shows
+    # exactly where the last decision was reused.
+    for i in range(1, len(decisions)):
+        assert (decisions[i] is decisions[i - 1]) == (i % stride != 0), i

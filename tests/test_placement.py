@@ -10,8 +10,14 @@ from pipelink.errors import PlacementError
 from pipelink.placement import (
     ClusterSpec,
     ModelSpec,
+    NodeDescriptor,
     PartitionPlan,
+    Platform,
     choose_head,
+    link_from_json,
+    link_to_json,
+    node_from_json,
+    node_to_json,
     partition_layers,
     plan_deployment,
     reference_payload_bytes,
@@ -303,3 +309,51 @@ def test_plan_deployment_head_first():
     plan = plan_deployment(cluster, model, "g", 1)
     assert plan.head == "w2"
     assert plan.node_names()[0] == "w2"
+
+
+# -- node and link JSON ------------------------------------------------------------
+
+
+NODE_JSON = {
+    "name": "a", "platform": "windows", "gpu_type": "rtx4090", "gpu_count": 2,
+    "gpu_mem_bytes": 8 << 30, "capacity_score": 1.5, "cpu_score": 0.5,
+    "network_score": 2.0,
+}
+LINK_JSON = {"from": "a", "to": "b", "latency_s": 0.01, "bandwidth_bps": 1e9}
+
+
+def test_node_and_link_json_round_trip():
+    node = node_from_json(NODE_JSON)
+    assert node_to_json(node) == NODE_JSON
+    assert list(node_to_json(node)) == list(NODE_JSON)
+    link = link_from_json(LINK_JSON)
+    assert link == LinkProfile("a", "b", 0.01, 1e9)
+    assert link_to_json(link) == LINK_JSON
+
+
+def test_node_json_defaults_and_coercion():
+    node = node_from_json(
+        {"name": "a", "gpu_type": "g", "gpu_count": "2", "gpu_mem_bytes": 5.0}
+    )
+    assert node == NodeDescriptor("a", Platform.LINUX, "g", 2, 5, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "decode, data, key",
+    [(node_from_json, NODE_JSON, k) for k in ("name", "gpu_type", "gpu_count",
+                                              "gpu_mem_bytes")]
+    + [(link_from_json, LINK_JSON, k) for k in LINK_JSON],
+)
+def test_node_and_link_json_required_keys(decode, data, key):
+    with pytest.raises(KeyError):
+        decode({k: v for k, v in data.items() if k != key})
+
+
+def test_cluster_json_round_trip():
+    data = {
+        "nodes": [NODE_JSON, {**NODE_JSON, "name": "b", "platform": "linux"}],
+        "links": [LINK_JSON, {**LINK_JSON, "from": "b", "to": "a"}],
+    }
+    cluster = ClusterSpec.from_json_dict(data)
+    assert cluster.to_json_dict() == data
+    assert ClusterSpec.from_json_dict(cluster.to_json_dict()) == cluster
