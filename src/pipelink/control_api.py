@@ -266,10 +266,9 @@ class ClusterRegistry:
                 )
             model = self._catalog[model_name]
             gpu_type = resource_specification["gpu_type"]
-            try:
-                gpu_count = int(resource_specification.get("gpu_count", 1))
-            except (TypeError, ValueError):
-                raise RegistryError("invalid", "gpu_count must be an integer") from None
+            gpu_count = resource_specification.get("gpu_count", 1)
+            if type(gpu_count) is not int or gpu_count < 1:  # rejects bools too
+                raise RegistryError("invalid", "gpu_count must be an integer >= 1")
             try:
                 plan = plan_deployment(self._free_subcluster(), model, gpu_type, gpu_count)
             except PlacementError as exc:

@@ -39,14 +39,7 @@ def _tail_worker(forward_sock, return_sender: SocketLinkSender) -> None:
     def on_payload(p: ReceivedPayload) -> None:
         (count,) = _COUNT.unpack(p.body[:4])
         size = max(1, TOKEN_FEEDBACK_BYTES * count)
-        feedback = Payload(
-            id=p.payload_id,
-            phase_class=PayloadClass.DECODE,
-            size_bytes=size,
-            micro_batch_id=p.payload_id,
-            enqueue_time=0,
-        )
-        return_sender.send(feedback, bytes(size))
+        return_sender.send(Payload(p.payload_id, PayloadClass.DECODE, size), bytes(size))
 
     receiver = SocketLinkReceiver(forward_sock, on_payload, name="tail-recv")
     receiver.run()  # inline: this thread is the tail stage
@@ -72,8 +65,16 @@ def run_socket_demo(
     policy = cfg.scheduling_policy
     forward_sender = SocketLinkSender(fwd_head, cfg.chunk_size, policy, "fwd-sender")
     return_sender = SocketLinkSender(ret_tail, cfg.chunk_size, policy, "ret-sender")
-    feedback_q: queue.Queue[ReceivedPayload] = queue.Queue()
-    head_receiver = SocketLinkReceiver(ret_head, feedback_q.put, name="head-recv")
+    feedback_q: queue.Queue[ReceivedPayload | None] = queue.Queue()
+    return_receiver = SocketLinkReceiver(ret_head, feedback_q.put)
+
+    def receive_feedback() -> None:
+        return_receiver.run()  # inline: returns when the return stream ends
+        feedback_q.put(None)  # wakes the head if it still waits for feedback
+
+    head_receiver = threading.Thread(
+        target=receive_feedback, name="head-recv", daemon=True
+    )
     tail = threading.Thread(
         target=_tail_worker, args=(fwd_tail, return_sender), name="tail", daemon=True
     )
@@ -84,20 +85,13 @@ def run_socket_demo(
 
     try:
         while sched.unfinished:
-            batches = sched.dispatch(0)
+            batches = sched.dispatch()
             for mb in batches:
                 # The payload id is the micro-batch id: each is sent once.
                 body = _COUNT.pack(len(mb.request_ids)) + bytes(
                     mb.batched_tokens * sched.bytes_per_token
                 )
-                payload = Payload(
-                    id=mb.id,
-                    phase_class=mb.payload_class,
-                    size_bytes=len(body),
-                    micro_batch_id=mb.id,
-                    enqueue_time=0,
-                )
-                forward_sender.send(payload, body)
+                forward_sender.send(Payload(mb.id, mb.payload_class, len(body)), body)
             if batches:
                 continue
             if not sched.in_flight:
@@ -108,6 +102,8 @@ def run_socket_demo(
                 raise ProtocolError(
                     f"no feedback from the tail stage within {timeout_s} s"
                 ) from None
+            if fb is None:
+                raise ProtocolError("the tail stage closed the return stream early")
             mb = sched.in_flight.get(fb.payload_id)
             if mb is None:
                 raise ProtocolError(f"feedback for unknown micro-batch {fb.payload_id}")

@@ -27,14 +27,14 @@ from .placement import TOKEN_FEEDBACK_BYTES, ClusterSpec, ModelSpec, PartitionPl
 from .profiles import LinkProfile, Phase, StageProfile, compute_time
 from .transport import (
     DEFAULT_CHUNK_SIZE,
+    Chunk,
     LinkEvent,
     LinkPolicy,
-    LinkQueue,
     NS_PER_S,
     Payload,
     PayloadClass,
+    VirtualLink,
     s_to_ns,
-    transmission_ns,
 )
 from .workload import Request, RequestState, Trace
 
@@ -61,7 +61,6 @@ class MicroBatch:
     request_ids: tuple[int, ...]
     phase: BatchPhase
     batched_tokens: int
-    created_at: float  # seconds
 
     def __post_init__(self) -> None:
         if not self.request_ids:
@@ -157,7 +156,6 @@ def admit_and_batch(
     decision: ControllerDecision,
     max_batch_size: int,
     capacity: int,
-    now_s: float,
     allow_mixed: bool = False,
     id_start: int = 0,
 ) -> list[MicroBatch]:
@@ -231,7 +229,6 @@ def admit_and_batch(
                 request_ids=tuple(r.id for r in b.members),
                 phase=b.phase or BatchPhase.DECODE,
                 batched_tokens=b.tokens,
-                created_at=now_s,
             )
         )
     return batches
@@ -309,7 +306,7 @@ class HeadScheduler:
             )
         return decision
 
-    def dispatch(self, now_ns: int) -> list[MicroBatch]:
+    def dispatch(self) -> list[MicroBatch]:
         """Start the next iteration's micro-batches, or return none."""
         if not self.ready and not self.pending:
             return []
@@ -323,7 +320,6 @@ class HeadScheduler:
             decision,
             self.cfg.controller.max_batch_size,
             capacity,
-            now_ns / NS_PER_S,
             allow_mixed=self.cfg.allow_mixed_phase,
             id_start=self._next_mb_id,
         )
@@ -369,20 +365,6 @@ class _StageRuntime:
         self.current: MicroBatch | None = None
 
 
-class _LinkRuntime:
-    def __init__(self, idx: int, profile: LinkProfile, chunk_size, policy: LinkPolicy,
-                 dst_stage: int, is_return: bool):
-        self.idx = idx
-        self.profile = profile
-        self.name = profile.name
-        self.latency_ns = s_to_ns(profile.latency_s)
-        self.queue = LinkQueue(chunk_size=chunk_size, policy=policy)
-        self.busy = False
-        self.dst_stage = dst_stage
-        self.is_return = is_return
-        self.payload_mb: dict[int, MicroBatch] = {}
-
-
 class PipelineEngine:
     """Virtual-time pipeline over a partition plan, cluster links and profiles."""
 
@@ -408,18 +390,17 @@ class PipelineEngine:
             self.cfg, self.stage_profiles, self.link_profiles, requests
         )
         self._stages = [_StageRuntime(i, p) for i, p in enumerate(self.stage_profiles)]
-        self._links: list[_LinkRuntime] = []
-        for i, lp in enumerate(self.link_profiles):
-            is_return = i == len(self.link_profiles) - 1
-            dst = 0 if is_return else i + 1
-            self._links.append(_LinkRuntime(
-                i, lp, self.cfg.chunk_size, self.cfg.scheduling_policy, dst, is_return
-            ))
+        self._link_events: list[LinkEvent] = []
+        self._links = [
+            VirtualLink(lp, self.cfg.chunk_size, self.cfg.scheduling_policy,
+                        self._link_events)
+            for lp in self.link_profiles
+        ]
+        self._payload_mb: dict[int, MicroBatch] = {}  # payload ids are unique per run
         self._heap: list[tuple[int, int, int, int, object]] = []
         self._seq = 0
         self._boundary_times: set[int] = set()
         self._events: list[EngineEvent] = []
-        self._link_events: list[LinkEvent] = []
         self._first_compute_ns: dict[int, int] = {}
         self._next_payload_id = 0
 
@@ -430,40 +411,20 @@ class PipelineEngine:
     def _log(self, time_ns: int, kind: EventKind, subject: int, stage: int = -1) -> None:
         self._events.append(EngineEvent(time_ns, kind, subject, stage))
 
-    def _log_link(self, link: _LinkRuntime, time_ns: int, payload_id: int,
-                  chunk_index: int, size: int, pclass: PayloadClass, event: str) -> None:
-        self._link_events.append(
-            LinkEvent(time_ns, link.name, payload_id, chunk_index, size, pclass, event)
-        )
-
     # -- link mechanics ----------------------------------------------------
 
-    def _link_emit_next(self, link: _LinkRuntime, now: int) -> None:
-        chunk = link.queue.next_chunk()
-        if chunk is None:
-            link.busy = False
-            return
-        link.busy = True
-        self._log_link(link, now, chunk.payload_id, chunk.index, chunk.size_bytes,
-                       chunk.phase_class, "emit")
-        end = now + transmission_ns(link.profile, chunk.size_bytes)
-        self._push(end, EventKind.CHUNK_SENT, chunk.payload_id, (link.idx, chunk))
+    def _on_wire(self, link_idx: int, started: tuple[int, Chunk] | None) -> None:
+        """Schedule the end of the chunk a link put on the wire, if any."""
+        if started is not None:
+            end, chunk = started
+            self._push(end, EventKind.CHUNK_SENT, chunk.payload_id, (link_idx, chunk))
 
-    def _send_payload(self, link: _LinkRuntime, mb: MicroBatch, size: int,
+    def _send_payload(self, link_idx: int, mb: MicroBatch, size: int,
                       pclass: PayloadClass, now: int) -> None:
-        payload = Payload(
-            id=self._next_payload_id,
-            phase_class=pclass,
-            size_bytes=size,
-            micro_batch_id=mb.id,
-            enqueue_time=now,
-        )
+        payload = Payload(id=self._next_payload_id, phase_class=pclass, size_bytes=size)
         self._next_payload_id += 1
-        link.payload_mb[payload.id] = mb
-        link.queue.enqueue(payload)
-        self._log_link(link, now, payload.id, -1, size, pclass, "enqueue")
-        if not link.busy:
-            self._link_emit_next(link, now)
+        self._payload_mb[payload.id] = mb
+        self._on_wire(link_idx, self._links[link_idx].offer(payload, now))
 
     # -- stage mechanics ---------------------------------------------------
 
@@ -493,10 +454,10 @@ class PipelineEngine:
         last = stage_idx == len(self._stages) - 1
         if not last:
             size = max(1, mb.batched_tokens * self._sched.bytes_per_token)
-            self._send_payload(self._links[stage_idx], mb, size, mb.payload_class, now)
+            self._send_payload(stage_idx, mb, size, mb.payload_class, now)
         elif self._links:
             size = max(1, TOKEN_FEEDBACK_BYTES * len(mb.request_ids))
-            self._send_payload(self._links[-1], mb, size, PayloadClass.DECODE, now)
+            self._send_payload(stage_idx, mb, size, PayloadClass.DECODE, now)
         else:
             # Single-stage pipeline: tokens surface at compute completion.
             self._sched.feedback(mb, now)
@@ -519,7 +480,7 @@ class PipelineEngine:
         head = self._stages[0]
         if head.busy or head.queue:
             return
-        batches = self._sched.dispatch(now)
+        batches = self._sched.dispatch()
         if not batches:
             return
         self._log(now, EventKind.ITERATION_BOUNDARY, self._sched.iteration, 0)
@@ -542,7 +503,7 @@ class PipelineEngine:
         horizon_ns = None if horizon_s is None else s_to_ns(horizon_s)
 
         last_time = 0
-        heap, sched = self._heap, self._sched
+        heap, sched, links, stages = self._heap, self._sched, self._links, self._stages
         # Local names: attribute access on an enum class is slow in the loop.
         arrival, boundary = EventKind.ARRIVAL, EventKind.ITERATION_BOUNDARY
         compute_done, sent = EventKind.COMPUTE_DONE, EventKind.CHUNK_SENT
@@ -555,12 +516,10 @@ class PipelineEngine:
             last_time = time_ns  # the heap pops in time order
             if kind is sent:
                 link_idx, chunk = data
-                link = self._links[link_idx]
-                self._log_link(link, time_ns, chunk.payload_id, chunk.index,
-                               chunk.size_bytes, chunk.phase_class, "sent")
-                self._log(time_ns, sent, chunk.payload_id, -1)
+                link = links[link_idx]
+                started = link.sent(chunk, time_ns)
                 self._push(time_ns + link.latency_ns, delivered, chunk.payload_id, data)
-                self._link_emit_next(link, time_ns)
+                self._on_wire(link_idx, started)
             elif kind is arrival:
                 sched.pending.append(sched.requests[subject])
                 self._log(time_ns, arrival, subject)
@@ -571,18 +530,17 @@ class PipelineEngine:
                 self._on_compute_done(data, subject, time_ns)  # data = stage idx
             else:  # PAYLOAD_DELIVERED
                 link_idx, chunk = data
-                link = self._links[link_idx]
-                self._log_link(link, time_ns, chunk.payload_id, chunk.index,
-                               chunk.size_bytes, chunk.phase_class, "deliver")
+                links[link_idx].deliver(chunk, time_ns)
                 if not chunk.is_last:
                     continue
-                mb = link.payload_mb.pop(chunk.payload_id)
-                self._log(time_ns, delivered, chunk.payload_id, link.dst_stage)
-                if link.is_return:
+                mb = self._payload_mb.pop(chunk.payload_id)
+                dst_idx = (link_idx + 1) % len(stages)
+                self._log(time_ns, delivered, chunk.payload_id, dst_idx)
+                if dst_idx == 0:
                     sched.feedback(mb, time_ns)
                     self._schedule_boundary(time_ns)
                 else:
-                    dst = self._stages[link.dst_stage]
+                    dst = stages[dst_idx]
                     dst.queue.append(mb)
                     self._try_start_compute(dst, time_ns)
 

@@ -6,16 +6,15 @@ preempt at the next chunk boundary instead of waiting behind the whole
 transfer.  Setting ``chunk_size=None`` disables chunking and recovers the
 head-of-line-blocking baseline.
 
-The same queue mechanics back two transports: the virtual-time driver below
-(used by the simulator and by :func:`replay_link`) and the socket workers in
-:mod:`pipelink.wire`.
+The same queue mechanics back two transports: :class:`VirtualLink`, the one
+virtual-time driver (the simulator and :func:`replay_link` both run it), and
+the socket workers in :mod:`pipelink.wire`.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
-import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -52,8 +51,6 @@ class Payload:
     id: int
     phase_class: PayloadClass
     size_bytes: int
-    micro_batch_id: int
-    enqueue_time: int  # ns
 
     def __post_init__(self) -> None:
         if self.size_bytes < 1:
@@ -198,6 +195,57 @@ def transmission_ns(profile: LinkProfile, size_bytes: int) -> int:
     return round(size_bytes * NS_PER_S / profile.bandwidth_bps)
 
 
+class VirtualLink:
+    """The one virtual-time driver of a link, and the only writer of its log rows.
+
+    It has no clock: ``offer`` and ``sent`` return ``(end_ns, chunk)`` for the
+    chunk they just put on the wire, or ``None``, and the caller calls
+    ``sent`` at that end time.  A chunk lands ``latency_ns`` after its
+    transmission ends, so propagation overlaps the next transmission;
+    ``deliver`` logs the landing.
+    """
+
+    def __init__(
+        self,
+        profile: LinkProfile,
+        chunk_size: int | float | None,
+        policy: LinkPolicy,
+        log: list[LinkEvent],
+        name: str | None = None,
+    ):
+        self.profile = profile
+        self.name = name or profile.name
+        self.latency_ns = s_to_ns(profile.latency_s)
+        self.queue = LinkQueue(chunk_size=chunk_size, policy=policy)
+        self.busy = False
+        self.log = log
+
+    def _row(self, now: int, chunk: Chunk, event: str) -> None:
+        self.log.append(LinkEvent(now, self.name, chunk.payload_id, chunk.index,
+                                  chunk.size_bytes, chunk.phase_class, event))
+
+    def _emit_next(self, now: int) -> tuple[int, Chunk] | None:
+        chunk = self.queue.next_chunk()
+        self.busy = chunk is not None
+        if chunk is None:
+            return None
+        self._row(now, chunk, "emit")
+        return now + transmission_ns(self.profile, chunk.size_bytes), chunk
+
+    def offer(self, payload: Payload, now: int) -> tuple[int, Chunk] | None:
+        self.queue.enqueue(payload)
+        self.log.append(LinkEvent(now, self.name, payload.id, -1, payload.size_bytes,
+                                  payload.phase_class, "enqueue"))
+        return None if self.busy else self._emit_next(now)
+
+    def sent(self, chunk: Chunk, now: int) -> tuple[int, Chunk] | None:
+        self._row(now, chunk, "sent")
+        return self._emit_next(now)
+
+    def deliver(self, chunk: Chunk, now: int) -> None:
+        self._row(now, chunk, "deliver")
+
+
 def replay_link(
     profile: LinkProfile,
     arrivals: list[tuple[int, Payload]],
@@ -207,62 +255,25 @@ def replay_link(
 ) -> list[LinkEvent]:
     """Virtual-time schedule of one link fed by timed payload arrivals.
 
-    Chunks occupy the link serially for size/bandwidth; each chunk lands
-    latency_s after its transmission ends, so propagation overlaps the next
-    transmission.  Returns the full event log (enqueue/emit/sent/deliver).
+    Returns the full event log (enqueue/emit/sent/deliver).  At equal times
+    arrivals are queued before a transmission ends, so that a decode arriving
+    at a chunk boundary preempts there.
     """
-    name = link_name or profile.name
-    queue = LinkQueue(chunk_size=chunk_size, policy=policy)
-    latency_ns = s_to_ns(profile.latency_s)
     events: list[LinkEvent] = []
-    # heap entries: (time_ns, order, seq, action, payload_or_chunk)
-    # order 0 = arrival, 1 = transmission end; ends free the link first only
-    # after same-time arrivals are queued, keeping preemption visible.
-    heap: list = []
-    seq = 0
+    link = VirtualLink(profile, chunk_size, policy, events, link_name)
+    on_wire = None  # (end_ns, chunk) of the chunk in transmission
+
+    def finish(end: int, chunk: Chunk) -> tuple[int, Chunk] | None:
+        following = link.sent(chunk, end)
+        link.deliver(chunk, end + link.latency_ns)
+        return following
+
     for t, payload in sorted(arrivals, key=lambda a: (a[0], a[1].id)):
-        heap.append((t, 0, seq, "arrive", payload))
-        seq += 1
-    heapq.heapify(heap)
-    busy = False
-
-    def start_next(now: int) -> None:
-        nonlocal busy, seq
-        chunk = queue.next_chunk()
-        if chunk is None:
-            busy = False
-            return
-        busy = True
-        events.append(
-            LinkEvent(now, name, chunk.payload_id, chunk.index, chunk.size_bytes,
-                      chunk.phase_class, "emit")
-        )
-        end = now + transmission_ns(profile, chunk.size_bytes)
-        heapq.heappush(heap, (end, 1, seq, "sent", chunk))
-        seq += 1
-
-    while heap:
-        now, _, _, action, obj = heapq.heappop(heap)
-        if action == "arrive":
-            queue.enqueue(obj)
-            events.append(
-                LinkEvent(now, name, obj.id, -1, obj.size_bytes, obj.phase_class,
-                          "enqueue")
-            )
-            if not busy:
-                start_next(now)
-        else:  # sent
-            chunk = obj
-            events.append(
-                LinkEvent(now, name, chunk.payload_id, chunk.index, chunk.size_bytes,
-                          chunk.phase_class, "sent")
-            )
-            events.append(
-                LinkEvent(now + latency_ns, name, chunk.payload_id, chunk.index,
-                          chunk.size_bytes, chunk.phase_class, "deliver")
-            )
-            start_next(now)
-
+        while on_wire is not None and on_wire[0] < t:
+            on_wire = finish(*on_wire)
+        on_wire = link.offer(payload, t) or on_wire
+    while on_wire is not None:
+        on_wire = finish(*on_wire)
     return sorted(events, key=_by_time)
 
 

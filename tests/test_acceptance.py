@@ -135,8 +135,8 @@ def test_criterion_3_chunking_effect():
     prompt_bytes = 1000 * 4096 * 2       # 1000-token prompt, fp16, hidden 4096
     decode_bytes = 4 * 4096 * 2          # 4-request decode step
     arrivals = [
-        (0, Payload(0, PayloadClass.PREFILL, prompt_bytes, 0, 0)),
-        (0, Payload(1, PayloadClass.DECODE, decode_bytes, 1, 0)),
+        (0, Payload(0, PayloadClass.PREFILL, prompt_bytes)),
+        (0, Payload(1, PayloadClass.DECODE, decode_bytes)),
     ]
     unchunked = replay_link(link, arrivals, chunk_size=None)
     chunked = replay_link(link, arrivals, chunk_size=262_144)

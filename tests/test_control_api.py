@@ -303,12 +303,17 @@ def test_invariants_fail_on_link_to_unregistered_node():
         {"inference_parameters": []},
         {"resource_specification": {"gpu_type": "rtx4090", "gpu_count": "x"}},
         {"resource_specification": {"gpu_type": "rtx4090", "gpu_count": None}},
+        {"resource_specification": {"gpu_type": "rtx4090", "gpu_count": 0}},
+        {"resource_specification": {"gpu_type": "rtx4090", "gpu_count": -3}},
+        {"resource_specification": {"gpu_type": "rtx4090", "gpu_count": 1.7}},
+        {"resource_specification": {"gpu_type": "rtx4090", "gpu_count": True}},
         {"service_name": [1]},
         {"service_name": {"a": 1}},
         {"model_name": [1]},
     ],
     ids=["spec-int", "spec-list", "params-int", "params-list", "gpu-count-text",
-         "gpu-count-null", "name-list", "name-object", "model-list"],
+         "gpu-count-null", "gpu-count-zero", "gpu-count-negative", "gpu-count-float",
+         "gpu-count-bool", "name-list", "name-object", "model-list"],
 )
 def test_http_badly_typed_service_is_invalid_and_not_journaled(tmp_path, change):
     journal = tmp_path / "registry.jsonl"

@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 import time
 
 import pytest
@@ -70,3 +71,32 @@ def test_silent_tail_raises_protocol_error(monkeypatch):
     with pytest.raises(ProtocolError):
         run_socket_demo(cfg, cluster, profiles, trace, timeout_s=0.5)
     assert time.monotonic() - start < 5.0
+
+
+def test_dead_tail_raises_protocol_error_at_once(monkeypatch):
+    # The return stream ends, so no feedback can come: waiting out
+    # timeout_s would only delay the error.
+    monkeypatch.setattr(pipelink.demo, "_tail_worker", _silent_tail)
+    cfg, cluster, profiles = two_stage(LinkPolicy.DECODE_PRIORITY, None, 1, False)
+    trace = Trace(requests=[Request(id=0, arrival_time=0.0, input_len=4, output_len=3)])
+    start = time.monotonic()
+    with pytest.raises(ProtocolError, match="closed the return stream"):
+        run_socket_demo(cfg, cluster, profiles, trace, timeout_s=60.0)
+    assert time.monotonic() - start < 5.0
+
+
+def test_mute_tail_raises_protocol_error_after_timeout(monkeypatch):
+    release = threading.Event()
+
+    def mute_tail(forward_sock, return_sender):
+        release.wait(5.0)  # both streams stay open, but nothing comes back
+        return_sender.close()
+
+    monkeypatch.setattr(pipelink.demo, "_tail_worker", mute_tail)
+    cfg, cluster, profiles = two_stage(LinkPolicy.DECODE_PRIORITY, None, 1, False)
+    trace = Trace(requests=[Request(id=0, arrival_time=0.0, input_len=4, output_len=3)])
+    try:
+        with pytest.raises(ProtocolError, match="no feedback"):
+            run_socket_demo(cfg, cluster, profiles, trace, timeout_s=0.2)
+    finally:
+        release.set()

@@ -19,7 +19,7 @@ from pipelink.errors import ConfigError
 from pipelink.metrics import summarize
 from pipelink.placement import ClusterSpec, ModelSpec, PartitionPlan
 from pipelink.profiles import LinkProfile, Phase, StageProfile, flat_profile
-from pipelink.transport import LinkPolicy, s_to_ns
+from pipelink.transport import LinkPolicy, Payload, replay_link, s_to_ns
 from pipelink.workload import (
     LengthHistogram,
     Request,
@@ -34,6 +34,7 @@ from simsetup import (
     stationary_decode_trace,
     uniform_pipeline,
 )
+from test_transport import check_link_invariants
 
 
 def desk_pipeline():
@@ -66,7 +67,7 @@ def decision(n, budget):
 def test_admit_all_decoders_into_one_batch():
     decoding = deque(dec(i) for i in range(3))
     batches = admit_and_batch(
-        decoding, deque(), decision(1, 100), max_batch_size=64, capacity=1, now_s=0.0
+        decoding, deque(), decision(1, 100), max_batch_size=64, capacity=1
     )
     assert len(batches) == 1
     assert batches[0].phase is BatchPhase.DECODE
@@ -75,13 +76,13 @@ def test_admit_all_decoders_into_one_batch():
 
 
 def test_admit_empty_queues():
-    assert admit_and_batch(deque(), deque(), decision(2, 100), 64, 2, 0.0) == []
+    assert admit_and_batch(deque(), deque(), decision(2, 100), 64, 2) == []
 
 
 def test_admit_oversize_prefill_solo():
     decoding = deque(dec(i) for i in range(2))
     queued = deque([pre(10, 90)])
-    batches = admit_and_batch(decoding, queued, decision(2, 50), 64, 2, 0.0)
+    batches = admit_and_batch(decoding, queued, decision(2, 50), 64, 2)
     assert [b.phase for b in batches] == [BatchPhase.DECODE, BatchPhase.PREFILL]
     assert batches[0].request_ids == (0, 1)
     assert batches[1].request_ids == (10,)
@@ -90,7 +91,7 @@ def test_admit_oversize_prefill_solo():
 
 def test_admit_strict_fcfs_for_prefills():
     queued = deque([pre(0, 40), pre(1, 40), pre(2, 5)])
-    batches = admit_and_batch(deque(), queued, decision(1, 50), 64, 1, 0.0)
+    batches = admit_and_batch(deque(), queued, decision(1, 50), 64, 1)
     # 40 fits, second 40 does not; the 5 behind it must NOT jump the line
     assert len(batches) == 1
     assert batches[0].request_ids == (0,)
@@ -99,7 +100,7 @@ def test_admit_strict_fcfs_for_prefills():
 
 def test_admit_respects_batch_size_cap():
     decoding = deque(dec(i) for i in range(10))
-    batches = admit_and_batch(decoding, deque(), decision(2, 100), 4, 2, 0.0)
+    batches = admit_and_batch(decoding, deque(), decision(2, 100), 4, 2)
     assert [len(b.request_ids) for b in batches] == [4, 4]
     assert len(decoding) == 2  # the rest wait for the next boundary
 
@@ -108,7 +109,7 @@ def test_admit_mixed_phase_flag():
     decoding = deque([dec(0)])
     queued = deque([pre(1, 5)])
     batches = admit_and_batch(
-        decoding, queued, decision(1, 50), 64, 1, 0.0, allow_mixed=True
+        decoding, queued, decision(1, 50), 64, 1, allow_mixed=True
     )
     assert len(batches) == 1
     assert batches[0].phase is BatchPhase.MIXED
@@ -117,7 +118,7 @@ def test_admit_mixed_phase_flag():
 
 def test_no_request_in_two_microbatches_per_iteration():
     decoding = deque(dec(i) for i in range(6))
-    batches = admit_and_batch(decoding, deque(), decision(3, 2), 64, 3, 0.0)
+    batches = admit_and_batch(decoding, deque(), decision(3, 2), 64, 3)
     ids = [rid for b in batches for rid in b.request_ids]
     assert len(ids) == len(set(ids))
 
@@ -368,12 +369,13 @@ def test_run_decides_once_per_distinct_clamped_demand(monkeypatch):
     assert decided == first
 
 
-def chunked_three_stage_engine():
+def chunked_three_stage_engine(policy=LinkPolicy.DECODE_PRIORITY):
     cluster, model, plan, profiles = uniform_pipeline(
         3, 0.002, 0.001, bandwidth=1e7, hidden_dim=64, dtype_bytes=2
     )
     cfg = engine_config(
-        plan, model, max_batched_tokens=256, max_batch_size=8, chunk_size=4096
+        plan, model, max_batched_tokens=256, max_batch_size=8, chunk_size=4096,
+        scheduling_policy=policy,
     )
     return PipelineEngine(cfg, cluster, profiles)
 
@@ -391,11 +393,35 @@ def test_link_events_are_logged_in_time_order(horizon_s):
         assert times[-1] <= s_to_ns(horizon_s)
 
 
+@pytest.mark.parametrize("policy", list(LinkPolicy))
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_engine_links_hold_transport_invariants(policy, seed):
+    engine = chunked_three_stage_engine(policy)
+    trace = generate_trace(rate=30.0, duration=1.0, seed=seed,
+                           output_lengths=LengthHistogram(((1, 12, 1.0),)))
+    result = engine.run(trace)
+    assert result.all_finished
+    preempted = 0
+    for profile in engine.link_profiles:
+        rows = [e for e in result.link_events if e.link == profile.name]
+        check_link_invariants(rows, profile, policy)
+        # replay_link, which criteria 3 and 9 run, gives the same schedule.
+        arrivals = [(e.time_ns, Payload(e.payload_id, e.phase_class, e.size_bytes))
+                    for e in rows if e.event == "enqueue"]
+        assert replay_link(profile, arrivals, engine.cfg.chunk_size, policy) == rows
+        emitted = [e.payload_id for e in rows if e.event == "emit"]
+        runs = [pid for i, pid in enumerate(emitted) if i == 0 or emitted[i - 1] != pid]
+        preempted += len(runs) - len(set(runs))
+    # Decode payloads do cut into chunked prefills, so the priority clause bites.
+    assert (preempted > 0) == (policy is LinkPolicy.DECODE_PRIORITY)
+
+
 def test_logged_event_kinds_are_members():
     trace = generate_trace(rate=30.0, duration=1.0, seed=8)
     result = chunked_three_stage_engine().run(trace)
     assert {type(e.kind) for e in result.events} == {EventKind}
-    assert {e.kind for e in result.events} == set(EventKind)
+    # CHUNK_SENT orders the heap only; its rows are the link log's "sent" rows.
+    assert {e.kind for e in result.events} == set(EventKind) - {EventKind.CHUNK_SENT}
 
 
 # -- the head scheduler, driven without a clock --------------------------------
@@ -428,7 +454,7 @@ def drive(sched, rng):
     """Run to completion, returning in-flight micro-batches in random order."""
     now = 0
     while sched.unfinished:
-        batches = sched.dispatch(now)
+        batches = sched.dispatch()
         if batches:
             cap = sched.decisions[-1][1].n_microbatches
             assert 0 < len(sched.in_flight) <= cap

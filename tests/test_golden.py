@@ -2,7 +2,9 @@
 
 The digests were taken before the controller memo and the prebuilt profile
 tables existed, so they show that a faster simulator is the same simulator.
-A change that means to alter the outputs re-pins them and says so.
+A change that means to alter the outputs re-pins them and says so: the two
+``events.csv`` digests are the earlier files less their CHUNK_SENT rows, which
+repeated the ``sent`` rows of ``transport.csv``.
 """
 
 import hashlib
@@ -71,13 +73,13 @@ GOLDEN = {
     "heterogeneous": {
         "report.json": "88c0fdec3f3543c87807ec4e2efdf7b58abba18803b7877576b5b0d855c9dccc",
         "decisions.csv": "c574a431c3f8146d82a19c297ca7ed80329fd27e4b6026e910ce116129687008",
-        "events.csv": "9179cb15ec81d8311b07ecd3bac2de476cbe27b21e2e2a3c552baa1f358f4902",
+        "events.csv": "cebd34385ab77351bfe5e303f50e047364d10d17e74e2f924b37ec95adc382bb",
         "transport.csv": "8ee66d8bd548147a4a960b84352e449ddd3278af17e408ca6187b8ba15b24271",
     },
     "overloaded": {
         "report.json": "606bfe377f66861ef0643518609ac1a2850ed8df5b357ed52eb13b59cce433c1",
         "decisions.csv": "64950911a9cac5cb40d3b799c2f7b40f2ae44fe1bcb8cb0d4b0618e82cb71a99",
-        "events.csv": "5c41a8ce421ec40db693cf5821defa138b2870457a90efb8b5357f347cac2bc7",
+        "events.csv": "ac07869d8ec4d23a235f1f83d9d0385b8c6434a860f3aef9468ca1e4646711d1",
         "transport.csv": "a93f69b48a4869ce2bd2f073f5af3c79fb0399443283f18515cb83357ea51899",
     },
 }

@@ -20,10 +20,8 @@ from pipelink.transport import (
 )
 
 
-def payload(pid, pclass, size, t=0):
-    return Payload(
-        id=pid, phase_class=pclass, size_bytes=size, micro_batch_id=pid, enqueue_time=t
-    )
+def payload(pid, pclass, size):
+    return Payload(id=pid, phase_class=pclass, size_bytes=size)
 
 
 def drain(queue):
@@ -133,10 +131,27 @@ def test_chunking_bounds_decode_blocking():
     assert first_emit_delay_ns(events, 2) <= s_to_ns(262_144 / 12_500_000)
 
 
+def test_decode_arriving_as_a_chunk_ends_goes_next():
+    # Arrivals are queued before a transmission that ends at the same time.
+    link = LinkProfile("a", "b", latency_s=0.010, bandwidth_bps=12_500_000)
+    chunk_end = transmission_ns(link, 262_144)
+    arrivals = [
+        (0, payload(1, PayloadClass.PREFILL, 600_000)),
+        (chunk_end, payload(2, PayloadClass.DECODE, 64)),
+    ]
+    events = replay_link(link, arrivals, chunk_size=262_144)
+    assert first_emit_delay_ns(events, 2) == 0
+
+
 # -- invariant checker (shared with the acceptance suite) ---------------------
 
 
-def check_link_invariants(events: list[LinkEvent], profile: LinkProfile) -> None:
+def check_link_invariants(
+    events: list[LinkEvent],
+    profile: LinkProfile,
+    policy: LinkPolicy = LinkPolicy.DECODE_PRIORITY,
+) -> None:
+    """Assert the invariants of one link's time-ordered log under ``policy``."""
     by_payload: dict[int, dict] = {}
     for e in events:
         rec = by_payload.setdefault(
@@ -179,28 +194,36 @@ def check_link_invariants(events: list[LinkEvent], profile: LinkProfile) -> None
             ]
             assert not waiting, f"link idle in ({g0}, {g1}) with {waiting} queued"
 
-    # decode priority at chunk boundaries
-    boundary_times = set(sents)
-    decode_emit = {
-        pid: min(t for t, _, _ in rec["emits"])
-        for pid, rec in by_payload.items()
-        if rec["class"] is PayloadClass.DECODE
-    }
-    for e in events:
-        if e.event != "emit" or e.phase_class is not PayloadClass.PREFILL:
-            continue
-        if e.time_ns not in boundary_times:
-            continue  # idle-start emission, no boundary decision was due
-        blocked = [
-            pid
+    if policy is LinkPolicy.FCFS:
+        # each payload goes out whole, without interleaving, in
+        # (enqueue time, payload id) order
+        emitted = [e.payload_id for e in events if e.event == "emit"]
+        runs = [pid for i, pid in enumerate(emitted) if i == 0 or emitted[i - 1] != pid]
+        arrival_order = sorted(by_payload, key=lambda p: (by_payload[p]["enqueue"], p))
+        assert runs == arrival_order, "FCFS payloads interleaved or reordered"
+    else:
+        # decode priority at chunk boundaries
+        boundary_times = set(sents)
+        decode_emit = {
+            pid: min(t for t, _, _ in rec["emits"])
             for pid, rec in by_payload.items()
             if rec["class"] is PayloadClass.DECODE
-            and rec["enqueue"] <= e.time_ns
-            and decode_emit[pid] > e.time_ns
-        ]
-        assert not blocked, (
-            f"prefill chunk emitted at {e.time_ns} while decode {blocked} queued"
-        )
+        }
+        for e in events:
+            if e.event != "emit" or e.phase_class is not PayloadClass.PREFILL:
+                continue
+            if e.time_ns not in boundary_times:
+                continue  # idle-start emission, no boundary decision was due
+            blocked = [
+                pid
+                for pid, rec in by_payload.items()
+                if rec["class"] is PayloadClass.DECODE
+                and rec["enqueue"] <= e.time_ns
+                and decode_emit[pid] > e.time_ns
+            ]
+            assert not blocked, (
+                f"prefill chunk emitted at {e.time_ns} while decode {blocked} queued"
+            )
 
     # class-internal FIFO by completion order
     for pclass in (PayloadClass.PREFILL, PayloadClass.DECODE):
@@ -220,9 +243,9 @@ def random_payload_schedule(rng: random.Random, count: int):
     for pid in range(count):
         t += rng.randrange(0, 2_000_000)
         if rng.random() < 0.5:
-            p = payload(pid, PayloadClass.DECODE, rng.randrange(8, 4096), t)
+            p = payload(pid, PayloadClass.DECODE, rng.randrange(8, 4096))
         else:
-            p = payload(pid, PayloadClass.PREFILL, rng.randrange(1, 2_000_000), t)
+            p = payload(pid, PayloadClass.PREFILL, rng.randrange(1, 2_000_000))
         arrivals.append((t, p))
     return arrivals
 
@@ -236,6 +259,17 @@ def test_randomized_schedules_hold_invariants(seed):
         chunk = rng.choice([None, 4096, 65_536, 262_144])
         events = replay_link(link, arrivals, chunk_size=chunk)
         check_link_invariants(events, link)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_randomized_fcfs_schedules_hold_invariants(seed):
+    rng = random.Random(seed)
+    link = LinkProfile("a", "b", latency_s=0.002, bandwidth_bps=50_000_000)
+    for _ in range(20):
+        arrivals = random_payload_schedule(rng, rng.randrange(1, 30))
+        chunk = rng.choice([None, 4096, 65_536, 262_144])
+        events = replay_link(link, arrivals, chunk_size=chunk, policy=LinkPolicy.FCFS)
+        check_link_invariants(events, link, LinkPolicy.FCFS)
 
 
 def test_transmission_ns_rounding():

@@ -20,10 +20,7 @@ from simsetup import make_node  # noqa: F401  (keeps test helpers importable)
 
 
 def payload(pid, pclass, size):
-    return Payload(
-        id=pid, phase_class=pclass, size_bytes=size, micro_batch_id=pid,
-        enqueue_time=0,
-    )
+    return Payload(id=pid, phase_class=pclass, size_bytes=size)
 
 
 def test_frame_round_trip():
