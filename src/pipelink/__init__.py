@@ -53,7 +53,6 @@ from .profiles import (
     compute_time,
     flat_profile,
     synth_profile,
-    transfer_time,
 )
 from .transport import (
     DEFAULT_CHUNK_SIZE,
@@ -63,6 +62,7 @@ from .transport import (
     Payload,
     PayloadClass,
     replay_link,
+    transfer_ns,
 )
 from .workload import (
     LengthHistogram,

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .placement import TOKEN_FEEDBACK_BYTES
 from .profiles import LinkProfile, Phase, StageProfile, compute_time
-from .transport import s_to_ns, transmission_ns
+from .transport import feedback_bytes, s_to_ns, transfer_ns
 
 
 class BudgetMode(enum.Enum):
@@ -76,7 +75,6 @@ def _round_terms(
     tokens_per_microbatch: int,
     phase: Phase,
     bytes_per_token: int,
-    feedback_bytes_per_token: int,
 ) -> tuple[int, int]:
     """(bottleneck compute, steady round time), both in integer nanoseconds.
 
@@ -100,14 +98,11 @@ def _round_terms(
     if num_stages >= 2:
         activation_bytes = tokens_per_microbatch * bytes_per_token
         for link in links[:-1]:
-            transfers_ns += transmission_ns(link, activation_bytes)
-            transfers_ns += s_to_ns(link.latency_s)
+            transfers_ns += transfer_ns(link, activation_bytes)
         # Return hop carries one token id per request; batched tokens bound
         # the request count, so this is exact for decode and an upper bound
         # for prefill.
-        feedback_bytes = tokens_per_microbatch * feedback_bytes_per_token
-        transfers_ns += transmission_ns(links[-1], feedback_bytes)
-        transfers_ns += s_to_ns(links[-1].latency_s)
+        transfers_ns += transfer_ns(links[-1], feedback_bytes(tokens_per_microbatch))
     round_ns = max(sum(compute_ns) + transfers_ns, n * bottleneck)
     return bottleneck, round_ns
 
@@ -119,7 +114,6 @@ def predict_bubble(
     tokens_per_microbatch: int,
     phase: Phase,
     bytes_per_token: int = 1,
-    feedback_bytes_per_token: int = TOKEN_FEEDBACK_BYTES,
 ) -> float:
     """Predicted idle fraction of the bottleneck stage in steady state.
 
@@ -130,8 +124,7 @@ def predict_bubble(
     if n < 1:
         raise ConfigError("n must be >= 1")
     bottleneck, round_time = _round_terms(
-        n, stage_profiles, links, tokens_per_microbatch, phase,
-        bytes_per_token, feedback_bytes_per_token,
+        n, stage_profiles, links, tokens_per_microbatch, phase, bytes_per_token
     )
     bubble = 1.0 - (n * bottleneck) / round_time
     return min(1.0, max(0.0, bubble))
@@ -149,7 +142,6 @@ def choose_n(
     queued_tokens: int,
     phase: Phase,
     bytes_per_token: int = 1,
-    feedback_bytes_per_token: int = TOKEN_FEEDBACK_BYTES,
 ) -> ControllerDecision:
     """Incremental search for the micro-batch count, starting at n=1.
 
@@ -172,8 +164,7 @@ def choose_n(
     def evaluate(n: int) -> tuple[float, float, int]:
         tokens = tokens_for(n)
         bottleneck, round_time = _round_terms(
-            n, stage_profiles, links, tokens, phase,
-            bytes_per_token, feedback_bytes_per_token,
+            n, stage_profiles, links, tokens, phase, bytes_per_token
         )
         utilization = (n * bottleneck) / round_time
         bubble = min(1.0, max(0.0, 1.0 - utilization))

@@ -15,6 +15,7 @@ fast as the pipeline accepts them.
 from __future__ import annotations
 
 import queue
+import socket
 import struct
 import threading
 from queue import Empty
@@ -24,9 +25,9 @@ from .controller import choose_n  # noqa: F401
 from .engine import EngineConfig, HeadScheduler, ring_links
 from .engine import admit_and_batch  # noqa: F401
 from .errors import ConfigError, ProtocolError
-from .placement import TOKEN_FEEDBACK_BYTES, ClusterSpec
+from .placement import ClusterSpec
 from .profiles import StageProfile
-from .transport import Payload, PayloadClass
+from .transport import Payload, PayloadClass, feedback_bytes
 from .wire import ReceivedPayload, SocketLinkReceiver, SocketLinkSender, loopback_pair
 from .workload import Trace
 
@@ -38,7 +39,7 @@ def _tail_worker(forward_sock, return_sender: SocketLinkSender) -> None:
 
     def on_payload(p: ReceivedPayload) -> None:
         (count,) = _COUNT.unpack(p.body[:4])
-        size = max(1, TOKEN_FEEDBACK_BYTES * count)
+        size = feedback_bytes(count)
         return_sender.send(Payload(p.payload_id, PayloadClass.DECODE, size), bytes(size))
 
     receiver = SocketLinkReceiver(forward_sock, on_payload, name="tail-recv")
@@ -83,6 +84,7 @@ def run_socket_demo(
     head_receiver.start()
     tail.start()
 
+    socks = (fwd_head, fwd_tail, ret_tail, ret_head)
     try:
         while sched.unfinished:
             batches = sched.dispatch()
@@ -108,15 +110,22 @@ def run_socket_demo(
             if mb is None:
                 raise ProtocolError(f"feedback for unknown micro-batch {fb.payload_id}")
             sched.feedback(mb, 0)
-    finally:
+    except BaseException:
+        # No joins on failure: a mute worker would hold each one for
+        # timeout_s.  Shutting the sockets down ends every blocked read/write.
         forward_sender.close()
-        forward_sender.join(timeout=timeout_s)
-        tail.join(timeout=timeout_s)
-        head_receiver.join(timeout=timeout_s)
-        for sock in (fwd_head, fwd_tail, ret_tail, ret_head):
+        for sock in socks:
             try:
-                sock.close()
+                sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+            sock.close()
+        raise
+    forward_sender.close()
+    forward_sender.join(timeout=timeout_s)
+    tail.join(timeout=timeout_s)
+    head_receiver.join(timeout=timeout_s)
+    for sock in socks:
+        sock.close()
 
     return {rid: req.tokens_emitted for rid, req in sorted(sched.requests.items())}

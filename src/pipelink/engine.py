@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .controller import ControllerConfig, ControllerDecision, choose_n, clamp_demand
 from .errors import ConfigError
-from .placement import TOKEN_FEEDBACK_BYTES, ClusterSpec, ModelSpec, PartitionPlan
+from .placement import ClusterSpec, ModelSpec, PartitionPlan
 from .profiles import LinkProfile, Phase, StageProfile, compute_time
 from .transport import (
     DEFAULT_CHUNK_SIZE,
@@ -34,6 +34,7 @@ from .transport import (
     Payload,
     PayloadClass,
     VirtualLink,
+    feedback_bytes,
     s_to_ns,
 )
 from .workload import Request, RequestState, Trace
@@ -268,7 +269,7 @@ class HeadScheduler:
         self.cfg = cfg
         self.stage_profiles = stage_profiles
         self.link_profiles = link_profiles
-        self.bytes_per_token = cfg.model.hidden_dim * cfg.model.dtype_bytes
+        self.bytes_per_token = cfg.model.bytes_per_token
         self.requests: dict[int, Request] = {}  # in trace order
         for r in requests:
             if r.id in self.requests:
@@ -456,7 +457,7 @@ class PipelineEngine:
             size = max(1, mb.batched_tokens * self._sched.bytes_per_token)
             self._send_payload(stage_idx, mb, size, mb.payload_class, now)
         elif self._links:
-            size = max(1, TOKEN_FEEDBACK_BYTES * len(mb.request_ids))
+            size = feedback_bytes(len(mb.request_ids))
             self._send_payload(stage_idx, mb, size, PayloadClass.DECODE, now)
         else:
             # Single-stage pipeline: tokens surface at compute completion.

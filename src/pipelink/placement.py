@@ -11,9 +11,7 @@ from pathlib import Path
 
 from .errors import ConfigError, PlacementError
 from .profiles import LinkProfile
-
-# Size of the per-request token id fed back from the last stage to the head.
-TOKEN_FEEDBACK_BYTES = 8
+from .transport import transfer_ns
 
 # Beyond this many candidate nodes the chain search falls back to greedy
 # nearest-neighbor; below it the minimum-cost chain is found exactly.
@@ -43,8 +41,9 @@ class NodeDescriptor:
         if self.gpu_count < 1:
             raise ConfigError(f"node {self.name}: gpu_count must be >= 1")
         for field_name in ("capacity_score", "cpu_score", "network_score"):
-            if getattr(self, field_name) <= 0:
-                raise ConfigError(f"node {self.name}: {field_name} must be > 0")
+            value = getattr(self, field_name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"node {self.name}: {field_name} must be finite and > 0")
 
     @property
     def total_mem_bytes(self) -> int:
@@ -159,6 +158,11 @@ class ModelSpec:
             if getattr(self, field_name) < 1:
                 raise ConfigError(f"model {self.name}: {field_name} must be >= 1")
 
+    @property
+    def bytes_per_token(self) -> int:
+        """Activation bytes of one token crossing a stage boundary."""
+        return self.hidden_dim * self.dtype_bytes
+
 
 MODEL_PRESETS: dict[str, ModelSpec] = {
     # Activations are fp16 in both presets; the 4-bit variant only shrinks
@@ -259,18 +263,19 @@ def choose_head(nodes: list[NodeDescriptor]) -> str:
 
 def reference_payload_bytes(model: ModelSpec) -> int:
     # 1024-token activation, the yardstick for ranking candidate links.
-    return 1024 * model.hidden_dim * model.dtype_bytes
+    return 1024 * model.bytes_per_token
 
 
 def _chain_cost(
     cluster: ClusterSpec, order: tuple[NodeDescriptor, ...], ref_bytes: int
-) -> float:
-    cost = 0.0
+) -> int | None:
+    """Summed link cost of the chain in ns, or None if a link is missing."""
+    cost = 0
     for a, b in zip(order, order[1:]):
         link = cluster.link(a.name, b.name)
         if link is None:
-            return math.inf
-        cost += link.latency_s + ref_bytes / link.bandwidth_bps
+            return None
+        cost += transfer_ns(link, ref_bytes)
     return cost
 
 
@@ -285,8 +290,9 @@ def select_nodes(
     A single node with a matching GPU type, enough GPUs, and enough total
     memory wins outright (tensor parallelism stays on one box).  Otherwise a
     chain of matching nodes is grown from the best head candidate, minimizing
-    summed link cost (latency + reference payload / bandwidth); small
-    candidate sets are searched exactly, larger ones greedily.
+    summed link cost (``transfer_ns`` of the reference payload, an integer
+    nanosecond figure, so equal costs tie exactly and names break the tie);
+    small candidate sets are searched exactly, larger ones greedily.
     """
     if not cluster.nodes:
         raise PlacementError("cluster is empty")
@@ -327,7 +333,7 @@ def select_nodes(
     head = next(n for n in matching if n.name == choose_head(matching))
     rest = [n for n in matching if n.name != head.name]
 
-    best: tuple[float, tuple[str, ...], tuple[NodeDescriptor, ...]] | None = None
+    best: tuple[int, tuple[str, ...], tuple[NodeDescriptor, ...]] | None = None
     if len(matching) <= EXACT_CHAIN_SEARCH_LIMIT:
         # Exact: try every ordered extension of the head; among the shortest
         # feasible chains keep the cheapest, names breaking ties.
@@ -337,7 +343,7 @@ def select_nodes(
                 if not feasible(chain) or feasible(chain[:-1]):
                     continue
                 cost = _chain_cost(cluster, chain, ref_bytes)
-                if cost == math.inf:
+                if cost is None:
                     continue
                 key = (cost, tuple(n.name for n in chain), chain)
                 if best is None or key[:2] < best[:2]:
@@ -359,11 +365,8 @@ def select_nodes(
         scored = []
         for cand in remaining:
             link = cluster.link(tail.name, cand.name)
-            if link is None:
-                continue
-            scored.append(
-                (link.latency_s + ref_bytes / link.bandwidth_bps, cand.name, cand)
-            )
+            if link is not None:
+                scored.append((transfer_ns(link, ref_bytes), cand.name, cand))
         if not scored:
             have = sum(n.total_mem_bytes for n in chain)
             raise PlacementError(

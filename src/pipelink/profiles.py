@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import csv
 import enum
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -88,7 +89,8 @@ class LinkProfile:
     """Directed link estimate: one-way latency plus available bandwidth.
 
     ``bandwidth_bps`` is in **bytes** per second, not bits: a 100 Mbit/s
-    link is ``12_500_000``.
+    link is ``12_500_000``.  ``latency_s`` must be finite and >= 0, and
+    ``bandwidth_bps`` finite and > 0.
     """
 
     src: str
@@ -97,10 +99,10 @@ class LinkProfile:
     bandwidth_bps: float
 
     def __post_init__(self) -> None:
-        if self.latency_s < 0:
-            raise ConfigError(f"link {self.src}->{self.dst}: negative latency")
-        if self.bandwidth_bps <= 0:
-            raise ConfigError(f"link {self.src}->{self.dst}: bandwidth must be > 0")
+        if not (math.isfinite(self.latency_s) and self.latency_s >= 0):
+            raise ConfigError(f"link {self.src}->{self.dst}: latency must be finite and >= 0")
+        if not (math.isfinite(self.bandwidth_bps) and self.bandwidth_bps > 0):
+            raise ConfigError(f"link {self.src}->{self.dst}: bandwidth must be finite and > 0")
 
     @property
     def name(self) -> str:
@@ -133,13 +135,6 @@ def compute_time(profile: StageProfile, phase: Phase, batched_tokens: int) -> fl
     slope = (y1 - y0) / (x1 - x0)
     value = y0 + slope * (batched_tokens - x0)
     return max(value, 1e-12)
-
-
-def transfer_time(link: LinkProfile, nbytes: int) -> float:
-    """Seconds to move ``nbytes`` over the link: latency + bytes/bandwidth."""
-    if nbytes < 0:
-        raise ConfigError("byte count must be >= 0")
-    return link.latency_s + nbytes / link.bandwidth_bps
 
 
 SYNTH_TOKEN_POINTS = (1, 64, 256, 1024)

@@ -27,11 +27,19 @@ from .profiles import LinkProfile
 
 DEFAULT_CHUNK_SIZE = 262_144  # 256 KiB: ~21 ms of blocking at 100 Mbps
 
+# Size of the per-request token id fed back from the last stage to the head.
+TOKEN_FEEDBACK_BYTES = 8
+
 NS_PER_S = 1_000_000_000
 
 
 def s_to_ns(seconds: float) -> int:
     return round(seconds * NS_PER_S)
+
+
+def feedback_bytes(n_requests: int) -> int:
+    """Size of the token feedback payload of a micro-batch of ``n_requests``."""
+    return max(1, TOKEN_FEEDBACK_BYTES * n_requests)
 
 
 class PayloadClass(enum.Enum):
@@ -67,12 +75,14 @@ class Chunk:
 
 
 class LinkQueue:
-    """Two-class outbound queue for one directed link.
+    """Outbound queue for one directed link.
 
-    ``next_chunk`` yields the next chunk to put on the wire: the whole head
-    decode payload if any decode work is queued, otherwise the next slice of
-    the head prefill payload.  Queue state advances as chunks are taken, so a
-    decode arrival between two prefill chunks preempts at that boundary.
+    Under decode priority, decode payloads wait in their own queue and
+    ``next_chunk`` takes the head one whole before anything else; every other
+    payload waits in one FIFO whose head goes out whole if it is decode or the
+    link is unchunked, and slice by slice otherwise.  Queue state advances as
+    chunks are taken, so a decode arrival between two prefill chunks preempts
+    at that boundary.
     """
 
     def __init__(
@@ -88,75 +98,43 @@ class LinkQueue:
             self.chunk_size = None  # unchunked
         self.policy = policy
         self._decode: deque[Payload] = deque()
-        self._prefill: deque[Payload] = deque()
-        self._fcfs: deque[Payload] = deque()
+        self._fifo: deque[Payload] = deque()
         self._seen_ids: set[int] = set()
-        self._head_offset = 0  # bytes of the head payload already chunked out
+        self._head_offset = 0  # bytes of the FIFO head already chunked out
         self._head_index = 0
-
-    def __len__(self) -> int:
-        if self.policy is LinkPolicy.FCFS:
-            return len(self._fcfs)
-        return len(self._decode) + len(self._prefill)
 
     def enqueue(self, payload: Payload) -> None:
         if payload.id in self._seen_ids:
             raise ProtocolError(f"payload {payload.id} already enqueued on this link")
         self._seen_ids.add(payload.id)
-        if self.policy is LinkPolicy.FCFS:
-            self._fcfs.append(payload)
-        elif payload.phase_class is PayloadClass.DECODE:
+        if (self.policy is LinkPolicy.DECODE_PRIORITY
+                and payload.phase_class is PayloadClass.DECODE):
             self._decode.append(payload)
         else:
-            self._prefill.append(payload)
-
-    def _take_whole(self, queue: deque[Payload]) -> Chunk:
-        p = queue.popleft()
-        return Chunk(
-            payload_id=p.id,
-            index=0,
-            size_bytes=p.size_bytes,
-            is_last=True,
-            phase_class=p.phase_class,
-        )
-
-    def _take_slice(self, queue: deque[Payload]) -> Chunk:
-        p = queue[0]
-        assert self.chunk_size is not None
-        remaining = p.size_bytes - self._head_offset
-        size = min(self.chunk_size, remaining)
-        chunk = Chunk(
-            payload_id=p.id,
-            index=self._head_index,
-            size_bytes=size,
-            is_last=size == remaining,
-            phase_class=p.phase_class,
-        )
-        if chunk.is_last:
-            queue.popleft()
-            self._head_offset = 0
-            self._head_index = 0
-        else:
-            self._head_offset += size
-            self._head_index += 1
-        return chunk
+            self._fifo.append(payload)
 
     def next_chunk(self) -> Chunk | None:
-        if self.policy is LinkPolicy.FCFS:
-            if not self._fcfs:
-                return None
-            head = self._fcfs[0]
-            if head.phase_class is PayloadClass.DECODE or self.chunk_size is None:
-                return self._take_whole(self._fcfs)
-            return self._take_slice(self._fcfs)
+        # Decode payloads are small and never split.
         if self._decode:
-            # Decode payloads are small and never split.
-            return self._take_whole(self._decode)
-        if self._prefill:
-            if self.chunk_size is None:
-                return self._take_whole(self._prefill)
-            return self._take_slice(self._prefill)
-        return None
+            p = self._decode.popleft()
+        elif not self._fifo:
+            return None
+        elif self._fifo[0].phase_class is PayloadClass.DECODE or self.chunk_size is None:
+            p = self._fifo.popleft()
+        else:
+            p = self._fifo[0]
+            remaining = p.size_bytes - self._head_offset
+            size = min(self.chunk_size, remaining)
+            chunk = Chunk(p.id, self._head_index, size, size == remaining, p.phase_class)
+            if chunk.is_last:
+                self._fifo.popleft()
+                self._head_offset = 0
+                self._head_index = 0
+            else:
+                self._head_offset += size
+                self._head_index += 1
+            return chunk
+        return Chunk(p.id, 0, p.size_bytes, True, p.phase_class)
 
 
 class LinkEvent(NamedTuple):
@@ -193,6 +171,11 @@ def write_link_log(events: list[LinkEvent], path: str | Path) -> None:
 
 def transmission_ns(profile: LinkProfile, size_bytes: int) -> int:
     return round(size_bytes * NS_PER_S / profile.bandwidth_bps)
+
+
+def transfer_ns(profile: LinkProfile, nbytes: int) -> int:
+    """The one link cost: latency plus the transmission of ``nbytes``, in ns."""
+    return s_to_ns(profile.latency_s) + transmission_ns(profile, nbytes)
 
 
 class VirtualLink:

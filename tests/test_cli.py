@@ -94,6 +94,15 @@ def test_simulate_missing_config_exits_2(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+def test_simulate_non_finite_bandwidth_exits_2(workdir, capsys):
+    cluster = json.loads((workdir / "cluster.json").read_text())
+    cluster["links"][0]["bandwidth_bps"] = float("nan")
+    (workdir / "cluster.json").write_text(json.dumps(cluster))
+    assert main(["simulate", "--config", str(workdir / "run.json"),
+                 "--out", str(workdir / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_sweep_bandwidth_three_points(workdir):
     rc = main([
         "sweep", "--config", str(workdir / "run.json"),

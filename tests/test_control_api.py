@@ -276,6 +276,39 @@ def test_http_bad_links_are_invalid(http_server, links):
     reg.check_invariants()
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"capacity_score": float("nan")},
+        {"cpu_score": float("inf")},
+        {"network_score": float("-inf")},
+        {"links": [{"from": "n0", "to": "w", "latency_s": float("nan"), "bandwidth_bps": 1e9}]},
+        {"links": [{"from": "w", "to": "n0", "latency_s": 0.01, "bandwidth_bps": float("inf")}]},
+    ],
+    ids=["capacity-nan", "cpu-inf", "network-minus-inf", "latency-nan", "bandwidth-inf"],
+)
+def test_http_non_finite_node_numbers_are_invalid_and_not_journaled(tmp_path, change):
+    journal = tmp_path / "registry.jsonl"
+    reg = registry_with_nodes(1, journal=journal)
+    server = make_server(reg, "127.0.0.1", 0)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    base = f"http://127.0.0.1:{server.server_address[1]}"
+    try:
+        before = journal.read_bytes()
+        node = {"name": "w", "gpu_type": "rtx4090", "gpu_count": 1, "gpu_mem_bytes": 8 * GB}
+        status, body = call(base, "POST", "/nodes", {**node, **change})
+        assert status == 400 and body["code"] == "invalid"
+        assert "finite" in body["message"]
+        assert journal.read_bytes() == before
+        assert reg.snapshot()["nodes"] == ["n0"]
+        # The server is still up and the node registers once well formed.
+        assert call(base, "POST", "/nodes", node)[0] == 201
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def test_link_to_unregistered_node_rejected():
     reg = registry_with_nodes(1)
     for link in (LinkProfile("n0", "ghost", 0.01, 1e9), LinkProfile("ghost", "n1", 0.01, 1e9)):

@@ -95,8 +95,12 @@ def test_mute_tail_raises_protocol_error_after_timeout(monkeypatch):
     monkeypatch.setattr(pipelink.demo, "_tail_worker", mute_tail)
     cfg, cluster, profiles = two_stage(LinkPolicy.DECODE_PRIORITY, None, 1, False)
     trace = Trace(requests=[Request(id=0, arrival_time=0.0, input_len=4, output_len=3)])
+    start = time.monotonic()
     try:
         with pytest.raises(ProtocolError, match="no feedback"):
-            run_socket_demo(cfg, cluster, profiles, trace, timeout_s=0.2)
+            run_socket_demo(cfg, cluster, profiles, trace, timeout_s=1.0)
+        # One wait of timeout_s, not more waits to join the held-up workers.
+        assert time.monotonic() - start < 1.5
     finally:
         release.set()
+

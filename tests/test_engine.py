@@ -404,7 +404,7 @@ def test_engine_links_hold_transport_invariants(policy, seed):
     preempted = 0
     for profile in engine.link_profiles:
         rows = [e for e in result.link_events if e.link == profile.name]
-        check_link_invariants(rows, profile, policy)
+        check_link_invariants(rows, policy)
         # replay_link, which criteria 3 and 9 run, gives the same schedule.
         arrivals = [(e.time_ns, Payload(e.payload_id, e.phase_class, e.size_bytes))
                     for e in rows if e.event == "enqueue"]
@@ -414,6 +414,17 @@ def test_engine_links_hold_transport_invariants(policy, seed):
         preempted += len(runs) - len(set(runs))
     # Decode payloads do cut into chunked prefills, so the priority clause bites.
     assert (preempted > 0) == (policy is LinkPolicy.DECODE_PRIORITY)
+
+
+def test_full_length_chunked_run_holds_transport_invariants():
+    # Default output lengths: about 72k link rows, which the checker takes
+    # in one pass per clause.
+    engine = chunked_three_stage_engine()
+    result = engine.run(generate_trace(rate=30.0, duration=1.0, seed=8))
+    assert result.all_finished
+    assert len(result.link_events) > 70_000
+    for profile in engine.link_profiles:
+        check_link_invariants([e for e in result.link_events if e.link == profile.name])
 
 
 def test_logged_event_kinds_are_members():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pipelink.errors import PlacementError
+from pipelink.errors import ConfigError, PlacementError
 from pipelink.placement import (
     ClusterSpec,
     ModelSpec,
@@ -115,6 +115,26 @@ def test_cheaper_link_wins_the_chain():
     links[("a", "b")] = LinkProfile("a", "b", 0.001, 1e9)
     cluster = ClusterSpec(nodes=nodes, links=links)
     assert [n.name for n in select_nodes(cluster, model, "g", 1)] == ["a", "b"]
+
+
+def test_equal_cost_chains_tie_exactly_and_break_by_name():
+    # Both chains cost 0.6 s; summed as floats, (0.1+0.2)+0.3 exceeds
+    # (0.3+0.2)+0.1, which used to hand the tie to h-c-b-a.
+    model = small_model(num_layers=20, bytes_per_layer=GB)
+    nodes = {n: make_node(n, gpu_mem_bytes=5 * GB) for n in ("a", "b", "c")}
+    nodes["h"] = make_node("h", gpu_mem_bytes=5 * GB, cpu=2.0)
+    hops = {("h", "a"): 0.1, ("a", "b"): 0.2, ("b", "c"): 0.3,
+            ("h", "c"): 0.3, ("c", "b"): 0.2, ("b", "a"): 0.1}
+    links = {(x, y): LinkProfile(x, y, lat, 1e30) for (x, y), lat in hops.items()}
+    cluster = ClusterSpec(nodes=nodes, links=links)
+    assert [n.name for n in select_nodes(cluster, model, "g", 1)] == ["h", "a", "b", "c"]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["capacity", "cpu", "net"])
+def test_node_rejects_non_finite_scores(field, bad):
+    with pytest.raises(ConfigError, match="finite"):
+        make_node("x", **{field: bad})
 
 
 def test_select_nodes_deterministic():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +15,8 @@ from pipelink.profiles import (
     save_link_profiles,
     save_stage_profiles,
     synth_profile,
-    transfer_time,
 )
+from pipelink.transport import s_to_ns, transfer_ns, transmission_ns
 
 
 def two_point_profile():
@@ -132,29 +134,28 @@ def test_compute_time_matches_sorted_points_reference(tables, data):
             )
 
 
-def test_transfer_time_arithmetic():
+def test_transfer_ns_arithmetic():
     link = LinkProfile("a", "b", latency_s=0.010, bandwidth_bps=12_500_000)
-    assert transfer_time(link, 8_192_000) == pytest.approx(0.66536)
-    assert transfer_time(link, 0) == 0.010
-    assert transfer_time(link, 32_768) == pytest.approx(0.01262144)
+    assert transfer_ns(link, 8_192_000) == 665_360_000
+    assert transfer_ns(link, 0) == 10_000_000
+    assert transfer_ns(link, 32_768) == 12_621_440
 
 
-def test_transfer_time_affine_exact_dyadic():
-    # powers of two keep IEEE arithmetic exact
-    link = LinkProfile("a", "b", latency_s=0.015625, bandwidth_bps=float(1 << 23))
+def test_transfer_ns_affine_exact_whole_ns_per_byte():
+    # 12.5e6 B/s is exactly 80 ns per byte, so no rounding happens at all
+    link = LinkProfile("a", "b", latency_s=0.015625, bandwidth_bps=12_500_000)
     for nbytes in (1 << 10, 1 << 16, 3 << 18):
-        assert (
-            transfer_time(link, 2 * nbytes) - transfer_time(link, nbytes)
-            == nbytes / link.bandwidth_bps
-        )
+        assert transfer_ns(link, 2 * nbytes) - transfer_ns(link, nbytes) == 80 * nbytes
 
 
 @given(nbytes=st.integers(0, 10**9), bw=st.floats(1.0, 1e12), lat=st.floats(0, 1.0))
 @settings(max_examples=200, deadline=None)
-def test_transfer_time_affine_general(nbytes, bw, lat):
+def test_transfer_ns_affine_general(nbytes, bw, lat):
     link = LinkProfile("a", "b", latency_s=lat, bandwidth_bps=bw)
-    diff = transfer_time(link, 2 * nbytes) - transfer_time(link, nbytes)
-    assert diff == pytest.approx(nbytes / bw, rel=1e-9, abs=1e-12)
+    assert transfer_ns(link, nbytes) == s_to_ns(lat) + transmission_ns(link, nbytes)
+    # doubling the bytes adds one transmission, up to the two roundings
+    diff = transfer_ns(link, 2 * nbytes) - transfer_ns(link, nbytes)
+    assert abs(diff - transmission_ns(link, nbytes)) <= 1
 
 
 def test_synth_profile_closed_form():
@@ -196,3 +197,11 @@ def test_link_profile_validation():
         LinkProfile("a", "b", latency_s=-0.1, bandwidth_bps=1e8)
     with pytest.raises(ConfigError):
         LinkProfile("a", "b", latency_s=0.1, bandwidth_bps=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_link_profile_rejects_non_finite_numbers(bad):
+    with pytest.raises(ConfigError, match="finite"):
+        LinkProfile("a", "b", latency_s=bad, bandwidth_bps=1e8)
+    with pytest.raises(ConfigError, match="finite"):
+        LinkProfile("a", "b", latency_s=0.1, bandwidth_bps=bad)
