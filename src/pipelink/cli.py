@@ -184,8 +184,8 @@ def _build_engine_config(cfg: RunConfig, plan) -> EngineConfig:
     chunk = params.get("chunk_size", 262144)
     if isinstance(chunk, str):
         chunk = None if chunk.lower() in ("inf", "none", "unchunked") else int(chunk)
-    elif chunk is not None and math.isinf(float(chunk)):
-        chunk = None
+    elif chunk is not None:
+        chunk = None if math.isinf(float(chunk)) else int(chunk)
     return EngineConfig(
         partition=plan,
         model=cfg.model,
@@ -342,13 +342,35 @@ def cmd_plan(args) -> int:
     return 0
 
 
+def _open_registry(args) -> ClusterRegistry:
+    """Replay a non-empty journal, or start a registry and journal ``--cluster``."""
+    journal = Path(args.journal) if args.journal else None
+    if journal is not None and journal.exists() and journal.stat().st_size > 0:
+        if args.cluster:
+            raise ConfigError(
+                f"--cluster given, but journal {journal} is not empty: "
+                "its nodes come from the journal"
+            )
+        return ClusterRegistry.replay(journal)
+    registry = ClusterRegistry(key_seed=args.key_seed, journal_path=journal)
+    if args.cluster:
+        cluster = load_cluster(args.cluster)
+        added: set[str] = set()
+        for name in sorted(cluster.nodes):
+            added.add(name)
+            links = [
+                link
+                for (src, dst), link in cluster.links.items()
+                if name in (src, dst) and src in added and dst in added
+            ]
+            registry.node_access(cluster.nodes[name], links=links)
+    return registry
+
+
 def cmd_serve(args) -> int:
     host, _, port = args.listen.rpartition(":")
     host = host or "127.0.0.1"
-    cluster = load_cluster(args.cluster) if args.cluster else None
-    registry = ClusterRegistry(
-        cluster=cluster, key_seed=args.key_seed, journal_path=args.journal
-    )
+    registry = _open_registry(args)
     server = make_server(registry, host, int(port))
     print(f"control API listening on {host}:{server.server_address[1]}")
     try:
@@ -406,8 +428,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--listen", default=os.environ.get("PIPELINK_LISTEN", "127.0.0.1:8080")
     )
     p_serve.add_argument("--cluster", help=CLUSTER_HELP)
-    p_serve.add_argument("--journal")
-    p_serve.add_argument("--key-seed", type=int, default=None)
+    p_serve.add_argument(
+        "--journal", help="JSON-lines journal; a non-empty one is replayed on start"
+    )
+    p_serve.add_argument(
+        "--key-seed", type=int, default=None,
+        help="seed for the API keys of a registry that does not replay a journal",
+    )
     p_serve.set_defaults(func=cmd_serve)
     return parser
 

@@ -2,14 +2,19 @@
 
 The registry is a single-writer state machine (one lock serializes every
 mutation; reads take consistent snapshots under the same lock), backed by an
-optional append-only JSON-lines journal for restart recovery.  The HTTP layer
-is a thin translation between the registry methods and the JSON wire format.
+optional append-only JSON-lines journal.  The journal is the whole state:
+``pipelink serve --journal`` replays a non-empty journal on start (dropping a
+torn last line, the trace of a crash in the middle of an append) and journals
+every later change, including the nodes of ``--cluster`` on a fresh one.  The
+HTTP layer is a thin translation between the registry methods and the JSON
+wire format.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import os
 import random
 import secrets
 import threading
@@ -18,8 +23,7 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from .errors import ConfigError, PlacementError, RegistryError
-from .metrics import MetricsReport
+from .errors import ConfigError, PipelinkError, PlacementError, RegistryError
 from .placement import (
     MODEL_PRESETS,
     ClusterSpec,
@@ -36,7 +40,6 @@ from .profiles import LinkProfile
 
 
 class ServiceState(enum.Enum):
-    DEPLOYING = "deploying"
     RUNNING = "running"
     DELETED = "deleted"
 
@@ -49,9 +52,6 @@ class ServiceRecord:
     state: ServiceState
     api_key: str
     created_at: float  # wall-clock epoch seconds
-    request_count: int = 0
-    token_count: int = 0
-    last_report: dict | None = None
 
     def status_dict(self) -> dict:
         return {
@@ -59,19 +59,14 @@ class ServiceRecord:
             "model": self.model.name,
             "state": self.state.value,
             "uptime_s": max(0.0, time.time() - self.created_at),
-            "request_count": self.request_count,
-            "token_count": self.token_count,
             "plan": self.plan.to_json_dict(),
-            "metrics": self.last_report,
         }
 
 
-# resource_specification / inference_parameters schemas, version 1.
+# POST /services body and its resource_specification, version 1.
 # resource_specification: {"gpu_type": str, "gpu_count": int}
-# inference_parameters:   {"max_batched_tokens": int, "max_batch_size": int,
-#                          "chunk_size": int | null}   (all optional)
+SERVICE_BODY_KEYS = {"service_name", "model_name", "resource_specification"}
 RESOURCE_SPEC_KEYS = {"gpu_type", "gpu_count"}
-INFERENCE_PARAM_KEYS = {"max_batched_tokens", "max_batch_size", "chunk_size"}
 
 
 class ClusterRegistry:
@@ -79,18 +74,16 @@ class ClusterRegistry:
 
     def __init__(
         self,
-        cluster: ClusterSpec | None = None,
         model_catalog: dict[str, ModelSpec] | None = None,
         key_seed: int | None = None,
         journal_path: str | Path | None = None,
     ):
         self._lock = threading.RLock()
-        self._cluster = cluster or ClusterSpec(nodes={}, links={})
+        self._cluster = ClusterSpec(nodes={}, links={})
         self._catalog = dict(model_catalog or MODEL_PRESETS)
         self._services: dict[str, ServiceRecord] = {}
         self._assignments: dict[str, str] = {}  # node -> service
         self._key_rng = random.Random(key_seed) if key_seed is not None else None
-        self._node_util: dict[str, dict] = {}
         self._journal_path = Path(journal_path) if journal_path else None
         if self._journal_path and not self._journal_path.exists():
             self._journal_path.touch()
@@ -110,35 +103,58 @@ class ClusterRegistry:
         journal_path: str | Path,
         model_catalog: dict[str, ModelSpec] | None = None,
     ) -> "ClusterRegistry":
-        """Rebuild a registry from its journal (journaling stays enabled)."""
+        """Rebuild a registry from its journal (journaling stays enabled).
+
+        A last line with no newline that is not JSON is what a crash in the
+        middle of an append leaves: it is dropped and cut off the file, so
+        the next append starts a line of its own.  Any other line that does
+        not replay raises :class:`ConfigError` naming its line number.
+        """
         path = Path(journal_path)
         registry = cls(model_catalog=model_catalog)
-        with path.open(encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                op = rec["op"]
-                if op == "node_access":
-                    registry.node_access(
-                        node_from_json(rec["node"]),
-                        links=[link_from_json(l) for l in rec.get("links", [])],
-                    )
-                elif op == "node_exit":
-                    registry.node_exit(rec["name"], cascade=rec.get("cascade", False))
-                elif op == "deploy":
-                    registry.deploy_llm_service(
-                        rec["service_name"],
-                        rec["model_name"],
-                        rec["resource_specification"],
-                        rec.get("inference_parameters", {}),
-                        _api_key=rec["api_key"],
-                    )
-                elif op == "delete":
-                    registry.delete_llm_service(rec["service_name"])
+        good_bytes = 0
+        with path.open("rb") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    rec = json.loads(line) if line.strip() else None
+                except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+                    if line.endswith(b"\n"):
+                        raise ConfigError(f"{path}: line {lineno}: {exc}") from None
+                    break  # only the last line can lack a newline: a torn append
+                try:
+                    if rec is not None:
+                        registry._apply(rec)
+                except (KeyError, TypeError, ValueError, PipelinkError) as exc:
+                    raise ConfigError(
+                        f"{path}: line {lineno}: {type(exc).__name__}: {exc}"
+                    ) from None
+                good_bytes += len(line)
+        if good_bytes < path.stat().st_size:
+            os.truncate(path, good_bytes)
         registry._journal_path = path
         return registry
+
+    def _apply(self, rec: dict) -> None:
+        """Redo one journal record; a deploy record's other keys are not read."""
+        op = rec["op"]
+        if op == "node_access":
+            self.node_access(
+                node_from_json(rec["node"]),
+                links=[link_from_json(l) for l in rec.get("links", [])],
+            )
+        elif op == "node_exit":
+            self.node_exit(rec["name"], cascade=rec.get("cascade", False))
+        elif op == "deploy":
+            self.deploy_llm_service(
+                rec["service_name"],
+                rec["model_name"],
+                rec["resource_specification"],
+                _api_key=rec["api_key"],
+            )
+        elif op == "delete":
+            self.delete_llm_service(rec["service_name"])
+        else:
+            raise ValueError(f"unknown op {op!r}")
 
     # -- node management ---------------------------------------------------
 
@@ -170,16 +186,10 @@ class ClusterRegistry:
             node = self._cluster.nodes.get(name)
             if node is None:
                 raise RegistryError("not_found", f"unknown node {name}")
-            util = dict(self._node_util.get(name, {}))
-            util.setdefault("gpu_load", 0.0)
-            util.setdefault("cpu_load", 0.0)
-            util.setdefault("link_throughput_bps", 0.0)
-            util["source"] = "simulated"
             return {
                 "name": node.name,
                 "metadata": node_to_json(node),
                 "hosting": self._assignments.get(name),
-                "utilization": util,
             }
 
     def node_exit(self, name: str, cascade: bool = False) -> None:
@@ -201,7 +211,6 @@ class ClusterRegistry:
                 for key, link in self._cluster.links.items()
                 if name not in key
             }
-            self._node_util.pop(name, None)
             self._journal({"op": "node_exit", "name": name, "cascade": cascade})
 
     # -- service lifecycle --------------------------------------------------
@@ -229,16 +238,13 @@ class ClusterRegistry:
         service_name: str,
         model_name: str,
         resource_specification: dict,
-        inference_parameters: dict | None = None,
+        *,
         _api_key: str | None = None,
     ) -> ServiceRecord:
-        if inference_parameters is None:
-            inference_parameters = {}
         for label, value, kind in (
             ("service_name", service_name, str),
             ("model_name", model_name, str),
             ("resource_specification", resource_specification, dict),
-            ("inference_parameters", inference_parameters, dict),
         ):
             if not isinstance(value, kind):
                 raise RegistryError(
@@ -258,11 +264,6 @@ class ClusterRegistry:
                 raise RegistryError(
                     "invalid",
                     f"resource_specification needs gpu_type/gpu_count, got {sorted(resource_specification)}",
-                )
-            bad_params = set(inference_parameters) - INFERENCE_PARAM_KEYS
-            if bad_params:
-                raise RegistryError(
-                    "invalid", f"unknown inference_parameters {sorted(bad_params)}"
                 )
             model = self._catalog[model_name]
             gpu_type = resource_specification["gpu_type"]
@@ -292,7 +293,6 @@ class ClusterRegistry:
                     "service_name": service_name,
                     "model_name": model_name,
                     "resource_specification": resource_specification,
-                    "inference_parameters": inference_parameters,
                     "api_key": record.api_key,
                 }
             )
@@ -322,26 +322,6 @@ class ClusterRegistry:
                 if svc != service_name
             }
             self._journal({"op": "delete", "service_name": service_name})
-
-    def record_run(
-        self, service_name: str, report: MetricsReport, request_count: int
-    ) -> None:
-        """Attach a finished run's metrics to the service and its nodes."""
-        with self._lock:
-            record = self._active_service(service_name)
-            record.request_count += request_count
-            record.token_count += report.total_tokens
-            record.last_report = report.to_json_dict()
-            for stage_idx, node_name in enumerate(record.plan.node_names()):
-                bubbles = report.bubble_fraction_per_stage
-                gpu_load = (
-                    1.0 - bubbles[stage_idx] if stage_idx < len(bubbles) else 0.0
-                )
-                self._node_util[node_name] = {
-                    "gpu_load": gpu_load,
-                    "cpu_load": 0.05,  # nominal host overhead, simulated
-                    "link_throughput_bps": 0.0,
-                }
 
     # -- introspection -------------------------------------------------------
 
@@ -457,12 +437,16 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(200, {"deleted": parts[1]})
             elif self.command == "POST" and parts == ["services"]:
                 body = self._read_body()
+                unknown = set(body) - SERVICE_BODY_KEYS
+                if unknown:
+                    raise RegistryError(
+                        "invalid", f"unknown service fields {sorted(unknown)}, not applied"
+                    )
                 try:
                     record = registry.deploy_llm_service(
                         body["service_name"],
                         body["model_name"],
                         body.get("resource_specification", {}),
-                        body.get("inference_parameters", {}),
                     )
                 except KeyError as exc:
                     raise RegistryError("invalid", f"missing field {exc}") from None

@@ -28,7 +28,7 @@ from .errors import ConfigError, ProtocolError
 from .placement import ClusterSpec
 from .profiles import StageProfile
 from .transport import Payload, PayloadClass, feedback_bytes
-from .wire import ReceivedPayload, SocketLinkReceiver, SocketLinkSender, loopback_pair
+from .wire import ReceivedPayload, SocketLinkSender, loopback_pair, receive_payloads
 from .workload import Trace
 
 _COUNT = struct.Struct("<I")
@@ -42,9 +42,10 @@ def _tail_worker(forward_sock, return_sender: SocketLinkSender) -> None:
         size = feedback_bytes(count)
         return_sender.send(Payload(p.payload_id, PayloadClass.DECODE, size), bytes(size))
 
-    receiver = SocketLinkReceiver(forward_sock, on_payload, name="tail-recv")
-    receiver.run()  # inline: this thread is the tail stage
-    return_sender.close()
+    try:
+        receive_payloads(forward_sock, on_payload)
+    finally:
+        return_sender.close()
 
 
 def run_socket_demo(
@@ -66,12 +67,17 @@ def run_socket_demo(
     policy = cfg.scheduling_policy
     forward_sender = SocketLinkSender(fwd_head, cfg.chunk_size, policy, "fwd-sender")
     return_sender = SocketLinkSender(ret_tail, cfg.chunk_size, policy, "ret-sender")
-    feedback_q: queue.Queue[ReceivedPayload | None] = queue.Queue()
-    return_receiver = SocketLinkReceiver(ret_head, feedback_q.put)
+    feedback_q: queue.Queue[ReceivedPayload | ProtocolError | None] = queue.Queue()
 
     def receive_feedback() -> None:
-        return_receiver.run()  # inline: returns when the return stream ends
-        feedback_q.put(None)  # wakes the head if it still waits for feedback
+        # The end of the return stream, None or the error that ended it, wakes
+        # the head if it still waits for feedback.
+        end = None
+        try:
+            receive_payloads(ret_head, feedback_q.put)
+        except ProtocolError as exc:
+            end = exc
+        feedback_q.put(end)
 
     head_receiver = threading.Thread(
         target=receive_feedback, name="head-recv", daemon=True
@@ -106,6 +112,8 @@ def run_socket_demo(
                 ) from None
             if fb is None:
                 raise ProtocolError("the tail stage closed the return stream early")
+            if isinstance(fb, ProtocolError):
+                raise ProtocolError(f"the return stream failed: {fb}") from fb
             mb = sched.in_flight.get(fb.payload_id)
             if mb is None:
                 raise ProtocolError(f"feedback for unknown micro-batch {fb.payload_id}")

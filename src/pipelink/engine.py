@@ -53,7 +53,6 @@ class EventKind(enum.IntEnum):
 class BatchPhase(enum.Enum):
     PREFILL = "prefill"
     DECODE = "decode"
-    MIXED = "mixed"
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,6 @@ class EngineConfig:
     controller: ControllerConfig
     chunk_size: int | None = DEFAULT_CHUNK_SIZE
     scheduling_policy: LinkPolicy = LinkPolicy.DECODE_PRIORITY
-    allow_mixed_phase: bool = False
 
 
 class EngineEvent(NamedTuple):
@@ -157,15 +155,14 @@ def admit_and_batch(
     decision: ControllerDecision,
     max_batch_size: int,
     capacity: int,
-    allow_mixed: bool = False,
     id_start: int = 0,
 ) -> list[MicroBatch]:
     """Continuous batching step: fill up to ``capacity`` micro-batches.
 
     Ready decoding requests go first (one token each), then queued prefills
     strictly FCFS, each into the lightest-loaded compatible micro-batch under
-    the token budget and batch-size caps.  Phases stay separate unless
-    ``allow_mixed``.  A prefill whose input alone exceeds the budget is
+    the token budget and batch-size caps.  A micro-batch is all prefill or
+    all decode.  A prefill whose input alone exceeds the budget is
     admitted solo into an empty micro-batch rather than blocking forever.
     Admitted requests are consumed from the input queues.
     """
@@ -174,14 +171,11 @@ def admit_and_batch(
         return []
     bins: list[_Bin] = []
 
-    def compatible(b: _Bin, phase: BatchPhase) -> bool:
-        return b.phase is None or b.phase is phase or allow_mixed
-
     def lightest(phase: BatchPhase, extra_tokens: int) -> _Bin | None:
         fits = [
             b
             for b in bins
-            if compatible(b, phase)
+            if b.phase is phase
             and b.tokens + extra_tokens <= budget
             and len(b.members) < max_batch_size
         ]
@@ -190,10 +184,7 @@ def admit_and_batch(
     def place(b: _Bin, request: Request, tokens: int, phase: BatchPhase) -> None:
         b.members.append(request)
         b.tokens += tokens
-        if b.phase is None:
-            b.phase = phase
-        elif b.phase is not phase:
-            b.phase = BatchPhase.MIXED
+        b.phase = phase
 
     def open_bin() -> _Bin | None:
         if len(bins) >= capacity:
@@ -228,7 +219,7 @@ def admit_and_batch(
             MicroBatch(
                 id=id_start + len(batches),
                 request_ids=tuple(r.id for r in b.members),
-                phase=b.phase or BatchPhase.DECODE,
+                phase=b.phase,
                 batched_tokens=b.tokens,
             )
         )
@@ -321,7 +312,6 @@ class HeadScheduler:
             decision,
             self.cfg.controller.max_batch_size,
             capacity,
-            allow_mixed=self.cfg.allow_mixed_phase,
             id_start=self._next_mb_id,
         )
         self.iteration += 1

@@ -40,6 +40,8 @@ class NodeDescriptor:
     def __post_init__(self) -> None:
         if self.gpu_count < 1:
             raise ConfigError(f"node {self.name}: gpu_count must be >= 1")
+        if self.gpu_mem_bytes < 1:
+            raise ConfigError(f"node {self.name}: gpu_mem_bytes must be >= 1")
         for field_name in ("capacity_score", "cpu_score", "network_score"):
             value = getattr(self, field_name)
             if not (math.isfinite(value) and value > 0):

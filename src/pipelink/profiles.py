@@ -214,42 +214,3 @@ def save_stage_profiles(profiles: dict[int, StageProfile], path: str | Path) -> 
             for phase in p.phases():
                 for tokens, secs in p.points(phase):
                     writer.writerow([stage_id, phase.value, tokens, repr(secs)])
-
-
-def load_link_profiles(path: str | Path) -> list[LinkProfile]:
-    """Read the link CSV ``from,to,latency_s,bandwidth_bps``."""
-    path = Path(path)
-    links: list[LinkProfile] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != [
-            "from",
-            "to",
-            "latency_s",
-            "bandwidth_bps",
-        ]:
-            raise ProfileError(f"{path}: bad or missing header")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                links.append(
-                    LinkProfile(
-                        src=row[0].strip(),
-                        dst=row[1].strip(),
-                        latency_s=float(row[2]),
-                        bandwidth_bps=float(row[3]),
-                    )
-                )
-            except (ValueError, IndexError, ConfigError) as exc:
-                raise ProfileError(f"{path}: line {lineno}: {exc}") from None
-    return links
-
-
-def save_link_profiles(links: list[LinkProfile], path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["from", "to", "latency_s", "bandwidth_bps"])
-        for l in links:
-            writer.writerow([l.src, l.dst, repr(l.latency_s), repr(l.bandwidth_bps)])

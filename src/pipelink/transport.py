@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import math
 from collections import deque
 from dataclasses import dataclass
 from operator import attrgetter
@@ -87,15 +86,12 @@ class LinkQueue:
 
     def __init__(
         self,
-        chunk_size: int | float | None = DEFAULT_CHUNK_SIZE,
+        chunk_size: int | None = DEFAULT_CHUNK_SIZE,
         policy: LinkPolicy = LinkPolicy.DECODE_PRIORITY,
     ):
-        if chunk_size is not None and not math.isinf(chunk_size):
-            if int(chunk_size) < 1:
-                raise ConfigError("chunk_size must be >= 1 byte")
-            self.chunk_size: int | None = int(chunk_size)
-        else:
-            self.chunk_size = None  # unchunked
+        if chunk_size is not None and chunk_size < 1:
+            raise ConfigError("chunk_size must be >= 1 byte")
+        self.chunk_size = chunk_size  # None: unchunked
         self.policy = policy
         self._decode: deque[Payload] = deque()
         self._fifo: deque[Payload] = deque()
@@ -191,7 +187,7 @@ class VirtualLink:
     def __init__(
         self,
         profile: LinkProfile,
-        chunk_size: int | float | None,
+        chunk_size: int | None,
         policy: LinkPolicy,
         log: list[LinkEvent],
         name: str | None = None,
@@ -232,7 +228,7 @@ class VirtualLink:
 def replay_link(
     profile: LinkProfile,
     arrivals: list[tuple[int, Payload]],
-    chunk_size: int | float | None = DEFAULT_CHUNK_SIZE,
+    chunk_size: int | None = DEFAULT_CHUNK_SIZE,
     policy: LinkPolicy = LinkPolicy.DECODE_PRIORITY,
     link_name: str | None = None,
 ) -> list[LinkEvent]:

@@ -11,8 +11,10 @@ Wire format, little-endian throughout, length-prefixed:
 
 The sender applies the same two-class, chunk-granular schedule as the
 virtual-time backend: it owns a :class:`LinkQueue` guarded by a condition
-variable, and the worker thread drains it one chunk at a time.  The receiver
-reassembles chunks into payloads and hands completed payloads to a callback.
+variable, and the worker thread drains it one chunk at a time.
+:func:`receive_payloads` reassembles chunks into payloads, checking that each
+payload's chunks come in index order, and hands completed payloads to a
+callback.
 """
 
 from __future__ import annotations
@@ -162,40 +164,38 @@ class SocketLinkSender(threading.Thread):
             pass  # peer gone; receiver side surfaces the failure
 
 
-class SocketLinkReceiver(threading.Thread):
-    """Reassembles framed chunks into payloads and delivers them in order."""
+def receive_payloads(sock: socket.socket, on_payload) -> None:
+    """Reassemble framed chunks into payloads and hand each to ``on_payload``.
 
-    def __init__(self, sock: socket.socket, on_payload, name: str = "link-receiver"):
-        super().__init__(name=name, daemon=True)
-        self._sock = sock
-        self._on_payload = on_payload
-        self._partial: dict[int, bytearray] = {}
-        self.failed = False
-
-    def run(self) -> None:
-        try:
-            while True:
-                frame = read_frame(self._sock)
-                if frame is None:
-                    self.failed = bool(self._partial)
-                    return
-                payload_id, chunk_index, flags, body = frame
-                if flags & FLAG_SHUTDOWN:
-                    return
-                buf = self._partial.setdefault(payload_id, bytearray())
-                buf.extend(body)
-                if flags & FLAG_LAST:
-                    del self._partial[payload_id]
-                    phase = (
-                        PayloadClass.DECODE
-                        if flags & FLAG_DECODE
-                        else PayloadClass.PREFILL
+    Returns on the shutdown frame or on a clean EOF between payloads.  Raises
+    :class:`ProtocolError` on a chunk whose index is out of order or
+    repeated, on a stream that ends in the middle of a payload, and on a
+    socket error.
+    """
+    partial: dict[int, list[bytes]] = {}  # payload id -> chunks so far
+    try:
+        while True:
+            frame = read_frame(sock)
+            if frame is None or frame[2] & FLAG_SHUTDOWN:
+                if partial:
+                    raise ProtocolError(
+                        f"stream ended in the middle of payload {min(partial)}"
                     )
-                    self._on_payload(
-                        ReceivedPayload(payload_id, phase, bytes(buf))
-                    )
-        except (OSError, ProtocolError):
-            self.failed = True
+                return
+            payload_id, chunk_index, flags, body = frame
+            pieces = partial.setdefault(payload_id, [])
+            if chunk_index != len(pieces):
+                raise ProtocolError(
+                    f"payload {payload_id}: chunk {chunk_index} where "
+                    f"chunk {len(pieces)} was due"
+                )
+            pieces.append(body)
+            if flags & FLAG_LAST:
+                del partial[payload_id]
+                phase = PayloadClass.DECODE if flags & FLAG_DECODE else PayloadClass.PREFILL
+                on_payload(ReceivedPayload(payload_id, phase, b"".join(pieces)))
+    except OSError as exc:
+        raise ProtocolError(f"link socket failed: {exc}") from exc
 
 
 def loopback_pair() -> tuple[socket.socket, socket.socket]:

@@ -329,19 +329,20 @@ def test_criterion_10_control_api_lifecycle():
                         links=links)
         reg.check_invariants()
     record = reg.deploy_llm_service(
-        "svc", "tiny-4l", {"gpu_type": "rtx4090", "gpu_count": 1}, {}
+        "svc", "tiny-4l", {"gpu_type": "rtx4090", "gpu_count": 1}
     )
     reg.check_invariants()
     assert record.plan.num_layers == 4
     status = reg.check_service_status("svc")
-    assert status["state"] == "running" and status["token_count"] == 0
+    assert status["state"] == "running"
+    assert set(status) == {"service_name", "model", "state", "uptime_s", "plan"}
     reg.check_invariants()
 
     # book every remaining node, then show a fifth deployment cannot steal one
     booked = set(record.plan.node_names())
     for i in range(2, 5):
         extra = reg.deploy_llm_service(
-            f"svc{i}", "tiny-4l", {"gpu_type": "rtx4090"}, {}
+            f"svc{i}", "tiny-4l", {"gpu_type": "rtx4090"}
         )
         reg.check_invariants()
         overlap = booked & set(extra.plan.node_names())
@@ -349,7 +350,7 @@ def test_criterion_10_control_api_lifecycle():
         booked |= set(extra.plan.node_names())
     assert booked == set(names)
     with pytest.raises(RegistryError) as err:
-        reg.deploy_llm_service("svc5", "tiny-4l", {"gpu_type": "rtx4090"}, {})
+        reg.deploy_llm_service("svc5", "tiny-4l", {"gpu_type": "rtx4090"})
     assert err.value.code == "placement_failed"
 
     reg.delete_llm_service("svc")

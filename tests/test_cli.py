@@ -5,6 +5,7 @@ import socket
 import subprocess
 import sys
 import time
+import urllib.error
 import urllib.request
 
 import pytest
@@ -187,27 +188,94 @@ def test_version_is_machine_readable(capsys):
     assert len(parts) == 3 and all(p.isdigit() for p in parts)
 
 
-def test_serve_lifecycle(workdir):
+def _serve(*args):
+    """Start ``pipelink serve`` on a free port; returns (process, base URL)."""
     proc = subprocess.Popen(
-        [sys.executable, "-u", "-m", "pipelink.cli", "serve",
-         "--listen", "127.0.0.1:0", "--cluster", str(workdir / "cluster.json")],
+        [sys.executable, "-u", "-m", "pipelink.cli", "serve", "--listen", "127.0.0.1:0",
+         *args],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )
+    line = proc.stdout.readline()
+    if "listening on" not in line:
+        proc.kill()
+        proc.wait()
+        raise AssertionError(f"serve did not start: {line!r}")
+    return proc, f"http://127.0.0.1:{int(line.strip().rsplit(':', 1)[1])}"
+
+
+def _stop(proc):
+    """Interrupt the server, which must exit 0."""
     try:
-        line = proc.stdout.readline()
-        assert "listening on" in line
-        port = int(line.strip().rsplit(":", 1)[1])
-        with urllib.request.urlopen(
-            f"http://127.0.0.1:{port}/nodes/alpha", timeout=5
-        ) as resp:
-            body = json.loads(resp.read())
-        assert body["name"] == "alpha"
-        proc.send_signal(signal.SIGINT)
+        if proc.poll() is None:
+            proc.send_signal(signal.SIGINT)
         assert proc.wait(timeout=10) == 0
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+
+
+def _status(base, method, path, body=None):
+    data = None if body is None else json.dumps(body).encode()
+    req = urllib.request.Request(base + path, data=data, method=method)
+    try:
+        with urllib.request.urlopen(req, timeout=5) as resp:
+            return resp.status
+    except urllib.error.HTTPError as err:
+        return err.code
+
+
+def test_serve_lifecycle(workdir):
+    proc, base = _serve("--cluster", str(workdir / "cluster.json"))
+    try:
+        with urllib.request.urlopen(f"{base}/nodes/alpha", timeout=5) as resp:
+            body = json.loads(resp.read())
+        assert body["name"] == "alpha"
+    finally:
+        _stop(proc)
+
+
+def test_serve_recovers_state_from_its_journal(workdir):
+    journal = workdir / "registry.jsonl"
+    node = {"name": "gamma", "gpu_type": "rtx4090", "gpu_count": 1,
+            "gpu_mem_bytes": 3 * MB}
+    proc, base = _serve("--cluster", str(workdir / "cluster.json"),
+                        "--journal", str(journal))
+    try:
+        assert _status(base, "POST", "/nodes", node) == 201
+    finally:
+        _stop(proc)
+    proc, base = _serve("--journal", str(journal))
+    try:
+        for name in ("alpha", "beta", "gamma"):
+            assert _status(base, "GET", f"/nodes/{name}") == 200
+        assert _status(base, "POST", "/nodes", node) == 409
+    finally:
+        _stop(proc)
+
+
+def test_serve_cluster_with_non_empty_journal_exits_2(workdir):
+    journal = workdir / "registry.jsonl"
+    journal.write_text(
+        '{"links": [], "node": {"gpu_count": 1, "gpu_mem_bytes": 1, '
+        '"gpu_type": "g", "name": "a"}, "op": "node_access"}\n'
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pipelink.cli", "serve", "--listen", "127.0.0.1:0",
+         "--journal", str(journal), "--cluster", str(workdir / "cluster.json")],
+        capture_output=True, text=True, timeout=15,
+    )
+    assert proc.returncode == 2
+    assert "not empty" in proc.stderr
+
+
+def test_simulate_node_without_memory_exits_2(workdir, capsys):
+    cluster = json.loads((workdir / "cluster.json").read_text())
+    cluster["nodes"][0]["gpu_mem_bytes"] = -5
+    (workdir / "cluster.json").write_text(json.dumps(cluster))
+    assert main(["simulate", "--config", str(workdir / "run.json"),
+                 "--out", str(workdir / "out")]) == 2
+    assert "gpu_mem_bytes" in capsys.readouterr().err
 
 
 def test_serve_port_in_use_fails(workdir):

@@ -7,8 +7,7 @@ import urllib.request
 import pytest
 
 from pipelink.control_api import ClusterRegistry, ServiceState, make_server
-from pipelink.errors import RegistryError
-from pipelink.metrics import MetricsReport
+from pipelink.errors import ConfigError, RegistryError
 from pipelink.placement import Platform
 from pipelink.profiles import LinkProfile
 
@@ -35,7 +34,7 @@ def test_register_then_status_echoes_descriptor():
     reg = registry_with_nodes(1)
     status = reg.check_node_status("n0")
     assert status["metadata"]["gpu_type"] == "rtx4090"
-    assert status["utilization"]["source"] == "simulated"
+    assert set(status) == {"name", "metadata", "hosting"}
 
 
 def test_duplicate_node_registration_rejected():
@@ -48,7 +47,7 @@ def test_duplicate_node_registration_rejected():
 def test_deploy_plan_covers_all_layers():
     reg = registry_with_nodes(2)
     record = reg.deploy_llm_service(
-        "svc", "tiny-4l", {"gpu_type": "rtx4090", "gpu_count": 1}, {}
+        "svc", "tiny-4l", {"gpu_type": "rtx4090", "gpu_count": 1}
     )
     assert record.state is ServiceState.RUNNING
     assert record.plan.num_layers == 4
@@ -57,23 +56,23 @@ def test_deploy_plan_covers_all_layers():
 
 def test_duplicate_service_name_conflicts():
     reg = registry_with_nodes(2)
-    reg.deploy_llm_service("svc", "tiny-4l", {"gpu_type": "rtx4090"}, {})
+    reg.deploy_llm_service("svc", "tiny-4l", {"gpu_type": "rtx4090"})
     with pytest.raises(RegistryError) as err:
-        reg.deploy_llm_service("svc", "tiny-4l", {"gpu_type": "rtx4090"}, {})
+        reg.deploy_llm_service("svc", "tiny-4l", {"gpu_type": "rtx4090"})
     assert err.value.code == "conflict"
 
 
 def test_placement_failure_names_the_deficit():
     reg = registry_with_nodes(1, mem_gb=1)
     with pytest.raises(RegistryError) as err:
-        reg.deploy_llm_service("svc", "llama-7b", {"gpu_type": "rtx4090"}, {})
+        reg.deploy_llm_service("svc", "llama-7b", {"gpu_type": "rtx4090"})
     assert err.value.code == "placement_failed"
     assert "short" in str(err.value)
 
 
 def test_api_key_stable_and_scoped():
     reg = registry_with_nodes(2)
-    reg.deploy_llm_service("svc", "tiny-4l", {"gpu_type": "rtx4090"}, {})
+    reg.deploy_llm_service("svc", "tiny-4l", {"gpu_type": "rtx4090"})
     key1 = reg.get_api_key("svc")
     key2 = reg.get_api_key("svc")
     assert key1 == key2
@@ -84,7 +83,7 @@ def test_api_key_stable_and_scoped():
 
 def test_deleted_service_not_found():
     reg = registry_with_nodes(2)
-    reg.deploy_llm_service("svc", "tiny-4l", {"gpu_type": "rtx4090"}, {})
+    reg.deploy_llm_service("svc", "tiny-4l", {"gpu_type": "rtx4090"})
     reg.delete_llm_service("svc")
     for op in (reg.get_api_key, reg.check_service_status, reg.delete_llm_service):
         with pytest.raises(RegistryError):
@@ -93,17 +92,17 @@ def test_deleted_service_not_found():
 
 def test_delete_frees_nodes_for_redeployment():
     reg = registry_with_nodes(1)
-    reg.deploy_llm_service("a", "tiny-4l", {"gpu_type": "rtx4090"}, {})
+    reg.deploy_llm_service("a", "tiny-4l", {"gpu_type": "rtx4090"})
     with pytest.raises(RegistryError):  # single node already booked
-        reg.deploy_llm_service("b", "tiny-4l", {"gpu_type": "rtx4090"}, {})
+        reg.deploy_llm_service("b", "tiny-4l", {"gpu_type": "rtx4090"})
     reg.delete_llm_service("a")
-    reg.deploy_llm_service("b", "tiny-4l", {"gpu_type": "rtx4090"}, {})
+    reg.deploy_llm_service("b", "tiny-4l", {"gpu_type": "rtx4090"})
     reg.check_invariants()
 
 
 def test_node_exit_refuses_while_hosting():
     reg = registry_with_nodes(2)
-    record = reg.deploy_llm_service("svc", "tiny-4l", {"gpu_type": "rtx4090"}, {})
+    record = reg.deploy_llm_service("svc", "tiny-4l", {"gpu_type": "rtx4090"})
     hosting = record.plan.node_names()[0]
     with pytest.raises(RegistryError) as err:
         reg.node_exit(hosting)
@@ -122,27 +121,10 @@ def test_exit_free_node_removes_it():
     assert "n1" not in reg.snapshot()["nodes"]
 
 
-def test_counters_updated_from_run():
-    reg = registry_with_nodes(2)
-    reg.deploy_llm_service("svc", "tiny-4l", {"gpu_type": "rtx4090"}, {})
-    report = MetricsReport(
-        throughput_tok_s=10.0, ttft_mean_s=0.2, ttft_p50_s=0.2, ttft_p99_s=0.3,
-        tpot_mean_s=0.05, bubble_fraction_per_stage=(0.1,), span_s=3.0,
-        total_tokens=30,
-    )
-    reg.record_run("svc", report, request_count=2)
-    status = reg.check_service_status("svc")
-    assert status["token_count"] == 30
-    assert status["request_count"] == 2
-    assert status["metrics"]["throughput_tok_s"] == pytest.approx(10.0)
-    head = status["plan"]["head"]
-    assert reg.check_node_status(head)["utilization"]["gpu_load"] == pytest.approx(0.9)
-
-
 def test_journal_replay_restores_state(tmp_path):
     journal = tmp_path / "registry.jsonl"
     reg = registry_with_nodes(2, journal=journal)
-    reg.deploy_llm_service("svc", "tiny-4l", {"gpu_type": "rtx4090"}, {})
+    reg.deploy_llm_service("svc", "tiny-4l", {"gpu_type": "rtx4090"})
     key = reg.get_api_key("svc")
     reg.node_exit("n1")
 
@@ -150,6 +132,71 @@ def test_journal_replay_restores_state(tmp_path):
     assert restored.snapshot()["nodes"] == ["n0"]
     assert restored.get_api_key("svc") == key
     restored.check_invariants()
+
+
+# A node and a deploy as journaled before deploy records lost their
+# inference_parameters, which replay does not read.
+_OLD_JOURNAL = (
+    '{"links": [], "node": {"capacity_score": 1.0, "cpu_score": 1.0, "gpu_count": 1, '
+    '"gpu_mem_bytes": 8589934592, "gpu_type": "rtx4090", "name": "n0", '
+    '"network_score": 1.0, "platform": "linux"}, "op": "node_access"}\n'
+    '{"api_key": "4283fefc63f0cd0e873a0000c6d07ef7", "inference_parameters": '
+    '{"max_batch_size": 8}, "model_name": "tiny-4l", "op": "deploy", '
+    '"resource_specification": {"gpu_type": "rtx4090"}, "service_name": "svc"}\n'
+)
+
+
+def test_journal_with_inference_parameters_replays(tmp_path):
+    journal = tmp_path / "registry.jsonl"
+    journal.write_text(_OLD_JOURNAL)
+    restored = ClusterRegistry.replay(journal)
+    assert restored.snapshot() == {
+        "nodes": ["n0"], "services": {"svc": "running"}, "assignments": {"n0": "svc"},
+    }
+    assert restored.get_api_key("svc") == "4283fefc63f0cd0e873a0000c6d07ef7"
+    assert journal.read_text() == _OLD_JOURNAL
+
+
+def test_replay_drops_torn_last_line(tmp_path):
+    journal = tmp_path / "registry.jsonl"
+    reg = registry_with_nodes(2, journal=journal)
+    reg.deploy_llm_service("svc", "tiny-4l", {"gpu_type": "rtx4090"})
+    whole = journal.read_bytes()
+    journal.write_bytes(whole + b'{"op": "node_exit", "na')  # crash mid-append
+    restored = ClusterRegistry.replay(journal)
+    assert restored.snapshot() == reg.snapshot()
+    assert journal.read_bytes() == whole  # the torn bytes are cut off
+    restored.delete_llm_service("svc")
+    assert ClusterRegistry.replay(journal).snapshot() == restored.snapshot()
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [b"not json\n", b'{"op": "node_ex\n', b'{"op": "reboot"}\n', b"[1]\n",
+     b'{"op": "node_exit"}\n'],
+    ids=["not-json", "torn-but-not-last", "unknown-op", "not-an-object", "no-name"],
+)
+def test_replay_bad_middle_line_names_it(tmp_path, bad_line):
+    journal = tmp_path / "registry.jsonl"
+    registry_with_nodes(2, journal=journal)
+    first, second = journal.read_bytes().splitlines(keepends=True)
+    journal.write_bytes(first + bad_line + second)
+    with pytest.raises(ConfigError, match="line 2"):
+        ClusterRegistry.replay(journal)
+
+
+def test_replay_conflicting_record_names_its_line(tmp_path):
+    journal = tmp_path / "registry.jsonl"
+    registry_with_nodes(1, journal=journal)
+    journal.write_bytes(journal.read_bytes() * 2)  # n0 registered twice
+    with pytest.raises(ConfigError, match="line 2: RegistryError: node n0 already"):
+        ClusterRegistry.replay(journal)
+
+
+def test_api_key_is_keyword_only():
+    reg = registry_with_nodes(1)
+    with pytest.raises(TypeError):
+        reg.deploy_llm_service("svc", "tiny-4l", {"gpu_type": "rtx4090"}, {})
 
 
 # -- HTTP layer ----------------------------------------------------------------
@@ -219,7 +266,7 @@ def test_http_service_lifecycle_and_errors(http_server):
     status, body = call(base, "GET", "/services/svc/key")
     assert status == 200 and len(body["api_key"]) == 32
     status, body = call(base, "GET", "/services/svc")
-    assert status == 200 and body["request_count"] == 0
+    assert status == 200 and set(body) == {"service_name", "model", "state", "uptime_s", "plan"}
     assert call(base, "DELETE", "/services/svc")[0] == 200
     assert call(base, "GET", "/services/svc")[0] == 404
 
@@ -309,6 +356,31 @@ def test_http_non_finite_node_numbers_are_invalid_and_not_journaled(tmp_path, ch
         server.server_close()
 
 
+@pytest.fixture()
+def journaled_server(tmp_path):
+    """A server on a journaled registry of two nodes; yields (registry, base, journal)."""
+    journal = tmp_path / "registry.jsonl"
+    reg = registry_with_nodes(2, journal=journal)
+    server = make_server(reg, "127.0.0.1", 0)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield reg, f"http://127.0.0.1:{server.server_address[1]}", journal
+    server.shutdown()
+    server.server_close()
+
+
+@pytest.mark.parametrize("mem", [0, -5])
+def test_http_node_without_memory_is_invalid_and_not_journaled(journaled_server, mem):
+    reg, base, journal = journaled_server
+    before = journal.read_bytes()
+    node = {"name": "w", "gpu_type": "rtx4090", "gpu_count": 1, "gpu_mem_bytes": mem}
+    status, body = call(base, "POST", "/nodes", node)
+    assert status == 400 and body["code"] == "invalid"
+    assert "gpu_mem_bytes" in body["message"]
+    assert journal.read_bytes() == before
+    assert reg.snapshot()["nodes"] == ["n0", "n1"]
+
+
 def test_link_to_unregistered_node_rejected():
     reg = registry_with_nodes(1)
     for link in (LinkProfile("n0", "ghost", 0.01, 1e9), LinkProfile("ghost", "n1", 0.01, 1e9)):
@@ -334,6 +406,7 @@ def test_invariants_fail_on_link_to_unregistered_node():
         {"resource_specification": ["gpu_type"]},
         {"inference_parameters": 5},
         {"inference_parameters": []},
+        {"inference_parameters": {"max_batch_size": 8}},
         {"resource_specification": {"gpu_type": "rtx4090", "gpu_count": "x"}},
         {"resource_specification": {"gpu_type": "rtx4090", "gpu_count": None}},
         {"resource_specification": {"gpu_type": "rtx4090", "gpu_count": 0}},
@@ -344,37 +417,27 @@ def test_invariants_fail_on_link_to_unregistered_node():
         {"service_name": {"a": 1}},
         {"model_name": [1]},
     ],
-    ids=["spec-int", "spec-list", "params-int", "params-list", "gpu-count-text",
+    ids=["spec-int", "spec-list", "params-int", "params-list", "params-object",
+         "gpu-count-text",
          "gpu-count-null", "gpu-count-zero", "gpu-count-negative", "gpu-count-float",
          "gpu-count-bool", "name-list", "name-object", "model-list"],
 )
-def test_http_badly_typed_service_is_invalid_and_not_journaled(tmp_path, change):
-    journal = tmp_path / "registry.jsonl"
-    reg = registry_with_nodes(2, journal=journal)
-    server = make_server(reg, "127.0.0.1", 0)
-    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
-    thread.start()
-    base = f"http://127.0.0.1:{server.server_address[1]}"
-    try:
-        before = journal.read_bytes()
-        deploy = {
-            "service_name": "svc", "model_name": "tiny-4l",
-            "resource_specification": {"gpu_type": "rtx4090", "gpu_count": 1},
-            **change,
-        }
-        status, body = call(base, "POST", "/services", deploy)
-        assert status == 400 and body["code"] == "invalid"
-        assert journal.read_bytes() == before
-        assert reg.snapshot()["services"] == {}
-        # The server is still up and the same name deploys once well formed.
-        deploy.update(
-            service_name="svc", model_name="tiny-4l",
-            resource_specification={"gpu_type": "rtx4090"}, inference_parameters={},
-        )
-        assert call(base, "POST", "/services", deploy)[0] == 201
-    finally:
-        server.shutdown()
-        server.server_close()
+def test_http_badly_typed_service_is_invalid_and_not_journaled(journaled_server, change):
+    reg, base, journal = journaled_server
+    before = journal.read_bytes()
+    deploy = {
+        "service_name": "svc", "model_name": "tiny-4l",
+        "resource_specification": {"gpu_type": "rtx4090", "gpu_count": 1},
+        **change,
+    }
+    status, body = call(base, "POST", "/services", deploy)
+    assert status == 400 and body["code"] == "invalid"
+    assert journal.read_bytes() == before
+    assert reg.snapshot()["services"] == {}
+    # The server is still up and the same name deploys once well formed.
+    deploy = {"service_name": "svc", "model_name": "tiny-4l",
+              "resource_specification": {"gpu_type": "rtx4090"}}
+    assert call(base, "POST", "/services", deploy)[0] == 201
 
 
 def test_node_journal_bytes_and_replay_are_stable(tmp_path):

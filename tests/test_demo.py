@@ -16,14 +16,13 @@ from pipelink.workload import Request, Trace
 from simsetup import engine_config, uniform_pipeline
 
 
-def two_stage(policy, chunk_size, decision_stride, allow_mixed):
+def two_stage(policy, chunk_size, decision_stride):
     cluster, model, plan, profiles = uniform_pipeline(
         2, 0.001, 0.001, bandwidth=1e9, hidden_dim=64, dtype_bytes=2
     )
     cfg = engine_config(
         plan, model, max_batched_tokens=64, max_batch_size=4,
         chunk_size=chunk_size, scheduling_policy=policy,
-        allow_mixed_phase=allow_mixed,
     )
     cfg = dataclasses.replace(cfg, controller=dataclasses.replace(
         cfg.controller, decision_stride=decision_stride
@@ -45,12 +44,9 @@ requests = st.lists(
     policy=st.sampled_from(LinkPolicy),
     chunk_size=st.sampled_from([None, 256]),
     decision_stride=st.sampled_from([1, 3]),
-    allow_mixed=st.booleans(),
 )
-def test_socket_demo_matches_virtual_run(
-    trace, policy, chunk_size, decision_stride, allow_mixed
-):
-    cfg, cluster, profiles = two_stage(policy, chunk_size, decision_stride, allow_mixed)
+def test_socket_demo_matches_virtual_run(trace, policy, chunk_size, decision_stride):
+    cfg, cluster, profiles = two_stage(policy, chunk_size, decision_stride)
     virtual = PipelineEngine(cfg, cluster, profiles).run(trace)
     assert virtual.all_finished
     live = run_socket_demo(cfg, cluster, profiles, trace, timeout_s=10.0)
@@ -65,7 +61,7 @@ def _silent_tail(forward_sock, return_sender):
 
 def test_silent_tail_raises_protocol_error(monkeypatch):
     monkeypatch.setattr(pipelink.demo, "_tail_worker", _silent_tail)
-    cfg, cluster, profiles = two_stage(LinkPolicy.DECODE_PRIORITY, None, 1, False)
+    cfg, cluster, profiles = two_stage(LinkPolicy.DECODE_PRIORITY, None, 1)
     trace = Trace(requests=[Request(id=0, arrival_time=0.0, input_len=4, output_len=3)])
     start = time.monotonic()
     with pytest.raises(ProtocolError):
@@ -77,7 +73,7 @@ def test_dead_tail_raises_protocol_error_at_once(monkeypatch):
     # The return stream ends, so no feedback can come: waiting out
     # timeout_s would only delay the error.
     monkeypatch.setattr(pipelink.demo, "_tail_worker", _silent_tail)
-    cfg, cluster, profiles = two_stage(LinkPolicy.DECODE_PRIORITY, None, 1, False)
+    cfg, cluster, profiles = two_stage(LinkPolicy.DECODE_PRIORITY, None, 1)
     trace = Trace(requests=[Request(id=0, arrival_time=0.0, input_len=4, output_len=3)])
     start = time.monotonic()
     with pytest.raises(ProtocolError, match="closed the return stream"):
@@ -93,7 +89,7 @@ def test_mute_tail_raises_protocol_error_after_timeout(monkeypatch):
         return_sender.close()
 
     monkeypatch.setattr(pipelink.demo, "_tail_worker", mute_tail)
-    cfg, cluster, profiles = two_stage(LinkPolicy.DECODE_PRIORITY, None, 1, False)
+    cfg, cluster, profiles = two_stage(LinkPolicy.DECODE_PRIORITY, None, 1)
     trace = Trace(requests=[Request(id=0, arrival_time=0.0, input_len=4, output_len=3)])
     start = time.monotonic()
     try:

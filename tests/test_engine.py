@@ -105,17 +105,6 @@ def test_admit_respects_batch_size_cap():
     assert len(decoding) == 2  # the rest wait for the next boundary
 
 
-def test_admit_mixed_phase_flag():
-    decoding = deque([dec(0)])
-    queued = deque([pre(1, 5)])
-    batches = admit_and_batch(
-        decoding, queued, decision(1, 50), 64, 1, allow_mixed=True
-    )
-    assert len(batches) == 1
-    assert batches[0].phase is BatchPhase.MIXED
-    assert batches[0].batched_tokens == 6
-
-
 def test_no_request_in_two_microbatches_per_iteration():
     decoding = deque(dec(i) for i in range(6))
     batches = admit_and_batch(decoding, deque(), decision(3, 2), 64, 3)

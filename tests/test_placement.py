@@ -137,6 +137,12 @@ def test_node_rejects_non_finite_scores(field, bad):
         make_node("x", **{field: bad})
 
 
+@pytest.mark.parametrize("mem", [0, -5])
+def test_node_rejects_memory_below_one_byte(mem):
+    with pytest.raises(ConfigError, match="gpu_mem_bytes"):
+        make_node("x", gpu_mem_bytes=mem)
+
+
 def test_select_nodes_deterministic():
     model = small_model(num_layers=32, bytes_per_layer=GB)
     nodes = {f"n{i}": make_node(f"n{i}", gpu_mem_bytes=12 * GB) for i in range(5)}

@@ -10,9 +10,7 @@ from pipelink.profiles import (
     Phase,
     StageProfile,
     compute_time,
-    load_link_profiles,
     load_stage_profiles,
-    save_link_profiles,
     save_stage_profiles,
     synth_profile,
 )
@@ -183,13 +181,6 @@ def test_stage_profile_csv_round_trip(tmp_path):
     assert set(loaded) == {0, 1}
     assert loaded[0].entries == profiles[0].entries
     assert loaded[1].entries == profiles[1].entries
-
-
-def test_link_profile_csv_round_trip(tmp_path):
-    links = [LinkProfile("a", "b", 0.01, 1e8), LinkProfile("b", "a", 0.02, 1e9)]
-    path = tmp_path / "links.csv"
-    save_link_profiles(links, path)
-    assert load_link_profiles(path) == links
 
 
 def test_link_profile_validation():

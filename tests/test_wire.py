@@ -1,5 +1,6 @@
 import queue
 import socket
+import threading
 
 import pytest
 
@@ -9,11 +10,11 @@ from pipelink import wire
 from pipelink.wire import (
     FLAG_DECODE,
     FLAG_LAST,
-    SocketLinkReceiver,
     SocketLinkSender,
     encode_frame,
     loopback_pair,
     read_frame,
+    receive_payloads,
 )
 
 from simsetup import make_node  # noqa: F401  (keeps test helpers importable)
@@ -21,6 +22,10 @@ from simsetup import make_node  # noqa: F401  (keeps test helpers importable)
 
 def payload(pid, pclass, size):
     return Payload(id=pid, phase_class=pclass, size_bytes=size)
+
+
+def receiver_thread(sock, on_payload):
+    return threading.Thread(target=receive_payloads, args=(sock, on_payload), daemon=True)
 
 
 def test_frame_round_trip():
@@ -92,7 +97,7 @@ def test_sender_receiver_round_trip_chunked():
     left, right = loopback_pair()
     received = queue.Queue()
     sender = SocketLinkSender(left, chunk_size=1024)
-    receiver = SocketLinkReceiver(right, received.put)
+    receiver = receiver_thread(right, received.put)
     sender.start()
     receiver.start()
     try:
@@ -112,7 +117,7 @@ def test_sender_receiver_round_trip_chunked():
         receiver.join(timeout=10)
         left.close()
         right.close()
-    assert not receiver.failed
+    assert not receiver.is_alive()  # the shutdown frame ended it
 
 
 def test_sender_rejects_mismatched_body():
@@ -132,7 +137,7 @@ def test_decode_overtakes_queued_prefill_on_the_wire():
     left, right = loopback_pair()
     received = queue.Queue()
     sender = SocketLinkSender(left, chunk_size=2048, policy=LinkPolicy.DECODE_PRIORITY)
-    receiver = SocketLinkReceiver(right, received.put)
+    receiver = receiver_thread(right, received.put)
     big = bytes(1 << 20)
     small = b"\x07" * 16
     sender.send(payload(1, PayloadClass.PREFILL, len(big)), big)
@@ -156,14 +161,71 @@ def test_clean_shutdown_frame_ends_receiver():
     left, right = loopback_pair()
     received = queue.Queue()
     sender = SocketLinkSender(left, chunk_size=None)
-    receiver = SocketLinkReceiver(right, received.put)
+    receiver = receiver_thread(right, received.put)
     sender.start()
     receiver.start()
     sender.send(payload(3, PayloadClass.DECODE, 8), b"12345678")
     sender.close()
     sender.join(timeout=10)
     receiver.join(timeout=10)
-    assert not receiver.failed
+    assert not receiver.is_alive()
     assert received.get(timeout=1).payload_id == 3
     left.close()
     right.close()
+
+
+def receive_frames(*frames):
+    """Run receive_payloads over raw frames, then EOF; returns (payloads, error)."""
+    a, b = socket.socketpair()
+    delivered = []
+    try:
+        a.sendall(b"".join(encode_frame(*frame) for frame in frames))
+        a.close()
+        try:
+            receive_payloads(b, delivered.append)
+        except ProtocolError as exc:
+            return delivered, exc
+        return delivered, None
+    finally:
+        a.close()
+        b.close()
+
+
+def test_receiver_rejects_reordered_chunks():
+    delivered, error = receive_frames(
+        (1, 1, 0, b"BB"), (1, 0, 0, b"AA"), (1, 0, FLAG_LAST, b"CC")
+    )
+    assert delivered == [] and "chunk 1 where chunk 0 was due" in str(error)
+
+
+def test_receiver_rejects_duplicate_chunk():
+    delivered, error = receive_frames(
+        (1, 0, 0, b"AA"), (1, 0, FLAG_LAST, b"AA")
+    )
+    assert delivered == [] and "chunk 0 where chunk 1 was due" in str(error)
+
+
+def test_receiver_interleaved_payloads_and_clean_eof():
+    # A decode payload between two prefill chunks, then EOF between payloads.
+    delivered, error = receive_frames(
+        (1, 0, 0, b"AA"), (2, 0, FLAG_LAST | FLAG_DECODE, b"d"), (1, 1, FLAG_LAST, b"BB")
+    )
+    assert error is None
+    assert [(p.payload_id, p.phase_class, p.body) for p in delivered] == [
+        (2, PayloadClass.DECODE, b"d"), (1, PayloadClass.PREFILL, b"AABB")
+    ]
+
+
+def test_receiver_eof_mid_payload_raises():
+    delivered, error = receive_frames((1, 0, 0, b"AA"))
+    assert delivered == [] and "middle of payload 1" in str(error)
+
+
+def test_receiver_socket_error_is_protocol_error():
+    a, b = socket.socketpair()
+    b.close()
+    try:
+        with pytest.raises(ProtocolError, match="socket failed"):
+            receive_payloads(b, lambda p: None)
+    finally:
+        a.close()
