@@ -1,8 +1,11 @@
 """Command-line front end: simulate, sweep, plan, serve.
 
 Exit codes are a stable contract: 0 success, 1 runtime failure, 2 usage or
-configuration error.  Every command except ``serve`` is deterministic given
-its input files and seed.
+configuration error.  Every malformed input (a run config, cluster, model,
+trace or profile file, a journal, an option or a sweep value) exits 2 with an
+``error:`` line; JSON inputs are decoded by :mod:`pipelink.decode`, so the
+line names the file and the JSON path of the value at fault.  Every command
+except ``serve`` is deterministic given its input files and seed.
 """
 
 from __future__ import annotations
@@ -11,14 +14,15 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
+import typing
 from pathlib import Path
 
 from . import __version__
 from .control_api import ClusterRegistry, make_server
-from .controller import BudgetMode, ControllerConfig, write_decision_log
+from .controller import ControllerConfig, write_decision_log
+from .decode import decode, read_json
 from .engine import (
     EngineConfig,
     PipelineEngine,
@@ -31,13 +35,16 @@ from .metrics import MetricsReport, summarize, write_report_json
 from .placement import (
     ClusterSpec,
     ModelSpec,
+    ResourceSpec,
     load_cluster,
     plan_deployment,
     resolve_model,
 )
-from .profiles import StageProfile, load_stage_profiles, synth_profile
-from .transport import NS_PER_S, LinkPolicy, write_link_log
+from .profiles import LinkProfile, StageProfile, load_stage_profiles, synth_profile
+from .transport import DEFAULT_CHUNK_SIZE, NS_PER_S, LinkPolicy, write_link_log
 from .workload import (
+    DEFAULT_MAX_INPUT_TOKENS,
+    DEFAULT_MAX_OUTPUT_TOKENS,
     HISTOGRAM_PRESETS,
     LengthHistogram,
     Trace,
@@ -46,155 +53,164 @@ from .workload import (
     load_trace,
 )
 
-SWEEP_AXES = ("bandwidth", "latency", "rate", "chunk_size", "n_max")
+
+@dataclasses.dataclass(frozen=True)
+class GenerateSpec:
+    """``trace.generate``: a Poisson trace with lengths from a preset or buckets."""
+
+    rate: float
+    duration: float
+    preset: str = "synthetic-conversation"
+    input_buckets: tuple[tuple[int, int, float], ...] | None = None
+    output_buckets: tuple[tuple[int, int, float], ...] | None = None
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        self.histograms()  # an unknown preset or a bad bucket is refused here
+
+    def histograms(self) -> tuple[LengthHistogram, LengthHistogram]:
+        if self.preset not in HISTOGRAM_PRESETS:
+            raise ConfigError(f"unknown histogram preset '{self.preset}'")
+        in_hist, out_hist = HISTOGRAM_PRESETS[self.preset]
+        return (
+            in_hist if self.input_buckets is None else LengthHistogram(self.input_buckets),
+            out_hist if self.output_buckets is None else LengthHistogram(self.output_buckets),
+        )
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
+class TraceSpec:
+    """``trace``: a trace CSV ``path`` or a ``generate`` block, exactly one."""
+
+    path: str | None = None
+    generate: GenerateSpec | None = None
+
+    def __post_init__(self) -> None:
+        if (self.path is None) == (self.generate is None):
+            raise ConfigError("needs exactly one of 'path' or 'generate'")
+
+
+@dataclasses.dataclass(frozen=True)
+class SyntheticSpec:
+    """``profiles.synthetic``: linear stage profiles scaled by node capacity."""
+
+    per_layer_token_cost: float = 1e-6
+    overhead_s: float = 0.002
+
+
+@dataclasses.dataclass(frozen=True)
+class ProfilesSpec:
+    """``profiles``: a profile CSV ``path`` or a ``synthetic`` block, exactly one."""
+
+    path: str | None = None
+    synthetic: SyntheticSpec | None = None
+
+    def __post_init__(self) -> None:
+        if (self.path is None) == (self.synthetic is None):
+            raise ConfigError("needs exactly one of 'path' or 'synthetic'")
+
+
+@dataclasses.dataclass(frozen=True)
+class FilterSpec:
+    """``filter``: the largest input and output lengths a trace keeps."""
+
+    max_input: int = DEFAULT_MAX_INPUT_TOKENS
+    max_output: int = DEFAULT_MAX_OUTPUT_TOKENS
+
+
+@dataclasses.dataclass(frozen=True)
+class EngineSpec:
+    """``engine``: link chunking (``null`` for unchunked) and link policy."""
+
+    chunk_size: int | None = DEFAULT_CHUNK_SIZE
+    scheduling_policy: LinkPolicy = LinkPolicy.DECODE_PRIORITY
+
+
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """Parsed run configuration (paths resolved relative to the config file)."""
+    """A run configuration file, decoded; ``model`` is resolved to a ModelSpec.
 
-    cluster_path: Path
-    model: ModelSpec
-    gpu_type: str
-    gpu_count: int
-    trace_spec: dict
-    profile_spec: dict
-    engine_params: dict
-    controller_params: dict
-    filter_spec: dict | None
-    base_dir: Path
+    :func:`load_run_config` resolves the file paths in it against the
+    directory of the config file.
+    """
+
+    cluster: str
+    model: str | ModelSpec
+    placement: ResourceSpec
+    trace: TraceSpec
+    profiles: ProfilesSpec
+    filter: FilterSpec | None = None
+    engine: EngineSpec = EngineSpec()
+    controller: ControllerConfig = ControllerConfig()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "model", resolve_model(self.model))
 
 
 def load_run_config(path: str | Path) -> RunConfig:
     path = Path(path)
-    with path.open(encoding="utf-8") as fh:
-        data = json.load(fh)
-    base = path.parent
-    for key in ("cluster", "model", "placement", "trace", "profiles"):
-        if key not in data:
-            raise ConfigError(f"{path}: missing required key '{key}'")
-    placement = data["placement"]
-    if "gpu_type" not in placement:
-        raise ConfigError(f"{path}: placement.gpu_type is required")
-    cluster_path = base / data["cluster"]
-    if not cluster_path.exists():
-        raise ConfigError(f"cluster file not found: {cluster_path}")
-    trace_spec = data["trace"]
-    if "path" in trace_spec:
-        trace_path = base / trace_spec["path"]
-        if not trace_path.exists():
-            raise ConfigError(f"trace not found: {trace_path}")
-    elif "generate" not in trace_spec:
-        raise ConfigError(f"{path}: trace needs 'path' or 'generate'")
-    profile_spec = data["profiles"]
-    if "path" in profile_spec:
-        profile_path = base / profile_spec["path"]
-        if not profile_path.exists():
-            raise ConfigError(f"profile file not found: {profile_path}")
-    elif "synthetic" not in profile_spec:
-        raise ConfigError(f"{path}: profiles needs 'path' or 'synthetic'")
-    return RunConfig(
-        cluster_path=cluster_path,
-        model=resolve_model(data["model"]),
-        gpu_type=placement["gpu_type"],
-        gpu_count=int(placement.get("gpu_count", 1)),
-        trace_spec=trace_spec,
-        profile_spec=profile_spec,
-        engine_params=dict(data.get("engine", {})),
-        controller_params=dict(data.get("controller", {})),
-        filter_spec=data.get("filter"),
-        base_dir=base,
-    )
+    cfg = decode(RunConfig, read_json(path), f"{path}: $")
+
+    def resolve(name: str, what: str) -> str:
+        full = path.parent / name
+        if not full.exists():
+            raise ConfigError(f"{what} not found: {full}")
+        return str(full)
+
+    cfg = dataclasses.replace(cfg, cluster=resolve(cfg.cluster, "cluster file"))
+    if cfg.trace.path is not None:
+        trace = dataclasses.replace(cfg.trace, path=resolve(cfg.trace.path, "trace"))
+        cfg = dataclasses.replace(cfg, trace=trace)
+    if cfg.profiles.path is not None:
+        profiles = dataclasses.replace(
+            cfg.profiles, path=resolve(cfg.profiles.path, "profile file")
+        )
+        cfg = dataclasses.replace(cfg, profiles=profiles)
+    return cfg
 
 
 def _build_trace(cfg: RunConfig, seed_override: int | None) -> Trace:
-    spec = cfg.trace_spec
-    if "path" in spec:
-        trace = load_trace(cfg.base_dir / spec["path"])
+    if cfg.trace.path is not None:
+        trace = load_trace(cfg.trace.path)
     else:
-        gen = spec["generate"]
-        preset_name = gen.get("preset", "synthetic-conversation")
-        if preset_name not in HISTOGRAM_PRESETS:
-            raise ConfigError(f"unknown histogram preset '{preset_name}'")
-        in_hist, out_hist = HISTOGRAM_PRESETS[preset_name]
-        if "input_buckets" in gen:
-            in_hist = LengthHistogram(tuple(tuple(b) for b in gen["input_buckets"]))
-        if "output_buckets" in gen:
-            out_hist = LengthHistogram(tuple(tuple(b) for b in gen["output_buckets"]))
-        seed = seed_override if seed_override is not None else int(gen.get("seed", 0))
+        gen = cfg.trace.generate
+        in_hist, out_hist = gen.histograms()
         trace = generate_trace(
-            rate=float(gen["rate"]),
-            duration=float(gen["duration"]),
+            rate=gen.rate,
+            duration=gen.duration,
             input_lengths=in_hist,
             output_lengths=out_hist,
-            seed=seed,
+            seed=gen.seed if seed_override is None else seed_override,
         )
-    if cfg.filter_spec is not None:
-        trace = filter_trace(
-            trace,
-            max_input=int(cfg.filter_spec.get("max_input", 256)),
-            max_output=int(cfg.filter_spec.get("max_output", 512)),
-        )
+    if cfg.filter is not None:
+        trace = filter_trace(trace, cfg.filter.max_input, cfg.filter.max_output)
     return trace
-
-
-def _build_controller(params: dict) -> ControllerConfig:
-    return ControllerConfig(
-        max_batched_tokens=int(params.get("max_batched_tokens", 2048)),
-        max_batch_size=int(params.get("max_batch_size", 64)),
-        n_max=None if params.get("n_max") is None else int(params["n_max"]),
-        bubble_epsilon=float(params.get("bubble_epsilon", 0.02)),
-        gain_delta=float(params.get("gain_delta", 0.01)),
-        mode=BudgetMode(params.get("mode", "token_scaled")),
-        decision_stride=int(params.get("decision_stride", 1)),
-    )
 
 
 def _build_profiles(
     cfg: RunConfig, plan, cluster: ClusterSpec
 ) -> list[StageProfile]:
-    spec = cfg.profile_spec
-    if "path" in spec:
-        table = load_stage_profiles(cfg.base_dir / spec["path"])
+    if cfg.profiles.path is not None:
+        table = load_stage_profiles(cfg.profiles.path)
         profiles = []
         for idx in range(len(plan.stages)):
             if idx not in table:
                 raise ProfileError(f"profile file has no rows for stage {idx}")
             profiles.append(table[idx])
         return profiles
-    synth = spec["synthetic"]
-    base_cost = float(synth.get("per_layer_token_cost", 1e-6))
-    overhead = float(synth.get("overhead_s", 0.002))
+    synth = cfg.profiles.synthetic
     profiles = []
     for idx, (node_name, (lo, hi)) in enumerate(plan.stages):
         node = cluster.nodes[node_name]
         profiles.append(
             synth_profile(
                 layers=hi - lo,
-                per_layer_token_cost=base_cost / node.capacity_score,
-                overhead=overhead,
+                per_layer_token_cost=synth.per_layer_token_cost / node.capacity_score,
+                overhead=synth.overhead_s,
                 stage_id=idx,
             )
         )
     return profiles
-
-
-def _build_engine_config(cfg: RunConfig, plan) -> EngineConfig:
-    params = cfg.engine_params
-    chunk = params.get("chunk_size", 262144)
-    if isinstance(chunk, str):
-        chunk = None if chunk.lower() in ("inf", "none", "unchunked") else int(chunk)
-    elif chunk is not None:
-        chunk = None if math.isinf(float(chunk)) else int(chunk)
-    return EngineConfig(
-        partition=plan,
-        model=cfg.model,
-        controller=_build_controller(cfg.controller_params),
-        chunk_size=chunk,
-        scheduling_policy=LinkPolicy(
-            params.get("scheduling_policy", "decode_priority")
-        ),
-    )
 
 
 def _report_from_result(result: RunResult) -> MetricsReport:
@@ -210,13 +226,21 @@ def _report_from_result(result: RunResult) -> MetricsReport:
 
 def run_simulation(cfg: RunConfig, seed_override: int | None = None):
     """Assemble and run one simulation; returns (result, report, plan)."""
-    cluster = load_cluster(cfg.cluster_path)
-    plan = plan_deployment(cluster, cfg.model, cfg.gpu_type, cfg.gpu_count)
+    cluster = load_cluster(cfg.cluster)
+    plan = plan_deployment(
+        cluster, cfg.model, cfg.placement.gpu_type, cfg.placement.gpu_count
+    )
     trace = _build_trace(cfg, seed_override)
     if not trace.requests:
         raise ConfigError("trace is empty; nothing to simulate")
     profiles = _build_profiles(cfg, plan, cluster)
-    engine_cfg = _build_engine_config(cfg, plan)
+    engine_cfg = EngineConfig(
+        partition=plan,
+        model=cfg.model,
+        controller=cfg.controller,
+        chunk_size=cfg.engine.chunk_size,
+        scheduling_policy=cfg.engine.scheduling_policy,
+    )
     engine = PipelineEngine(engine_cfg, cluster, profiles)
     result = engine.run(trace)
     if not result.all_finished:
@@ -255,58 +279,80 @@ _SWEEP_COLUMNS = (
 )
 
 
-def _apply_axis(cfg: RunConfig, cluster_data: dict, axis: str, value: str) -> RunConfig:
-    cfg = dataclasses.replace(cfg)
-    if axis == "bandwidth":
-        for link in cluster_data["links"]:
-            link["bandwidth_bps"] = float(value)
-    elif axis == "latency":
-        for link in cluster_data["links"]:
-            link["latency_s"] = float(value)
-    elif axis == "rate":
-        if "generate" not in cfg.trace_spec:
-            raise ConfigError("rate sweep needs a generated trace")
-        cfg.trace_spec = {
-            "generate": {**cfg.trace_spec["generate"], "rate": float(value)}
-        }
-    elif axis == "chunk_size":
-        cfg.engine_params = {**cfg.engine_params, "chunk_size": value}
-    elif axis == "n_max":
-        cfg.controller_params = {**cfg.controller_params, "n_max": int(float(value))}
-    else:
-        raise ConfigError(f"unknown sweep axis '{axis}' (have: {', '.join(SWEEP_AXES)})")
-    return cfg
+# Each sweep axis and the field whose JSON decoder reads its values.
+SWEEP_FIELDS = {
+    "bandwidth": (LinkProfile, "bandwidth_bps"),
+    "latency": (LinkProfile, "latency_s"),
+    "rate": (GenerateSpec, "rate"),
+    "chunk_size": (EngineSpec, "chunk_size"),
+    "n_max": (ControllerConfig, "n_max"),
+}
+SWEEP_AXES = tuple(SWEEP_FIELDS)
+
+
+def _sweep_value(axis: str, text: str):
+    """One ``--sweep-values`` item, decoded as the JSON value of its field."""
+    if axis == "chunk_size" and text == "inf":
+        return None  # unchunked
+    try:
+        value = json.loads(text)
+    except (ValueError, RecursionError):
+        value = text  # refused below as a string
+    cls, name = SWEEP_FIELDS[axis]
+    tp = typing.get_type_hints(cls)[name]
+    return decode(tp, value, f"--sweep-values {axis}={text}")
+
+
+def _apply_axis(cfg: RunConfig, cluster_data: dict, axis: str, value) -> RunConfig:
+    """The point's config; link axes are written into ``cluster_data`` instead."""
+    if axis in ("bandwidth", "latency"):
+        for link in cluster_data.get("links", []):
+            link[SWEEP_FIELDS[axis][1]] = value
+        return cfg
+    if axis == "rate":
+        generate = dataclasses.replace(cfg.trace.generate, rate=value)
+        return dataclasses.replace(cfg, trace=TraceSpec(generate=generate))
+    if axis == "chunk_size":
+        return dataclasses.replace(
+            cfg, engine=dataclasses.replace(cfg.engine, chunk_size=value)
+        )
+    return dataclasses.replace(
+        cfg, controller=dataclasses.replace(cfg.controller, n_max=value)
+    )
 
 
 def cmd_sweep(args) -> int:
     base_cfg = load_run_config(args.config)
-    values = [v.strip() for v in args.sweep_values.split(",") if v.strip()]
-    if not values:
+    axis = args.sweep_axis
+    texts = [v.strip() for v in args.sweep_values.split(",") if v.strip()]
+    if not texts:
         raise ConfigError("sweep needs at least one value")
-    if args.sweep_axis not in SWEEP_AXES:
-        raise ConfigError(
-            f"unknown sweep axis '{args.sweep_axis}' (have: {', '.join(SWEEP_AXES)})"
-        )
+    if axis == "rate" and base_cfg.trace.generate is None:
+        raise ConfigError("rate sweep needs a generated trace")
+    base_cluster_data = read_json(base_cfg.cluster)
+    ClusterSpec.from_json_dict(base_cluster_data, f"{base_cfg.cluster}: $")
+    points = []  # every point is checked before the first one runs
+    for text in texts:
+        cluster_data = json.loads(json.dumps(base_cluster_data))
+        cfg = _apply_axis(base_cfg, cluster_data, axis, _sweep_value(axis, text))
+        ClusterSpec.from_json_dict(cluster_data, f"{base_cfg.cluster} at {axis}={text}: $")
+        points.append((text, cfg, cluster_data))
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
     rows = []
-    with base_cfg.cluster_path.open(encoding="utf-8") as fh:
-        base_cluster_data = json.load(fh)
-    for value in values:
-        cluster_data = json.loads(json.dumps(base_cluster_data))
-        cfg = _apply_axis(base_cfg, cluster_data, args.sweep_axis, value)
-        point_dir = out_root / f"{args.sweep_axis}={value}"
+    for text, cfg, cluster_data in points:
+        point_dir = out_root / f"{axis}={text}"
         point_dir.mkdir(parents=True, exist_ok=True)
         cluster_path = point_dir / "cluster.json"
         with cluster_path.open("w", encoding="utf-8") as fh:
             json.dump(cluster_data, fh, indent=2, sort_keys=True)
-        cfg.cluster_path = cluster_path
+        cfg = dataclasses.replace(cfg, cluster=str(cluster_path))
         result, report, _ = run_simulation(cfg, args.seed)
         _write_outputs(point_dir, result, report)
         rows.append(
             [
-                args.sweep_axis,
-                value,
+                axis,
+                text,
                 f"{report.throughput_tok_s:.6f}",
                 f"{report.ttft_mean_s:.6f}",
                 f"{report.ttft_p50_s:.6f}",
@@ -316,7 +362,7 @@ def cmd_sweep(args) -> int:
                 report.total_tokens,
             ]
         )
-        print(f"{args.sweep_axis}={value}: {report.throughput_tok_s:.3f} tok/s")
+        print(f"{axis}={text}: {report.throughput_tok_s:.3f} tok/s")
     combined = out_root / "combined.csv"
     with combined.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -327,14 +373,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    spec = ResourceSpec(args.gpu_type, args.gpu_count)
     cluster = load_cluster(args.cluster)
-    model_arg = args.model
-    if model_arg.endswith(".json") and Path(model_arg).exists():
-        with open(model_arg, encoding="utf-8") as fh:
-            model = resolve_model(json.load(fh))
+    if args.model.endswith(".json") and Path(args.model).exists():
+        model = decode(ModelSpec, read_json(args.model), f"{args.model}: $")
     else:
-        model = resolve_model(model_arg)
-    plan = plan_deployment(cluster, model, args.gpu_type, args.gpu_count)
+        model = resolve_model(args.model)
+    plan = plan_deployment(cluster, model, spec.gpu_type, spec.gpu_count)
     print(f"layer counts: {plan.layer_counts()}")
     print(plan.format_table())
     if args.json:
@@ -367,11 +412,18 @@ def _open_registry(args) -> ClusterRegistry:
     return registry
 
 
+def _listen_address(text: str) -> tuple[str, int]:
+    """``serve --listen``: ``[host:]port``, the host 127.0.0.1 when left out."""
+    host, _, port = text.rpartition(":")
+    if not (port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise argparse.ArgumentTypeError(f"expected [host:]port, got {text!r}")
+    return host or "127.0.0.1", int(port)
+
+
 def cmd_serve(args) -> int:
-    host, _, port = args.listen.rpartition(":")
-    host = host or "127.0.0.1"
+    host, port = args.listen
     registry = _open_registry(args)
-    server = make_server(registry, host, int(port))
+    server = make_server(registry, host, port)
     print(f"control API listening on {host}:{server.server_address[1]}")
     try:
         server.serve_forever()
@@ -398,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run one simulation from a config file")
     p_sim.add_argument("--config", required=True)
-    p_sim.add_argument("--seed", type=int, default=_env_int("PIPELINK_SEED"))
+    p_sim.add_argument("--seed", type=int, default=os.environ.get("PIPELINK_SEED") or None)
     p_sim.add_argument("--out", default=os.environ.get("PIPELINK_OUT", "out"))
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -411,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated axis values; bandwidth is in bytes per second "
         "(1.25e7 is 100 Mbit/s)",
     )
-    p_sweep.add_argument("--seed", type=int, default=_env_int("PIPELINK_SEED"))
+    p_sweep.add_argument("--seed", type=int, default=os.environ.get("PIPELINK_SEED") or None)
     p_sweep.add_argument("--out", default=os.environ.get("PIPELINK_OUT", "sweep"))
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -425,7 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser("serve", help="host the control API")
     p_serve.add_argument(
-        "--listen", default=os.environ.get("PIPELINK_LISTEN", "127.0.0.1:8080")
+        "--listen",
+        type=_listen_address,
+        default=os.environ.get("PIPELINK_LISTEN", "127.0.0.1:8080"),
     )
     p_serve.add_argument("--cluster", help=CLUSTER_HELP)
     p_serve.add_argument(
@@ -439,11 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    return int(raw) if raw else None
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -454,9 +503,6 @@ def main(argv=None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: bad JSON: {exc}", file=sys.stderr)
         return 2
     except PipelinkError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,6 +8,11 @@ torn last line, the trace of a crash in the middle of an append) and journals
 every later change, including the nodes of ``--cluster`` on a fresh one.  The
 HTTP layer is a thin translation between the registry methods and the JSON
 wire format.
+
+Request bodies and journal records are decoded by :mod:`pipelink.decode`
+into the dataclasses below and in :mod:`pipelink.placement`.  Every body that
+fails its schema gets 400 with the JSON path of the value at fault, before
+anything is journaled.
 """
 
 from __future__ import annotations
@@ -22,7 +27,9 @@ import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from typing import ClassVar
 
+from .decode import decode, encode
 from .errors import ConfigError, PipelinkError, PlacementError, RegistryError
 from .placement import (
     MODEL_PRESETS,
@@ -30,10 +37,7 @@ from .placement import (
     ModelSpec,
     NodeDescriptor,
     PartitionPlan,
-    link_from_json,
-    link_to_json,
-    node_from_json,
-    node_to_json,
+    ResourceSpec,
     plan_deployment,
 )
 from .profiles import LinkProfile
@@ -63,10 +67,63 @@ class ServiceRecord:
         }
 
 
-# POST /services body and its resource_specification, version 1.
-# resource_specification: {"gpu_type": str, "gpu_count": int}
-SERVICE_BODY_KEYS = {"service_name", "model_name", "resource_specification"}
-RESOURCE_SPEC_KEYS = {"gpu_type", "gpu_count"}
+@dataclass(frozen=True)
+class ServiceRequest:
+    """A ``POST /services`` body; ``deploy_llm_service`` decodes its resource spec."""
+
+    service_name: str
+    model_name: str
+    resource_specification: dict
+
+
+# Journal records, one schema per "op": the registry method that a record
+# redoes is the one that journals it.
+
+
+@dataclass(frozen=True)
+class _NodeAccess:
+    op: ClassVar[str] = "node_access"
+    node: NodeDescriptor
+    links: tuple[LinkProfile, ...] = ()
+
+    def redo(self, registry: ClusterRegistry) -> None:
+        registry.node_access(self.node, links=self.links)
+
+
+@dataclass(frozen=True)
+class _NodeExit:
+    op: ClassVar[str] = "node_exit"
+    name: str
+    cascade: bool = False
+
+    def redo(self, registry: ClusterRegistry) -> None:
+        registry.node_exit(self.name, cascade=self.cascade)
+
+
+@dataclass(frozen=True)
+class _Deploy(ServiceRequest):
+    op: ClassVar[str] = "deploy"
+    api_key: str
+
+    def redo(self, registry: ClusterRegistry) -> None:
+        registry.deploy_llm_service(
+            self.service_name,
+            self.model_name,
+            self.resource_specification,
+            _api_key=self.api_key,
+        )
+
+
+@dataclass(frozen=True)
+class _Delete:
+    op: ClassVar[str] = "delete"
+    service_name: str
+
+    def redo(self, registry: ClusterRegistry) -> None:
+        registry.delete_llm_service(self.service_name)
+
+
+_JOURNAL_RECORDS = {rec.op: rec for rec in (_NodeAccess, _NodeExit, _Deploy, _Delete)}
 
 
 class ClusterRegistry:
@@ -90,11 +147,12 @@ class ClusterRegistry:
 
     # -- journal -----------------------------------------------------------
 
-    def _journal(self, record: dict) -> None:
+    def _journal(self, record) -> None:
         if self._journal_path is None:
             return
+        line = json.dumps({"op": record.op, **encode(record)}, sort_keys=True)
         with self._journal_path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write(line + "\n")
             fh.flush()
 
     @classmethod
@@ -117,14 +175,14 @@ class ClusterRegistry:
             for lineno, line in enumerate(fh, start=1):
                 try:
                     rec = json.loads(line) if line.strip() else None
-                except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+                except (ValueError, RecursionError) as exc:  # also bytes that are not text
                     if line.endswith(b"\n"):
                         raise ConfigError(f"{path}: line {lineno}: {exc}") from None
                     break  # only the last line can lack a newline: a torn append
                 try:
                     if rec is not None:
                         registry._apply(rec)
-                except (KeyError, TypeError, ValueError, PipelinkError) as exc:
+                except PipelinkError as exc:
                     raise ConfigError(
                         f"{path}: line {lineno}: {type(exc).__name__}: {exc}"
                     ) from None
@@ -134,27 +192,19 @@ class ClusterRegistry:
         registry._journal_path = path
         return registry
 
-    def _apply(self, rec: dict) -> None:
-        """Redo one journal record; a deploy record's other keys are not read."""
-        op = rec["op"]
-        if op == "node_access":
-            self.node_access(
-                node_from_json(rec["node"]),
-                links=[link_from_json(l) for l in rec.get("links", [])],
+    def _apply(self, rec) -> None:
+        """Redo one journal record, decoded by the schema of its ``op``."""
+        rec = dict(decode(dict, rec))
+        op = rec.pop("op", None)
+        if op == "deploy":  # journaled by versions that took them; never applied
+            rec.pop("inference_parameters", None)
+        schema = _JOURNAL_RECORDS.get(op) if type(op) is str else None
+        if schema is None:
+            raise ConfigError(
+                f"$.op: expected one of {', '.join(map(repr, _JOURNAL_RECORDS))}, "
+                f"got {op!r:.60}"
             )
-        elif op == "node_exit":
-            self.node_exit(rec["name"], cascade=rec.get("cascade", False))
-        elif op == "deploy":
-            self.deploy_llm_service(
-                rec["service_name"],
-                rec["model_name"],
-                rec["resource_specification"],
-                _api_key=rec["api_key"],
-            )
-        elif op == "delete":
-            self.delete_llm_service(rec["service_name"])
-        else:
-            raise ValueError(f"unknown op {op!r}")
+        decode(schema, rec).redo(self)
 
     # -- node management ---------------------------------------------------
 
@@ -173,13 +223,7 @@ class ClusterRegistry:
             self._cluster.nodes[node.name] = node
             for link in links or []:
                 self._cluster.links[(link.src, link.dst)] = link
-            self._journal(
-                {
-                    "op": "node_access",
-                    "node": node_to_json(node),
-                    "links": [link_to_json(l) for l in links or []],
-                }
-            )
+            self._journal(_NodeAccess(node, tuple(links or ())))
 
     def check_node_status(self, name: str) -> dict:
         with self._lock:
@@ -188,7 +232,7 @@ class ClusterRegistry:
                 raise RegistryError("not_found", f"unknown node {name}")
             return {
                 "name": node.name,
-                "metadata": node_to_json(node),
+                "metadata": encode(node),
                 "hosting": self._assignments.get(name),
             }
 
@@ -211,7 +255,7 @@ class ClusterRegistry:
                 for key, link in self._cluster.links.items()
                 if name not in key
             }
-            self._journal({"op": "node_exit", "name": name, "cascade": cascade})
+            self._journal(_NodeExit(name, cascade))
 
     # -- service lifecycle --------------------------------------------------
 
@@ -241,16 +285,12 @@ class ClusterRegistry:
         *,
         _api_key: str | None = None,
     ) -> ServiceRecord:
-        for label, value, kind in (
-            ("service_name", service_name, str),
-            ("model_name", model_name, str),
-            ("resource_specification", resource_specification, dict),
-        ):
-            if not isinstance(value, kind):
-                raise RegistryError(
-                    "invalid",
-                    f"{label} must be a {kind.__name__}, not {type(value).__name__}",
-                )
+        """Plan a service on free nodes and record it.
+
+        ``resource_specification`` is the JSON object of a service body; one
+        that does not decode as a ResourceSpec raises :class:`ConfigError`.
+        """
+        spec = decode(ResourceSpec, resource_specification, "$.resource_specification")
         with self._lock:
             active = self._services.get(service_name)
             if active is not None and active.state is not ServiceState.DELETED:
@@ -259,19 +299,11 @@ class ClusterRegistry:
                 )
             if model_name not in self._catalog:
                 raise RegistryError("invalid", f"unknown model {model_name}")
-            unknown = set(resource_specification) - RESOURCE_SPEC_KEYS
-            if unknown or "gpu_type" not in resource_specification:
-                raise RegistryError(
-                    "invalid",
-                    f"resource_specification needs gpu_type/gpu_count, got {sorted(resource_specification)}",
-                )
             model = self._catalog[model_name]
-            gpu_type = resource_specification["gpu_type"]
-            gpu_count = resource_specification.get("gpu_count", 1)
-            if type(gpu_count) is not int or gpu_count < 1:  # rejects bools too
-                raise RegistryError("invalid", "gpu_count must be an integer >= 1")
             try:
-                plan = plan_deployment(self._free_subcluster(), model, gpu_type, gpu_count)
+                plan = plan_deployment(
+                    self._free_subcluster(), model, spec.gpu_type, spec.gpu_count
+                )
             except PlacementError as exc:
                 raise RegistryError(
                     "placement_failed", str(exc), details={"model": model_name}
@@ -288,13 +320,7 @@ class ClusterRegistry:
             for node_name in plan.node_names():
                 self._assignments[node_name] = service_name
             self._journal(
-                {
-                    "op": "deploy",
-                    "service_name": service_name,
-                    "model_name": model_name,
-                    "resource_specification": resource_specification,
-                    "api_key": record.api_key,
-                }
+                _Deploy(service_name, model_name, resource_specification, record.api_key)
             )
             return record
 
@@ -321,7 +347,7 @@ class ClusterRegistry:
                 for node, svc in self._assignments.items()
                 if svc != service_name
             }
-            self._journal({"op": "delete", "service_name": service_name})
+            self._journal(_Delete(service_name))
 
     # -- introspection -------------------------------------------------------
 
@@ -408,7 +434,7 @@ class _Handler(BaseHTTPRequestHandler):
             return {}
         try:
             body = json.loads(self.rfile.read(length))
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+        except (ValueError, RecursionError) as exc:  # also bytes that are not text
             raise RegistryError("invalid", f"bad JSON body: {exc}") from None
         if not isinstance(body, dict):
             raise RegistryError("invalid", "JSON body must be an object")
@@ -422,11 +448,8 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             if self.command == "POST" and parts == ["nodes"]:
                 body = self._read_body()
-                try:
-                    links = [link_from_json(l) for l in body.pop("links", [])]
-                    node = node_from_json(body)
-                except (KeyError, TypeError, ValueError, ConfigError) as exc:
-                    raise RegistryError("invalid", f"bad node descriptor: {exc}") from None
+                links = decode(tuple[LinkProfile, ...], body.pop("links", []), "$.links")
+                node = decode(NodeDescriptor, body)
                 registry.node_access(node, links=links)
                 self._send_json(201, registry.check_node_status(node.name))
             elif self.command == "GET" and len(parts) == 2 and parts[0] == "nodes":
@@ -436,20 +459,10 @@ class _Handler(BaseHTTPRequestHandler):
                 registry.node_exit(parts[1], cascade=cascade)
                 self._send_json(200, {"deleted": parts[1]})
             elif self.command == "POST" and parts == ["services"]:
-                body = self._read_body()
-                unknown = set(body) - SERVICE_BODY_KEYS
-                if unknown:
-                    raise RegistryError(
-                        "invalid", f"unknown service fields {sorted(unknown)}, not applied"
-                    )
-                try:
-                    record = registry.deploy_llm_service(
-                        body["service_name"],
-                        body["model_name"],
-                        body.get("resource_specification", {}),
-                    )
-                except KeyError as exc:
-                    raise RegistryError("invalid", f"missing field {exc}") from None
+                req = decode(ServiceRequest, self._read_body())
+                record = registry.deploy_llm_service(
+                    req.service_name, req.model_name, req.resource_specification
+                )
                 self._send_json(201, record.status_dict())
             elif (
                 self.command == "GET"
@@ -471,6 +484,8 @@ class _Handler(BaseHTTPRequestHandler):
                 )
         except RegistryError as exc:
             self._send_error_body(exc)
+        except ConfigError as exc:
+            self._send_error_body(RegistryError("invalid", str(exc)))
 
     do_GET = do_POST = do_DELETE = _route
 

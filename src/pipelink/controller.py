@@ -35,8 +35,8 @@ class BudgetMode(enum.Enum):
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    max_batched_tokens: int
-    max_batch_size: int
+    max_batched_tokens: int = 2048
+    max_batch_size: int = 64
     n_max: int | None = None  # None: 2 x pipeline depth
     bubble_epsilon: float = 0.02
     gain_delta: float = 0.01

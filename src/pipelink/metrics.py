@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .decode import encode
 from .errors import ConfigError
 from .workload import Request, RequestState
 
@@ -40,18 +41,6 @@ class MetricsReport:
         if self.ttft_p50_s > self.ttft_p99_s:
             raise ConfigError("percentiles out of order (p50 > p99)")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "throughput_tok_s": self.throughput_tok_s,
-            "ttft_mean_s": self.ttft_mean_s,
-            "ttft_p50_s": self.ttft_p50_s,
-            "ttft_p99_s": self.ttft_p99_s,
-            "tpot_mean_s": self.tpot_mean_s,
-            "bubble_fraction_per_stage": list(self.bubble_fraction_per_stage),
-            "span_s": self.span_s,
-            "total_tokens": self.total_tokens,
-        }
-
     def format_table(self) -> str:
         rows = [
             ("throughput (tok/s)", f"{self.throughput_tok_s:.6f}"),
@@ -71,7 +60,7 @@ class MetricsReport:
 
 def write_report_json(report: MetricsReport, path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
+        json.dump(encode(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import enum
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .decode import decode, encode, json_field, read_json
 from .errors import ConfigError, PlacementError
 from .profiles import LinkProfile
 from .transport import transfer_ns
@@ -29,13 +29,13 @@ class NodeDescriptor:
     """A worker node: hardware inventory plus relative performance scores."""
 
     name: str
-    platform: Platform
+    platform: Platform = json_field(default=Platform.LINUX)
     gpu_type: str
     gpu_count: int
     gpu_mem_bytes: int
-    capacity_score: float
-    cpu_score: float
-    network_score: float
+    capacity_score: float = json_field(default=1.0)
+    cpu_score: float = json_field(default=1.0)
+    network_score: float = json_field(default=1.0)
 
     def __post_init__(self) -> None:
         if self.gpu_count < 1:
@@ -70,79 +70,41 @@ class ClusterSpec:
         return self.links.get((src, dst))
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "ClusterSpec":
-        nodes = {}
-        for entry in data.get("nodes", []):
-            node = node_from_json(entry)
+    def from_json_dict(cls, data, path: str = "$") -> "ClusterSpec":
+        """Decode the JSON form, ``{"nodes": [...], "links": [...]}``."""
+        doc = decode(_ClusterFile, data, path)
+        nodes: dict[str, NodeDescriptor] = {}
+        for i, node in enumerate(doc.nodes):
             if node.name in nodes:
-                raise ConfigError(f"duplicate node name {node.name}")
+                raise ConfigError(f"{path}.nodes[{i}]: duplicate node name {node.name}")
             nodes[node.name] = node
-        links = {}
-        for entry in data.get("links", []):
-            link = link_from_json(entry)
-            key = (link.src, link.dst)
-            if key in links:
-                raise ConfigError(f"duplicate link {link.src}->{link.dst}")
-            links[key] = link
-        return cls(nodes=nodes, links=links)
+        links: dict[tuple[str, str], LinkProfile] = {}
+        for i, link in enumerate(doc.links):
+            if (link.src, link.dst) in links:
+                raise ConfigError(f"{path}.links[{i}]: duplicate link {link.name}")
+            links[(link.src, link.dst)] = link
+        try:
+            return cls(nodes=nodes, links=links)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
     def to_json_dict(self) -> dict:
-        return {
-            "nodes": [node_to_json(n) for _, n in sorted(self.nodes.items())],
-            "links": [link_to_json(l) for _, l in sorted(self.links.items())],
-        }
+        return encode(_ClusterFile(
+            tuple(n for _, n in sorted(self.nodes.items())),
+            tuple(l for _, l in sorted(self.links.items())),
+        ))
 
 
-# The one JSON form of a node and of a link: cluster files, control API, journal.
+@dataclass(frozen=True)
+class _ClusterFile:
+    """The JSON form of a cluster, as in cluster files: lists of nodes and links."""
 
-
-def node_to_json(node: NodeDescriptor) -> dict:
-    return {
-        "name": node.name,
-        "platform": node.platform.value,
-        "gpu_type": node.gpu_type,
-        "gpu_count": node.gpu_count,
-        "gpu_mem_bytes": node.gpu_mem_bytes,
-        "capacity_score": node.capacity_score,
-        "cpu_score": node.cpu_score,
-        "network_score": node.network_score,
-    }
-
-
-def node_from_json(data: dict) -> NodeDescriptor:
-    return NodeDescriptor(
-        name=data["name"],
-        platform=Platform(data.get("platform", "linux")),
-        gpu_type=data["gpu_type"],
-        gpu_count=int(data["gpu_count"]),
-        gpu_mem_bytes=int(data["gpu_mem_bytes"]),
-        capacity_score=float(data.get("capacity_score", 1.0)),
-        cpu_score=float(data.get("cpu_score", 1.0)),
-        network_score=float(data.get("network_score", 1.0)),
-    )
-
-
-def link_to_json(link: LinkProfile) -> dict:
-    return {
-        "from": link.src,
-        "to": link.dst,
-        "latency_s": link.latency_s,
-        "bandwidth_bps": link.bandwidth_bps,
-    }
-
-
-def link_from_json(data: dict) -> LinkProfile:
-    return LinkProfile(
-        src=data["from"],
-        dst=data["to"],
-        latency_s=float(data["latency_s"]),
-        bandwidth_bps=float(data["bandwidth_bps"]),
-    )
+    nodes: tuple[NodeDescriptor, ...] = ()
+    links: tuple[LinkProfile, ...] = ()
 
 
 def load_cluster(path: str | Path) -> ClusterSpec:
-    with Path(path).open(encoding="utf-8") as fh:
-        return ClusterSpec.from_json_dict(json.load(fh))
+    return ClusterSpec.from_json_dict(read_json(path), f"{path}: $")
 
 
 @dataclass(frozen=True)
@@ -193,23 +155,28 @@ MODEL_PRESETS: dict[str, ModelSpec] = {
 }
 
 
-def resolve_model(spec: str | dict | ModelSpec) -> ModelSpec:
+def resolve_model(spec: str | ModelSpec) -> ModelSpec:
+    """A model given by preset name, or the model itself."""
     if isinstance(spec, ModelSpec):
         return spec
-    if isinstance(spec, str):
-        try:
-            return MODEL_PRESETS[spec]
-        except KeyError:
-            raise ConfigError(
-                f"unknown model preset '{spec}' (have: {', '.join(sorted(MODEL_PRESETS))})"
-            ) from None
-    return ModelSpec(
-        name=spec["name"],
-        num_layers=int(spec["num_layers"]),
-        hidden_dim=int(spec["hidden_dim"]),
-        dtype_bytes=int(spec["dtype_bytes"]),
-        bytes_per_layer=int(spec["bytes_per_layer"]),
-    )
+    try:
+        return MODEL_PRESETS[spec]
+    except KeyError:
+        raise ConfigError(
+            f"unknown model preset '{spec}' (have: {', '.join(sorted(MODEL_PRESETS))})"
+        ) from None
+
+
+@dataclass(frozen=True)
+class ResourceSpec:
+    """What a pipeline needs: run-config ``placement``, a service's ``resource_specification``."""
+
+    gpu_type: str
+    gpu_count: int = 1
+
+    def __post_init__(self) -> None:
+        if self.gpu_count < 1:
+            raise ConfigError("gpu_count must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .decode import json_field
 from .errors import ConfigError, ProfileError
 
 
@@ -63,9 +64,9 @@ class StageProfile:
                     raise ConfigError(
                         f"stage {self.stage_id}: batched_tokens must be >= 1"
                     )
-                if seconds <= 0:
+                if not (math.isfinite(seconds) and seconds > 0):
                     raise ConfigError(
-                        f"stage {self.stage_id}: compute seconds must be > 0"
+                        f"stage {self.stage_id}: compute seconds must be finite and > 0"
                     )
                 if seconds < prev:
                     raise ConfigError(
@@ -93,8 +94,8 @@ class LinkProfile:
     ``bandwidth_bps`` finite and > 0.
     """
 
-    src: str
-    dst: str
+    src: str = json_field(key="from")
+    dst: str = json_field(key="to")
     latency_s: float
     bandwidth_bps: float
 
@@ -178,7 +179,8 @@ def load_stage_profiles(path: str | Path) -> dict[int, StageProfile]:
     """Read the profile CSV ``stage_id,phase,batched_tokens,seconds``."""
     path = Path(path)
     raw: dict[int, dict[tuple[Phase, int], float]] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
+    # Bytes that are not UTF-8 become U+FFFD, so the row holding them is refused.
+    with path.open(newline="", encoding="utf-8", errors="replace") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != [
@@ -199,10 +201,13 @@ def load_stage_profiles(path: str | Path) -> dict[int, StageProfile]:
             except (ValueError, IndexError) as exc:
                 raise ProfileError(f"{path}: line {lineno}: {exc}") from None
             raw.setdefault(stage_id, {})[(phase, tokens)] = seconds
-    profiles = {}
-    for stage_id, entries in sorted(raw.items()):
-        profiles[stage_id] = StageProfile(stage_id=stage_id, layers=1, entries=entries)
-    return profiles
+    try:
+        return {
+            stage_id: StageProfile(stage_id=stage_id, layers=1, entries=entries)
+            for stage_id, entries in sorted(raw.items())
+        }
+    except ConfigError as exc:
+        raise ProfileError(f"{path}: {exc}") from None
 
 
 def save_stage_profiles(profiles: dict[int, StageProfile], path: str | Path) -> None:

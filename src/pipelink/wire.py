@@ -98,6 +98,7 @@ class SocketLinkSender(threading.Thread):
         self._offsets: dict[int, int] = {}
         self._cond = threading.Condition()
         self._closing = False
+        self._error: OSError | None = None  # why the worker stopped early
 
     def send(self, payload: Payload, body: bytes) -> None:
         if len(body) != payload.size_bytes:
@@ -112,6 +113,8 @@ class SocketLinkSender(threading.Thread):
                 f"payload {payload.id}: {chunk}-byte chunks exceed the frame limit"
             )
         with self._cond:
+            if self._error is not None:
+                raise ProtocolError(f"{self.name}: peer gone: {self._error}")
             if self._closing:
                 raise ProtocolError("sender is closing")
             self._queue.enqueue(payload)
@@ -160,8 +163,11 @@ class SocketLinkSender(threading.Thread):
                 else:
                     self._offsets[chunk.payload_id] = offset + chunk.size_bytes
             self._sock.sendall(encode_frame(0, 0, FLAG_SHUTDOWN, b""))
-        except OSError:
-            pass  # peer gone; receiver side surfaces the failure
+        except OSError as exc:
+            with self._cond:  # later sends fail instead of queueing for nobody
+                self._error = exc
+                self._bodies.clear()
+                self._offsets.clear()
 
 
 def receive_payloads(sock: socket.socket, on_payload) -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import bisect
 import csv
 import enum
+import math
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -161,10 +162,10 @@ def generate_trace(
     Deterministic for a fixed seed: gaps and lengths are drawn from one
     seeded generator in a fixed order (gap, input_len, output_len).
     """
-    if rate <= 0:
-        raise ConfigError("rate must be > 0")
-    if duration < 0:
-        raise ConfigError("duration must be >= 0")
+    if not (math.isfinite(rate) and rate > 0):
+        raise ConfigError("rate must be finite and > 0")
+    if not (math.isfinite(duration) and duration >= 0):
+        raise ConfigError("duration must be finite and >= 0")
     rng = random.Random(seed)
     requests: list[Request] = []
     t = 0.0
@@ -193,7 +194,8 @@ def load_trace(path: str | Path) -> Trace:
     """
     path = Path(path)
     requests: list[Request] = []
-    with path.open(newline="", encoding="utf-8") as fh:
+    # Bytes that are not UTF-8 become U+FFFD, so the row holding them is refused.
+    with path.open(newline="", encoding="utf-8", errors="replace") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -215,6 +217,8 @@ def load_trace(path: str | Path) -> Trace:
                 output_len = int(row[2])
             except ValueError as exc:
                 raise TraceError(f"{path}: line {lineno}: {exc}") from None
+            if not math.isfinite(arrival):
+                raise TraceError(f"{path}: line {lineno}: arrival_s must be finite")
             if arrival < last_arrival:
                 raise TraceError(
                     f"{path}: line {lineno}: arrival_s decreases ({arrival} < {last_arrival})"

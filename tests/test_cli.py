@@ -44,8 +44,7 @@ def write_run_config(path, cluster="cluster.json", trace=None, **overrides):
         "filter": {"max_input": 256, "max_output": 64},
         "profiles": {"synthetic": {"per_layer_token_cost": 1e-6,
                                    "overhead_s": 0.0005}},
-        "engine": {"chunk_size": 4096, "scheduling_policy": "decode_priority",
-                   "seed": 7},
+        "engine": {"chunk_size": 4096, "scheduling_policy": "decode_priority"},
         "controller": {"max_batched_tokens": 256, "max_batch_size": 16},
     }
     config.update(overrides)
@@ -292,3 +291,192 @@ def test_serve_port_in_use_fails(workdir):
         assert proc.returncode != 0
     finally:
         blocker.close()
+
+
+# -- malformed input exits 2 and names the JSON path ----------------------------
+
+
+def _set(*keys, value):
+    """A change that sets data[keys[0]][keys[1]]... to value (``...`` drops the key)."""
+    def change(data):
+        *parents, last = keys
+        for key in parents:
+            data = data[key]
+        if value is ...:
+            del data[last]
+        else:
+            data[last] = value
+    return change
+
+
+@pytest.mark.parametrize(
+    "file, change, where",
+    [
+        ("run.json", _set("controller", "max_batch_size", value="abc"),
+         "$.controller.max_batch_size: expected an integer"),
+        ("run.json", _set("controller", "max_batched_tokens", value=True),
+         "$.controller.max_batched_tokens: expected an integer"),
+        ("run.json", _set("controller", "mode", value="bogus"), "$.controller.mode:"),
+        ("run.json", _set("trace", "generate", "rate", value=...),
+         "$.trace.generate: missing key 'rate'"),
+        ("run.json", _set("trace", "generate", "output_buckets", value=[[4, 40]]),
+         "$.trace.generate.output_buckets[0]: expected a list of 3 items"),
+        ("run.json", _set("contoller", value={}), "$: unknown key 'contoller'"),
+        ("run.json", _set("engine", "chunk_sz", value=5), "$.engine: unknown key 'chunk_sz'"),
+        ("run.json", _set("engine", "seed", value=7), "$.engine: unknown key 'seed'"),
+        ("run.json", _set("trace", "generate", "duration", value=float("inf")),
+         "$.trace.generate.duration: expected a finite number"),
+        ("run.json", _set("trace", "generate", "rate", value=float("nan")),
+         "$.trace.generate.rate: expected a finite number"),
+        ("run.json", _set("placement", "gpu_count", value=0),
+         "$.placement: gpu_count must be >= 1"),
+        ("run.json", _set("filter", "max_input", value=256.0), "$.filter.max_input:"),
+        ("run.json", _set("model", value={"name": "m", "num_layers": 4}),
+         "$.model: missing key 'hidden_dim'"),
+        ("cluster.json", _set("nodes", 0, "platform", value="mac"), "$.nodes[0].platform:"),
+        ("cluster.json", _set("nodes", 0, "capacity_scor", value=2.0),
+         "$.nodes[0]: unknown key 'capacity_scor'"),
+        ("cluster.json", _set("nodes", 0, "gpu_count", value=1.9),
+         "$.nodes[0].gpu_count: expected an integer"),
+        ("cluster.json", _set("nodes", 0, "gpu_mem_bytes", value="4096"),
+         "$.nodes[0].gpu_mem_bytes: expected an integer"),
+        ("cluster.json", _set("nodes", 0, "name", value=5),
+         "$.nodes[0].name: expected a string"),
+        ("cluster.json", _set("links", 0, "latency_s", value="0.005"),
+         "$.links[0].latency_s: expected a number"),
+    ],
+    ids=["batch-size-text", "tokens-bool", "mode-bogus", "generate-no-rate",
+         "bucket-of-two", "misspelt-controller", "misspelt-chunk-size", "engine-seed",
+         "duration-infinity", "rate-nan", "gpu-count-zero", "filter-float",
+         "model-incomplete", "platform-mac", "misspelt-capacity", "gpu-count-float",
+         "gpu-mem-text", "node-name-int", "latency-text"],
+)
+def test_malformed_input_exits_2_naming_its_json_path(workdir, capsys, file, change, where):
+    data = json.loads((workdir / file).read_text())
+    change(data)
+    (workdir / file).write_text(json.dumps(data))
+    rc = main(["simulate", "--config", str(workdir / "run.json"),
+               "--out", str(workdir / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {workdir / file}: ") and where in err, err
+
+
+@pytest.mark.parametrize(
+    "file, text, message",
+    [
+        ("trace.csv", "arrival_s,input_tokens,output_tokens\n0.1,4,4\nnan,4,4\n",
+         "line 3: arrival_s must be finite"),
+        ("trace.csv", "arrival_s,input_tokens,output_tokens\ninf,4,4\n",
+         "line 2: arrival_s must be finite"),
+        ("profiles.csv", "stage_id,phase,batched_tokens,seconds\n"
+         "0,prefill,1,0.001\n0,prefill,64,nan\n", "seconds must be finite"),
+        ("profiles.csv", "stage_id,phase,batched_tokens,seconds\n"
+         "0,decode,1,0.001\n0,decode,64,inf\n", "seconds must be finite"),
+    ],
+    ids=["trace-nan", "trace-inf", "profile-nan", "profile-inf"],
+)
+def test_non_finite_csv_numbers_exit_2(workdir, capsys, file, text, message):
+    (workdir / file).write_text(text)
+    block = "trace" if file == "trace.csv" else "profiles"
+    write_run_config(workdir / "run.json", **{block: {"path": file}})
+    rc = main(["simulate", "--config", str(workdir / "run.json"),
+               "--out", str(workdir / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2 and message in err and file in err, err
+
+
+@pytest.mark.parametrize(
+    "file, text, message",
+    [
+        ("trace.csv", b"arrival_s,input_tokens,output_tokens\n0.1,4,4\n\xff,4,4\n", "line 3"),
+        ("profiles.csv", b"stage_id,phase,batched_tokens,seconds\n0,prefill,1,\xff\n", "line 2"),
+    ],
+    ids=["trace", "profile"],
+)
+def test_csv_that_is_not_utf8_exits_2(workdir, capsys, file, text, message):
+    (workdir / file).write_bytes(text)
+    block = "trace" if file == "trace.csv" else "profiles"
+    write_run_config(workdir / "run.json", **{block: {"path": file}})
+    rc = main(["simulate", "--config", str(workdir / "run.json"),
+               "--out", str(workdir / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2 and f"{file}: {message}" in err, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve", "--listen", "foo"],
+        ["serve", "--listen", "127.0.0.1:70000"],
+    ],
+    ids=["listen-no-port", "listen-port-too-large"],
+)
+def test_bad_options_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("seed", ["x", "1.5"])
+def test_bad_seed_in_environment_is_a_usage_error(workdir, monkeypatch, seed):
+    monkeypatch.setenv("PIPELINK_SEED", seed)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(workdir / "run.json"),
+              "--out", str(workdir / "out")])
+    assert exc.value.code == 2
+
+
+def test_seed_from_environment_is_used(workdir, monkeypatch):
+    monkeypatch.setenv("PIPELINK_SEED", "3")
+    assert main(["simulate", "--config", str(workdir / "run.json"),
+                 "--out", str(workdir / "env")]) == 0
+    monkeypatch.delenv("PIPELINK_SEED")
+    assert main(["simulate", "--config", str(workdir / "run.json"),
+                 "--seed", "3", "--out", str(workdir / "flag")]) == 0
+    assert digest(workdir / "env" / "report.json") == digest(workdir / "flag" / "report.json")
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_plan_gpu_count_below_one_exits_2(workdir, capsys, count):
+    rc = main(["plan", "--cluster", str(workdir / "cluster.json"), "--model", "tiny-4l",
+               "--gpu-type", "rtx4090", "--gpu-count", count])
+    assert rc == 2
+    assert "gpu_count must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "axis, values, where",
+    [
+        ("bandwidth", "1e8,abc", "--sweep-values bandwidth=abc: expected a number"),
+        ("latency", "nan", "--sweep-values latency=nan: expected a number"),
+        ("chunk_size", "1.5e3", "--sweep-values chunk_size=1.5e3: expected an integer"),
+        ("chunk_size", "4096,none", "--sweep-values chunk_size=none: expected an integer"),
+        ("n_max", "2.7", "--sweep-values n_max=2.7: expected an integer"),
+        ("n_max", "4,0", "n_max must be >= 1"),
+        ("bandwidth", "1e8,0",
+         "cluster.json at bandwidth=0: $.links[0]: link alpha->beta: bandwidth must be"),
+        ("rate", "1e400", "--sweep-values rate=1e400: expected a finite number"),
+        ("latency", "[" * 100_000, "expected a number, got '[[["),
+    ],
+    ids=["bandwidth-text", "latency-nan", "chunk-float", "chunk-none", "n-max-float",
+         "n-max-zero", "bandwidth-zero", "rate-infinite", "nested-too-deep"],
+)
+def test_bad_sweep_values_exit_2_before_any_point_runs(workdir, capsys, axis, values, where):
+    rc = main(["sweep", "--config", str(workdir / "run.json"), "--sweep-axis", axis,
+               "--sweep-values", values, "--out", str(workdir / "s")])
+    err = capsys.readouterr().err
+    assert rc == 2 and where in err, err
+    assert not (workdir / "s").exists()
+
+
+def test_sweep_point_clusters_carry_the_decoded_value(workdir):
+    values = ["100000000", "1.25e7", "2e9"]
+    assert main(["sweep", "--config", str(workdir / "run.json"), "--sweep-axis", "bandwidth",
+                 "--sweep-values", ",".join(values), "--out", str(workdir / "s")]) == 0
+    base = json.loads((workdir / "cluster.json").read_text())
+    for value in values:
+        for link in base["links"]:
+            link["bandwidth_bps"] = float(value)
+        written = (workdir / "s" / f"bandwidth={value}" / "cluster.json").read_text()
+        assert written == json.dumps(base, indent=2, sort_keys=True)

@@ -173,8 +173,15 @@ def test_replay_drops_torn_last_line(tmp_path):
 @pytest.mark.parametrize(
     "bad_line",
     [b"not json\n", b'{"op": "node_ex\n', b'{"op": "reboot"}\n', b"[1]\n",
-     b'{"op": "node_exit"}\n'],
-    ids=["not-json", "torn-but-not-last", "unknown-op", "not-an-object", "no-name"],
+     b'{"op": "node_exit"}\n',
+     b'{"op": "node_exit", "name": "n0", "cascade": "yes"}\n',
+     b'{"op": "node_access", "node": {"name": "n2", "gpu_type": "g", "gpu_count": 1.5, '
+     b'"gpu_mem_bytes": 1}}\n',
+     b'{"op": "node_access", "node": {"name": 5, "gpu_type": "g", "gpu_count": 1, '
+     b'"gpu_mem_bytes": 1}}\n',
+     b"[" * 100_000 + b"\n"],
+    ids=["not-json", "torn-but-not-last", "unknown-op", "not-an-object", "no-name",
+         "cascade-text", "gpu-count-float", "node-name-int", "nested-too-deep"],
 )
 def test_replay_bad_middle_line_names_it(tmp_path, bad_line):
     journal = tmp_path / "registry.jsonl"
@@ -300,6 +307,18 @@ def test_http_bad_content_length_is_invalid(http_server, length):
         conn.close()
 
 
+def test_http_body_nested_too_deep_is_invalid(http_server):
+    reg, base = http_server
+    conn = http.client.HTTPConnection(base.removeprefix("http://"), timeout=10)
+    try:
+        conn.request("POST", "/nodes", body=b"[" * 100_000)
+        resp = conn.getresponse()
+        assert resp.status == 400 and json.loads(resp.read())["code"] == "invalid"
+    finally:
+        conn.close()
+    assert call(base, "POST", "/nodes", _W0)[0] == 201
+
+
 _W0 = {"name": "w0", "gpu_type": "rtx4090", "gpu_count": 1, "gpu_mem_bytes": 8 * GB}
 
 
@@ -416,11 +435,12 @@ def test_invariants_fail_on_link_to_unregistered_node():
         {"service_name": [1]},
         {"service_name": {"a": 1}},
         {"model_name": [1]},
+        {"resource_specification": {"gpu_type": 5}},
     ],
     ids=["spec-int", "spec-list", "params-int", "params-list", "params-object",
          "gpu-count-text",
          "gpu-count-null", "gpu-count-zero", "gpu-count-negative", "gpu-count-float",
-         "gpu-count-bool", "name-list", "name-object", "model-list"],
+         "gpu-count-bool", "name-list", "name-object", "model-list", "gpu-type-int"],
 )
 def test_http_badly_typed_service_is_invalid_and_not_journaled(journaled_server, change):
     reg, base, journal = journaled_server
@@ -469,3 +489,83 @@ def test_node_journal_bytes_and_replay_are_stable(tmp_path):
     assert restored.snapshot()["nodes"] == ["a", "b"]
     assert restored.check_node_status("b") == reg.check_node_status("b")
     assert restored._cluster.links == reg._cluster.links
+
+
+@pytest.mark.parametrize(
+    "change, where",
+    [
+        ({"name": 5}, "$.name: expected a string"),
+        ({"gpu_count": 1.9}, "$.gpu_count: expected an integer"),
+        ({"gpu_count": True}, "$.gpu_count: expected an integer"),
+        ({"gpu_mem_bytes": "4096"}, "$.gpu_mem_bytes: expected an integer"),
+        ({"platform": "mac"}, "$.platform: expected one of 'linux'"),
+        ({"capacity_scor": 2.0}, "$: unknown key 'capacity_scor'"),
+        ({"links": [{"from": "w", "to": "n0", "latency_s": "0.01", "bandwidth_bps": 1e9}]},
+         "$.links[0].latency_s: expected a number"),
+        ({"links": [{"from": "w", "to": "n0", "latency_s": 0.01, "bandwith_bps": 1e9}]},
+         "$.links[0]: unknown key 'bandwith_bps'"),
+    ],
+    ids=["name-int", "gpu-count-float", "gpu-count-bool", "gpu-mem-text", "platform-mac",
+         "misspelt-capacity", "latency-text", "misspelt-bandwidth"],
+)
+def test_http_malformed_node_is_invalid_and_not_journaled(journaled_server, change, where):
+    reg, base, journal = journaled_server
+    before = journal.read_bytes()
+    node = {"name": "w", "gpu_type": "rtx4090", "gpu_count": 1, "gpu_mem_bytes": 8 * GB}
+    status, body = call(base, "POST", "/nodes", {**node, **change})
+    assert status == 400 and body["code"] == "invalid"
+    assert body["message"].startswith(where), body["message"]
+    assert journal.read_bytes() == before
+    assert reg.snapshot()["nodes"] == ["n0", "n1"]
+    # The server is still up and the node registers once well formed.
+    assert call(base, "POST", "/nodes", node)[0] == 201
+    assert call(base, "POST", "/services", {
+        "service_name": "svc", "model_name": "tiny-4l",
+        "resource_specification": {"gpu_type": "rtx4090"}})[0] == 201
+
+
+# Every op as journaled before journal records were decoded by schema: nodes
+# on all three platforms, links, deploys with and without gpu_count, a delete,
+# and node exits with and without cascade.
+_FOUR_OP_JOURNAL = (
+    '{"links": [], "node": {"capacity_score": 1.0, "cpu_score": 2.0, "gpu_count": 1, '
+    '"gpu_mem_bytes": 4194304, "gpu_type": "rtx4090", "name": "a", "network_score": 1.0, '
+    '"platform": "linux"}, "op": "node_access"}\n'
+    '{"links": [{"bandwidth_bps": 1000000000.0, "from": "a", "latency_s": 0.01, '
+    '"to": "b"}, {"bandwidth_bps": 250000000.0, "from": "b", "latency_s": 0.02, '
+    '"to": "a"}], "node": {"capacity_score": 1.5, "cpu_score": 1.0, "gpu_count": 2, '
+    '"gpu_mem_bytes": 4194304, "gpu_type": "rtx4090", "name": "b", "network_score": 1.0, '
+    '"platform": "windows"}, "op": "node_access"}\n'
+    '{"links": [], "node": {"capacity_score": 0.5, "cpu_score": 1.0, "gpu_count": 1, '
+    '"gpu_mem_bytes": 4194304, "gpu_type": "rtx4090", "name": "c", "network_score": 1.0, '
+    '"platform": "containerized_vm"}, "op": "node_access"}\n'
+    '{"api_key": "eb8450ae2a1c5ed5571342c3967d286c", "model_name": "tiny-4l", '
+    '"op": "deploy", "resource_specification": {"gpu_type": "rtx4090"}, '
+    '"service_name": "s1"}\n'
+    '{"api_key": "8a160d1cf407d30366a02402f6d2c624", "model_name": "tiny-4l", '
+    '"op": "deploy", "resource_specification": {"gpu_count": 1, "gpu_type": "rtx4090"}, '
+    '"service_name": "s2"}\n'
+    '{"api_key": "51184813c751b2b3be6c60ca0d367e8a", "model_name": "tiny-4l", '
+    '"op": "deploy", "resource_specification": {"gpu_type": "rtx4090"}, '
+    '"service_name": "s3"}\n'
+    '{"op": "delete", "service_name": "s1"}\n'
+    '{"op": "delete", "service_name": "s3"}\n'
+    '{"cascade": true, "name": "c", "op": "node_exit"}\n'
+    '{"cascade": false, "name": "a", "op": "node_exit"}\n'
+)
+
+
+def test_journal_of_every_op_replays(tmp_path):
+    journal = tmp_path / "registry.jsonl"
+    journal.write_text(_FOUR_OP_JOURNAL)
+    restored = ClusterRegistry.replay(journal)
+    assert restored.snapshot() == {
+        "nodes": ["b"],
+        "services": {"s1": "deleted", "s2": "running", "s3": "deleted"},
+        "assignments": {"b": "s2"},
+    }
+    assert restored.get_api_key("s2") == "8a160d1cf407d30366a02402f6d2c624"
+    assert restored.check_node_status("b")["metadata"]["platform"] == "windows"
+    assert restored._cluster.links == {}  # both links ended at the exited node a
+    restored.check_invariants()
+    assert journal.read_text() == _FOUR_OP_JOURNAL

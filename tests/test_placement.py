@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pipelink.decode import decode, encode
 from pipelink.errors import ConfigError, PlacementError
 from pipelink.placement import (
     ClusterSpec,
@@ -14,10 +15,6 @@ from pipelink.placement import (
     PartitionPlan,
     Platform,
     choose_head,
-    link_from_json,
-    link_to_json,
-    node_from_json,
-    node_to_json,
     partition_layers,
     plan_deployment,
     reference_payload_bytes,
@@ -348,20 +345,31 @@ NODE_JSON = {
 LINK_JSON = {"from": "a", "to": "b", "latency_s": 0.01, "bandwidth_bps": 1e9}
 
 
+def node_from_json(data):
+    return decode(NodeDescriptor, data)
+
+
+def link_from_json(data):
+    return decode(LinkProfile, data)
+
+
 def test_node_and_link_json_round_trip():
     node = node_from_json(NODE_JSON)
-    assert node_to_json(node) == NODE_JSON
-    assert list(node_to_json(node)) == list(NODE_JSON)
+    assert encode(node) == NODE_JSON
+    assert list(encode(node)) == list(NODE_JSON)
     link = link_from_json(LINK_JSON)
     assert link == LinkProfile("a", "b", 0.01, 1e9)
-    assert link_to_json(link) == LINK_JSON
+    assert encode(link) == LINK_JSON
 
 
 def test_node_json_defaults_and_coercion():
-    node = node_from_json(
-        {"name": "a", "gpu_type": "g", "gpu_count": "2", "gpu_mem_bytes": 5.0}
-    )
+    node = node_from_json({"name": "a", "gpu_type": "g", "gpu_count": 2, "gpu_mem_bytes": 5})
     assert node == NodeDescriptor("a", Platform.LINUX, "g", 2, 5, 1.0, 1.0, 1.0)
+    # Nothing is coerced: a numeric string or an integral float is not an int.
+    for key, value in (("gpu_count", "2"), ("gpu_mem_bytes", 5.0)):
+        with pytest.raises(ConfigError, match=rf"^\$\.{key}: expected an integer"):
+            node_from_json({"name": "a", "gpu_type": "g", "gpu_count": 2,
+                            "gpu_mem_bytes": 5, key: value})
 
 
 @pytest.mark.parametrize(
@@ -371,7 +379,7 @@ def test_node_json_defaults_and_coercion():
     + [(link_from_json, LINK_JSON, k) for k in LINK_JSON],
 )
 def test_node_and_link_json_required_keys(decode, data, key):
-    with pytest.raises(KeyError):
+    with pytest.raises(ConfigError, match=f"missing key '{key}'"):
         decode({k: v for k, v in data.items() if k != key})
 
 

@@ -196,3 +196,13 @@ def test_link_profile_rejects_non_finite_numbers(bad):
         LinkProfile("a", "b", latency_s=bad, bandwidth_bps=1e8)
     with pytest.raises(ConfigError, match="finite"):
         LinkProfile("a", "b", latency_s=0.1, bandwidth_bps=bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_stage_profile_rejects_non_finite_seconds(tmp_path, bad):
+    with pytest.raises(ConfigError, match="finite"):
+        StageProfile(0, 1, {(Phase.DECODE, 1): 0.01, (Phase.DECODE, 2): bad})
+    path = tmp_path / "profiles.csv"
+    path.write_text(f"stage_id,phase,batched_tokens,seconds\n0,decode,1,0.01\n0,decode,2,{bad}\n")
+    with pytest.raises(ProfileError, match="finite"):
+        load_stage_profiles(path)

@@ -1,6 +1,9 @@
+import itertools
 import queue
 import socket
+import struct
 import threading
+import time
 
 import pytest
 
@@ -228,4 +231,25 @@ def test_receiver_socket_error_is_protocol_error():
         with pytest.raises(ProtocolError, match="socket failed"):
             receive_payloads(b, lambda p: None)
     finally:
+        a.close()
+
+
+def test_sender_to_dead_peer_refuses_later_sends_and_holds_no_body():
+    a, b = loopback_pair()
+    b.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    b.close()  # the peer resets the connection
+    sender = SocketLinkSender(a, chunk_size=None, name="to-dead-peer")
+    sender.start()
+    try:
+        deadline = time.monotonic() + 5.0
+        with pytest.raises(ProtocolError, match="to-dead-peer: peer gone"):
+            for pid in itertools.count():
+                assert time.monotonic() < deadline, "send() never failed"
+                sender.send(payload(pid, PayloadClass.PREFILL, 1024), bytes(1024))
+                time.sleep(0.01)
+        sender.join(timeout=5)
+        assert not sender.is_alive()
+        assert sender._bodies == {} and sender._offsets == {}
+    finally:
+        sender.close()
         a.close()

@@ -91,6 +91,24 @@ def test_load_reports_offending_line(tmp_path):
         load_trace(path)
 
 
+@pytest.mark.parametrize("arrival", ["nan", "inf", "-inf"])
+def test_load_rejects_non_finite_arrival(tmp_path, arrival):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"arrival_s,input_tokens,output_tokens\n0.5,1,1\n{arrival},1,1\n")
+    with pytest.raises(TraceError, match="line 3: arrival_s must be finite"):
+        load_trace(path)
+
+
+@pytest.mark.parametrize(
+    "rate, duration",
+    [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf), (1.0, math.nan)],
+    ids=["rate-nan", "rate-inf", "duration-inf", "duration-nan"],
+)
+def test_generate_rejects_non_finite_rate_and_duration(rate, duration):
+    with pytest.raises(ConfigError, match="must be finite"):
+        generate_trace(rate=rate, duration=duration, seed=0)
+
+
 def test_load_rejects_decreasing_arrivals(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("arrival_s,input_tokens,output_tokens\n1.0,1,1\n0.5,1,1\n")
