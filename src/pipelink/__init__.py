@@ -60,8 +60,8 @@ from .transport import (
     LinkPolicy,
     LinkQueue,
     Payload,
-    PayloadClass,
     replay_link,
+    s_to_ns,
     transfer_ns,
 )
 from .workload import (

@@ -41,7 +41,7 @@ from .placement import (
     resolve_model,
 )
 from .profiles import LinkProfile, StageProfile, load_stage_profiles, synth_profile
-from .transport import DEFAULT_CHUNK_SIZE, NS_PER_S, LinkPolicy, write_link_log
+from .transport import DEFAULT_CHUNK_SIZE, LinkPolicy, s_to_ns, write_link_log
 from .workload import (
     DEFAULT_MAX_INPUT_TOKENS,
     DEFAULT_MAX_OUTPUT_TOKENS,
@@ -215,12 +215,11 @@ def _build_profiles(
 
 def _report_from_result(result: RunResult) -> MetricsReport:
     bubbles = []
-    if result.requests and result.end_ns > 0:
-        start_s = min(r.arrival_time for r in result.requests)
-        end_s = result.end_ns / NS_PER_S
-        if end_s > start_s:
+    if result.requests:
+        start_ns = s_to_ns(min(r.arrival_time for r in result.requests))
+        if result.end_ns > start_ns:
             for stage_id in range(len(result.stage_busy_ns)):
-                bubbles.append(measure_bubble(result, stage_id, start_s, end_s))
+                bubbles.append(measure_bubble(result, stage_id, start_ns, result.end_ns))
     return summarize(result.requests, tuple(bubbles))
 
 

@@ -9,6 +9,10 @@ every later change, including the nodes of ``--cluster`` on a fresh one.  The
 HTTP layer is a thin translation between the registry methods and the JSON
 wire format.
 
+The registry holds running services only: deleting a service forgets it, so
+its name can be deployed again, and which service a node hosts is read off
+the running services' plans.
+
 Request bodies and journal records are decoded by :mod:`pipelink.decode`
 into the dataclasses below and in :mod:`pipelink.placement`.  Every body that
 fails its schema gets 400 with the JSON path of the value at fault, before
@@ -17,7 +21,6 @@ anything is journaled.
 
 from __future__ import annotations
 
-import enum
 import json
 import os
 import random
@@ -43,17 +46,13 @@ from .placement import (
 from .profiles import LinkProfile
 
 
-class ServiceState(enum.Enum):
-    RUNNING = "running"
-    DELETED = "deleted"
-
-
 @dataclass
 class ServiceRecord:
+    """A running service; the registry drops the record when it is deleted."""
+
     service_name: str
     model: ModelSpec
     plan: PartitionPlan
-    state: ServiceState
     api_key: str
     created_at: float  # wall-clock epoch seconds
 
@@ -61,7 +60,7 @@ class ServiceRecord:
         return {
             "service_name": self.service_name,
             "model": self.model.name,
-            "state": self.state.value,
+            "state": "running",
             "uptime_s": max(0.0, time.time() - self.created_at),
             "plan": self.plan.to_json_dict(),
         }
@@ -138,8 +137,7 @@ class ClusterRegistry:
         self._lock = threading.RLock()
         self._cluster = ClusterSpec(nodes={}, links={})
         self._catalog = dict(model_catalog or MODEL_PRESETS)
-        self._services: dict[str, ServiceRecord] = {}
-        self._assignments: dict[str, str] = {}  # node -> service
+        self._services: dict[str, ServiceRecord] = {}  # running services only
         self._key_rng = random.Random(key_seed) if key_seed is not None else None
         self._journal_path = Path(journal_path) if journal_path else None
         if self._journal_path and not self._journal_path.exists():
@@ -233,14 +231,14 @@ class ClusterRegistry:
             return {
                 "name": node.name,
                 "metadata": encode(node),
-                "hosting": self._assignments.get(name),
+                "hosting": self._hosts().get(name),
             }
 
     def node_exit(self, name: str, cascade: bool = False) -> None:
         with self._lock:
             if name not in self._cluster.nodes:
                 raise RegistryError("not_found", f"unknown node {name}")
-            service = self._assignments.get(name)
+            service = self._hosts().get(name)
             if service is not None:
                 if not cascade:
                     raise RegistryError(
@@ -259,11 +257,20 @@ class ClusterRegistry:
 
     # -- service lifecycle --------------------------------------------------
 
+    def _hosts(self) -> dict[str, str]:
+        """Node -> the running service with a stage on it."""
+        return {
+            node: name
+            for name, record in self._services.items()
+            for node in record.plan.node_names()
+        }
+
     def _free_subcluster(self) -> ClusterSpec:
+        hosts = self._hosts()
         free = {
             name: node
             for name, node in self._cluster.nodes.items()
-            if name not in self._assignments
+            if name not in hosts
         }
         links = {
             key: link
@@ -292,8 +299,7 @@ class ClusterRegistry:
         """
         spec = decode(ResourceSpec, resource_specification, "$.resource_specification")
         with self._lock:
-            active = self._services.get(service_name)
-            if active is not None and active.state is not ServiceState.DELETED:
+            if service_name in self._services:
                 raise RegistryError(
                     "conflict", f"service {service_name} already exists"
                 )
@@ -312,13 +318,10 @@ class ClusterRegistry:
                 service_name=service_name,
                 model=model,
                 plan=plan,
-                state=ServiceState.RUNNING,
                 api_key=_api_key or self._new_api_key(),
                 created_at=time.time(),
             )
             self._services[service_name] = record
-            for node_name in plan.node_names():
-                self._assignments[node_name] = service_name
             self._journal(
                 _Deploy(service_name, model_name, resource_specification, record.api_key)
             )
@@ -326,7 +329,7 @@ class ClusterRegistry:
 
     def _active_service(self, service_name: str) -> ServiceRecord:
         record = self._services.get(service_name)
-        if record is None or record.state is ServiceState.DELETED:
+        if record is None:
             raise RegistryError("not_found", f"unknown service {service_name}")
         return record
 
@@ -340,13 +343,8 @@ class ClusterRegistry:
 
     def delete_llm_service(self, service_name: str) -> None:
         with self._lock:
-            record = self._active_service(service_name)
-            record.state = ServiceState.DELETED
-            self._assignments = {
-                node: svc
-                for node, svc in self._assignments.items()
-                if svc != service_name
-            }
+            self._active_service(service_name)  # unknown: not_found
+            del self._services[service_name]
             self._journal(_Delete(service_name))
 
     # -- introspection -------------------------------------------------------
@@ -363,8 +361,6 @@ class ClusterRegistry:
                         )
             booked: dict[str, str] = {}
             for record in self._services.values():
-                if record.state is ServiceState.DELETED:
-                    continue
                 for node_name in record.plan.node_names():
                     if node_name not in self._cluster.nodes:
                         raise RegistryError(
@@ -379,17 +375,13 @@ class ClusterRegistry:
                             f"{booked[node_name]} and {record.service_name}",
                         )
                     booked[node_name] = record.service_name
-            if booked != dict(self._assignments):
-                raise RegistryError("invalid", "assignment table out of sync")
 
     def snapshot(self) -> dict:
         with self._lock:
             return {
                 "nodes": sorted(self._cluster.nodes),
-                "services": {
-                    name: rec.state.value for name, rec in self._services.items()
-                },
-                "assignments": dict(self._assignments),
+                "services": {name: "running" for name in self._services},
+                "assignments": self._hosts(),
             }
 
 

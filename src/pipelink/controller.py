@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .profiles import LinkProfile, Phase, StageProfile, compute_time
-from .transport import feedback_bytes, s_to_ns, transfer_ns
+from .transport import activation_bytes, feedback_bytes, s_to_ns, transfer_ns
 
 
 class BudgetMode(enum.Enum):
@@ -68,18 +68,21 @@ class ControllerDecision:
     predicted_bubble_fraction: float
 
 
-def _round_terms(
+def _bubble(
     n: int,
     stage_profiles: list[StageProfile],
     links: list[LinkProfile],
     tokens_per_microbatch: int,
     phase: Phase,
     bytes_per_token: int,
-) -> tuple[int, int]:
-    """(bottleneck compute, steady round time), both in integer nanoseconds.
+) -> tuple[float, float]:
+    """(bubble, utilization) of the bottleneck stage in steady state.
 
-    Integer arithmetic mirrors the engine's virtual clock, so a transfer-free
-    balanced pipeline predicts a bubble of exactly zero.
+    One full round moves every micro-batch through all stages, the inter-stage
+    transfers, and the token feedback back to the head; the bottleneck is busy
+    n * c_bottleneck of it.  Round terms are integer nanoseconds, mirroring
+    the engine's virtual clock, so a transfer-free balanced pipeline predicts
+    a bubble of exactly zero.
     """
     if not stage_profiles:
         raise ConfigError("need at least one stage profile")
@@ -96,15 +99,16 @@ def _round_terms(
     bottleneck = max(compute_ns)
     transfers_ns = 0
     if num_stages >= 2:
-        activation_bytes = tokens_per_microbatch * bytes_per_token
+        forward_bytes = activation_bytes(tokens_per_microbatch, bytes_per_token)
         for link in links[:-1]:
-            transfers_ns += transfer_ns(link, activation_bytes)
+            transfers_ns += transfer_ns(link, forward_bytes)
         # Return hop carries one token id per request; batched tokens bound
         # the request count, so this is exact for decode and an upper bound
         # for prefill.
         transfers_ns += transfer_ns(links[-1], feedback_bytes(tokens_per_microbatch))
     round_ns = max(sum(compute_ns) + transfers_ns, n * bottleneck)
-    return bottleneck, round_ns
+    utilization = (n * bottleneck) / round_ns
+    return min(1.0, max(0.0, 1.0 - utilization)), utilization
 
 
 def predict_bubble(
@@ -115,19 +119,12 @@ def predict_bubble(
     phase: Phase,
     bytes_per_token: int = 1,
 ) -> float:
-    """Predicted idle fraction of the bottleneck stage in steady state.
-
-    One full round moves every micro-batch through all stages, the inter-stage
-    transfers, and the token feedback back to the head; the bottleneck is busy
-    n * c_bottleneck of it.
-    """
+    """Predicted idle fraction of the bottleneck stage in steady state."""
     if n < 1:
         raise ConfigError("n must be >= 1")
-    bottleneck, round_time = _round_terms(
+    return _bubble(
         n, stage_profiles, links, tokens_per_microbatch, phase, bytes_per_token
-    )
-    bubble = 1.0 - (n * bottleneck) / round_time
-    return min(1.0, max(0.0, bubble))
+    )[0]
 
 
 def clamp_demand(cfg: ControllerConfig, queued_tokens: int) -> int:
@@ -163,12 +160,7 @@ def choose_n(
 
     def evaluate(n: int) -> tuple[float, float, int]:
         tokens = tokens_for(n)
-        bottleneck, round_time = _round_terms(
-            n, stage_profiles, links, tokens, phase, bytes_per_token
-        )
-        utilization = (n * bottleneck) / round_time
-        bubble = min(1.0, max(0.0, 1.0 - utilization))
-        return bubble, utilization, tokens
+        return *_bubble(n, stage_profiles, links, tokens, phase, bytes_per_token), tokens
 
     n = 1
     bubble, util, tokens = evaluate(n)

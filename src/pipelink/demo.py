@@ -26,8 +26,8 @@ from .engine import EngineConfig, HeadScheduler, ring_links
 from .engine import admit_and_batch  # noqa: F401
 from .errors import ConfigError, ProtocolError
 from .placement import ClusterSpec
-from .profiles import StageProfile
-from .transport import Payload, PayloadClass, feedback_bytes
+from .profiles import Phase, StageProfile
+from .transport import Payload, activation_bytes, feedback_bytes
 from .wire import ReceivedPayload, SocketLinkSender, loopback_pair, receive_payloads
 from .workload import Trace
 
@@ -40,7 +40,7 @@ def _tail_worker(forward_sock, return_sender: SocketLinkSender) -> None:
     def on_payload(p: ReceivedPayload) -> None:
         (count,) = _COUNT.unpack(p.body[:4])
         size = feedback_bytes(count)
-        return_sender.send(Payload(p.payload_id, PayloadClass.DECODE, size), bytes(size))
+        return_sender.send(Payload(p.payload_id, Phase.DECODE, size), bytes(size))
 
     try:
         receive_payloads(forward_sock, on_payload)
@@ -97,9 +97,9 @@ def run_socket_demo(
             for mb in batches:
                 # The payload id is the micro-batch id: each is sent once.
                 body = _COUNT.pack(len(mb.request_ids)) + bytes(
-                    mb.batched_tokens * sched.bytes_per_token
+                    activation_bytes(mb.batched_tokens, sched.bytes_per_token)
                 )
-                forward_sender.send(Payload(mb.id, mb.payload_class, len(body)), body)
+                forward_sender.send(Payload(mb.id, mb.phase, len(body)), body)
             if batches:
                 continue
             if not sched.in_flight:

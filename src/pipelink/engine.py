@@ -32,8 +32,8 @@ from .transport import (
     LinkPolicy,
     NS_PER_S,
     Payload,
-    PayloadClass,
     VirtualLink,
+    activation_bytes,
     feedback_bytes,
     s_to_ns,
 )
@@ -50,26 +50,16 @@ class EventKind(enum.IntEnum):
     CHUNK_SENT = 4
 
 
-class BatchPhase(enum.Enum):
-    PREFILL = "prefill"
-    DECODE = "decode"
-
-
 @dataclass(frozen=True)
 class MicroBatch:
     id: int
     request_ids: tuple[int, ...]
-    phase: BatchPhase
+    phase: Phase
     batched_tokens: int
 
     def __post_init__(self) -> None:
         if not self.request_ids:
             raise ConfigError(f"micro-batch {self.id} has no requests")
-
-    @property
-    def payload_class(self) -> PayloadClass:
-        decode = self.phase is BatchPhase.DECODE
-        return PayloadClass.DECODE if decode else PayloadClass.PREFILL
 
 
 @dataclass(frozen=True)
@@ -124,15 +114,12 @@ class RunResult:
         return sum(1 for t, _ in self.token_emissions if t0 <= t < t1)
 
 
-def measure_bubble(result: RunResult, stage_id: int, t0_s: float, t1_s: float) -> float:
-    """Idle fraction of a stage within [t0, t1): 1 means fully idle."""
-    t0, t1 = s_to_ns(t0_s), s_to_ns(t1_s)
+def measure_bubble(result: RunResult, stage_id: int, t0: int, t1: int) -> float:
+    """Idle fraction of a stage within [t0, t1) ns: 1 means fully idle."""
     if t1 <= t0:
         raise ConfigError("empty measurement window")
     if t0 < 0 or t1 > result.end_ns:
-        raise ConfigError(
-            f"window [{t0_s}, {t1_s}] outside run span [0, {result.end_ns / NS_PER_S}]"
-        )
+        raise ConfigError(f"window [{t0}, {t1}] ns outside run span [0, {result.end_ns}] ns")
     if not 0 <= stage_id < len(result.stage_busy_ns):
         raise ConfigError(f"unknown stage {stage_id}")
     busy = 0
@@ -146,7 +133,7 @@ class _Bin:
     index: int
     tokens: int = 0
     members: list[Request] = field(default_factory=list)
-    phase: BatchPhase | None = None
+    phase: Phase | None = None
 
 
 def admit_and_batch(
@@ -171,7 +158,7 @@ def admit_and_batch(
         return []
     bins: list[_Bin] = []
 
-    def lightest(phase: BatchPhase, extra_tokens: int) -> _Bin | None:
+    def lightest(phase: Phase, extra_tokens: int) -> _Bin | None:
         fits = [
             b
             for b in bins
@@ -181,7 +168,7 @@ def admit_and_batch(
         ]
         return min(fits, key=lambda b: (b.tokens, b.index)) if fits else None
 
-    def place(b: _Bin, request: Request, tokens: int, phase: BatchPhase) -> None:
+    def place(b: _Bin, request: Request, tokens: int, phase: Phase) -> None:
         b.members.append(request)
         b.tokens += tokens
         b.phase = phase
@@ -194,14 +181,14 @@ def admit_and_batch(
         return b
 
     while decoding:
-        b = lightest(BatchPhase.DECODE, 1) or open_bin()
+        b = lightest(Phase.DECODE, 1) or open_bin()
         if b is None:
             break
-        place(b, decoding.popleft(), 1, BatchPhase.DECODE)
+        place(b, decoding.popleft(), 1, Phase.DECODE)
 
     while queued:
         request = queued[0]
-        b = lightest(BatchPhase.PREFILL, request.input_len)
+        b = lightest(Phase.PREFILL, request.input_len)
         if b is None:
             # A fresh micro-batch takes any prefill, including one whose
             # input alone exceeds the budget (oversize-admit: solo rather
@@ -209,7 +196,7 @@ def admit_and_batch(
             b = open_bin()
         if b is None:
             break  # strict FCFS: nothing behind this request is considered
-        place(b, queued.popleft(), request.input_len, BatchPhase.PREFILL)
+        place(b, queued.popleft(), request.input_len, Phase.PREFILL)
 
     batches = []
     for b in bins:
@@ -349,7 +336,6 @@ class _StageRuntime:
     def __init__(self, idx: int, profile: StageProfile):
         self.idx = idx
         self.profile = profile
-        self.busy = False
         self.queue: deque[MicroBatch] = deque()
         self.busy_intervals: list[tuple[int, int]] = []
         self.current_start = 0
@@ -411,8 +397,8 @@ class PipelineEngine:
             self._push(end, EventKind.CHUNK_SENT, chunk.payload_id, (link_idx, chunk))
 
     def _send_payload(self, link_idx: int, mb: MicroBatch, size: int,
-                      pclass: PayloadClass, now: int) -> None:
-        payload = Payload(id=self._next_payload_id, phase_class=pclass, size_bytes=size)
+                      phase: Phase, now: int) -> None:
+        payload = Payload(id=self._next_payload_id, phase=phase, size_bytes=size)
         self._next_payload_id += 1
         self._payload_mb[payload.id] = mb
         self._on_wire(link_idx, self._links[link_idx].offer(payload, now))
@@ -420,14 +406,12 @@ class PipelineEngine:
     # -- stage mechanics ---------------------------------------------------
 
     def _try_start_compute(self, stage: _StageRuntime, now: int) -> None:
-        if stage.busy or not stage.queue:
+        if stage.current is not None or not stage.queue:
             return
         mb = stage.queue.popleft()
-        stage.busy = True
         stage.current = mb
         stage.current_start = now
-        phase = Phase.DECODE if mb.phase is BatchPhase.DECODE else Phase.PREFILL
-        c_ns = max(1, s_to_ns(compute_time(stage.profile, phase, mb.batched_tokens)))
+        c_ns = max(1, s_to_ns(compute_time(stage.profile, mb.phase, mb.batched_tokens)))
         if stage.idx == 0:
             for rid in mb.request_ids:
                 self._first_compute_ns.setdefault(rid, now)
@@ -438,17 +422,16 @@ class PipelineEngine:
         mb = stage.current
         assert mb is not None and mb.id == mb_id
         stage.busy_intervals.append((stage.current_start, now))
-        stage.busy = False
         stage.current = None
         self._log(now, EventKind.COMPUTE_DONE, mb.id, stage_idx)
 
         last = stage_idx == len(self._stages) - 1
         if not last:
-            size = max(1, mb.batched_tokens * self._sched.bytes_per_token)
-            self._send_payload(stage_idx, mb, size, mb.payload_class, now)
+            size = activation_bytes(mb.batched_tokens, self._sched.bytes_per_token)
+            self._send_payload(stage_idx, mb, size, mb.phase, now)
         elif self._links:
             size = feedback_bytes(len(mb.request_ids))
-            self._send_payload(stage_idx, mb, size, PayloadClass.DECODE, now)
+            self._send_payload(stage_idx, mb, size, Phase.DECODE, now)
         else:
             # Single-stage pipeline: tokens surface at compute completion.
             self._sched.feedback(mb, now)
@@ -469,7 +452,7 @@ class PipelineEngine:
     def _on_boundary(self, now: int) -> None:
         self._boundary_times.discard(now)
         head = self._stages[0]
-        if head.busy or head.queue:
+        if head.current is not None or head.queue:
             return
         batches = self._sched.dispatch()
         if not batches:
@@ -537,9 +520,8 @@ class PipelineEngine:
 
         # Close busy intervals cut off by the horizon.
         for stage in self._stages:
-            if stage.busy:
+            if stage.current is not None:
                 stage.busy_intervals.append((stage.current_start, last_time))
-                stage.busy = False
 
         return RunResult(
             requests=[sched.requests[rid] for rid in sorted(sched.requests)],

@@ -11,7 +11,7 @@ from pathlib import Path
 from .decode import decode, encode, json_field, read_json
 from .errors import ConfigError, PlacementError
 from .profiles import LinkProfile
-from .transport import transfer_ns
+from .transport import activation_bytes, transfer_ns
 
 # Beyond this many candidate nodes the chain search falls back to greedy
 # nearest-neighbor; below it the minimum-cost chain is found exactly.
@@ -232,7 +232,7 @@ def choose_head(nodes: list[NodeDescriptor]) -> str:
 
 def reference_payload_bytes(model: ModelSpec) -> int:
     # 1024-token activation, the yardstick for ranking candidate links.
-    return 1024 * model.bytes_per_token
+    return activation_bytes(1024, model.bytes_per_token)
 
 
 def _chain_cost(

@@ -34,7 +34,6 @@ class StageProfile:
     """
 
     stage_id: int
-    layers: int
     entries: dict[tuple[Phase, int], float]
     # Per phase, the entries as sorted token counts and their seconds; built
     # once here so that lookups never sort.
@@ -43,8 +42,6 @@ class StageProfile:
     )
 
     def __post_init__(self) -> None:
-        if self.layers < 1:
-            raise ConfigError(f"stage {self.stage_id}: layers must be >= 1")
         if not self.entries:
             raise ConfigError(f"stage {self.stage_id}: empty profile")
         tables = {}
@@ -160,10 +157,10 @@ def synth_profile(
     for phase in (Phase.PREFILL, Phase.DECODE):
         for tokens in SYNTH_TOKEN_POINTS:
             entries[(phase, tokens)] = layers * per_layer_token_cost * tokens + overhead
-    return StageProfile(stage_id=stage_id, layers=layers, entries=entries)
+    return StageProfile(stage_id=stage_id, entries=entries)
 
 
-def flat_profile(seconds: float, stage_id: int = 0, layers: int = 1) -> StageProfile:
+def flat_profile(seconds: float, stage_id: int = 0) -> StageProfile:
     """Constant-latency profile (same compute time at any token count)."""
     if seconds <= 0:
         raise ConfigError("seconds must be > 0")
@@ -172,7 +169,7 @@ def flat_profile(seconds: float, stage_id: int = 0, layers: int = 1) -> StagePro
         for phase in (Phase.PREFILL, Phase.DECODE)
         for tokens in (1, 1_000_000)
     }
-    return StageProfile(stage_id=stage_id, layers=layers, entries=entries)
+    return StageProfile(stage_id=stage_id, entries=entries)
 
 
 def load_stage_profiles(path: str | Path) -> dict[int, StageProfile]:
@@ -203,7 +200,7 @@ def load_stage_profiles(path: str | Path) -> dict[int, StageProfile]:
             raw.setdefault(stage_id, {})[(phase, tokens)] = seconds
     try:
         return {
-            stage_id: StageProfile(stage_id=stage_id, layers=1, entries=entries)
+            stage_id: StageProfile(stage_id=stage_id, entries=entries)
             for stage_id, entries in sorted(raw.items())
         }
     except ConfigError as exc:

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ConfigError, ProtocolError
-from .profiles import LinkProfile
+from .profiles import LinkProfile, Phase
 
 DEFAULT_CHUNK_SIZE = 262_144  # 256 KiB: ~21 ms of blocking at 100 Mbps
 
@@ -41,9 +41,9 @@ def feedback_bytes(n_requests: int) -> int:
     return max(1, TOKEN_FEEDBACK_BYTES * n_requests)
 
 
-class PayloadClass(enum.Enum):
-    PREFILL = "prefill"
-    DECODE = "decode"
+def activation_bytes(tokens: int, bytes_per_token: int) -> int:
+    """Size of the activation payload of ``tokens`` crossing a stage boundary."""
+    return tokens * bytes_per_token
 
 
 class LinkPolicy(enum.Enum):
@@ -56,7 +56,7 @@ class Payload:
     """One intermediate result to move across a link."""
 
     id: int
-    phase_class: PayloadClass
+    phase: Phase
     size_bytes: int
 
     def __post_init__(self) -> None:
@@ -70,7 +70,7 @@ class Chunk:
     index: int
     size_bytes: int
     is_last: bool
-    phase_class: PayloadClass
+    phase: Phase
 
 
 class LinkQueue:
@@ -104,7 +104,7 @@ class LinkQueue:
             raise ProtocolError(f"payload {payload.id} already enqueued on this link")
         self._seen_ids.add(payload.id)
         if (self.policy is LinkPolicy.DECODE_PRIORITY
-                and payload.phase_class is PayloadClass.DECODE):
+                and payload.phase is Phase.DECODE):
             self._decode.append(payload)
         else:
             self._fifo.append(payload)
@@ -115,13 +115,13 @@ class LinkQueue:
             p = self._decode.popleft()
         elif not self._fifo:
             return None
-        elif self._fifo[0].phase_class is PayloadClass.DECODE or self.chunk_size is None:
+        elif self._fifo[0].phase is Phase.DECODE or self.chunk_size is None:
             p = self._fifo.popleft()
         else:
             p = self._fifo[0]
             remaining = p.size_bytes - self._head_offset
             size = min(self.chunk_size, remaining)
-            chunk = Chunk(p.id, self._head_index, size, size == remaining, p.phase_class)
+            chunk = Chunk(p.id, self._head_index, size, size == remaining, p.phase)
             if chunk.is_last:
                 self._fifo.popleft()
                 self._head_offset = 0
@@ -130,7 +130,7 @@ class LinkQueue:
                 self._head_offset += size
                 self._head_index += 1
             return chunk
-        return Chunk(p.id, 0, p.size_bytes, True, p.phase_class)
+        return Chunk(p.id, 0, p.size_bytes, True, p.phase)
 
 
 class LinkEvent(NamedTuple):
@@ -141,7 +141,7 @@ class LinkEvent(NamedTuple):
     payload_id: int
     chunk_index: int
     size_bytes: int
-    phase_class: PayloadClass
+    phase: Phase
     event: str  # enqueue | emit | sent | deliver
 
 
@@ -153,14 +153,14 @@ _by_time = attrgetter("time_ns")
 
 
 def write_link_log(events: list[LinkEvent], path: str | Path) -> None:
-    classes = {pclass: pclass.value for pclass in PayloadClass}
+    classes = {phase: phase.value for phase in Phase}
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(LINK_LOG_HEADER)
         writer.writerows(
             (f"{time_ns / NS_PER_S:.6f}", link, payload_id, chunk_index, size,
-             classes[pclass], event)
-            for time_ns, link, payload_id, chunk_index, size, pclass, event
+             classes[phase], event)
+            for time_ns, link, payload_id, chunk_index, size, phase, event
             in sorted(events, key=_by_time)
         )
 
@@ -190,10 +190,9 @@ class VirtualLink:
         chunk_size: int | None,
         policy: LinkPolicy,
         log: list[LinkEvent],
-        name: str | None = None,
     ):
         self.profile = profile
-        self.name = name or profile.name
+        self.name = profile.name
         self.latency_ns = s_to_ns(profile.latency_s)
         self.queue = LinkQueue(chunk_size=chunk_size, policy=policy)
         self.busy = False
@@ -201,7 +200,7 @@ class VirtualLink:
 
     def _row(self, now: int, chunk: Chunk, event: str) -> None:
         self.log.append(LinkEvent(now, self.name, chunk.payload_id, chunk.index,
-                                  chunk.size_bytes, chunk.phase_class, event))
+                                  chunk.size_bytes, chunk.phase, event))
 
     def _emit_next(self, now: int) -> tuple[int, Chunk] | None:
         chunk = self.queue.next_chunk()
@@ -214,7 +213,7 @@ class VirtualLink:
     def offer(self, payload: Payload, now: int) -> tuple[int, Chunk] | None:
         self.queue.enqueue(payload)
         self.log.append(LinkEvent(now, self.name, payload.id, -1, payload.size_bytes,
-                                  payload.phase_class, "enqueue"))
+                                  payload.phase, "enqueue"))
         return None if self.busy else self._emit_next(now)
 
     def sent(self, chunk: Chunk, now: int) -> tuple[int, Chunk] | None:
@@ -230,7 +229,6 @@ def replay_link(
     arrivals: list[tuple[int, Payload]],
     chunk_size: int | None = DEFAULT_CHUNK_SIZE,
     policy: LinkPolicy = LinkPolicy.DECODE_PRIORITY,
-    link_name: str | None = None,
 ) -> list[LinkEvent]:
     """Virtual-time schedule of one link fed by timed payload arrivals.
 
@@ -239,7 +237,7 @@ def replay_link(
     at a chunk boundary preempts there.
     """
     events: list[LinkEvent] = []
-    link = VirtualLink(profile, chunk_size, policy, events, link_name)
+    link = VirtualLink(profile, chunk_size, policy, events)
     on_wire = None  # (end_ns, chunk) of the chunk in transmission
 
     def finish(end: int, chunk: Chunk) -> tuple[int, Chunk] | None:

@@ -25,7 +25,8 @@ import threading
 from dataclasses import dataclass
 
 from .errors import ProtocolError
-from .transport import Chunk, LinkPolicy, LinkQueue, Payload, PayloadClass
+from .profiles import Phase
+from .transport import Chunk, LinkPolicy, LinkQueue, Payload
 
 _LEN = struct.Struct("<I")
 _HEADER = struct.Struct("<QII")
@@ -77,7 +78,7 @@ def read_frame(sock: socket.socket) -> tuple[int, int, int, bytes] | None:
 @dataclass
 class ReceivedPayload:
     payload_id: int
-    phase_class: PayloadClass
+    phase: Phase
     body: bytes
 
 
@@ -95,7 +96,6 @@ class SocketLinkSender(threading.Thread):
         self._sock = sock
         self._queue = LinkQueue(chunk_size=chunk_size, policy=policy)
         self._bodies: dict[int, bytes] = {}
-        self._offsets: dict[int, int] = {}
         self._cond = threading.Condition()
         self._closing = False
         self._error: OSError | None = None  # why the worker stopped early
@@ -119,7 +119,6 @@ class SocketLinkSender(threading.Thread):
                 raise ProtocolError("sender is closing")
             self._queue.enqueue(payload)
             self._bodies[payload.id] = body
-            self._offsets[payload.id] = 0
             self._cond.notify()
 
     def close(self) -> None:
@@ -128,46 +127,37 @@ class SocketLinkSender(threading.Thread):
             self._closing = True
             self._cond.notify()
 
-    def _next_chunk(self) -> Chunk | None | bool:
-        # Returns a chunk, None to wait, or False to finish.
+    def _next_chunk(self) -> Chunk | None:
+        """The next chunk to send, waiting for one; None once closed and drained."""
         with self._cond:
             while True:
                 chunk = self._queue.next_chunk()
-                if chunk is not None:
+                if chunk is not None or self._closing:
                     return chunk
-                if self._closing:
-                    return False
                 self._cond.wait()
 
     def run(self) -> None:
         try:
-            while True:
-                chunk = self._next_chunk()
-                if chunk is False:
-                    break
-                assert isinstance(chunk, Chunk)
-                offset = self._offsets[chunk.payload_id]
+            while (chunk := self._next_chunk()) is not None:
+                # Only a chunked payload has chunks past index 0, and every
+                # chunk before its last is full.
+                offset = chunk.index * (self._queue.chunk_size or 0)
                 body = self._bodies[chunk.payload_id]
                 piece = body[offset : offset + chunk.size_bytes]
                 flags = 0
                 if chunk.is_last:
                     flags |= FLAG_LAST
-                if chunk.phase_class is PayloadClass.DECODE:
+                    del self._bodies[chunk.payload_id]
+                if chunk.phase is Phase.DECODE:
                     flags |= FLAG_DECODE
                 self._sock.sendall(
                     encode_frame(chunk.payload_id, chunk.index, flags, piece)
                 )
-                if chunk.is_last:
-                    del self._bodies[chunk.payload_id]
-                    del self._offsets[chunk.payload_id]
-                else:
-                    self._offsets[chunk.payload_id] = offset + chunk.size_bytes
             self._sock.sendall(encode_frame(0, 0, FLAG_SHUTDOWN, b""))
         except OSError as exc:
             with self._cond:  # later sends fail instead of queueing for nobody
                 self._error = exc
                 self._bodies.clear()
-                self._offsets.clear()
 
 
 def receive_payloads(sock: socket.socket, on_payload) -> None:
@@ -198,7 +188,7 @@ def receive_payloads(sock: socket.socket, on_payload) -> None:
             pieces.append(body)
             if flags & FLAG_LAST:
                 del partial[payload_id]
-                phase = PayloadClass.DECODE if flags & FLAG_DECODE else PayloadClass.PREFILL
+                phase = Phase.DECODE if flags & FLAG_DECODE else Phase.PREFILL
                 on_payload(ReceivedPayload(payload_id, phase, b"".join(pieces)))
     except OSError as exc:
         raise ProtocolError(f"link socket failed: {exc}") from exc

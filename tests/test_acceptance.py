@@ -23,7 +23,7 @@ from pipelink.placement import partition_layers, ModelSpec
 from pipelink.profiles import LinkProfile, Phase, flat_profile
 from pipelink.control_api import ClusterRegistry
 from pipelink.demo import run_socket_demo
-from pipelink.transport import Payload, PayloadClass, first_emit_delay_ns, replay_link, s_to_ns
+from pipelink.transport import Payload, first_emit_delay_ns, replay_link, s_to_ns
 from pipelink.workload import Request, Trace, generate_trace
 
 from simsetup import engine_config, make_node, stationary_decode_trace, uniform_pipeline
@@ -118,8 +118,8 @@ def test_criterion_2_dynamic_count_beats_fixed_degree():
     tokens_dynamic = dynamic.tokens_in_window(w0, w1)
     gain = tokens_dynamic / tokens_fixed - 1.0
     assert abs(gain - 0.50) <= 0.02
-    util_dynamic = 1.0 - measure_bubble(dynamic, 0, w0, w1)
-    util_fixed = 1.0 - measure_bubble(fixed, 0, w0, w1)
+    util_dynamic = 1.0 - measure_bubble(dynamic, 0, s_to_ns(w0), s_to_ns(w1))
+    util_fixed = 1.0 - measure_bubble(fixed, 0, s_to_ns(w0), s_to_ns(w1))
     assert abs(util_dynamic - 1.0) <= 1e-9
     assert abs(util_fixed - 2 / 3) <= 1e-9
     announce(f"criterion 2: +{gain * 100:.1f}% throughput, utilization "
@@ -135,8 +135,8 @@ def test_criterion_3_chunking_effect():
     prompt_bytes = 1000 * 4096 * 2       # 1000-token prompt, fp16, hidden 4096
     decode_bytes = 4 * 4096 * 2          # 4-request decode step
     arrivals = [
-        (0, Payload(0, PayloadClass.PREFILL, prompt_bytes)),
-        (0, Payload(1, PayloadClass.DECODE, decode_bytes)),
+        (0, Payload(0, Phase.PREFILL, prompt_bytes)),
+        (0, Payload(1, Phase.DECODE, decode_bytes)),
     ]
     unchunked = replay_link(link, arrivals, chunk_size=None)
     chunked = replay_link(link, arrivals, chunk_size=262_144)
@@ -176,7 +176,7 @@ def test_criterion_4_zero_transfer_identity():
         )
         w0 = 2 * S * 0.010
         w1 = w0 + 10 * S * 0.010
-        utilization = 1.0 - measure_bubble(result, 0, w0, w1)
+        utilization = 1.0 - measure_bubble(result, 0, s_to_ns(w0), s_to_ns(w1))
         assert abs(utilization - 1.0) <= 1e-9, f"S={S}"
     announce("criterion 4: transfers=0 gives n=S and utilization 1.0 for S in 1..4")
 

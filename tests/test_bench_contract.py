@@ -1,0 +1,40 @@
+"""What the benchmark in ``bench/`` takes from the package still resolves.
+
+The bench suite runs on its own and takes tens of seconds.  These checks keep
+its contract inside the quick suite: every attribute its tracer patches, the
+constructors its workloads call, and the fields it reads off a run.
+"""
+
+import importlib
+from pathlib import Path
+
+from pipelink.cli import load_run_config, run_simulation
+
+from test_cli import write_cluster, write_run_config
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+
+
+def import_bench(monkeypatch, name):
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    return importlib.import_module(name)
+
+
+def test_tracer_finds_every_attribute_it_patches(monkeypatch):
+    layers = import_bench(monkeypatch, "layers")
+    tracer = layers.make_tracer()  # looks each patched attribute up
+    assert len(tracer.patched_attributes()) > 30
+
+
+def test_socket_workload_builds_its_pipeline(monkeypatch, tmp_path):
+    workloads = import_bench(monkeypatch, "workloads")
+    workload = workloads.SocketPipeline(tmp_path)
+    workload.setup(workloads.DEFAULT_SEED)
+    assert len(workload.trace.requests) == workload.n_requests
+
+
+def test_run_simulation_result_has_what_the_bench_reads(tmp_path):
+    write_cluster(tmp_path / "cluster.json")
+    write_run_config(tmp_path / "run.json")
+    result, _, _ = run_simulation(load_run_config(tmp_path / "run.json"))
+    assert result.requests and result.events and result.link_events

@@ -73,6 +73,22 @@ def test_simulate_writes_outputs(workdir, capsys):
     assert "throughput" in capsys.readouterr().out
 
 
+def test_simulate_measures_bubbles_of_a_run_past_2_53_ns(workdir):
+    # Links of 1e8 s end the run at 1.28e10 s, past 2**53 ns, where a window
+    # end that goes through float seconds no longer lands on the run's end.
+    cluster = json.loads((workdir / "cluster.json").read_text())
+    for link in cluster["links"]:
+        link["latency_s"] = 1e8
+    (workdir / "cluster.json").write_text(json.dumps(cluster))
+    rc = main(["simulate", "--config", str(workdir / "run.json"),
+               "--out", str(workdir / "out")])
+    assert rc == 0
+    report = json.loads((workdir / "out" / "report.json").read_text())
+    assert report["span_s"] > 2**53 / 1e9
+    bubbles = report["bubble_fraction_per_stage"]
+    assert len(bubbles) == 2 and all(0.0 <= b <= 1.0 for b in bubbles)
+
+
 def test_simulate_same_seed_is_byte_identical(workdir):
     for out in ("o1", "o2"):
         assert main(["simulate", "--config", str(workdir / "run.json"),

@@ -6,7 +6,7 @@ import urllib.request
 
 import pytest
 
-from pipelink.control_api import ClusterRegistry, ServiceState, make_server
+from pipelink.control_api import ClusterRegistry, make_server
 from pipelink.errors import ConfigError, RegistryError
 from pipelink.placement import Platform
 from pipelink.profiles import LinkProfile
@@ -49,7 +49,7 @@ def test_deploy_plan_covers_all_layers():
     record = reg.deploy_llm_service(
         "svc", "tiny-4l", {"gpu_type": "rtx4090", "gpu_count": 1}
     )
-    assert record.state is ServiceState.RUNNING
+    assert record.status_dict()["state"] == "running"
     assert record.plan.num_layers == 4
     reg.check_invariants()
 
@@ -132,6 +132,19 @@ def test_journal_replay_restores_state(tmp_path):
     assert restored.snapshot()["nodes"] == ["n0"]
     assert restored.get_api_key("svc") == key
     restored.check_invariants()
+
+
+def test_deleted_services_are_forgotten(tmp_path):
+    journal = tmp_path / "registry.jsonl"
+    reg = registry_with_nodes(2, journal=journal)
+    for i in range(1000):
+        reg.deploy_llm_service(f"svc{i}", "tiny-4l", {"gpu_type": "rtx4090"})
+        reg.delete_llm_service(f"svc{i}")
+    assert reg.snapshot() == {"nodes": ["n0", "n1"], "services": {}, "assignments": {}}
+    reg.check_invariants()
+    assert ClusterRegistry.replay(journal).snapshot() == reg.snapshot()
+    reg.deploy_llm_service("svc0", "tiny-4l", {"gpu_type": "rtx4090"})  # name reused
+    assert list(reg.snapshot()["services"]) == ["svc0"]
 
 
 # A node and a deploy as journaled before deploy records lost their
@@ -561,7 +574,7 @@ def test_journal_of_every_op_replays(tmp_path):
     restored = ClusterRegistry.replay(journal)
     assert restored.snapshot() == {
         "nodes": ["b"],
-        "services": {"s1": "deleted", "s2": "running", "s3": "deleted"},
+        "services": {"s2": "running"},
         "assignments": {"b": "s2"},
     }
     assert restored.get_api_key("s2") == "8a160d1cf407d30366a02402f6d2c624"

@@ -7,7 +7,6 @@ import pytest
 import pipelink.engine
 from pipelink.controller import ControllerDecision, clamp_demand
 from pipelink.engine import (
-    BatchPhase,
     EventKind,
     HeadScheduler,
     PipelineEngine,
@@ -70,7 +69,7 @@ def test_admit_all_decoders_into_one_batch():
         decoding, deque(), decision(1, 100), max_batch_size=64, capacity=1
     )
     assert len(batches) == 1
-    assert batches[0].phase is BatchPhase.DECODE
+    assert batches[0].phase is Phase.DECODE
     assert batches[0].batched_tokens == 3
     assert not decoding
 
@@ -83,7 +82,7 @@ def test_admit_oversize_prefill_solo():
     decoding = deque(dec(i) for i in range(2))
     queued = deque([pre(10, 90)])
     batches = admit_and_batch(decoding, queued, decision(2, 50), 64, 2)
-    assert [b.phase for b in batches] == [BatchPhase.DECODE, BatchPhase.PREFILL]
+    assert [b.phase for b in batches] == [Phase.DECODE, Phase.PREFILL]
     assert batches[0].request_ids == (0, 1)
     assert batches[1].request_ids == (10,)
     assert batches[1].batched_tokens == 90  # exceeds the 50-token budget, solo
@@ -201,9 +200,9 @@ def test_measure_bubble_trivial_cases():
     result = PipelineEngine(cfg, cluster, profiles).run(
         stationary_decode_trace(12), horizon_s=0.4
     )
-    assert measure_bubble(result, 0, 0.0, 0.03) == 0.0  # continuously busy
+    assert measure_bubble(result, 0, s_to_ns(0.0), s_to_ns(0.03)) == 0.0  # continuously busy
     with pytest.raises(ConfigError):
-        measure_bubble(result, 0, 0.2, 0.2)  # empty window
+        measure_bubble(result, 0, s_to_ns(0.2), s_to_ns(0.2))  # empty window
 
 
 def test_measure_bubble_idle_window_is_one():
@@ -213,7 +212,7 @@ def test_measure_bubble_idle_window_is_one():
         requests=[Request(id=0, arrival_time=1.0, input_len=1, output_len=1)]
     )
     result = PipelineEngine(cfg, cluster, profiles).run(trace)
-    assert measure_bubble(result, 0, 0.0, 0.5) == 1.0  # nothing ran yet
+    assert measure_bubble(result, 0, s_to_ns(0.0), s_to_ns(0.5)) == 1.0  # nothing ran yet
 
 
 def test_fixed_two_microbatches_show_one_third_bubble():
@@ -222,7 +221,7 @@ def test_fixed_two_microbatches_show_one_third_bubble():
     result = PipelineEngine(cfg, cluster, profiles).run(
         stationary_decode_trace(12), horizon_s=0.4
     )
-    measured = measure_bubble(result, 0, 0.09, 0.39)
+    measured = measure_bubble(result, 0, s_to_ns(0.09), s_to_ns(0.39))
     assert measured == pytest.approx(1 / 3, abs=0.02)
 
 
@@ -236,7 +235,7 @@ def test_dynamic_n_strictly_reduces_idle():
         result = PipelineEngine(cfg, cluster, profiles).run(
             stationary_decode_trace(12), horizon_s=0.4
         )
-        idle[label] = measure_bubble(result, 0, 0.09, 0.39)
+        idle[label] = measure_bubble(result, 0, s_to_ns(0.09), s_to_ns(0.39))
     assert idle["dynamic"] < idle["fixed"]
 
 
@@ -252,7 +251,7 @@ def test_zero_transfer_full_utilization():
         )
         w0 = 2 * S * 0.010
         w1 = w0 + 10 * S * 0.010
-        assert measure_bubble(result, 0, w0, w1) <= 1e-9
+        assert measure_bubble(result, 0, s_to_ns(w0), s_to_ns(w1)) <= 1e-9
         assert result.decisions[0][1].n_microbatches == S
 
 
@@ -319,7 +318,7 @@ def test_run_decides_once_per_distinct_clamped_demand(monkeypatch):
     )
     # Prefill costs twice decode, so a decision depends on the phase too.
     profiles = [
-        StageProfile(stage_id=i, layers=1, entries={
+        StageProfile(stage_id=i, entries={
             (phase, tokens): (1 + (phase is Phase.PREFILL)) * (0.001 + 2e-5 * tokens)
             for phase in Phase for tokens in (1, 256)
         })
@@ -395,7 +394,7 @@ def test_engine_links_hold_transport_invariants(policy, seed):
         rows = [e for e in result.link_events if e.link == profile.name]
         check_link_invariants(rows, policy)
         # replay_link, which criteria 3 and 9 run, gives the same schedule.
-        arrivals = [(e.time_ns, Payload(e.payload_id, e.phase_class, e.size_bytes))
+        arrivals = [(e.time_ns, Payload(e.payload_id, e.phase, e.size_bytes))
                     for e in rows if e.event == "enqueue"]
         assert replay_link(profile, arrivals, engine.cfg.chunk_size, policy) == rows
         emitted = [e.payload_id for e in rows if e.event == "emit"]
@@ -433,7 +432,7 @@ def scheduler_setup(decision_stride=1, scheduler=HeadScheduler):
     )
     # Prefill costs twice decode, so the micro-batch count moves with the phase.
     profiles = [
-        StageProfile(stage_id=i, layers=1, entries={
+        StageProfile(stage_id=i, entries={
             (phase, tokens): (1 + (phase is Phase.PREFILL)) * (0.001 + 2e-5 * tokens)
             for phase in Phase for tokens in (1, 256)
         })

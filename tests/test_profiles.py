@@ -20,7 +20,6 @@ from pipelink.transport import s_to_ns, transfer_ns, transmission_ns
 def two_point_profile():
     return StageProfile(
         stage_id=0,
-        layers=1,
         entries={(Phase.DECODE, 100): 0.010, (Phase.DECODE, 200): 0.018},
     )
 
@@ -50,14 +49,13 @@ def test_unknown_phase_raises():
 
 def test_profile_needs_two_points_per_phase():
     with pytest.raises(ConfigError):
-        StageProfile(stage_id=0, layers=1, entries={(Phase.DECODE, 10): 0.01})
+        StageProfile(stage_id=0, entries={(Phase.DECODE, 10): 0.01})
 
 
 def test_profile_rejects_non_monotone_table():
     with pytest.raises(ConfigError):
         StageProfile(
             stage_id=0,
-            layers=1,
             entries={(Phase.DECODE, 10): 0.02, (Phase.DECODE, 20): 0.01},
         )
 
@@ -80,7 +78,7 @@ def test_compute_time_monotone_when_table_is(points, query):
     for tokens, secs in points:
         running = max(running, secs)
         entries[(Phase.DECODE, tokens)] = running
-    profile = StageProfile(stage_id=0, layers=1, entries=entries)
+    profile = StageProfile(stage_id=0, entries=entries)
     lo = compute_time(profile, Phase.DECODE, query)
     hi = compute_time(profile, Phase.DECODE, query + 1)
     assert hi >= lo - 1e-15
@@ -116,7 +114,7 @@ def test_compute_time_matches_sorted_points_reference(tables, data):
         for phase, table in zip(Phase, tables)
         for tokens, secs in table
     }
-    profile = StageProfile(stage_id=0, layers=1, entries=entries)
+    profile = StageProfile(stage_id=0, entries=entries)
     for phase, table in zip(Phase, tables):
         xs = [t for t, _ in table]
         assert profile.points(phase) == table
@@ -201,7 +199,7 @@ def test_link_profile_rejects_non_finite_numbers(bad):
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_stage_profile_rejects_non_finite_seconds(tmp_path, bad):
     with pytest.raises(ConfigError, match="finite"):
-        StageProfile(0, 1, {(Phase.DECODE, 1): 0.01, (Phase.DECODE, 2): bad})
+        StageProfile(0, {(Phase.DECODE, 1): 0.01, (Phase.DECODE, 2): bad})
     path = tmp_path / "profiles.csv"
     path.write_text(f"stage_id,phase,batched_tokens,seconds\n0,decode,1,0.01\n0,decode,2,{bad}\n")
     with pytest.raises(ProfileError, match="finite"):

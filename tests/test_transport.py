@@ -5,14 +5,13 @@ from bisect import bisect_right
 import pytest
 
 from pipelink.errors import ConfigError, ProtocolError
-from pipelink.profiles import LinkProfile
+from pipelink.profiles import LinkProfile, Phase
 from pipelink.transport import (
     LINK_LOG_HEADER,
     LinkEvent,
     LinkPolicy,
     LinkQueue,
     Payload,
-    PayloadClass,
     first_emit_delay_ns,
     replay_link,
     s_to_ns,
@@ -22,7 +21,7 @@ from pipelink.transport import (
 
 
 def payload(pid, pclass, size):
-    return Payload(id=pid, phase_class=pclass, size_bytes=size)
+    return Payload(id=pid, phase=pclass, size_bytes=size)
 
 
 def drain(queue):
@@ -37,28 +36,28 @@ def drain(queue):
 
 def test_decode_payload_into_empty_link():
     q = LinkQueue(chunk_size=1024)
-    q.enqueue(payload(1, PayloadClass.DECODE, 64))
+    q.enqueue(payload(1, Phase.DECODE, 64))
     chunks = drain(q)
     assert [(c.payload_id, c.is_last) for c in chunks] == [(1, True)]
 
 
 def test_prefill_fifo_order():
     q = LinkQueue(chunk_size=None)
-    q.enqueue(payload(1, PayloadClass.PREFILL, 100))
-    q.enqueue(payload(2, PayloadClass.PREFILL, 100))
+    q.enqueue(payload(1, Phase.PREFILL, 100))
+    q.enqueue(payload(2, Phase.PREFILL, 100))
     assert [c.payload_id for c in drain(q)] == [1, 2]
 
 
 def test_duplicate_id_rejected():
     q = LinkQueue()
-    q.enqueue(payload(1, PayloadClass.DECODE, 10))
+    q.enqueue(payload(1, Phase.DECODE, 10))
     with pytest.raises(ProtocolError):
-        q.enqueue(payload(1, PayloadClass.DECODE, 10))
+        q.enqueue(payload(1, Phase.DECODE, 10))
 
 
 def test_chunk_split_with_remainder():
     q = LinkQueue(chunk_size=262_144)
-    q.enqueue(payload(1, PayloadClass.PREFILL, 600_000))
+    q.enqueue(payload(1, Phase.PREFILL, 600_000))
     chunks = drain(q)
     assert [c.size_bytes for c in chunks] == [262_144, 262_144, 75_712]
     assert [c.index for c in chunks] == [0, 1, 2]
@@ -67,17 +66,17 @@ def test_chunk_split_with_remainder():
 
 def test_decode_preempts_at_chunk_boundary():
     q = LinkQueue(chunk_size=100)
-    q.enqueue(payload(1, PayloadClass.PREFILL, 350))
+    q.enqueue(payload(1, Phase.PREFILL, 350))
     first = q.next_chunk()
     assert (first.payload_id, first.index) == (1, 0)
-    q.enqueue(payload(2, PayloadClass.DECODE, 8))
+    q.enqueue(payload(2, Phase.DECODE, 8))
     order = [(c.payload_id, c.index) for c in drain(q)]
     assert order == [(2, 0), (1, 1), (1, 2), (1, 3)]
 
 
 def test_decode_never_split():
     q = LinkQueue(chunk_size=16)
-    q.enqueue(payload(1, PayloadClass.DECODE, 4096))
+    q.enqueue(payload(1, Phase.DECODE, 4096))
     chunks = drain(q)
     assert len(chunks) == 1 and chunks[0].size_bytes == 4096
 
@@ -93,8 +92,8 @@ def test_bad_chunk_size():
 
 def test_fcfs_policy_ignores_class_priority():
     q = LinkQueue(chunk_size=None, policy=LinkPolicy.FCFS)
-    q.enqueue(payload(1, PayloadClass.PREFILL, 100))
-    q.enqueue(payload(2, PayloadClass.DECODE, 8))
+    q.enqueue(payload(1, Phase.PREFILL, 100))
+    q.enqueue(payload(2, Phase.DECODE, 8))
     assert [c.payload_id for c in drain(q)] == [1, 2]
 
 
@@ -104,7 +103,7 @@ def test_fcfs_policy_ignores_class_priority():
 def test_single_chunk_delivery_time():
     link = LinkProfile("a", "b", latency_s=0.010, bandwidth_bps=12_500_000)
     events = replay_link(
-        link, [(0, payload(1, PayloadClass.PREFILL, 262_144))], chunk_size=None
+        link, [(0, payload(1, Phase.PREFILL, 262_144))], chunk_size=None
     )
     deliver = [e for e in events if e.event == "deliver"]
     assert len(deliver) == 1
@@ -114,8 +113,8 @@ def test_single_chunk_delivery_time():
 def test_decode_blocked_behind_unchunked_prefill():
     link = LinkProfile("a", "b", latency_s=0.010, bandwidth_bps=12_500_000)
     arrivals = [
-        (0, payload(1, PayloadClass.PREFILL, 8_192_000)),
-        (0, payload(2, PayloadClass.DECODE, 32_768)),
+        (0, payload(1, Phase.PREFILL, 8_192_000)),
+        (0, payload(2, Phase.DECODE, 32_768)),
     ]
     events = replay_link(link, arrivals, chunk_size=None)
     assert first_emit_delay_ns(events, 2) >= s_to_ns(0.65536)
@@ -124,8 +123,8 @@ def test_decode_blocked_behind_unchunked_prefill():
 def test_chunking_bounds_decode_blocking():
     link = LinkProfile("a", "b", latency_s=0.010, bandwidth_bps=12_500_000)
     arrivals = [
-        (0, payload(1, PayloadClass.PREFILL, 8_192_000)),
-        (0, payload(2, PayloadClass.DECODE, 32_768)),
+        (0, payload(1, Phase.PREFILL, 8_192_000)),
+        (0, payload(2, Phase.DECODE, 32_768)),
     ]
     events = replay_link(link, arrivals, chunk_size=262_144)
     # bounded by the residual of the chunk in flight
@@ -137,8 +136,8 @@ def test_decode_arriving_as_a_chunk_ends_goes_next():
     link = LinkProfile("a", "b", latency_s=0.010, bandwidth_bps=12_500_000)
     chunk_end = transmission_ns(link, 262_144)
     arrivals = [
-        (0, payload(1, PayloadClass.PREFILL, 600_000)),
-        (chunk_end, payload(2, PayloadClass.DECODE, 64)),
+        (0, payload(1, Phase.PREFILL, 600_000)),
+        (chunk_end, payload(2, Phase.DECODE, 64)),
     ]
     events = replay_link(link, arrivals, chunk_size=262_144)
     assert first_emit_delay_ns(events, 2) == 0
@@ -160,7 +159,7 @@ def check_link_invariants(
         rec = by_payload.setdefault(
             e.payload_id,
             {"enqueue": None, "emits": [], "sents": [], "delivered": 0,
-             "size": None, "class": e.phase_class, "last_deliver": None},
+             "size": None, "class": e.phase, "last_deliver": None},
         )
         if e.event == "enqueue":
             rec["enqueue"] = e.time_ns
@@ -215,11 +214,11 @@ def check_link_invariants(
         # to its emit, so the waiting count at t is the enqueues by t minus the
         # emits by t (no emit precedes its enqueue, checked above)
         boundary_times = set(sents)
-        decodes = [rec for rec in by_payload.values() if rec["class"] is PayloadClass.DECODE]
+        decodes = [rec for rec in by_payload.values() if rec["class"] is Phase.DECODE]
         enqueued = sorted(rec["enqueue"] for rec in decodes)
         started = sorted(min(t for t, _, _ in rec["emits"]) for rec in decodes)
         for e in events:
-            if e.event != "emit" or e.phase_class is not PayloadClass.PREFILL:
+            if e.event != "emit" or e.phase is not Phase.PREFILL:
                 continue
             if e.time_ns not in boundary_times:
                 continue  # idle-start emission, no boundary decision was due
@@ -229,7 +228,7 @@ def check_link_invariants(
             )
 
     # class-internal FIFO by completion order
-    for pclass in (PayloadClass.PREFILL, PayloadClass.DECODE):
+    for pclass in (Phase.PREFILL, Phase.DECODE):
         rows = [
             (rec["enqueue"], rec["last_deliver"], pid)
             for pid, rec in by_payload.items()
@@ -246,9 +245,9 @@ def random_payload_schedule(rng: random.Random, count: int):
     for pid in range(count):
         t += rng.randrange(0, 2_000_000)
         if rng.random() < 0.5:
-            p = payload(pid, PayloadClass.DECODE, rng.randrange(8, 4096))
+            p = payload(pid, Phase.DECODE, rng.randrange(8, 4096))
         else:
-            p = payload(pid, PayloadClass.PREFILL, rng.randrange(1, 2_000_000))
+            p = payload(pid, Phase.PREFILL, rng.randrange(1, 2_000_000))
         arrivals.append((t, p))
     return arrivals
 
@@ -282,10 +281,10 @@ def test_transmission_ns_rounding():
 
 def test_write_link_log_orders_rows_by_time_stably(tmp_path):
     events = [
-        LinkEvent(2_000, "a->b", 1, 0, 10, PayloadClass.PREFILL, "sent"),
-        LinkEvent(1_000, "a->b", 2, -1, 20, PayloadClass.DECODE, "enqueue"),
-        LinkEvent(2_000, "a->b", 3, 0, 30, PayloadClass.DECODE, "emit"),
-        LinkEvent(1_000, "a->b", 4, -1, 40, PayloadClass.PREFILL, "enqueue"),
+        LinkEvent(2_000, "a->b", 1, 0, 10, Phase.PREFILL, "sent"),
+        LinkEvent(1_000, "a->b", 2, -1, 20, Phase.DECODE, "enqueue"),
+        LinkEvent(2_000, "a->b", 3, 0, 30, Phase.DECODE, "emit"),
+        LinkEvent(1_000, "a->b", 4, -1, 40, Phase.PREFILL, "enqueue"),
     ]
     path = tmp_path / "transport.csv"
     write_link_log(events, path)

@@ -1,5 +1,6 @@
 import itertools
 import queue
+import random
 import socket
 import struct
 import threading
@@ -8,7 +9,8 @@ import time
 import pytest
 
 from pipelink.errors import ProtocolError
-from pipelink.transport import LinkPolicy, Payload, PayloadClass
+from pipelink.profiles import Phase
+from pipelink.transport import LinkPolicy, Payload
 from pipelink import wire
 from pipelink.wire import (
     FLAG_DECODE,
@@ -24,7 +26,7 @@ from simsetup import make_node  # noqa: F401  (keeps test helpers importable)
 
 
 def payload(pid, pclass, size):
-    return Payload(id=pid, phase_class=pclass, size_bytes=size)
+    return Payload(id=pid, phase=pclass, size_bytes=size)
 
 
 def receiver_thread(sock, on_payload):
@@ -88,9 +90,9 @@ def test_sender_refuses_payload_whose_chunks_exceed_frame_limit(monkeypatch):
     try:
         unchunked = SocketLinkSender(a, chunk_size=None)
         with pytest.raises(ProtocolError, match="frame limit"):
-            unchunked.send(payload(1, PayloadClass.PREFILL, 65), bytes(65))
+            unchunked.send(payload(1, Phase.PREFILL, 65), bytes(65))
         chunked = SocketLinkSender(a, chunk_size=64)
-        chunked.send(payload(2, PayloadClass.PREFILL, 65), bytes(65))
+        chunked.send(payload(2, Phase.PREFILL, 65), bytes(65))
     finally:
         a.close()
         b.close()
@@ -106,14 +108,14 @@ def test_sender_receiver_round_trip_chunked():
     try:
         body_big = bytes(range(256)) * 20  # 5120 B -> 5 chunks
         body_small = b"\x01" * 64
-        sender.send(payload(1, PayloadClass.PREFILL, len(body_big)), body_big)
-        sender.send(payload(2, PayloadClass.DECODE, len(body_small)), body_small)
+        sender.send(payload(1, Phase.PREFILL, len(body_big)), body_big)
+        sender.send(payload(2, Phase.DECODE, len(body_small)), body_small)
         got = [received.get(timeout=10) for _ in range(2)]
         by_id = {p.payload_id: p for p in got}
         assert by_id[1].body == body_big
-        assert by_id[1].phase_class is PayloadClass.PREFILL
+        assert by_id[1].phase is Phase.PREFILL
         assert by_id[2].body == body_small
-        assert by_id[2].phase_class is PayloadClass.DECODE
+        assert by_id[2].phase is Phase.DECODE
     finally:
         sender.close()
         sender.join(timeout=10)
@@ -123,12 +125,65 @@ def test_sender_receiver_round_trip_chunked():
     assert not receiver.is_alive()  # the shutdown frame ended it
 
 
+class RecordingSocket:
+    """Keeps each frame a sender writes; ``after_frame(count)`` runs after each."""
+
+    def __init__(self, after_frame):
+        self.frames = []
+        self.after_frame = after_frame
+
+    def sendall(self, data):
+        self.frames.append(data)
+        self.after_frame(len(self.frames))
+
+
+def test_sender_sends_each_chunk_from_its_offset():
+    # No 1,024-byte stretch of the body repeats and its last chunk is short,
+    # so a chunk cut from the wrong offset cannot reassemble to the body.  A
+    # decode payload is sent once the first prefill chunk is on the wire.
+    body = random.Random(12).randbytes(5 * 1024 + 300)
+    small = b"decode!!"
+    decode_sent = threading.Event()
+
+    def after_frame(count):
+        if count == 1:
+            sender.send(payload(2, Phase.DECODE, len(small)), small)
+            decode_sent.set()
+
+    sock = RecordingSocket(after_frame)
+    sender = SocketLinkSender(sock, chunk_size=1024)
+    sender.send(payload(1, Phase.PREFILL, len(body)), body)
+    sender.start()
+    assert decode_sent.wait(timeout=10)
+    sender.close()
+    sender.join(timeout=10)
+    assert not sender.is_alive()
+
+    headers = [struct.unpack_from("<QII", frame, 4) for frame in sock.frames]
+    assert [(pid, index) for pid, index, _ in headers] == [
+        (1, 0), (2, 0), (1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (0, 0)
+    ]
+    assert len(sock.frames[-2]) == 4 + wire.HEADER_BYTES + 300  # length, header, short body
+    a, b = socket.socketpair()
+    delivered = []
+    try:
+        a.sendall(b"".join(sock.frames))
+        a.close()
+        receive_payloads(b, delivered.append)
+    finally:
+        a.close()
+        b.close()
+    assert [(p.payload_id, p.phase, p.body) for p in delivered] == [
+        (2, Phase.DECODE, small), (1, Phase.PREFILL, body)
+    ]
+
+
 def test_sender_rejects_mismatched_body():
     left, right = loopback_pair()
     sender = SocketLinkSender(left, chunk_size=None)
     try:
         with pytest.raises(ProtocolError):
-            sender.send(payload(1, PayloadClass.DECODE, 10), b"123")
+            sender.send(payload(1, Phase.DECODE, 10), b"123")
     finally:
         left.close()
         right.close()
@@ -143,8 +198,8 @@ def test_decode_overtakes_queued_prefill_on_the_wire():
     receiver = receiver_thread(right, received.put)
     big = bytes(1 << 20)
     small = b"\x07" * 16
-    sender.send(payload(1, PayloadClass.PREFILL, len(big)), big)
-    sender.send(payload(2, PayloadClass.DECODE, len(small)), small)
+    sender.send(payload(1, Phase.PREFILL, len(big)), big)
+    sender.send(payload(2, Phase.DECODE, len(small)), small)
     sender.start()
     receiver.start()
     try:
@@ -167,7 +222,7 @@ def test_clean_shutdown_frame_ends_receiver():
     receiver = receiver_thread(right, received.put)
     sender.start()
     receiver.start()
-    sender.send(payload(3, PayloadClass.DECODE, 8), b"12345678")
+    sender.send(payload(3, Phase.DECODE, 8), b"12345678")
     sender.close()
     sender.join(timeout=10)
     receiver.join(timeout=10)
@@ -214,8 +269,8 @@ def test_receiver_interleaved_payloads_and_clean_eof():
         (1, 0, 0, b"AA"), (2, 0, FLAG_LAST | FLAG_DECODE, b"d"), (1, 1, FLAG_LAST, b"BB")
     )
     assert error is None
-    assert [(p.payload_id, p.phase_class, p.body) for p in delivered] == [
-        (2, PayloadClass.DECODE, b"d"), (1, PayloadClass.PREFILL, b"AABB")
+    assert [(p.payload_id, p.phase, p.body) for p in delivered] == [
+        (2, Phase.DECODE, b"d"), (1, Phase.PREFILL, b"AABB")
     ]
 
 
@@ -245,11 +300,11 @@ def test_sender_to_dead_peer_refuses_later_sends_and_holds_no_body():
         with pytest.raises(ProtocolError, match="to-dead-peer: peer gone"):
             for pid in itertools.count():
                 assert time.monotonic() < deadline, "send() never failed"
-                sender.send(payload(pid, PayloadClass.PREFILL, 1024), bytes(1024))
+                sender.send(payload(pid, Phase.PREFILL, 1024), bytes(1024))
                 time.sleep(0.01)
         sender.join(timeout=5)
         assert not sender.is_alive()
-        assert sender._bodies == {} and sender._offsets == {}
+        assert sender._bodies == {}
     finally:
         sender.close()
         a.close()
