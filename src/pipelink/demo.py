@@ -1,4 +1,4 @@
-"""Two-stage live pipeline over loopback sockets.
+"""Live pipeline over loopback sockets, as a ring of any depth.
 
 Drives the engine's :class:`~pipelink.engine.HeadScheduler` (controller
 decision with its ``decision_stride``, continuous batching, in-flight cap,
@@ -7,6 +7,13 @@ activations and token feedback through the real framed-socket transport.
 Compute is not slept, so wall-clock timing is meaningless here; what must
 match the virtual run is the token accounting, and the test suite checks
 exactly that.
+
+Each hop of the ring (stage i to stage i+1, the last stage back to the head)
+is one loopback connection with one sender.  The head sends activations;
+each middle stage relays them unchanged; the tail turns each activation into
+one feedback payload for the head.  The head keeps the pipeline full: when
+feedback comes back it applies every feedback already queued before it
+dispatches again, so micro-batches that return together go out together.
 
 Arrivals are collapsed: the trace's requests are offered in arrival order as
 fast as the pipeline accepts them.
@@ -34,8 +41,20 @@ from .workload import Trace
 _COUNT = struct.Struct("<I")
 
 
+def _relay(in_sock, out_sender: SocketLinkSender) -> None:
+    """Middle stage: pass each payload on unchanged, with its id and phase."""
+
+    def on_payload(p: ReceivedPayload) -> None:
+        out_sender.send(Payload(p.payload_id, p.phase, len(p.body)), p.body)
+
+    try:
+        receive_payloads(in_sock, on_payload)
+    finally:
+        out_sender.close()  # the end of the stream, or its failure, goes on
+
+
 def _tail_worker(forward_sock, return_sender: SocketLinkSender) -> None:
-    """Second stage: receive an activation, emit one feedback token per request."""
+    """Last stage: receive an activation, emit one feedback token per request."""
 
     def on_payload(p: ReceivedPayload) -> None:
         (count,) = _COUNT.unpack(p.body[:4])
@@ -48,6 +67,29 @@ def _tail_worker(forward_sock, return_sender: SocketLinkSender) -> None:
         return_sender.close()
 
 
+def _apply_feedback(sched: HeadScheduler, feedback_q, timeout_s: float) -> None:
+    """Wait for one feedback, then apply it and every other one already queued."""
+    try:
+        fb = feedback_q.get(timeout=timeout_s)
+    except Empty:
+        raise ProtocolError(
+            f"no feedback from the tail stage within {timeout_s} s"
+        ) from None
+    while True:
+        if fb is None:
+            raise ProtocolError("the tail stage closed the return stream early")
+        if isinstance(fb, ProtocolError):
+            raise ProtocolError(f"the return stream failed: {fb}") from fb
+        mb = sched.in_flight.get(fb.payload_id)
+        if mb is None:
+            raise ProtocolError(f"feedback for unknown micro-batch {fb.payload_id}")
+        sched.feedback(mb, 0)
+        try:
+            fb = feedback_q.get_nowait()
+        except Empty:
+            return
+
+
 def run_socket_demo(
     cfg: EngineConfig,
     cluster: ClusterSpec,
@@ -55,18 +97,19 @@ def run_socket_demo(
     trace: Trace,
     timeout_s: float = 60.0,
 ) -> dict[int, int]:
-    """Drive the trace through a 2-stage socket pipeline; returns tokens/request."""
-    if len(cfg.partition.stages) != 2:
-        raise ConfigError("socket demo supports exactly two stages")
+    """Drive the trace through a socket pipeline ring; returns tokens/request."""
+    if len(cfg.partition.stages) < 2:
+        raise ConfigError("socket demo needs at least two stages")
     links = ring_links(cfg.partition, cluster)
     sched = HeadScheduler(cfg, stage_profiles, links, trace.requests)
     sched.pending.extend(sched.requests.values())
 
-    fwd_head, fwd_tail = loopback_pair()
-    ret_tail, ret_head = loopback_pair()
-    policy = cfg.scheduling_policy
-    forward_sender = SocketLinkSender(fwd_head, cfg.chunk_size, policy, "fwd-sender")
-    return_sender = SocketLinkSender(ret_tail, cfg.chunk_size, policy, "ret-sender")
+    # Hop i carries stage i's output to stage i+1, the last hop to the head.
+    pairs = [loopback_pair() for _ in links]
+    senders = [
+        SocketLinkSender(out, cfg.chunk_size, cfg.scheduling_policy, f"hop{i}-sender")
+        for i, (out, _) in enumerate(pairs)
+    ]
     feedback_q: queue.Queue[ReceivedPayload | ProtocolError | None] = queue.Queue()
 
     def receive_feedback() -> None:
@@ -74,23 +117,31 @@ def run_socket_demo(
         # the head if it still waits for feedback.
         end = None
         try:
-            receive_payloads(ret_head, feedback_q.put)
+            receive_payloads(pairs[-1][1], feedback_q.put)
         except ProtocolError as exc:
             end = exc
         feedback_q.put(end)
 
+    # Stage i reads hop i-1 and writes hop i; the last stage is the tail.
+    last = len(links) - 1
+    stages = [
+        threading.Thread(
+            target=_tail_worker if i == last else _relay,
+            args=(pairs[i - 1][1], senders[i]),
+            name="tail" if i == last else f"relay{i}",
+            daemon=True,
+        )
+        for i in range(1, len(links))
+    ]
     head_receiver = threading.Thread(
         target=receive_feedback, name="head-recv", daemon=True
     )
-    tail = threading.Thread(
-        target=_tail_worker, args=(fwd_tail, return_sender), name="tail", daemon=True
-    )
-    forward_sender.start()
-    return_sender.start()
-    head_receiver.start()
-    tail.start()
+    workers = [*senders, *stages, head_receiver]
+    for worker in workers:
+        worker.start()
 
-    socks = (fwd_head, fwd_tail, ret_tail, ret_head)
+    forward_sender = senders[0]
+    socks = [sock for pair in pairs for sock in pair]
     try:
         while sched.unfinished:
             batches = sched.dispatch()
@@ -104,20 +155,7 @@ def run_socket_demo(
                 continue
             if not sched.in_flight:
                 raise ProtocolError("demo stalled with no work in flight")
-            try:
-                fb = feedback_q.get(timeout=timeout_s)
-            except Empty:
-                raise ProtocolError(
-                    f"no feedback from the tail stage within {timeout_s} s"
-                ) from None
-            if fb is None:
-                raise ProtocolError("the tail stage closed the return stream early")
-            if isinstance(fb, ProtocolError):
-                raise ProtocolError(f"the return stream failed: {fb}") from fb
-            mb = sched.in_flight.get(fb.payload_id)
-            if mb is None:
-                raise ProtocolError(f"feedback for unknown micro-batch {fb.payload_id}")
-            sched.feedback(mb, 0)
+            _apply_feedback(sched, feedback_q, timeout_s)
     except BaseException:
         # No joins on failure: a mute worker would hold each one for
         # timeout_s.  Shutting the sockets down ends every blocked read/write.
@@ -130,9 +168,8 @@ def run_socket_demo(
             sock.close()
         raise
     forward_sender.close()
-    forward_sender.join(timeout=timeout_s)
-    tail.join(timeout=timeout_s)
-    head_receiver.join(timeout=timeout_s)
+    for worker in workers:
+        worker.join(timeout=timeout_s)
     for sock in socks:
         sock.close()
 

@@ -12,9 +12,11 @@ Wire format, little-endian throughout, length-prefixed:
 The sender applies the same two-class, chunk-granular schedule as the
 virtual-time backend: it owns a :class:`LinkQueue` guarded by a condition
 variable, and the worker thread drains it one chunk at a time.
-:func:`receive_payloads` reassembles chunks into payloads, checking that each
-payload's chunks come in index order, and hands completed payloads to a
-callback.
+:func:`receive_payloads` reads frames through one buffered reader per socket,
+so a frame costs two reads from the reader's buffer rather than two
+``recv`` calls, and a burst of small frames is taken in by one ``recv``.  It
+reassembles chunks into payloads, checking that each payload's chunks come in
+index order, and hands completed payloads to a callback.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import socket
 import struct
 import threading
 from dataclasses import dataclass
+from typing import BinaryIO
 
 from .errors import ProtocolError
 from .profiles import Phase
@@ -48,30 +51,22 @@ def encode_frame(payload_id: int, chunk_index: int, flags: int, body: bytes) -> 
     return _LEN.pack(length) + _HEADER.pack(payload_id, chunk_index, flags) + body
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
-    buf = bytearray()
-    while len(buf) < n:
-        piece = sock.recv(n - len(buf))
-        if not piece:
-            return None
-        buf.extend(piece)
-    return bytes(buf)
-
-
-def read_frame(sock: socket.socket) -> tuple[int, int, int, bytes] | None:
-    """One frame off the socket, or None on clean EOF."""
-    raw_len = _recv_exact(sock, _LEN.size)
-    if raw_len is None:
+def read_frame(reader: BinaryIO) -> tuple[int, int, int, bytes] | None:
+    """One frame off a buffered reader, or None on clean EOF between frames."""
+    raw_len = reader.read(_LEN.size)
+    if not raw_len:
         return None
+    if len(raw_len) < _LEN.size:
+        raise ProtocolError("connection closed mid-length field")
     (length,) = _LEN.unpack(raw_len)
     if length < HEADER_BYTES:
         raise ProtocolError(f"frame shorter than header ({length} bytes)")
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
-    rest = _recv_exact(sock, length)
-    if rest is None:
+    rest = reader.read(length)
+    if len(rest) < length:
         raise ProtocolError("connection closed mid-frame")
-    payload_id, chunk_index, flags = _HEADER.unpack(rest[:HEADER_BYTES])
+    payload_id, chunk_index, flags = _HEADER.unpack_from(rest)
     return payload_id, chunk_index, flags, rest[HEADER_BYTES:]
 
 
@@ -98,7 +93,8 @@ class SocketLinkSender(threading.Thread):
         self._bodies: dict[int, bytes] = {}
         self._cond = threading.Condition()
         self._closing = False
-        self._error: OSError | None = None  # why the worker stopped early
+        # Why the worker stopped early.
+        self._error: OSError | ProtocolError | None = None
 
     def send(self, payload: Payload, body: bytes) -> None:
         if len(body) != payload.size_bytes:
@@ -107,7 +103,10 @@ class SocketLinkSender(threading.Thread):
                 f"declared {payload.size_bytes}"
             )
         # Refuse here, not in the worker thread, a chunk no frame can carry.
-        chunk = min(payload.size_bytes, self._queue.chunk_size or payload.size_bytes)
+        # Decode payloads are never split (LinkQueue.next_chunk).
+        chunk = payload.size_bytes
+        if payload.phase is not Phase.DECODE and self._queue.chunk_size:
+            chunk = min(chunk, self._queue.chunk_size)
         if HEADER_BYTES + chunk > MAX_FRAME_BYTES:
             raise ProtocolError(
                 f"payload {payload.id}: {chunk}-byte chunks exceed the frame limit"
@@ -154,7 +153,7 @@ class SocketLinkSender(threading.Thread):
                     encode_frame(chunk.payload_id, chunk.index, flags, piece)
                 )
             self._sock.sendall(encode_frame(0, 0, FLAG_SHUTDOWN, b""))
-        except OSError as exc:
+        except (OSError, ProtocolError) as exc:
             with self._cond:  # later sends fail instead of queueing for nobody
                 self._error = exc
                 self._bodies.clear()
@@ -170,26 +169,28 @@ def receive_payloads(sock: socket.socket, on_payload) -> None:
     """
     partial: dict[int, list[bytes]] = {}  # payload id -> chunks so far
     try:
-        while True:
-            frame = read_frame(sock)
-            if frame is None or frame[2] & FLAG_SHUTDOWN:
-                if partial:
+        # The socket keeps its fd until this reader is closed too.
+        with sock.makefile("rb") as reader:
+            while True:
+                frame = read_frame(reader)
+                if frame is None or frame[2] & FLAG_SHUTDOWN:
+                    if partial:
+                        raise ProtocolError(
+                            f"stream ended in the middle of payload {min(partial)}"
+                        )
+                    return
+                payload_id, chunk_index, flags, body = frame
+                pieces = partial.setdefault(payload_id, [])
+                if chunk_index != len(pieces):
                     raise ProtocolError(
-                        f"stream ended in the middle of payload {min(partial)}"
+                        f"payload {payload_id}: chunk {chunk_index} where "
+                        f"chunk {len(pieces)} was due"
                     )
-                return
-            payload_id, chunk_index, flags, body = frame
-            pieces = partial.setdefault(payload_id, [])
-            if chunk_index != len(pieces):
-                raise ProtocolError(
-                    f"payload {payload_id}: chunk {chunk_index} where "
-                    f"chunk {len(pieces)} was due"
-                )
-            pieces.append(body)
-            if flags & FLAG_LAST:
-                del partial[payload_id]
-                phase = Phase.DECODE if flags & FLAG_DECODE else Phase.PREFILL
-                on_payload(ReceivedPayload(payload_id, phase, b"".join(pieces)))
+                pieces.append(body)
+                if flags & FLAG_LAST:
+                    del partial[payload_id]
+                    phase = Phase.DECODE if flags & FLAG_DECODE else Phase.PREFILL
+                    on_payload(ReceivedPayload(payload_id, phase, b"".join(pieces)))
     except OSError as exc:
         raise ProtocolError(f"link socket failed: {exc}") from exc
 

@@ -33,6 +33,15 @@ def test_socket_workload_builds_its_pipeline(monkeypatch, tmp_path):
     assert len(workload.trace.requests) == workload.n_requests
 
 
+def test_socket_workload_operation_emits_every_token(monkeypatch, tmp_path):
+    workloads = import_bench(monkeypatch, "workloads")
+    workload = workloads.SocketPipeline(tmp_path)
+    workload.setup(workloads.DEFAULT_SEED)
+    result = workload.op()
+    assert result.failed == 0
+    assert result.tokens == sum(r.output_len for r in workload.trace.requests)
+
+
 def test_run_simulation_result_has_what_the_bench_reads(tmp_path):
     write_cluster(tmp_path / "cluster.json")
     write_run_config(tmp_path / "run.json")

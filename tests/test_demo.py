@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import queue
+import socket
 import threading
 import time
 
@@ -8,17 +11,19 @@ from hypothesis import strategies as st
 
 import pipelink.demo
 from pipelink.demo import run_socket_demo
-from pipelink.engine import PipelineEngine
-from pipelink.errors import ProtocolError
-from pipelink.transport import LinkPolicy
+from pipelink.engine import HeadScheduler, PipelineEngine, ring_links
+from pipelink.errors import ConfigError, ProtocolError
+from pipelink.profiles import Phase
+from pipelink.transport import LinkPolicy, Payload
+from pipelink.wire import ReceivedPayload, receive_payloads
 from pipelink.workload import Request, Trace
 
 from simsetup import engine_config, uniform_pipeline
 
 
-def two_stage(policy, chunk_size, decision_stride):
+def two_stage(policy, chunk_size, decision_stride, stages=2):
     cluster, model, plan, profiles = uniform_pipeline(
-        2, 0.001, 0.001, bandwidth=1e9, hidden_dim=64, dtype_bytes=2
+        stages, 0.001, 0.001, bandwidth=1e9, hidden_dim=64, dtype_bytes=2
     )
     cfg = engine_config(
         plan, model, max_batched_tokens=64, max_batch_size=4,
@@ -44,9 +49,12 @@ requests = st.lists(
     policy=st.sampled_from(LinkPolicy),
     chunk_size=st.sampled_from([None, 256]),
     decision_stride=st.sampled_from([1, 3]),
+    stages=st.sampled_from([2, 3, 4]),
 )
-def test_socket_demo_matches_virtual_run(trace, policy, chunk_size, decision_stride):
-    cfg, cluster, profiles = two_stage(policy, chunk_size, decision_stride)
+def test_socket_demo_matches_virtual_run(
+    trace, policy, chunk_size, decision_stride, stages
+):
+    cfg, cluster, profiles = two_stage(policy, chunk_size, decision_stride, stages)
     virtual = PipelineEngine(cfg, cluster, profiles).run(trace)
     assert virtual.all_finished
     live = run_socket_demo(cfg, cluster, profiles, trace, timeout_s=10.0)
@@ -100,3 +108,99 @@ def test_mute_tail_raises_protocol_error_after_timeout(monkeypatch):
     finally:
         release.set()
 
+
+
+def test_socket_demo_refuses_fewer_than_two_stages():
+    cfg, cluster, profiles = two_stage(LinkPolicy.DECODE_PRIORITY, None, 1, stages=1)
+    trace = Trace(requests=[Request(id=0, arrival_time=0.0, input_len=4, output_len=3)])
+    with pytest.raises(ConfigError, match="at least two stages"):
+        run_socket_demo(cfg, cluster, profiles, trace)
+
+
+def test_relay_that_closes_its_input_mid_run_fails_the_head_at_once(monkeypatch):
+    class Stop(Exception):
+        pass
+
+    def closing_relay(in_sock, out_sender):
+        # Pass the first payload on, then take the input stream down.
+        def on_payload(p):
+            out_sender.send(Payload(p.payload_id, p.phase, len(p.body)), p.body)
+            raise Stop
+
+        try:
+            receive_payloads(in_sock, on_payload)
+        except Stop:
+            in_sock.shutdown(socket.SHUT_RDWR)
+            in_sock.close()
+        finally:
+            out_sender.close()
+
+    monkeypatch.setattr(pipelink.demo, "_relay", closing_relay)
+    cfg, cluster, profiles = two_stage(LinkPolicy.DECODE_PRIORITY, None, 1, stages=3)
+    trace = Trace(requests=[
+        Request(id=i, arrival_time=0.0, input_len=4, output_len=5) for i in range(4)
+    ])
+    start = time.monotonic()
+    with pytest.raises(ProtocolError):
+        run_socket_demo(cfg, cluster, profiles, trace, timeout_s=60.0)
+    assert time.monotonic() - start < 5.0
+
+
+def in_flight_scheduler():
+    """A head scheduler with at least two micro-batches in flight."""
+    cfg, cluster, profiles = two_stage(LinkPolicy.DECODE_PRIORITY, None, 1)
+    trace = Trace(requests=[
+        Request(id=i, arrival_time=0.0, input_len=30, output_len=3)
+        for i in range(12)
+    ])
+    sched = HeadScheduler(
+        cfg, profiles, ring_links(cfg.partition, cluster), trace.requests
+    )
+    sched.pending.extend(sched.requests.values())
+    while sched.dispatch():
+        pass
+    assert len(sched.in_flight) >= 2
+    return sched
+
+
+def feedback_for(mb_id):
+    return ReceivedPayload(mb_id, Phase.DECODE, b"")
+
+
+def test_apply_feedback_applies_every_queued_feedback_at_once():
+    sched = in_flight_scheduler()
+    feedback_q = queue.Queue()
+    for mb_id in list(sched.in_flight):
+        feedback_q.put(feedback_for(mb_id))
+    pipelink.demo._apply_feedback(sched, feedback_q, timeout_s=1.0)
+    assert sched.in_flight == {} and feedback_q.empty()
+
+
+@pytest.mark.parametrize("bad, match", [
+    (None, "closed the return stream"),
+    (ProtocolError("reset"), "return stream failed: reset"),
+    (feedback_for(10**9), "unknown micro-batch"),
+])
+def test_apply_feedback_raises_on_a_bad_item_amid_good_ones(bad, match):
+    sched = in_flight_scheduler()
+    first, second = list(sched.in_flight)[:2]
+    feedback_q = queue.Queue()
+    for item in (feedback_for(first), bad, feedback_for(second)):
+        feedback_q.put(item)
+    with pytest.raises(ProtocolError, match=match):
+        pipelink.demo._apply_feedback(sched, feedback_q, timeout_s=1.0)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_demo_runs_leave_no_descriptor_open():
+    trace = Trace(requests=[
+        Request(id=i, arrival_time=0.0, input_len=20, output_len=3) for i in range(3)
+    ])
+    configs = [
+        two_stage(LinkPolicy.DECODE_PRIORITY, 256, 1, stages) for stages in (2, 3, 4)
+    ]
+    run_socket_demo(*configs[0], trace)  # lazily opened descriptors, once
+    before = len(os.listdir("/proc/self/fd"))
+    for run in range(20):
+        run_socket_demo(*configs[run % 3], trace, timeout_s=10.0)
+    assert len(os.listdir("/proc/self/fd")) == before

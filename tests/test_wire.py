@@ -37,7 +37,7 @@ def test_frame_round_trip():
     a, b = socket.socketpair()
     try:
         a.sendall(encode_frame(7, 3, FLAG_LAST | FLAG_DECODE, b"hello"))
-        pid, idx, flags, body = read_frame(b)
+        pid, idx, flags, body = read_frame(b.makefile("rb"))
         assert (pid, idx, body) == (7, 3, b"hello")
         assert flags & FLAG_LAST and flags & FLAG_DECODE
     finally:
@@ -49,7 +49,7 @@ def test_read_frame_eof_is_none():
     a, b = socket.socketpair()
     a.close()
     try:
-        assert read_frame(b) is None
+        assert read_frame(b.makefile("rb")) is None
     finally:
         b.close()
 
@@ -61,7 +61,7 @@ def test_truncated_frame_raises():
         a.sendall(frame[: len(frame) - 2])
         a.close()
         with pytest.raises(ProtocolError):
-            read_frame(b)
+            read_frame(b.makefile("rb"))
     finally:
         b.close()
 
@@ -71,7 +71,42 @@ def test_read_frame_rejects_oversize_length_before_reading_body():
     try:
         a.sendall(b"\xff\xff\xff\xff")  # frame_length 0xFFFFFFFF, no body
         with pytest.raises(ProtocolError, match="exceeds"):
-            read_frame(b)
+            read_frame(b.makefile("rb"))
+    finally:
+        a.close()
+        b.close()
+
+
+def test_read_frame_parses_many_frames_from_one_send():
+    frames = [(pid, pid % 3, FLAG_LAST, bytes([pid]) * pid) for pid in range(200)]
+    a, b = socket.socketpair()
+    try:
+        a.sendall(b"".join(encode_frame(*frame) for frame in frames))
+        a.close()
+        with b.makefile("rb") as reader:
+            got = [read_frame(reader) for _ in frames]
+            assert read_frame(reader) is None
+    finally:
+        b.close()
+    assert got == frames
+
+
+def test_read_frame_parses_a_frame_sent_byte_by_byte():
+    frame = encode_frame(9, 2, FLAG_LAST | FLAG_DECODE, b"trickled")
+    a, b = socket.socketpair()
+
+    def trickle():
+        for i in range(len(frame)):
+            a.sendall(frame[i : i + 1])
+            time.sleep(0.001)
+
+    writer = threading.Thread(target=trickle, daemon=True)
+    writer.start()
+    try:
+        with b.makefile("rb") as reader:
+            assert read_frame(reader) == (9, 2, FLAG_LAST | FLAG_DECODE, b"trickled")
+        writer.join(timeout=10)
+        assert not writer.is_alive()
     finally:
         a.close()
         b.close()
@@ -96,6 +131,50 @@ def test_sender_refuses_payload_whose_chunks_exceed_frame_limit(monkeypatch):
     finally:
         a.close()
         b.close()
+
+
+def test_chunked_sender_refuses_oversize_decode_payload_and_stays_usable(monkeypatch):
+    # Decode payloads are never split, so the chunk size does not bound them.
+    monkeypatch.setattr(wire, "MAX_FRAME_BYTES", wire.HEADER_BYTES + 64)
+    left, right = loopback_pair()
+    received = queue.Queue()
+    sender = SocketLinkSender(left, chunk_size=16)
+    receiver = receiver_thread(right, received.put)
+    sender.start()
+    receiver.start()
+    try:
+        with pytest.raises(ProtocolError, match="frame limit"):
+            sender.send(payload(1, Phase.DECODE, 65), bytes(65))
+        sender.send(payload(2, Phase.DECODE, 64), b"d" * 64)
+        sender.send(payload(3, Phase.PREFILL, 65), b"p" * 65)
+        got = {p.payload_id: p.body for p in (received.get(timeout=10) for _ in range(2))}
+        assert got == {2: b"d" * 64, 3: b"p" * 65}
+    finally:
+        sender.close()
+        sender.join(timeout=10)
+        receiver.join(timeout=10)
+        left.close()
+        right.close()
+    assert not sender.is_alive() and not receiver.is_alive()
+
+
+def test_sender_whose_frame_is_refused_refuses_later_sends(monkeypatch):
+    left, right = loopback_pair()
+    sender = SocketLinkSender(left, chunk_size=None, name="refused")
+    sender.send(payload(1, Phase.DECODE, 64), bytes(64))
+    # The limit shrinks after send() accepted the payload: the worker's
+    # encode_frame refuses it.
+    monkeypatch.setattr(wire, "MAX_FRAME_BYTES", wire.HEADER_BYTES + 8)
+    sender.start()
+    try:
+        sender.join(timeout=10)
+        assert not sender.is_alive()
+        with pytest.raises(ProtocolError, match="refused: .*exceeds"):
+            sender.send(payload(2, Phase.DECODE, 8), bytes(8))
+        assert sender._bodies == {}
+    finally:
+        left.close()
+        right.close()
 
 
 def test_sender_receiver_round_trip_chunked():
