@@ -102,7 +102,8 @@ def run_socket_demo(
         raise ConfigError("socket demo needs at least two stages")
     links = ring_links(cfg.partition, cluster)
     sched = HeadScheduler(cfg, stage_profiles, links, trace.requests)
-    sched.pending.extend(sched.requests.values())
+    for req in sched.requests.values():
+        sched.arrive(req)
 
     # Hop i carries stage i's output to stage i+1, the last hop to the head.
     pairs = [loopback_pair() for _ in links]

@@ -13,9 +13,9 @@ chunk completions), then by subject id, so runs are bit-reproducible.
 
 from __future__ import annotations
 
-import csv
 import enum
 import heapq
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,7 +27,6 @@ from .placement import ClusterSpec, ModelSpec, PartitionPlan
 from .profiles import LinkProfile, Phase, StageProfile, compute_time
 from .transport import (
     DEFAULT_CHUNK_SIZE,
-    Chunk,
     LinkEvent,
     LinkPolicy,
     NS_PER_S,
@@ -36,6 +35,7 @@ from .transport import (
     activation_bytes,
     feedback_bytes,
     s_to_ns,
+    write_csv_lines,
 )
 from .workload import Request, RequestState, Trace
 
@@ -82,14 +82,21 @@ EVENT_LOG_HEADER = ("time_s", "kind", "subject", "stage")
 
 
 def write_event_log(events: list[EngineEvent], path: str | Path) -> None:
+    """Write the rows in order, byte for byte as ``csv.writer`` would.
+
+    A time is formatted once per run of equal times, so once per distinct
+    time in a run's log, which is in time order.
+    """
     names = {kind: kind.name for kind in EventKind}
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EVENT_LOG_HEADER)
-        writer.writerows(
-            (f"{time_ns / NS_PER_S:.6f}", names[kind], subject, stage)
-            for time_ns, kind, subject, stage in events
-        )
+
+    def lines():
+        last, stamp = None, ""
+        for t, kind, subject, stage in events:
+            if t != last:
+                last, stamp = t, f"{t / NS_PER_S:.6f}"
+            yield f"{stamp},{names[kind]},{subject},{stage}\r\n"
+
+    write_csv_lines(path, EVENT_LOG_HEADER, lines())
 
 
 @dataclass
@@ -234,7 +241,7 @@ class HeadScheduler:
 
     Owns the request state machine (on fresh copies of the requests), the
     pending and ready queues, the in-flight micro-batches and the decision
-    memo.  The caller appends arrivals to ``pending`` and supplies the time.
+    memo.  The caller hands arrivals to ``arrive`` and supplies the time.
     """
 
     def __init__(
@@ -257,6 +264,7 @@ class HeadScheduler:
         self.pending: deque[Request] = deque()
         self.ready: deque[Request] = deque()
         self.in_flight: dict[int, MicroBatch] = {}
+        self.demand = 0  # len(ready) + in-flight batched tokens + pending input tokens
         self.decisions: list[tuple[int, ControllerDecision]] = []
         self.token_emissions: list[tuple[int, int]] = []  # (time_ns, request_id)
         self.iteration = 0
@@ -268,11 +276,8 @@ class HeadScheduler:
         ctrl = self.cfg.controller
         if self._last_decision is not None and self.iteration % ctrl.decision_stride:
             return self._last_decision
-        demand = len(self.ready)
-        demand += sum(mb.batched_tokens for mb in self.in_flight.values())
-        demand += sum(r.input_len for r in self.pending)
         phase = Phase.DECODE if self.ready else Phase.PREFILL
-        key = (clamp_demand(ctrl, demand), phase)
+        key = (clamp_demand(ctrl, self.demand), phase)
         decision = self._memo.get(key)
         if decision is None:
             decision = self._memo[key] = choose_n(
@@ -284,6 +289,12 @@ class HeadScheduler:
                 bytes_per_token=self.bytes_per_token,
             )
         return decision
+
+    def arrive(self, req: Request) -> None:
+        """Queue an arrived request.  Dispatch only moves tokens between the
+        three parts of ``demand``, so arrivals and feedback alone change it."""
+        self.pending.append(req)
+        self.demand += req.input_len
 
     def dispatch(self) -> list[MicroBatch]:
         """Start the next iteration's micro-batches, or return none."""
@@ -316,6 +327,7 @@ class HeadScheduler:
     def feedback(self, mb: MicroBatch, now_ns: int) -> None:
         """Emit one token for each request of ``mb``, which reached the head."""
         del self.in_flight[mb.id]
+        self.demand -= mb.batched_tokens
         now_s = now_ns / NS_PER_S
         for rid in mb.request_ids:
             req = self.requests[rid]
@@ -330,6 +342,7 @@ class HeadScheduler:
                 self.unfinished -= 1
             else:
                 self.ready.append(req)
+                self.demand += 1
 
 
 class _StageRuntime:
@@ -340,6 +353,7 @@ class _StageRuntime:
         self.busy_intervals: list[tuple[int, int]] = []
         self.current_start = 0
         self.current: MicroBatch | None = None
+        self.compute_ns: dict[tuple[Phase, int], int] = {}  # (phase, tokens) -> ns
 
 
 class PipelineEngine:
@@ -375,33 +389,29 @@ class PipelineEngine:
         ]
         self._payload_mb: dict[int, MicroBatch] = {}  # payload ids are unique per run
         self._heap: list[tuple[int, int, int, int, object]] = []
-        self._seq = 0
+        self._seq = itertools.count()
         self._boundary_times: set[int] = set()
         self._events: list[EngineEvent] = []
         self._first_compute_ns: dict[int, int] = {}
         self._next_payload_id = 0
 
     def _push(self, time_ns: int, kind: EventKind, subject: int, data: object = None) -> None:
-        heapq.heappush(self._heap, (time_ns, kind, subject, self._seq, data))
-        self._seq += 1
+        heapq.heappush(self._heap, (time_ns, kind, subject, next(self._seq), data))
 
     def _log(self, time_ns: int, kind: EventKind, subject: int, stage: int = -1) -> None:
         self._events.append(EngineEvent(time_ns, kind, subject, stage))
 
     # -- link mechanics ----------------------------------------------------
 
-    def _on_wire(self, link_idx: int, started: tuple[int, Chunk] | None) -> None:
-        """Schedule the end of the chunk a link put on the wire, if any."""
-        if started is not None:
-            end, chunk = started
-            self._push(end, EventKind.CHUNK_SENT, chunk.payload_id, (link_idx, chunk))
-
     def _send_payload(self, link_idx: int, mb: MicroBatch, size: int,
                       phase: Phase, now: int) -> None:
-        payload = Payload(id=self._next_payload_id, phase=phase, size_bytes=size)
+        payload_id = self._next_payload_id
         self._next_payload_id += 1
-        self._payload_mb[payload.id] = mb
-        self._on_wire(link_idx, self._links[link_idx].offer(payload, now))
+        self._payload_mb[payload_id] = mb
+        started = self._links[link_idx].offer(Payload(payload_id, phase, size), now)
+        if started is not None:  # the link was idle: schedule the chunk's end
+            end, chunk = started
+            self._push(end, EventKind.CHUNK_SENT, chunk.payload_id, (link_idx, chunk))
 
     # -- stage mechanics ---------------------------------------------------
 
@@ -411,7 +421,9 @@ class PipelineEngine:
         mb = stage.queue.popleft()
         stage.current = mb
         stage.current_start = now
-        c_ns = max(1, s_to_ns(compute_time(stage.profile, mb.phase, mb.batched_tokens)))
+        key = (mb.phase, mb.batched_tokens)
+        if (c_ns := stage.compute_ns.get(key)) is None:  # misses call engine.compute_time
+            c_ns = stage.compute_ns[key] = max(1, s_to_ns(compute_time(stage.profile, *key)))
         if stage.idx == 0:
             for rid in mb.request_ids:
                 self._first_compute_ns.setdefault(rid, now)
@@ -493,9 +505,11 @@ class PipelineEngine:
                 link = links[link_idx]
                 started = link.sent(chunk, time_ns)
                 self._push(time_ns + link.latency_ns, delivered, chunk.payload_id, data)
-                self._on_wire(link_idx, started)
+                if started is not None:
+                    end, chunk = started
+                    self._push(end, sent, chunk.payload_id, (link_idx, chunk))
             elif kind is arrival:
-                sched.pending.append(sched.requests[subject])
+                sched.arrive(sched.requests[subject])
                 self._log(time_ns, arrival, subject)
                 self._schedule_boundary(time_ns)
             elif kind is boundary:

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
+import itertools
 from collections import deque
-from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import ConfigError, ProtocolError
 from .profiles import LinkProfile, Phase
@@ -51,21 +52,15 @@ class LinkPolicy(enum.Enum):
     FCFS = "fcfs"
 
 
-@dataclass(frozen=True)
-class Payload:
-    """One intermediate result to move across a link."""
+class Payload(NamedTuple):
+    """One intermediate result to move across a link; at least 1 byte."""
 
     id: int
     phase: Phase
     size_bytes: int
 
-    def __post_init__(self) -> None:
-        if self.size_bytes < 1:
-            raise ConfigError(f"payload {self.id}: size must be >= 1 byte")
 
-
-@dataclass(frozen=True)
-class Chunk:
+class Chunk(NamedTuple):
     payload_id: int
     index: int
     size_bytes: int
@@ -100,6 +95,8 @@ class LinkQueue:
         self._head_index = 0
 
     def enqueue(self, payload: Payload) -> None:
+        if payload.size_bytes < 1:
+            raise ConfigError(f"payload {payload.id}: size must be >= 1 byte")
         if payload.id in self._seen_ids:
             raise ProtocolError(f"payload {payload.id} already enqueued on this link")
         self._seen_ids.add(payload.id)
@@ -152,17 +149,41 @@ LINK_LOG_HEADER = ("time_s", "link", "payload_id", "chunk_index", "bytes", "clas
 _by_time = attrgetter("time_ns")
 
 
-def write_link_log(events: list[LinkEvent], path: str | Path) -> None:
-    classes = {phase: phase.value for phase in Phase}
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as one field of a longer row."""
+    csv.writer(buf := io.StringIO()).writerow((text, ""))
+    return buf.getvalue()[:-3]  # less the empty last field's "," and "\r\n"
+
+
+def write_csv_lines(path: str | Path, header: tuple[str, ...], lines: Iterable[str]) -> None:
+    """Write ``header``, then ``lines`` (whole rows) 1024 at a time, never all at once."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LINK_LOG_HEADER)
-        writer.writerows(
-            (f"{time_ns / NS_PER_S:.6f}", link, payload_id, chunk_index, size,
-             classes[phase], event)
-            for time_ns, link, payload_id, chunk_index, size, phase, event
-            in sorted(events, key=_by_time)
-        )
+        fh.write(",".join(header) + "\r\n")
+        lines = iter(lines)
+        while batch := "".join(itertools.islice(lines, 1024)):
+            fh.write(batch)
+
+
+def write_link_log(events: list[LinkEvent], path: str | Path) -> None:
+    """Write the rows sorted by time, stably, byte for byte as ``csv.writer`` would.
+
+    A time is formatted once per distinct time, and a link name, which may
+    hold ``,`` or ``"``, is quoted by ``csv.writer`` once per name.
+    """
+    names: dict[str, str] = {}
+    decode, classes = Phase.DECODE, (Phase.PREFILL.value, Phase.DECODE.value)
+
+    def lines():
+        last, stamp = None, ""
+        for t, link, payload_id, index, size, phase, event in sorted(events, key=_by_time):
+            if t != last:
+                last, stamp = t, f"{t / NS_PER_S:.6f}"
+            if (name := names.get(link)) is None:
+                name = names[link] = _csv_field(link)
+            cls = classes[phase is decode]
+            yield f"{stamp},{name},{payload_id},{index},{size},{cls},{event}\r\n"
+
+    write_csv_lines(path, LINK_LOG_HEADER, lines())
 
 
 def transmission_ns(profile: LinkProfile, size_bytes: int) -> int:
@@ -197,6 +218,7 @@ class VirtualLink:
         self.queue = LinkQueue(chunk_size=chunk_size, policy=policy)
         self.busy = False
         self.log = log
+        self._tx_ns: dict[int, int] = {}  # transmission_ns by chunk size
 
     def _row(self, now: int, chunk: Chunk, event: str) -> None:
         self.log.append(LinkEvent(now, self.name, chunk.payload_id, chunk.index,
@@ -208,7 +230,9 @@ class VirtualLink:
         if chunk is None:
             return None
         self._row(now, chunk, "emit")
-        return now + transmission_ns(self.profile, chunk.size_bytes), chunk
+        if (tx_ns := self._tx_ns.get(chunk.size_bytes)) is None:
+            tx_ns = self._tx_ns[chunk.size_bytes] = transmission_ns(self.profile, chunk.size_bytes)
+        return now + tx_ns, chunk
 
     def offer(self, payload: Payload, now: int) -> tuple[int, Chunk] | None:
         self.queue.enqueue(payload)

@@ -113,7 +113,8 @@ class SocketLinkSender(threading.Thread):
             )
         with self._cond:
             if self._error is not None:
-                raise ProtocolError(f"{self.name}: peer gone: {self._error}")
+                why = "peer gone" if isinstance(self._error, OSError) else "own frame refused"
+                raise ProtocolError(f"{self.name}: {why}: {self._error}")
             if self._closing:
                 raise ProtocolError("sender is closing")
             self._queue.enqueue(payload)

@@ -156,7 +156,8 @@ def in_flight_scheduler():
     sched = HeadScheduler(
         cfg, profiles, ring_links(cfg.partition, cluster), trace.requests
     )
-    sched.pending.extend(sched.requests.values())
+    for req in sched.requests.values():
+        sched.arrive(req)
     while sched.dispatch():
         pass
     assert len(sched.in_flight) >= 2

@@ -445,7 +445,8 @@ def scheduler_setup(decision_stride=1, scheduler=HeadScheduler):
     trace = generate_trace(rate=30.0, duration=1.0, seed=8,
                            output_lengths=LengthHistogram(((1, 12, 1.0),)))
     sched = scheduler(cfg, profiles, ring_links(plan, cluster), trace.requests)
-    sched.pending.extend(sched.requests.values())
+    for req in sched.requests.values():
+        sched.arrive(req)
     return sched, trace
 
 

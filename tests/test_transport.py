@@ -34,6 +34,14 @@ def drain(queue):
 # -- LinkQueue --------------------------------------------------------------
 
 
+@pytest.mark.parametrize("size", [0, -1])
+def test_enqueue_refuses_a_payload_under_one_byte_and_queues_nothing(size):
+    queue = LinkQueue(chunk_size=1024)
+    with pytest.raises(ConfigError, match="size must be >= 1"):
+        queue.enqueue(payload(0, Phase.PREFILL, size))
+    assert queue.next_chunk() is None
+
+
 def test_decode_payload_into_empty_link():
     q = LinkQueue(chunk_size=1024)
     q.enqueue(payload(1, Phase.DECODE, 64))

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from pipelink.errors import ProtocolError
+from pipelink.errors import ConfigError, ProtocolError
 from pipelink.profiles import Phase
 from pipelink.transport import LinkPolicy, Payload
 from pipelink import wire
@@ -169,9 +169,22 @@ def test_sender_whose_frame_is_refused_refuses_later_sends(monkeypatch):
     try:
         sender.join(timeout=10)
         assert not sender.is_alive()
-        with pytest.raises(ProtocolError, match="refused: .*exceeds"):
+        with pytest.raises(ProtocolError, match="refused: .*exceeds") as refused:
             sender.send(payload(2, Phase.DECODE, 8), bytes(8))
+        assert "peer gone" not in str(refused.value)  # the peer is alive
         assert sender._bodies == {}
+    finally:
+        left.close()
+        right.close()
+
+
+def test_sender_refuses_an_empty_payload_and_queues_nothing():
+    left, right = loopback_pair()
+    sender = SocketLinkSender(left, chunk_size=1024, name="empty")
+    try:
+        with pytest.raises(ConfigError, match="size must be >= 1"):
+            sender.send(payload(0, Phase.PREFILL, 0), b"")
+        assert sender._bodies == {} and sender._queue.next_chunk() is None
     finally:
         left.close()
         right.close()
