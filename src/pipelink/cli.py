@@ -11,7 +11,6 @@ except ``serve`` is deterministic given its input files and seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -21,17 +20,23 @@ from pathlib import Path
 
 from . import __version__
 from .control_api import ClusterRegistry, make_server
-from .controller import ControllerConfig, write_decision_log
+from .controller import ControllerConfig
 from .decode import decode, read_json
 from .engine import (
     EngineConfig,
     PipelineEngine,
     RunResult,
     measure_bubble,
-    write_event_log,
 )
 from .errors import ConfigError, PipelinkError, ProfileError, TraceError
-from .metrics import MetricsReport, summarize, write_report_json
+from .metrics import MetricsReport, summarize
+from .outputs import (
+    write_decision_log,
+    write_event_log,
+    write_link_log,
+    write_report_json,
+    write_sweep_table,
+)
 from .placement import (
     ClusterSpec,
     ModelSpec,
@@ -41,7 +46,7 @@ from .placement import (
     resolve_model,
 )
 from .profiles import LinkProfile, StageProfile, load_stage_profiles, synth_profile
-from .transport import DEFAULT_CHUNK_SIZE, LinkPolicy, s_to_ns, write_link_log
+from .transport import DEFAULT_CHUNK_SIZE, LinkPolicy, s_to_ns
 from .workload import (
     DEFAULT_MAX_INPUT_TOKENS,
     DEFAULT_MAX_OUTPUT_TOKENS,
@@ -265,19 +270,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-_SWEEP_COLUMNS = (
-    "axis",
-    "value",
-    "throughput_tok_s",
-    "ttft_mean_s",
-    "ttft_p50_s",
-    "ttft_p99_s",
-    "tpot_mean_s",
-    "span_s",
-    "total_tokens",
-)
-
-
 # Each sweep axis and the field whose JSON decoder reads its values.
 SWEEP_FIELDS = {
     "bandwidth": (LinkProfile, "bandwidth_bps"),
@@ -337,8 +329,7 @@ def cmd_sweep(args) -> int:
         ClusterSpec.from_json_dict(cluster_data, f"{base_cfg.cluster} at {axis}={text}: $")
         points.append((text, cfg, cluster_data))
     out_root = Path(args.out)
-    out_root.mkdir(parents=True, exist_ok=True)
-    rows = []
+    reports = []
     for text, cfg, cluster_data in points:
         point_dir = out_root / f"{axis}={text}"
         point_dir.mkdir(parents=True, exist_ok=True)
@@ -348,25 +339,10 @@ def cmd_sweep(args) -> int:
         cfg = dataclasses.replace(cfg, cluster=str(cluster_path))
         result, report, _ = run_simulation(cfg, args.seed)
         _write_outputs(point_dir, result, report)
-        rows.append(
-            [
-                axis,
-                text,
-                f"{report.throughput_tok_s:.6f}",
-                f"{report.ttft_mean_s:.6f}",
-                f"{report.ttft_p50_s:.6f}",
-                f"{report.ttft_p99_s:.6f}",
-                "" if report.tpot_mean_s is None else f"{report.tpot_mean_s:.6f}",
-                f"{report.span_s:.6f}",
-                report.total_tokens,
-            ]
-        )
+        reports.append((text, report))
         print(f"{axis}={text}: {report.throughput_tok_s:.3f} tok/s")
     combined = out_root / "combined.csv"
-    with combined.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SWEEP_COLUMNS)
-        writer.writerows(rows)
+    write_sweep_table(axis, reports, combined)
     print(f"combined sweep results in {combined}")
     return 0
 

@@ -130,13 +130,11 @@ class ClusterRegistry:
 
     def __init__(
         self,
-        model_catalog: dict[str, ModelSpec] | None = None,
         key_seed: int | None = None,
         journal_path: str | Path | None = None,
     ):
         self._lock = threading.RLock()
         self._cluster = ClusterSpec(nodes={}, links={})
-        self._catalog = dict(model_catalog or MODEL_PRESETS)
         self._services: dict[str, ServiceRecord] = {}  # running services only
         self._key_rng = random.Random(key_seed) if key_seed is not None else None
         self._journal_path = Path(journal_path) if journal_path else None
@@ -154,11 +152,7 @@ class ClusterRegistry:
             fh.flush()
 
     @classmethod
-    def replay(
-        cls,
-        journal_path: str | Path,
-        model_catalog: dict[str, ModelSpec] | None = None,
-    ) -> "ClusterRegistry":
+    def replay(cls, journal_path: str | Path) -> "ClusterRegistry":
         """Rebuild a registry from its journal (journaling stays enabled).
 
         A last line with no newline that is not JSON is what a crash in the
@@ -167,7 +161,7 @@ class ClusterRegistry:
         not replay raises :class:`ConfigError` naming its line number.
         """
         path = Path(journal_path)
-        registry = cls(model_catalog=model_catalog)
+        registry = cls()
         good_bytes = 0
         with path.open("rb") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -303,9 +297,9 @@ class ClusterRegistry:
                 raise RegistryError(
                     "conflict", f"service {service_name} already exists"
                 )
-            if model_name not in self._catalog:
+            if model_name not in MODEL_PRESETS:
                 raise RegistryError("invalid", f"unknown model {model_name}")
-            model = self._catalog[model_name]
+            model = MODEL_PRESETS[model_name]
             try:
                 plan = plan_deployment(
                     self._free_subcluster(), model, spec.gpu_type, spec.gpu_count

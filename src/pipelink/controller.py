@@ -13,11 +13,9 @@ depends only on ``(clamp_demand(cfg, queued_tokens), phase)``, which is why
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import ConfigError
 from .profiles import LinkProfile, Phase, StageProfile, compute_time
@@ -177,22 +175,3 @@ def choose_n(
         predicted_bubble_fraction=bubble,
     )
 
-
-DECISION_LOG_HEADER = ("iteration", "n", "token_budget", "predicted_bubble")
-
-
-def write_decision_log(
-    decisions: list[tuple[int, ControllerDecision]], path: str | Path
-) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DECISION_LOG_HEADER)
-        for iteration, d in decisions:
-            writer.writerow(
-                [
-                    iteration,
-                    d.n_microbatches,
-                    d.token_budget_per_microbatch,
-                    f"{d.predicted_bubble_fraction:.6f}",
-                ]
-            )

@@ -18,7 +18,6 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 
 from .controller import ControllerConfig, ControllerDecision, choose_n, clamp_demand
@@ -35,7 +34,6 @@ from .transport import (
     activation_bytes,
     feedback_bytes,
     s_to_ns,
-    write_csv_lines,
 )
 from .workload import Request, RequestState, Trace
 
@@ -78,27 +76,6 @@ class EngineEvent(NamedTuple):
     stage: int  # -1 when not stage-scoped
 
 
-EVENT_LOG_HEADER = ("time_s", "kind", "subject", "stage")
-
-
-def write_event_log(events: list[EngineEvent], path: str | Path) -> None:
-    """Write the rows in order, byte for byte as ``csv.writer`` would.
-
-    A time is formatted once per run of equal times, so once per distinct
-    time in a run's log, which is in time order.
-    """
-    names = {kind: kind.name for kind in EventKind}
-
-    def lines():
-        last, stamp = None, ""
-        for t, kind, subject, stage in events:
-            if t != last:
-                last, stamp = t, f"{t / NS_PER_S:.6f}"
-            yield f"{stamp},{names[kind]},{subject},{stage}\r\n"
-
-    write_csv_lines(path, EVENT_LOG_HEADER, lines())
-
-
 @dataclass
 class RunResult:
     """Everything a run produced, at nanosecond precision for exact checks."""
@@ -108,17 +85,12 @@ class RunResult:
     link_events: list[LinkEvent]
     decisions: list[tuple[int, ControllerDecision]]
     stage_busy_ns: list[list[tuple[int, int]]]
-    token_emissions: list[tuple[int, int]]  # (time_ns, request_id)
     first_compute_ns: dict[int, int]
     end_ns: int
     all_finished: bool
 
     def tokens_by_request(self) -> dict[int, int]:
         return {r.id: r.tokens_emitted for r in self.requests}
-
-    def tokens_in_window(self, t0_s: float, t1_s: float) -> int:
-        t0, t1 = s_to_ns(t0_s), s_to_ns(t1_s)
-        return sum(1 for t, _ in self.token_emissions if t0 <= t < t1)
 
 
 def measure_bubble(result: RunResult, stage_id: int, t0: int, t1: int) -> float:
@@ -266,7 +238,6 @@ class HeadScheduler:
         self.in_flight: dict[int, MicroBatch] = {}
         self.demand = 0  # len(ready) + in-flight batched tokens + pending input tokens
         self.decisions: list[tuple[int, ControllerDecision]] = []
-        self.token_emissions: list[tuple[int, int]] = []  # (time_ns, request_id)
         self.iteration = 0
         self._next_mb_id = 0
         self._last_decision: ControllerDecision | None = None
@@ -332,7 +303,6 @@ class HeadScheduler:
         for rid in mb.request_ids:
             req = self.requests[rid]
             req.tokens_emitted += 1
-            self.token_emissions.append((now_ns, rid))
             if req.state is RequestState.PREFILL:
                 req.first_token_time = now_s
                 req.state = RequestState.DECODING
@@ -545,7 +515,6 @@ class PipelineEngine:
             link_events=self._link_events,
             decisions=sched.decisions,
             stage_busy_ns=[s.busy_intervals for s in self._stages],
-            token_emissions=sched.token_emissions,
             first_compute_ns=self._first_compute_ns,
             end_ns=last_time,
             all_finished=sched.unfinished == 0,

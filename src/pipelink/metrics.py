@@ -3,12 +3,9 @@
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
-from .decode import encode
 from .errors import ConfigError
 from .workload import Request, RequestState
 
@@ -56,12 +53,6 @@ class MetricsReport:
             rows.append((f"bubble stage {i}", f"{b:.6f}"))
         width = max(len(k) for k, _ in rows)
         return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
-
-
-def write_report_json(report: MetricsReport, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(encode(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def summarize(

@@ -1,0 +1,124 @@
+"""Every file a simulation writes to ``--out``, and a sweep's ``combined.csv``.
+
+The logs ``events.csv``, ``transport.csv`` and ``decisions.csv`` are written
+byte for byte as ``csv.writer`` would, with rows formatted by hand and streamed
+a batch at a time.  Ordering contract: each log is written in the order given,
+the order the run logged it, and is never sorted or copied.  The engine logs
+at its current virtual time, so its logs are in time order; ``write_link_log``
+refuses a row earlier than the one before it.
+"""
+
+from __future__ import annotations
+
+import csv
+import dataclasses
+import io
+import itertools
+import json
+from pathlib import Path
+from typing import Iterable
+
+from .controller import ControllerDecision
+from .decode import encode
+from .engine import EngineEvent, EventKind
+from .metrics import MetricsReport
+from .profiles import Phase
+from .transport import NS_PER_S, LinkEvent
+
+EVENT_LOG_HEADER = ("time_s", "kind", "subject", "stage")
+LINK_LOG_HEADER = ("time_s", "link", "payload_id", "chunk_index", "bytes", "class", "event")
+DECISION_LOG_HEADER = ("iteration", "n", "token_budget", "predicted_bubble")
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as one field of a longer row."""
+    csv.writer(buf := io.StringIO()).writerow((text, ""))
+    return buf.getvalue()[:-3]  # less the empty last field's "," and "\r\n"
+
+
+def write_csv_lines(path: str | Path, header: tuple[str, ...], lines: Iterable[str]) -> None:
+    """Write ``header``, then ``lines`` (whole rows) 1024 at a time, never all at once."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        lines = iter(lines)
+        while batch := "".join(itertools.islice(lines, 1024)):
+            fh.write(batch)
+
+
+def write_event_log(events: list[EngineEvent], path: str | Path) -> None:
+    """Write the rows in order.
+
+    A time is formatted once per run of equal times, so once per distinct
+    time in a run's log, which is in time order.
+    """
+    names = {kind: kind.name for kind in EventKind}
+
+    def lines():
+        last, stamp = None, ""
+        for t, kind, subject, stage in events:
+            if t != last:
+                last, stamp = t, f"{t / NS_PER_S:.6f}"
+            yield f"{stamp},{names[kind]},{subject},{stage}\r\n"
+
+    write_csv_lines(path, EVENT_LOG_HEADER, lines())
+
+
+def write_link_log(events: list[LinkEvent], path: str | Path) -> None:
+    """Write the rows in order; a row earlier than the one before raises ``ValueError``.
+
+    A time is formatted once per distinct time, and a link name, which may
+    hold ``,`` or ``"``, is quoted by ``csv.writer`` once per name.
+    """
+    names: dict[str, str] = {}
+    decode, classes = Phase.DECODE, (Phase.PREFILL.value, Phase.DECODE.value)
+
+    def lines():
+        last, stamp = None, ""
+        for t, link, payload_id, index, size, phase, event in events:
+            if t != last:
+                if last is not None and t < last:
+                    raise ValueError(f"link log row at {t} ns follows one at {last} ns")
+                last, stamp = t, f"{t / NS_PER_S:.6f}"
+            if (name := names.get(link)) is None:
+                name = names[link] = _csv_field(link)
+            cls = classes[phase is decode]
+            yield f"{stamp},{name},{payload_id},{index},{size},{cls},{event}\r\n"
+
+    write_csv_lines(path, LINK_LOG_HEADER, lines())
+
+
+def write_decision_log(
+    decisions: list[tuple[int, ControllerDecision]], path: str | Path
+) -> None:
+    lines = (
+        f"{iteration},{d.n_microbatches},{d.token_budget_per_microbatch},"
+        f"{d.predicted_bubble_fraction:.6f}\r\n"
+        for iteration, d in decisions
+    )
+    write_csv_lines(path, DECISION_LOG_HEADER, lines)
+
+
+def write_report_json(report: MetricsReport, path: str | Path) -> None:
+    with Path(path).open("w", encoding="utf-8") as fh:
+        json.dump(encode(report), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _sweep_cell(value):
+    """A report field as ``combined.csv`` writes it: floats to 6 places, None empty."""
+    if value is None:
+        return ""
+    return f"{value:.6f}" if isinstance(value, float) else value
+
+
+def write_sweep_table(
+    axis: str, points: list[tuple[str, MetricsReport]], path: str | Path
+) -> None:
+    """``combined.csv``: per ``(axis value, report)``, the report less its per-stage bubbles."""
+    names = [f.name for f in dataclasses.fields(MetricsReport)
+             if f.name != "bubble_fraction_per_stage"]
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["axis", "value", *names])
+        for value, report in points:
+            writer.writerow([axis, value, *(_sweep_cell(getattr(report, n)) for n in names)])

@@ -172,32 +172,39 @@ def flat_profile(seconds: float, stage_id: int = 0) -> StageProfile:
     return StageProfile(stage_id=stage_id, entries=entries)
 
 
+PROFILE_HEADER = ("stage_id", "phase", "batched_tokens", "seconds")
+
+
 def load_stage_profiles(path: str | Path) -> dict[int, StageProfile]:
-    """Read the profile CSV ``stage_id,phase,batched_tokens,seconds``."""
+    """Read the profile CSV ``stage_id,phase,batched_tokens,seconds``.
+
+    A malformed or repeated row raises ``ProfileError`` naming its line.
+    """
     path = Path(path)
     raw: dict[int, dict[tuple[Phase, int], float]] = {}
     # Bytes that are not UTF-8 become U+FFFD, so the row holding them is refused.
     with path.open(newline="", encoding="utf-8", errors="replace") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [h.strip() for h in header] != [
-            "stage_id",
-            "phase",
-            "batched_tokens",
-            "seconds",
-        ]:
+        if header is None or tuple(h.strip() for h in header) != PROFILE_HEADER:
             raise ProfileError(f"{path}: bad or missing header")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(PROFILE_HEADER):
+                raise ProfileError(f"{path}: line {lineno}: expected {len(PROFILE_HEADER)} fields")
             try:
                 stage_id = int(row[0])
                 phase = Phase(row[1].strip().lower())
                 tokens = int(row[2])
                 seconds = float(row[3])
-            except (ValueError, IndexError) as exc:
+            except ValueError as exc:
                 raise ProfileError(f"{path}: line {lineno}: {exc}") from None
-            raw.setdefault(stage_id, {})[(phase, tokens)] = seconds
+            entries = raw.setdefault(stage_id, {})
+            if (phase, tokens) in entries:
+                raise ProfileError(f"{path}: line {lineno}: repeats stage {stage_id} "
+                                   f"{phase.value} at {tokens} batched tokens")
+            entries[(phase, tokens)] = seconds
     try:
         return {
             stage_id: StageProfile(stage_id=stage_id, entries=entries)
@@ -210,7 +217,7 @@ def load_stage_profiles(path: str | Path) -> dict[int, StageProfile]:
 def save_stage_profiles(profiles: dict[int, StageProfile], path: str | Path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["stage_id", "phase", "batched_tokens", "seconds"])
+        writer.writerow(PROFILE_HEADER)
         for stage_id in sorted(profiles):
             p = profiles[stage_id]
             for phase in p.phases():

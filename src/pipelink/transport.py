@@ -8,19 +8,16 @@ head-of-line-blocking baseline.
 
 The same queue mechanics back two transports: :class:`VirtualLink`, the one
 virtual-time driver (the simulator and :func:`replay_link` both run it), and
-the socket workers in :mod:`pipelink.wire`.
+the socket workers in :mod:`pipelink.wire`.  Only link mechanics live here:
+the :class:`LinkEvent` rows a link logs are written by :mod:`pipelink.outputs`.
 """
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
-import itertools
 from collections import deque
 from operator import attrgetter
-from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import ConfigError, ProtocolError
 from .profiles import LinkProfile, Phase
@@ -142,48 +139,9 @@ class LinkEvent(NamedTuple):
     event: str  # enqueue | emit | sent | deliver
 
 
-LINK_LOG_HEADER = ("time_s", "link", "payload_id", "chunk_index", "bytes", "class", "event")
-
-# The one ordering rule of link logs: by time, equal times in logged order
-# (``sorted`` is stable).
+# The one ordering rule of replayed link logs: by time, equal times in logged
+# order (``sorted`` is stable).
 _by_time = attrgetter("time_ns")
-
-
-def _csv_field(text: str) -> str:
-    """``text`` as ``csv.writer`` writes it as one field of a longer row."""
-    csv.writer(buf := io.StringIO()).writerow((text, ""))
-    return buf.getvalue()[:-3]  # less the empty last field's "," and "\r\n"
-
-
-def write_csv_lines(path: str | Path, header: tuple[str, ...], lines: Iterable[str]) -> None:
-    """Write ``header``, then ``lines`` (whole rows) 1024 at a time, never all at once."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        lines = iter(lines)
-        while batch := "".join(itertools.islice(lines, 1024)):
-            fh.write(batch)
-
-
-def write_link_log(events: list[LinkEvent], path: str | Path) -> None:
-    """Write the rows sorted by time, stably, byte for byte as ``csv.writer`` would.
-
-    A time is formatted once per distinct time, and a link name, which may
-    hold ``,`` or ``"``, is quoted by ``csv.writer`` once per name.
-    """
-    names: dict[str, str] = {}
-    decode, classes = Phase.DECODE, (Phase.PREFILL.value, Phase.DECODE.value)
-
-    def lines():
-        last, stamp = None, ""
-        for t, link, payload_id, index, size, phase, event in sorted(events, key=_by_time):
-            if t != last:
-                last, stamp = t, f"{t / NS_PER_S:.6f}"
-            if (name := names.get(link)) is None:
-                name = names[link] = _csv_field(link)
-            cls = classes[phase is decode]
-            yield f"{stamp},{name},{payload_id},{index},{size},{cls},{event}\r\n"
-
-    write_csv_lines(path, LINK_LOG_HEADER, lines())
 
 
 def transmission_ns(profile: LinkProfile, size_bytes: int) -> int:

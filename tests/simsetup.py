@@ -10,6 +10,7 @@ from pipelink.placement import (
     Platform,
 )
 from pipelink.profiles import LinkProfile, flat_profile
+from pipelink.transport import TOKEN_FEEDBACK_BYTES, s_to_ns
 from pipelink.workload import Request, Trace
 
 
@@ -85,4 +86,19 @@ def engine_config(plan, model, max_batched_tokens, max_batch_size, n_max=None,
         controller=controller,
         chunk_size=chunk_size,
         **kwargs,
+    )
+
+
+def tokens_in_window(result, return_link, t0_s, t1_s):
+    """Tokens that reached the head in [t0_s, t1_s) over ``return_link``.
+
+    Each delivered feedback payload carries one token per request of its
+    micro-batch, ``TOKEN_FEEDBACK_BYTES`` each, and lands as one chunk since
+    decode payloads are never split, so the count is exact.
+    """
+    t0, t1 = s_to_ns(t0_s), s_to_ns(t1_s)
+    return sum(
+        e.size_bytes // TOKEN_FEEDBACK_BYTES
+        for e in result.link_events
+        if e.link == return_link and e.event == "deliver" and t0 <= e.time_ns < t1
     )

@@ -26,7 +26,13 @@ from pipelink.demo import run_socket_demo
 from pipelink.transport import Payload, first_emit_delay_ns, replay_link, s_to_ns
 from pipelink.workload import Request, Trace, generate_trace
 
-from simsetup import engine_config, make_node, stationary_decode_trace, uniform_pipeline
+from simsetup import (
+    engine_config,
+    make_node,
+    stationary_decode_trace,
+    tokens_in_window,
+    uniform_pipeline,
+)
 from test_transport import check_link_invariants, random_payload_schedule
 from test_cli import write_cluster, write_run_config
 
@@ -114,8 +120,8 @@ def test_criterion_2_dynamic_count_beats_fixed_degree():
     dynamic = _desk_run(n_max=None)
     assert dynamic.decisions[0][1].n_microbatches == 3
     w0, w1 = 0.09, 0.39
-    tokens_fixed = fixed.tokens_in_window(w0, w1)
-    tokens_dynamic = dynamic.tokens_in_window(w0, w1)
+    tokens_fixed = tokens_in_window(fixed, "node1->node0", w0, w1)
+    tokens_dynamic = tokens_in_window(dynamic, "node1->node0", w0, w1)
     gain = tokens_dynamic / tokens_fixed - 1.0
     assert abs(gain - 0.50) <= 0.02
     util_dynamic = 1.0 - measure_bubble(dynamic, 0, s_to_ns(w0), s_to_ns(w1))

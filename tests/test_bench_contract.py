@@ -8,7 +8,9 @@ constructors its workloads call, and the fields it reads off a run.
 import importlib
 from pathlib import Path
 
-from pipelink.cli import load_run_config, run_simulation
+import pytest
+
+from pipelink.cli import load_run_config, main, run_simulation
 
 from test_cli import write_cluster, write_run_config
 
@@ -47,3 +49,26 @@ def test_run_simulation_result_has_what_the_bench_reads(tmp_path):
     write_run_config(tmp_path / "run.json")
     result, _, _ = run_simulation(load_run_config(tmp_path / "run.json"))
     assert result.requests and result.events and result.link_events
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate"], ["sweep", "--sweep-axis", "bandwidth", "--sweep-values", "1e7,1e8"]],
+    ids=["simulate", "sweep"],
+)
+def test_traced_run_reaches_every_output_layer(monkeypatch, tmp_path, capsys, argv):
+    layers = import_bench(monkeypatch, "layers")
+    write_cluster(tmp_path / "cluster.json")
+    write_run_config(tmp_path / "run.json")
+    with layers.make_tracer().installed() as tracer:
+        rc = main([*argv, "--config", str(tmp_path / "run.json"),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 0, capsys.readouterr().err
+    spans, counts = tracer.by_name(), tracer.counts()
+    for span in ("cli.write_event_log", "cli.write_link_log",
+                 "controller.write_decision_log", "metrics.write_report_json",
+                 "metrics.summarize"):
+        assert spans.get(span, (0,))[0] >= 1, span
+    for writer in ("cli.write_event_log", "cli.write_link_log",
+                   "controller.write_decision_log"):
+        assert counts.get(f"{writer}.rows", 0) > 0, writer

@@ -421,6 +421,23 @@ def test_csv_that_is_not_utf8_exits_2(workdir, capsys, file, text, message):
 
 
 @pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0,prefill,1,0.001,junk\n", "line 2: expected 4 fields"),
+        ("0,prefill,1,0.001\n0,prefill,1,0.002\n", "line 3: repeats stage 0"),
+    ],
+    ids=["extra-field", "repeated-row"],
+)
+def test_profile_csv_with_a_bad_row_exits_2(workdir, capsys, rows, message):
+    (workdir / "profiles.csv").write_text("stage_id,phase,batched_tokens,seconds\n" + rows)
+    write_run_config(workdir / "run.json", profiles={"path": "profiles.csv"})
+    rc = main(["simulate", "--config", str(workdir / "run.json"),
+               "--out", str(workdir / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2 and f"profiles.csv: {message}" in err, err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["serve", "--listen", "foo"],

@@ -9,9 +9,9 @@ from pipelink.controller import (
     choose_n,
     clamp_demand,
     predict_bubble,
-    write_decision_log,
 )
 from pipelink.errors import ConfigError
+from pipelink.outputs import write_decision_log
 from pipelink.profiles import LinkProfile, Phase, flat_profile, synth_profile
 
 

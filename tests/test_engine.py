@@ -31,6 +31,7 @@ from simsetup import (
     engine_config,
     make_node,
     stationary_decode_trace,
+    tokens_in_window,
     uniform_pipeline,
 )
 from test_transport import check_link_invariants
@@ -137,7 +138,7 @@ def test_run_is_deterministic():
     b = PipelineEngine(cfg, cluster, profiles).run(trace)
     assert a.events == b.events
     assert a.link_events == b.link_events
-    assert a.token_emissions == b.token_emissions
+    assert a.tokens_by_request() == b.tokens_by_request()
     assert [r.finish_time for r in a.requests] == [r.finish_time for r in b.requests]
 
 
@@ -154,7 +155,8 @@ def test_token_conservation_and_drain():
     assert sum(r.tokens_emitted for r in result.requests) == sum(
         r.output_len for r in result.requests
     )
-    assert len(result.token_emissions) == sum(r.output_len for r in result.requests)
+    delivered = tokens_in_window(result, "node1->node0", 0.0, result.end_ns / 1e9 + 1.0)
+    assert delivered == sum(r.output_len for r in result.requests)
 
 
 def test_causality_and_stage_fifo():
@@ -296,7 +298,7 @@ def test_fcfs_policy_accepted():
     result = PipelineEngine(cfg, cluster, profiles).run(
         stationary_decode_trace(4), horizon_s=0.1
     )
-    assert result.token_emissions
+    assert sum(r.tokens_emitted for r in result.requests)
 
 
 class _NeverHits(dict):
@@ -349,8 +351,9 @@ def test_run_decides_once_per_distinct_clamped_demand(monkeypatch):
     assert decided == list(dict.fromkeys(every_point))
     assert {phase for _, phase in decided} == set(Phase)
     assert len(every_point) > 2 * len(decided)
-    for field in ("events", "link_events", "decisions", "token_emissions"):
+    for field in ("events", "link_events", "decisions"):
         assert getattr(result, field) == getattr(reference, field), field
+    assert result.tokens_by_request() == reference.tokens_by_request()
     # A second run starts from an empty memo and decides the same keys again.
     first, decided[:] = list(decided), []
     assert engine.run(trace).events == result.events
@@ -481,7 +484,9 @@ def test_head_scheduler_finishes_every_request_within_the_in_flight_cap(
         assert req.tokens_emitted == req.output_len == seed_req.output_len
         assert req.first_token_time is not None and req.finish_time is not None
         assert seed_req.state is RequestState.QUEUED and seed_req.tokens_emitted == 0
-    assert len(sched.token_emissions) == sum(r.output_len for r in trace.requests)
+    assert sum(r.tokens_emitted for r in sched.requests.values()) == sum(
+        r.output_len for r in trace.requests
+    )
 
 
 def test_head_scheduler_reuses_the_decision_between_strides():

@@ -12,8 +12,8 @@ from pipelink.metrics import (
     cost_profit_margin,
     nearest_rank,
     summarize,
-    write_report_json,
 )
+from pipelink.outputs import write_report_json
 from pipelink.workload import Request, RequestState
 
 

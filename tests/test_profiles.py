@@ -181,6 +181,23 @@ def test_stage_profile_csv_round_trip(tmp_path):
     assert loaded[1].entries == profiles[1].entries
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0,prefill,1,0.001,junk\n0,prefill,64,0.01\n", "line 2: expected 4 fields"),
+        ("0,prefill,1,0.001\n0,prefill,64\n", "line 3: expected 4 fields"),
+        ("0,prefill,1,0.001\n0,prefill,64,0.01\n0,PREFILL,1,0.002\n",
+         "line 4: repeats stage 0 prefill at 1 batched tokens"),
+    ],
+    ids=["extra-field", "missing-field", "repeated-row"],
+)
+def test_profile_csv_refuses_a_malformed_row(tmp_path, rows, message):
+    path = tmp_path / "profiles.csv"
+    path.write_text("stage_id,phase,batched_tokens,seconds\n" + rows)
+    with pytest.raises(ProfileError, match=message):
+        load_stage_profiles(path)
+
+
 def test_link_profile_validation():
     with pytest.raises(ConfigError):
         LinkProfile("a", "b", latency_s=-0.1, bandwidth_bps=1e8)

@@ -1,4 +1,3 @@
-import csv
 import random
 from bisect import bisect_right
 
@@ -7,7 +6,6 @@ import pytest
 from pipelink.errors import ConfigError, ProtocolError
 from pipelink.profiles import LinkProfile, Phase
 from pipelink.transport import (
-    LINK_LOG_HEADER,
     LinkEvent,
     LinkPolicy,
     LinkQueue,
@@ -16,7 +14,6 @@ from pipelink.transport import (
     replay_link,
     s_to_ns,
     transmission_ns,
-    write_link_log,
 )
 
 
@@ -285,19 +282,3 @@ def test_randomized_fcfs_schedules_hold_invariants(seed):
 def test_transmission_ns_rounding():
     link = LinkProfile("a", "b", 0.0, 12_500_000)
     assert transmission_ns(link, 262_144) == 20_971_520
-
-
-def test_write_link_log_orders_rows_by_time_stably(tmp_path):
-    events = [
-        LinkEvent(2_000, "a->b", 1, 0, 10, Phase.PREFILL, "sent"),
-        LinkEvent(1_000, "a->b", 2, -1, 20, Phase.DECODE, "enqueue"),
-        LinkEvent(2_000, "a->b", 3, 0, 30, Phase.DECODE, "emit"),
-        LinkEvent(1_000, "a->b", 4, -1, 40, Phase.PREFILL, "enqueue"),
-    ]
-    path = tmp_path / "transport.csv"
-    write_link_log(events, path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        header, *rows = csv.reader(fh)
-    assert header == list(LINK_LOG_HEADER)
-    assert [row[2] for row in rows] == ["2", "4", "1", "3"]
-    assert rows[0] == ["0.000001", "a->b", "2", "-1", "20", "decode", "enqueue"]
