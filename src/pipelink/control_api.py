@@ -27,10 +27,12 @@ import random
 import secrets
 import threading
 import time
+import traceback
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import ClassVar
+from urllib.parse import parse_qs
 
 from .decode import decode, encode
 from .errors import ConfigError, PipelinkError, PlacementError, RegistryError
@@ -384,11 +386,16 @@ _STATUS_BY_CODE = {
     "not_found": 404,
     "invalid": 400,
     "placement_failed": 409,
+    "too_large": 413,
+    "internal": 500,
 }
+
+MAX_BODY_BYTES = 1 << 20  # a longer Content-Length is refused with 413, unread
 
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "pipelink-control"
+    timeout = 10  # seconds a read may stall, as on a body short of its Content-Length
     registry: ClusterRegistry  # set by make_server
 
     def log_message(self, fmt, *args):  # quiet by default
@@ -418,8 +425,12 @@ class _Handler(BaseHTTPRequestHandler):
             raise RegistryError("invalid", f"bad Content-Length {raw_length!r}")
         if length == 0:
             return {}
+        if length > MAX_BODY_BYTES:
+            raise RegistryError("too_large", f"body of {length} bytes exceeds {MAX_BODY_BYTES}")
         try:
             body = json.loads(self.rfile.read(length))
+        except TimeoutError:
+            raise RegistryError("invalid", f"no {length}-byte body in {self.timeout} s") from None
         except (ValueError, RecursionError) as exc:  # also bytes that are not text
             raise RegistryError("invalid", f"bad JSON body: {exc}") from None
         if not isinstance(body, dict):
@@ -441,7 +452,7 @@ class _Handler(BaseHTTPRequestHandler):
             elif self.command == "GET" and len(parts) == 2 and parts[0] == "nodes":
                 self._send_json(200, registry.check_node_status(parts[1]))
             elif self.command == "DELETE" and len(parts) == 2 and parts[0] == "nodes":
-                cascade = "cascade=true" in query
+                cascade = parse_qs(query).get("cascade") == ["true"]
                 registry.node_exit(parts[1], cascade=cascade)
                 self._send_json(200, {"deleted": parts[1]})
             elif self.command == "POST" and parts == ["services"]:
@@ -472,6 +483,9 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_body(exc)
         except ConfigError as exc:
             self._send_error_body(RegistryError("invalid", str(exc)))
+        except Exception as exc:  # a bug: report it, answer 500, keep serving
+            traceback.print_exc()
+            self._send_error_body(RegistryError("internal", f"{type(exc).__name__}: {exc}"))
 
     do_GET = do_POST = do_DELETE = _route
 

@@ -66,15 +66,15 @@ class ControllerDecision:
     predicted_bubble_fraction: float
 
 
-def _bubble(
+def predict_bubble(
     n: int,
     stage_profiles: list[StageProfile],
     links: list[LinkProfile],
     tokens_per_microbatch: int,
     phase: Phase,
-    bytes_per_token: int,
+    bytes_per_token: int = 1,
 ) -> tuple[float, float]:
-    """(bubble, utilization) of the bottleneck stage in steady state.
+    """(bubble, utilization): predicted idle and busy fractions of the bottleneck.
 
     One full round moves every micro-batch through all stages, the inter-stage
     transfers, and the token feedback back to the head; the bottleneck is busy
@@ -82,6 +82,8 @@ def _bubble(
     the engine's virtual clock, so a transfer-free balanced pipeline predicts
     a bubble of exactly zero.
     """
+    if n < 1:
+        raise ConfigError("n must be >= 1")
     if not stage_profiles:
         raise ConfigError("need at least one stage profile")
     num_stages = len(stage_profiles)
@@ -107,22 +109,6 @@ def _bubble(
     round_ns = max(sum(compute_ns) + transfers_ns, n * bottleneck)
     utilization = (n * bottleneck) / round_ns
     return min(1.0, max(0.0, 1.0 - utilization)), utilization
-
-
-def predict_bubble(
-    n: int,
-    stage_profiles: list[StageProfile],
-    links: list[LinkProfile],
-    tokens_per_microbatch: int,
-    phase: Phase,
-    bytes_per_token: int = 1,
-) -> float:
-    """Predicted idle fraction of the bottleneck stage in steady state."""
-    if n < 1:
-        raise ConfigError("n must be >= 1")
-    return _bubble(
-        n, stage_profiles, links, tokens_per_microbatch, phase, bytes_per_token
-    )[0]
 
 
 def clamp_demand(cfg: ControllerConfig, queued_tokens: int) -> int:
@@ -158,7 +144,7 @@ def choose_n(
 
     def evaluate(n: int) -> tuple[float, float, int]:
         tokens = tokens_for(n)
-        return *_bubble(n, stage_profiles, links, tokens, phase, bytes_per_token), tokens
+        return *predict_bubble(n, stage_profiles, links, tokens, phase, bytes_per_token), tokens
 
     n = 1
     bubble, util, tokens = evaluate(n)

@@ -11,9 +11,12 @@ exactly that.
 Each hop of the ring (stage i to stage i+1, the last stage back to the head)
 is one loopback connection with one sender.  The head sends activations;
 each middle stage relays them unchanged; the tail turns each activation into
-one feedback payload for the head.  The head keeps the pipeline full: when
-feedback comes back it applies every feedback already queued before it
-dispatches again, so micro-batches that return together go out together.
+one feedback payload for the head.  A stage reads its hop with
+:func:`~pipelink.wire.receive_payloads`, whose ``on_payload(payload, body)``
+has the signature of ``SocketLinkSender.send``, so a relay passes the next
+hop's ``send`` itself.  The head keeps the pipeline full: when feedback comes
+back it applies every feedback already queued before it dispatches again, so
+micro-batches that return together go out together.
 
 Arrivals are collapsed: the trace's requests are offered in arrival order as
 fast as the pipeline accepts them.
@@ -35,7 +38,7 @@ from .errors import ConfigError, ProtocolError
 from .placement import ClusterSpec
 from .profiles import Phase, StageProfile
 from .transport import Payload, activation_bytes, feedback_bytes
-from .wire import ReceivedPayload, SocketLinkSender, loopback_pair, receive_payloads
+from .wire import SocketLinkSender, loopback_pair, receive_payloads
 from .workload import Trace
 
 _COUNT = struct.Struct("<I")
@@ -43,12 +46,8 @@ _COUNT = struct.Struct("<I")
 
 def _relay(in_sock, out_sender: SocketLinkSender) -> None:
     """Middle stage: pass each payload on unchanged, with its id and phase."""
-
-    def on_payload(p: ReceivedPayload) -> None:
-        out_sender.send(Payload(p.payload_id, p.phase, len(p.body)), p.body)
-
     try:
-        receive_payloads(in_sock, on_payload)
+        receive_payloads(in_sock, out_sender.send)
     finally:
         out_sender.close()  # the end of the stream, or its failure, goes on
 
@@ -56,10 +55,10 @@ def _relay(in_sock, out_sender: SocketLinkSender) -> None:
 def _tail_worker(forward_sock, return_sender: SocketLinkSender) -> None:
     """Last stage: receive an activation, emit one feedback token per request."""
 
-    def on_payload(p: ReceivedPayload) -> None:
-        (count,) = _COUNT.unpack(p.body[:4])
+    def on_payload(p: Payload, body: bytes) -> None:
+        (count,) = _COUNT.unpack(body[:4])
         size = feedback_bytes(count)
-        return_sender.send(Payload(p.payload_id, Phase.DECODE, size), bytes(size))
+        return_sender.send(Payload(p.id, Phase.DECODE, size), bytes(size))
 
     try:
         receive_payloads(forward_sock, on_payload)
@@ -80,9 +79,9 @@ def _apply_feedback(sched: HeadScheduler, feedback_q, timeout_s: float) -> None:
             raise ProtocolError("the tail stage closed the return stream early")
         if isinstance(fb, ProtocolError):
             raise ProtocolError(f"the return stream failed: {fb}") from fb
-        mb = sched.in_flight.get(fb.payload_id)
+        mb = sched.in_flight.get(fb.id)
         if mb is None:
-            raise ProtocolError(f"feedback for unknown micro-batch {fb.payload_id}")
+            raise ProtocolError(f"feedback for unknown micro-batch {fb.id}")
         sched.feedback(mb, 0)
         try:
             fb = feedback_q.get_nowait()
@@ -111,14 +110,14 @@ def run_socket_demo(
         SocketLinkSender(out, cfg.chunk_size, cfg.scheduling_policy, f"hop{i}-sender")
         for i, (out, _) in enumerate(pairs)
     ]
-    feedback_q: queue.Queue[ReceivedPayload | ProtocolError | None] = queue.Queue()
+    feedback_q: queue.Queue[Payload | ProtocolError | None] = queue.Queue()
 
     def receive_feedback() -> None:
         # The end of the return stream, None or the error that ended it, wakes
         # the head if it still waits for feedback.
         end = None
         try:
-            receive_payloads(pairs[-1][1], feedback_q.put)
+            receive_payloads(pairs[-1][1], lambda p, _: feedback_q.put(p))
         except ProtocolError as exc:
             end = exc
         feedback_q.put(end)

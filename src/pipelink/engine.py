@@ -85,7 +85,6 @@ class RunResult:
     link_events: list[LinkEvent]
     decisions: list[tuple[int, ControllerDecision]]
     stage_busy_ns: list[list[tuple[int, int]]]
-    first_compute_ns: dict[int, int]
     end_ns: int
     all_finished: bool
 
@@ -362,7 +361,6 @@ class PipelineEngine:
         self._seq = itertools.count()
         self._boundary_times: set[int] = set()
         self._events: list[EngineEvent] = []
-        self._first_compute_ns: dict[int, int] = {}
         self._next_payload_id = 0
 
     def _push(self, time_ns: int, kind: EventKind, subject: int, data: object = None) -> None:
@@ -394,9 +392,6 @@ class PipelineEngine:
         key = (mb.phase, mb.batched_tokens)
         if (c_ns := stage.compute_ns.get(key)) is None:  # misses call engine.compute_time
             c_ns = stage.compute_ns[key] = max(1, s_to_ns(compute_time(stage.profile, *key)))
-        if stage.idx == 0:
-            for rid in mb.request_ids:
-                self._first_compute_ns.setdefault(rid, now)
         self._push(now + c_ns, EventKind.COMPUTE_DONE, mb.id, stage.idx)
 
     def _on_compute_done(self, stage_idx: int, mb_id: int, now: int) -> None:
@@ -515,7 +510,6 @@ class PipelineEngine:
             link_events=self._link_events,
             decisions=sched.decisions,
             stage_busy_ns=[s.busy_intervals for s in self._stages],
-            first_compute_ns=self._first_compute_ns,
             end_ns=last_time,
             all_finished=sched.unfinished == 0,
         )

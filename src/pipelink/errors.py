@@ -29,8 +29,9 @@ class RegistryError(PipelinkError):
     """Control-plane registry rejected an operation.
 
     ``code`` is a stable machine-readable identifier (``conflict``,
-    ``not_found``, ``invalid``, ``placement_failed``) used by the HTTP layer
-    to pick a status code and build the error body.
+    ``not_found``, ``invalid``, ``placement_failed``, and from the HTTP layer
+    ``too_large`` and ``internal``) used by the HTTP layer to pick a status
+    code and build the error body.
     """
 
     def __init__(self, code: str, message: str, details: dict | None = None):

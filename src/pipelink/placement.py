@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .decode import decode, encode, json_field, read_json
+from .decode import decode, json_field, read_json
 from .errors import ConfigError, PlacementError
 from .profiles import LinkProfile
 from .transport import activation_bytes, transfer_ns
@@ -26,7 +26,10 @@ class Platform(enum.Enum):
 
 @dataclass(frozen=True)
 class NodeDescriptor:
-    """A worker node: hardware inventory plus relative performance scores."""
+    """A worker node: hardware inventory plus relative performance scores.
+
+    ``platform`` is a label: it is decoded, journaled and returned; no model reads it yet.
+    """
 
     name: str
     platform: Platform = json_field(default=Platform.LINUX)
@@ -87,12 +90,6 @@ class ClusterSpec:
             return cls(nodes=nodes, links=links)
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from None
-
-    def to_json_dict(self) -> dict:
-        return encode(_ClusterFile(
-            tuple(n for _, n in sorted(self.nodes.items())),
-            tuple(l for _, l in sorted(self.links.items())),
-        ))
 
 
 @dataclass(frozen=True)
@@ -196,10 +193,6 @@ class PartitionPlan:
             if lo != expect or hi <= lo:
                 raise ConfigError(f"stage on {node}: bad layer range [{lo}, {hi})")
             expect = hi
-
-    @property
-    def num_layers(self) -> int:
-        return self.stages[-1][1][1]
 
     def layer_counts(self) -> list[int]:
         return [hi - lo for _, (lo, hi) in self.stages]

@@ -74,13 +74,6 @@ class StageProfile:
             tables[phase] = (tuple(t for t, _ in pts), tuple(s for _, s in pts))
         object.__setattr__(self, "_tables", tables)
 
-    def phases(self) -> list[Phase]:
-        return list(self._tables)
-
-    def points(self, phase: Phase) -> list[tuple[int, float]]:
-        xs, ys = self._tables.get(phase, ((), ()))
-        return list(zip(xs, ys))
-
 
 @dataclass(frozen=True)
 class LinkProfile:
@@ -213,13 +206,3 @@ def load_stage_profiles(path: str | Path) -> dict[int, StageProfile]:
     except ConfigError as exc:
         raise ProfileError(f"{path}: {exc}") from None
 
-
-def save_stage_profiles(profiles: dict[int, StageProfile], path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PROFILE_HEADER)
-        for stage_id in sorted(profiles):
-            p = profiles[stage_id]
-            for phase in p.phases():
-                for tokens, secs in p.points(phase):
-                    writer.writerow([stage_id, phase.value, tokens, repr(secs)])

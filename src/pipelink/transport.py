@@ -235,9 +235,3 @@ def replay_link(
         on_wire = finish(*on_wire)
     return sorted(events, key=_by_time)
 
-
-def first_emit_delay_ns(events: list[LinkEvent], payload_id: int) -> int:
-    """Transmission-start delay of a payload: first emit minus its enqueue."""
-    enq = next(e.time_ns for e in events if e.payload_id == payload_id and e.event == "enqueue")
-    emit = next(e.time_ns for e in events if e.payload_id == payload_id and e.event == "emit")
-    return emit - enq

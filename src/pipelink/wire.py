@@ -16,7 +16,8 @@ variable, and the worker thread drains it one chunk at a time.
 so a frame costs two reads from the reader's buffer rather than two
 ``recv`` calls, and a burst of small frames is taken in by one ``recv``.  It
 reassembles chunks into payloads, checking that each payload's chunks come in
-index order, and hands completed payloads to a callback.
+index order, and calls ``on_payload(payload, body)`` with each completed one:
+the :class:`~pipelink.transport.Payload` and the bytes its sender was given.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import socket
 import struct
 import threading
-from dataclasses import dataclass
 from typing import BinaryIO
 
 from .errors import ProtocolError
@@ -68,13 +68,6 @@ def read_frame(reader: BinaryIO) -> tuple[int, int, int, bytes] | None:
         raise ProtocolError("connection closed mid-frame")
     payload_id, chunk_index, flags = _HEADER.unpack_from(rest)
     return payload_id, chunk_index, flags, rest[HEADER_BYTES:]
-
-
-@dataclass
-class ReceivedPayload:
-    payload_id: int
-    phase: Phase
-    body: bytes
 
 
 class SocketLinkSender(threading.Thread):
@@ -161,7 +154,7 @@ class SocketLinkSender(threading.Thread):
 
 
 def receive_payloads(sock: socket.socket, on_payload) -> None:
-    """Reassemble framed chunks into payloads and hand each to ``on_payload``.
+    """Reassemble framed chunks into payloads; call ``on_payload(payload, body)``.
 
     Returns on the shutdown frame or on a clean EOF between payloads.  Raises
     :class:`ProtocolError` on a chunk whose index is out of order or
@@ -191,7 +184,8 @@ def receive_payloads(sock: socket.socket, on_payload) -> None:
                 if flags & FLAG_LAST:
                     del partial[payload_id]
                     phase = Phase.DECODE if flags & FLAG_DECODE else Phase.PREFILL
-                    on_payload(ReceivedPayload(payload_id, phase, b"".join(pieces)))
+                    whole = b"".join(pieces)
+                    on_payload(Payload(payload_id, phase, len(whole)), whole)
     except OSError as exc:
         raise ProtocolError(f"link socket failed: {exc}") from exc
 

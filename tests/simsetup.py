@@ -1,6 +1,13 @@
-"""Shared builders for engine-level tests."""
+"""Shared builders for engine-level tests, and helpers that only tests call."""
 
+import csv
+from pathlib import Path
+
+import pytest
+
+import pipelink.engine
 from pipelink.controller import ControllerConfig
+from pipelink.decode import encode
 from pipelink.engine import EngineConfig
 from pipelink.placement import (
     ClusterSpec,
@@ -9,7 +16,7 @@ from pipelink.placement import (
     PartitionPlan,
     Platform,
 )
-from pipelink.profiles import LinkProfile, flat_profile
+from pipelink.profiles import PROFILE_HEADER, LinkProfile, flat_profile
 from pipelink.transport import TOKEN_FEEDBACK_BYTES, s_to_ns
 from pipelink.workload import Request, Trace
 
@@ -102,3 +109,65 @@ def tokens_in_window(result, return_link, t0_s, t1_s):
         for e in result.link_events
         if e.link == return_link and e.event == "deliver" and t0 <= e.time_ns < t1
     )
+
+
+def run_recording_first_compute(engine, trace, **run_kwargs):
+    """``engine.run(trace)`` and, per request, the ns its first head compute began.
+
+    The head computes micro-batches one at a time in id order (see
+    ``test_causality_and_stage_fifo``), so the k-th micro-batch that
+    ``admit_and_batch`` forms is the one behind the k-th busy interval of
+    stage 0.
+    """
+    formed = []
+    admit_and_batch = pipelink.engine.admit_and_batch
+
+    def recording(*args, **kwargs):
+        batches = admit_and_batch(*args, **kwargs)
+        formed.extend(batches)
+        return batches
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipelink.engine, "admit_and_batch", recording)
+        result = engine.run(trace, **run_kwargs)
+    first_compute_ns = {}
+    for mb, (start, _) in zip(formed, result.stage_busy_ns[0]):
+        for rid in mb.request_ids:
+            first_compute_ns.setdefault(rid, start)
+    return result, first_compute_ns
+
+
+def first_emit_delay_ns(events, payload_id):
+    """Transmission-start delay of a payload: first emit minus its enqueue."""
+    enq = next(e.time_ns for e in events if e.payload_id == payload_id and e.event == "enqueue")
+    emit = next(e.time_ns for e in events if e.payload_id == payload_id and e.event == "emit")
+    return emit - enq
+
+
+def stage_points(profile, phase):
+    """The (batched tokens, seconds) points a profile looks ``phase`` up in."""
+    xs, ys = profile._tables.get(phase, ((), ()))
+    return list(zip(xs, ys))
+
+
+def save_stage_profiles(profiles, path):
+    """Write ``{stage_id: StageProfile}`` as the CSV ``load_stage_profiles`` reads."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(PROFILE_HEADER)
+        for stage_id in sorted(profiles):
+            for (phase, tokens), secs in profiles[stage_id].entries.items():
+                writer.writerow([stage_id, phase.value, tokens, repr(secs)])
+
+
+def plan_num_layers(plan):
+    """The number of layers a partition plan covers: the end of its last stage."""
+    return plan.stages[-1][1][1]
+
+
+def cluster_json_dict(cluster):
+    """The JSON form of a cluster that ``ClusterSpec.from_json_dict`` reads."""
+    return {
+        "nodes": [encode(node) for _, node in sorted(cluster.nodes.items())],
+        "links": [encode(link) for _, link in sorted(cluster.links.items())],
+    }

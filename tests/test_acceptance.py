@@ -23,12 +23,15 @@ from pipelink.placement import partition_layers, ModelSpec
 from pipelink.profiles import LinkProfile, Phase, flat_profile
 from pipelink.control_api import ClusterRegistry
 from pipelink.demo import run_socket_demo
-from pipelink.transport import Payload, first_emit_delay_ns, replay_link, s_to_ns
+from pipelink.transport import Payload, replay_link, s_to_ns
 from pipelink.workload import Request, Trace, generate_trace
 
 from simsetup import (
     engine_config,
+    first_emit_delay_ns,
     make_node,
+    plan_num_layers,
+    run_recording_first_compute,
     stationary_decode_trace,
     tokens_in_window,
     uniform_pipeline,
@@ -219,11 +222,13 @@ def test_criterion_6_metric_identities():
     trace = generate_trace(rate=25.0, duration=1.5, seed=11)
     # make sure single-token outputs are present
     trace.requests[0].output_len = 1
-    result = PipelineEngine(cfg, cluster, profiles).run(trace)
+    result, first_compute_ns = run_recording_first_compute(
+        PipelineEngine(cfg, cluster, profiles), trace
+    )
     report = summarize(result.requests)
     assert report.throughput_tok_s == report.total_tokens / report.span_s
     for r in result.requests:
-        first_compute_s = result.first_compute_ns[r.id] / 1e9
+        first_compute_s = first_compute_ns[r.id] / 1e9
         assert r.first_token_time - r.arrival_time >= first_compute_s - r.arrival_time >= 0
     manual_tpot = [
         (r.finish_time - r.first_token_time) / (r.output_len - 1)
@@ -338,7 +343,7 @@ def test_criterion_10_control_api_lifecycle():
         "svc", "tiny-4l", {"gpu_type": "rtx4090", "gpu_count": 1}
     )
     reg.check_invariants()
-    assert record.plan.num_layers == 4
+    assert plan_num_layers(record.plan) == 4
     status = reg.check_service_status("svc")
     assert status["state"] == "running"
     assert set(status) == {"service_name", "model", "state", "uptime_s", "plan"}

@@ -1,17 +1,18 @@
 import http.client
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
-from pipelink.control_api import ClusterRegistry, make_server
+from pipelink.control_api import MAX_BODY_BYTES, ClusterRegistry, _Handler, make_server
 from pipelink.errors import ConfigError, RegistryError
 from pipelink.placement import Platform
 from pipelink.profiles import LinkProfile
 
-from simsetup import make_node
+from simsetup import make_node, plan_num_layers
 
 GB = 1 << 30
 
@@ -50,7 +51,7 @@ def test_deploy_plan_covers_all_layers():
         "svc", "tiny-4l", {"gpu_type": "rtx4090", "gpu_count": 1}
     )
     assert record.status_dict()["state"] == "running"
-    assert record.plan.num_layers == 4
+    assert plan_num_layers(record.plan) == 4
     reg.check_invariants()
 
 
@@ -582,3 +583,62 @@ def test_journal_of_every_op_replays(tmp_path):
     assert restored._cluster.links == {}  # both links ended at the exited node a
     restored.check_invariants()
     assert journal.read_text() == _FOUR_OP_JOURNAL
+
+
+def test_http_body_over_the_limit_is_refused_before_reading(http_server):
+    _, base = http_server
+    conn = http.client.HTTPConnection(base.removeprefix("http://"), timeout=10)
+    try:
+        conn.putrequest("POST", "/nodes")
+        conn.putheader("Content-Length", str(10**15))
+        conn.endheaders()
+        resp = conn.getresponse()
+        body = json.loads(resp.read())
+        assert resp.status == 413 and body["code"] == "too_large"
+        assert str(MAX_BODY_BYTES) in body["message"]
+    finally:
+        conn.close()
+    assert call(base, "GET", "/nodes/w0")[0] == 404  # still serving
+
+
+def test_http_body_shorter_than_its_length_ends_in_bounded_time(http_server, monkeypatch):
+    assert _Handler.timeout is not None and 0 < _Handler.timeout <= 60
+    monkeypatch.setattr(_Handler, "timeout", 0.5)
+    _, base = http_server
+    conn = http.client.HTTPConnection(base.removeprefix("http://"), timeout=10)
+    try:
+        conn.putrequest("POST", "/nodes")
+        conn.putheader("Content-Length", "100")
+        conn.endheaders(b"{}")
+        started = time.monotonic()
+        resp = conn.getresponse()
+        assert resp.status == 400 and json.loads(resp.read())["code"] == "invalid"
+        assert time.monotonic() - started < 5.0
+    finally:
+        conn.close()
+
+
+def test_http_cascade_is_read_from_the_query_exactly(journaled_server):
+    reg, base, _ = journaled_server
+    record = reg.deploy_llm_service("svc", "tiny-4l", {"gpu_type": "rtx4090"})
+    hosting = record.plan.node_names()[0]
+    status, body = call(base, "DELETE", f"/nodes/{hosting}?xcascade=trueish")
+    assert status == 409 and body["code"] == "conflict"
+    assert reg.snapshot()["services"] == {"svc": "running"}
+    assert call(base, "DELETE", f"/nodes/{hosting}?cascade=true")[0] == 200
+    assert reg.snapshot()["services"] == {}
+
+
+def test_http_unexpected_error_is_500_and_the_server_goes_on(journaled_server, monkeypatch):
+    reg, base, _ = journaled_server
+
+    def broken(name):
+        raise RuntimeError("registry bug")
+
+    monkeypatch.setattr(reg, "check_node_status", broken)
+    status, body = call(base, "GET", "/nodes/n0")
+    assert status == 500 and body["code"] == "internal"
+    assert set(body) == {"code", "message", "details"}
+    assert "registry bug" in body["message"]
+    status, body = call(base, "GET", "/services/none")
+    assert status == 404 and body["code"] == "not_found"

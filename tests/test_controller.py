@@ -21,6 +21,10 @@ def ring_links(num_stages, latency_s, bandwidth=1e18):
     return [LinkProfile(a, b, latency_s, bandwidth) for a, b in hops]
 
 
+def bubble_of(*args, **kwargs):
+    return predict_bubble(*args, **kwargs)[0]
+
+
 def flat_stages(num_stages, seconds):
     return [flat_profile(seconds, stage_id=i) for i in range(num_stages)]
 
@@ -33,19 +37,19 @@ DESK = dict(
 
 def test_predict_bubble_two_stage_cycle():
     # round = 2*10ms + 2*5ms = 30ms; n=2 busy 20ms -> bubble 1/3
-    assert predict_bubble(2, tokens_per_microbatch=4, phase=Phase.DECODE, **DESK) == (
+    assert bubble_of(2, tokens_per_microbatch=4, phase=Phase.DECODE, **DESK) == (
         pytest.approx(1 / 3)
     )
 
 
 def test_predict_bubble_saturates_at_three():
-    assert predict_bubble(3, tokens_per_microbatch=4, phase=Phase.DECODE, **DESK) == 0.0
+    assert bubble_of(3, tokens_per_microbatch=4, phase=Phase.DECODE, **DESK) == 0.0
 
 
 def test_predict_bubble_zero_transfers_at_pipeline_degree():
     for S in (1, 2, 3, 4):
         links = ring_links(S, 0.0) if S >= 2 else []
-        bubble = predict_bubble(
+        bubble = bubble_of(
             S, flat_stages(S, 0.010), links, tokens_per_microbatch=8,
             phase=Phase.DECODE,
         )
@@ -54,19 +58,19 @@ def test_predict_bubble_zero_transfers_at_pipeline_degree():
 
 def test_predict_bubble_requires_profiles():
     with pytest.raises(ConfigError):
-        predict_bubble(1, [], [], 1, Phase.DECODE)
+        bubble_of(1, [], [], 1, Phase.DECODE)
 
 
 def test_predict_bubble_link_count_checked():
     with pytest.raises(ConfigError):
-        predict_bubble(1, flat_stages(2, 0.01), ring_links(3, 0.0), 1, Phase.DECODE)
+        bubble_of(1, flat_stages(2, 0.01), ring_links(3, 0.0), 1, Phase.DECODE)
 
 
 def test_predict_bubble_monotone_in_n_fixed_tokens():
     for tokens in (1, 16, 256):
         prev = 1.0
         for n in range(1, 12):
-            b = predict_bubble(
+            b = bubble_of(
                 n, tokens_per_microbatch=tokens, phase=Phase.DECODE, **DESK
             )
             assert b <= prev + 1e-12
@@ -115,7 +119,7 @@ def test_choose_n_minimality_spot_checks():
         )
         assert d.n_microbatches == expected, (S, ratio)
         for smaller in range(1, expected):
-            b = predict_bubble(
+            b = bubble_of(
                 smaller, flat_stages(S, 0.010), ring_links(S, 0.010 * ratio),
                 d.token_budget_per_microbatch, Phase.DECODE,
             )

@@ -15,7 +15,7 @@ from pipelink.engine import HeadScheduler, PipelineEngine, ring_links
 from pipelink.errors import ConfigError, ProtocolError
 from pipelink.profiles import Phase
 from pipelink.transport import LinkPolicy, Payload
-from pipelink.wire import ReceivedPayload, receive_payloads
+from pipelink.wire import receive_payloads
 from pipelink.workload import Request, Trace
 
 from simsetup import engine_config, uniform_pipeline
@@ -123,8 +123,8 @@ def test_relay_that_closes_its_input_mid_run_fails_the_head_at_once(monkeypatch)
 
     def closing_relay(in_sock, out_sender):
         # Pass the first payload on, then take the input stream down.
-        def on_payload(p):
-            out_sender.send(Payload(p.payload_id, p.phase, len(p.body)), p.body)
+        def on_payload(p, body):
+            out_sender.send(p, body)
             raise Stop
 
         try:
@@ -165,7 +165,7 @@ def in_flight_scheduler():
 
 
 def feedback_for(mb_id):
-    return ReceivedPayload(mb_id, Phase.DECODE, b"")
+    return Payload(mb_id, Phase.DECODE, 1)
 
 
 def test_apply_feedback_applies_every_queued_feedback_at_once():

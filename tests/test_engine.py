@@ -30,6 +30,7 @@ from pipelink.workload import (
 from simsetup import (
     engine_config,
     make_node,
+    run_recording_first_compute,
     stationary_decode_trace,
     tokens_in_window,
     uniform_pipeline,
@@ -187,9 +188,11 @@ def test_head_ttft_not_before_first_compute():
     cluster, model, plan, profiles = uniform_pipeline(2, 0.005, 0.001)
     cfg = engine_config(plan, model, max_batched_tokens=64, max_batch_size=8)
     trace = generate_trace(rate=10.0, duration=1.0, seed=4)
-    result = PipelineEngine(cfg, cluster, profiles).run(trace)
+    result, first_compute_ns = run_recording_first_compute(
+        PipelineEngine(cfg, cluster, profiles), trace
+    )
     for r in result.requests:
-        first_compute_s = result.first_compute_ns[r.id] / 1e9
+        first_compute_s = first_compute_ns[r.id] / 1e9
         assert r.first_token_time >= first_compute_s >= r.arrival_time
 
 

@@ -22,7 +22,7 @@ from pipelink.placement import (
 )
 from pipelink.profiles import LinkProfile
 
-from simsetup import make_node
+from simsetup import cluster_json_dict, make_node
 
 GB = 1 << 30
 
@@ -389,5 +389,5 @@ def test_cluster_json_round_trip():
         "links": [LINK_JSON, {**LINK_JSON, "from": "b", "to": "a"}],
     }
     cluster = ClusterSpec.from_json_dict(data)
-    assert cluster.to_json_dict() == data
-    assert ClusterSpec.from_json_dict(cluster.to_json_dict()) == cluster
+    assert cluster_json_dict(cluster) == data
+    assert ClusterSpec.from_json_dict(cluster_json_dict(cluster)) == cluster

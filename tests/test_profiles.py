@@ -11,10 +11,11 @@ from pipelink.profiles import (
     StageProfile,
     compute_time,
     load_stage_profiles,
-    save_stage_profiles,
     synth_profile,
 )
 from pipelink.transport import s_to_ns, transfer_ns, transmission_ns
+
+from simsetup import save_stage_profiles, stage_points
 
 
 def two_point_profile():
@@ -117,7 +118,7 @@ def test_compute_time_matches_sorted_points_reference(tables, data):
     profile = StageProfile(stage_id=0, entries=entries)
     for phase, table in zip(Phase, tables):
         xs = [t for t, _ in table]
-        assert profile.points(phase) == table
+        assert stage_points(profile, phase) == table
         queries = [
             data.draw(st.sampled_from(xs), label="exact hit"),
             data.draw(st.integers(1, xs[0] - 1), label="below the table"),

@@ -1,0 +1,70 @@
+"""``src/`` holds only what a command, the control API, the demo or the bench runs.
+
+Every top-level function and class of ``src/pipelink`` and every method of a
+top-level class must be named somewhere in ``src/``: as a name, or as an
+attribute (``x.name``), outside an import.  Dunder methods are called by
+Python itself.  The few names that only a caller outside ``src/`` needs are
+listed below, each with the reason it stays; a helper that only tests call
+belongs in ``tests/simsetup.py``.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "pipelink"
+
+ALLOWED = {
+    "control_api._Handler.log_message": "BaseHTTPRequestHandler hook",
+    "control_api.ClusterRegistry.check_invariants": "bench/ checks the registry after its runs",
+    "control_api.ClusterRegistry.snapshot": "bench/ compares a replayed registry to the live one",
+    "demo.run_socket_demo": "bench/ runs the socket_pipeline workload through it",
+    "engine.RunResult.tokens_by_request": "bench/ derives its expected tokens from it",
+    "metrics.cost_profit_margin": "the cost model, whose caller is ROADMAP item 8",
+    "profiles.flat_profile": "bench/ builds its stage profiles with it",
+    "transport.replay_link": "the reference the link tests compare the engine against",
+    "workload.save_trace": "bench/ writes its traces with it",
+}
+
+
+def definitions():
+    """(qualified name, name) of each top-level def and class, and each method."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            yield f"{path.stem}.{node.name}", node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        yield f"{path.stem}.{node.name}.{item.name}", item.name
+
+
+def named_in_src() -> Counter:
+    """How often each identifier is used in src/ as a name or an attribute."""
+    uses = Counter()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                uses[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                uses[node.attr] += 1
+    return uses
+
+
+def unnamed():
+    uses = named_in_src()
+    return {
+        qualified
+        for qualified, name in definitions()
+        if not (name.startswith("__") and name.endswith("__")) and not uses[name]
+    }
+
+
+def test_every_src_name_has_a_caller_in_src_or_a_reason():
+    assert sorted(unnamed() - ALLOWED.keys()) == []
+
+
+def test_every_allowed_name_still_exists_and_still_needs_its_entry():
+    # An entry whose name is gone, or that src/ now calls, is dropped.
+    assert sorted(ALLOWED.keys() - unnamed()) == []

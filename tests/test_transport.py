@@ -10,11 +10,12 @@ from pipelink.transport import (
     LinkPolicy,
     LinkQueue,
     Payload,
-    first_emit_delay_ns,
     replay_link,
     s_to_ns,
     transmission_ns,
 )
+
+from simsetup import first_emit_delay_ns
 
 
 def payload(pid, pclass, size):

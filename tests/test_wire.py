@@ -5,6 +5,7 @@ import socket
 import struct
 import threading
 import time
+from typing import NamedTuple
 
 import pytest
 
@@ -27,6 +28,17 @@ from simsetup import make_node  # noqa: F401  (keeps test helpers importable)
 
 def payload(pid, pclass, size):
     return Payload(id=pid, phase=pclass, size_bytes=size)
+
+
+class Received(NamedTuple):
+    payload_id: int
+    phase: Phase
+    body: bytes
+
+
+def collect(put):
+    """An ``on_payload`` callback that hands ``put`` one Received per payload."""
+    return lambda p, body: put(Received(p.id, p.phase, body))
 
 
 def receiver_thread(sock, on_payload):
@@ -139,7 +151,7 @@ def test_chunked_sender_refuses_oversize_decode_payload_and_stays_usable(monkeyp
     left, right = loopback_pair()
     received = queue.Queue()
     sender = SocketLinkSender(left, chunk_size=16)
-    receiver = receiver_thread(right, received.put)
+    receiver = receiver_thread(right, collect(received.put))
     sender.start()
     receiver.start()
     try:
@@ -194,7 +206,7 @@ def test_sender_receiver_round_trip_chunked():
     left, right = loopback_pair()
     received = queue.Queue()
     sender = SocketLinkSender(left, chunk_size=1024)
-    receiver = receiver_thread(right, received.put)
+    receiver = receiver_thread(right, collect(received.put))
     sender.start()
     receiver.start()
     try:
@@ -261,7 +273,7 @@ def test_sender_sends_each_chunk_from_its_offset():
     try:
         a.sendall(b"".join(sock.frames))
         a.close()
-        receive_payloads(b, delivered.append)
+        receive_payloads(b, collect(delivered.append))
     finally:
         a.close()
         b.close()
@@ -287,7 +299,7 @@ def test_decode_overtakes_queued_prefill_on_the_wire():
     left, right = loopback_pair()
     received = queue.Queue()
     sender = SocketLinkSender(left, chunk_size=2048, policy=LinkPolicy.DECODE_PRIORITY)
-    receiver = receiver_thread(right, received.put)
+    receiver = receiver_thread(right, collect(received.put))
     big = bytes(1 << 20)
     small = b"\x07" * 16
     sender.send(payload(1, Phase.PREFILL, len(big)), big)
@@ -311,7 +323,7 @@ def test_clean_shutdown_frame_ends_receiver():
     left, right = loopback_pair()
     received = queue.Queue()
     sender = SocketLinkSender(left, chunk_size=None)
-    receiver = receiver_thread(right, received.put)
+    receiver = receiver_thread(right, collect(received.put))
     sender.start()
     receiver.start()
     sender.send(payload(3, Phase.DECODE, 8), b"12345678")
@@ -332,7 +344,7 @@ def receive_frames(*frames):
         a.sendall(b"".join(encode_frame(*frame) for frame in frames))
         a.close()
         try:
-            receive_payloads(b, delivered.append)
+            receive_payloads(b, collect(delivered.append))
         except ProtocolError as exc:
             return delivered, exc
         return delivered, None
@@ -376,7 +388,7 @@ def test_receiver_socket_error_is_protocol_error():
     b.close()
     try:
         with pytest.raises(ProtocolError, match="socket failed"):
-            receive_payloads(b, lambda p: None)
+            receive_payloads(b, lambda p, body: None)
     finally:
         a.close()
 
