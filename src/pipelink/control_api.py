@@ -417,12 +417,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> dict:
         raw_length = self.headers.get("Content-Length", "0")
-        try:
-            length = int(raw_length)
-        except ValueError:
-            length = -1
-        if length < 0:
+        if not (raw_length.isascii() and raw_length.isdigit()):  # HTTP: 1*DIGIT
             raise RegistryError("invalid", f"bad Content-Length {raw_length!r}")
+        length = int(raw_length)
         if length == 0:
             return {}
         if length > MAX_BODY_BYTES:

@@ -8,7 +8,13 @@ feedback reaches the head.
 
 Event ties at one timestamp resolve in a frozen order (payload deliveries,
 then compute completions, then arrivals, then iteration boundaries, then
-chunk completions), then by subject id, so runs are bit-reproducible.
+chunk completions), then by subject id, so runs are bit-reproducible.  An
+iteration boundary is a deferred step, not a heap entry: it is due at the
+current time and runs once the heap holds nothing that sorts before it.
+
+The engine's log rows are plain tuples ``(time_ns, kind, subject, stage)``,
+with ``stage`` -1 when the row is not stage-scoped; the link rows are
+described in :mod:`pipelink.transport`.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from operator import attrgetter
 
 from .controller import ControllerConfig, ControllerDecision, choose_n, clamp_demand
 from .errors import ConfigError
@@ -26,8 +32,8 @@ from .placement import ClusterSpec, ModelSpec, PartitionPlan
 from .profiles import LinkProfile, Phase, StageProfile, compute_time
 from .transport import (
     DEFAULT_CHUNK_SIZE,
-    LinkEvent,
     LinkPolicy,
+    LinkRow,
     NS_PER_S,
     Payload,
     VirtualLink,
@@ -69,11 +75,7 @@ class EngineConfig:
     scheduling_policy: LinkPolicy = LinkPolicy.DECODE_PRIORITY
 
 
-class EngineEvent(NamedTuple):
-    time_ns: int
-    kind: EventKind
-    subject: int
-    stage: int  # -1 when not stage-scoped
+EngineRow = tuple[int, EventKind, int, int]  # (time_ns, kind, subject, stage)
 
 
 @dataclass
@@ -81,8 +83,8 @@ class RunResult:
     """Everything a run produced, at nanosecond precision for exact checks."""
 
     requests: list[Request]
-    events: list[EngineEvent]
-    link_events: list[LinkEvent]
+    events: list[EngineRow]
+    link_events: list[LinkRow]
     decisions: list[tuple[int, ControllerDecision]]
     stage_busy_ns: list[list[tuple[int, int]]]
     end_ns: int
@@ -108,10 +110,8 @@ def measure_bubble(result: RunResult, stage_id: int, t0: int, t1: int) -> float:
 
 @dataclass
 class _Bin:
-    index: int
     tokens: int = 0
     members: list[Request] = field(default_factory=list)
-    phase: Phase | None = None
 
 
 def admit_and_batch(
@@ -134,60 +134,40 @@ def admit_and_batch(
     budget = decision.token_budget_per_microbatch
     if capacity < 1:
         return []
-    bins: list[_Bin] = []
+    # A decode adds one token and a decode micro-batch only grows, so the
+    # lightest one with room is always the last opened: decodes fill fresh
+    # micro-batches in turn, k at a time (a fresh one takes the first decode
+    # whatever the budget).
+    k = max(1, min(budget, max_batch_size))
+    ids = [decoding.popleft().id for _ in range(min(len(decoding), capacity * k))]
+    groups = [tuple(ids[i:i + k]) for i in range(0, len(ids), k)]
+    batches = [MicroBatch(id_start + j, g, Phase.DECODE, len(g)) for j, g in enumerate(groups)]
 
-    def lightest(phase: Phase, extra_tokens: int) -> _Bin | None:
-        fits = [
-            b
-            for b in bins
-            if b.phase is phase
-            and b.tokens + extra_tokens <= budget
-            and len(b.members) < max_batch_size
-        ]
-        return min(fits, key=lambda b: (b.tokens, b.index)) if fits else None
-
-    def place(b: _Bin, request: Request, tokens: int, phase: Phase) -> None:
-        b.members.append(request)
-        b.tokens += tokens
-        b.phase = phase
-
-    def open_bin() -> _Bin | None:
-        if len(bins) >= capacity:
-            return None
-        b = _Bin(index=len(bins))
-        bins.append(b)
-        return b
-
-    while decoding:
-        b = lightest(Phase.DECODE, 1) or open_bin()
-        if b is None:
-            break
-        place(b, decoding.popleft(), 1, Phase.DECODE)
-
+    bins: list[_Bin] = []  # prefill micro-batches, in the order they opened
+    free = capacity - len(batches)
     while queued:
         request = queued[0]
-        b = lightest(Phase.PREFILL, request.input_len)
-        if b is None:
+        tokens = request.input_len
+        fits = [b for b in bins
+                if b.tokens + tokens <= budget and len(b.members) < max_batch_size]
+        if fits:
+            b = min(fits, key=attrgetter("tokens"))  # the first of the lightest
+        elif len(bins) < free:
             # A fresh micro-batch takes any prefill, including one whose
             # input alone exceeds the budget (oversize-admit: solo rather
             # than stuck forever, since compute is never split).
-            b = open_bin()
-        if b is None:
+            b = _Bin()
+            bins.append(b)
+        else:
             break  # strict FCFS: nothing behind this request is considered
-        place(b, queued.popleft(), request.input_len, Phase.PREFILL)
+        b.members.append(queued.popleft())
+        b.tokens += tokens
 
-    batches = []
-    for b in bins:
-        if not b.members:
-            continue
-        batches.append(
-            MicroBatch(
-                id=id_start + len(batches),
-                request_ids=tuple(r.id for r in b.members),
-                phase=b.phase,
-                batched_tokens=b.tokens,
-            )
-        )
+    id_start += len(batches)
+    batches.extend(
+        MicroBatch(id_start + i, tuple(r.id for r in b.members), Phase.PREFILL, b.tokens)
+        for i, b in enumerate(bins)
+    )
     return batches
 
 
@@ -240,14 +220,14 @@ class HeadScheduler:
         self.iteration = 0
         self._next_mb_id = 0
         self._last_decision: ControllerDecision | None = None
-        self._memo: dict[tuple[int, Phase], ControllerDecision] = {}
+        # Keyed by (clamped demand, decoding?): a Phase key would hash in Python.
+        self._memo: dict[tuple[int, bool], ControllerDecision] = {}
 
     def _decide(self) -> ControllerDecision:
         ctrl = self.cfg.controller
         if self._last_decision is not None and self.iteration % ctrl.decision_stride:
             return self._last_decision
-        phase = Phase.DECODE if self.ready else Phase.PREFILL
-        key = (clamp_demand(ctrl, self.demand), phase)
+        key = (clamp_demand(ctrl, self.demand), bool(self.ready))
         decision = self._memo.get(key)
         if decision is None:
             decision = self._memo[key] = choose_n(
@@ -255,7 +235,7 @@ class HeadScheduler:
                 self.stage_profiles,
                 self.link_profiles,
                 key[0],
-                phase,
+                Phase.DECODE if key[1] else Phase.PREFILL,
                 bytes_per_token=self.bytes_per_token,
             )
         return decision
@@ -322,7 +302,14 @@ class _StageRuntime:
         self.busy_intervals: list[tuple[int, int]] = []
         self.current_start = 0
         self.current: MicroBatch | None = None
-        self.compute_ns: dict[tuple[Phase, int], int] = {}  # (phase, tokens) -> ns
+        # (decode?, tokens) -> ns: a Phase key would hash in Python.
+        self.compute_ns: dict[tuple[bool, int], int] = {}
+
+
+# Module names: attribute access on an enum class is slow per event.
+_DECODE = Phase.DECODE
+_DELIVERED, _COMPUTE_DONE = EventKind.PAYLOAD_DELIVERED, EventKind.COMPUTE_DONE
+_ARRIVAL, _BOUNDARY, _SENT = EventKind.ARRIVAL, EventKind.ITERATION_BOUNDARY, EventKind.CHUNK_SENT
 
 
 class PipelineEngine:
@@ -350,24 +337,19 @@ class PipelineEngine:
             self.cfg, self.stage_profiles, self.link_profiles, requests
         )
         self._stages = [_StageRuntime(i, p) for i, p in enumerate(self.stage_profiles)]
-        self._link_events: list[LinkEvent] = []
+        self._link_events: list[LinkRow] = []
         self._links = [
             VirtualLink(lp, self.cfg.chunk_size, self.cfg.scheduling_policy,
                         self._link_events)
             for lp in self.link_profiles
         ]
         self._payload_mb: dict[int, MicroBatch] = {}  # payload ids are unique per run
-        self._heap: list[tuple[int, int, int, int, object]] = []
+        # (time_ns, kind, subject, seq, data): seq keeps data out of comparisons.
+        self._heap: list[tuple[int, EventKind, int, int, object]] = []
         self._seq = itertools.count()
-        self._boundary_times: set[int] = set()
-        self._events: list[EngineEvent] = []
+        self._boundary_due = False  # an iteration boundary at the current time
+        self._events: list[EngineRow] = []
         self._next_payload_id = 0
-
-    def _push(self, time_ns: int, kind: EventKind, subject: int, data: object = None) -> None:
-        heapq.heappush(self._heap, (time_ns, kind, subject, next(self._seq), data))
-
-    def _log(self, time_ns: int, kind: EventKind, subject: int, stage: int = -1) -> None:
-        self._events.append(EngineEvent(time_ns, kind, subject, stage))
 
     # -- link mechanics ----------------------------------------------------
 
@@ -379,7 +361,8 @@ class PipelineEngine:
         started = self._links[link_idx].offer(Payload(payload_id, phase, size), now)
         if started is not None:  # the link was idle: schedule the chunk's end
             end, chunk = started
-            self._push(end, EventKind.CHUNK_SENT, chunk.payload_id, (link_idx, chunk))
+            heapq.heappush(self._heap, (end, _SENT, chunk.payload_id, next(self._seq),
+                                        (link_idx, chunk)))
 
     # -- stage mechanics ---------------------------------------------------
 
@@ -389,10 +372,12 @@ class PipelineEngine:
         mb = stage.queue.popleft()
         stage.current = mb
         stage.current_start = now
-        key = (mb.phase, mb.batched_tokens)
+        key = (mb.phase is _DECODE, mb.batched_tokens)
         if (c_ns := stage.compute_ns.get(key)) is None:  # misses call engine.compute_time
-            c_ns = stage.compute_ns[key] = max(1, s_to_ns(compute_time(stage.profile, *key)))
-        self._push(now + c_ns, EventKind.COMPUTE_DONE, mb.id, stage.idx)
+            c_ns = stage.compute_ns[key] = max(
+                1, s_to_ns(compute_time(stage.profile, mb.phase, mb.batched_tokens)))
+        heapq.heappush(self._heap, (now + c_ns, _COMPUTE_DONE, mb.id, next(self._seq),
+                                    stage.idx))
 
     def _on_compute_done(self, stage_idx: int, mb_id: int, now: int) -> None:
         stage = self._stages[stage_idx]
@@ -400,7 +385,7 @@ class PipelineEngine:
         assert mb is not None and mb.id == mb_id
         stage.busy_intervals.append((stage.current_start, now))
         stage.current = None
-        self._log(now, EventKind.COMPUTE_DONE, mb.id, stage_idx)
+        self._events.append((now, _COMPUTE_DONE, mb_id, stage_idx))
 
         last = stage_idx == len(self._stages) - 1
         if not last:
@@ -408,33 +393,26 @@ class PipelineEngine:
             self._send_payload(stage_idx, mb, size, mb.phase, now)
         elif self._links:
             size = feedback_bytes(len(mb.request_ids))
-            self._send_payload(stage_idx, mb, size, Phase.DECODE, now)
+            self._send_payload(stage_idx, mb, size, _DECODE, now)
         else:
             # Single-stage pipeline: tokens surface at compute completion.
             self._sched.feedback(mb, now)
-            self._schedule_boundary(now)
+            self._boundary_due = True
 
         self._try_start_compute(stage, now)
         if stage_idx == 0:
-            self._schedule_boundary(now)
+            self._boundary_due = True
 
     # -- head scheduling ---------------------------------------------------
 
-    def _schedule_boundary(self, now: int) -> None:
-        if now in self._boundary_times:
-            return
-        self._boundary_times.add(now)
-        self._push(now, EventKind.ITERATION_BOUNDARY, self._sched.iteration + 1, None)
-
     def _on_boundary(self, now: int) -> None:
-        self._boundary_times.discard(now)
         head = self._stages[0]
         if head.current is not None or head.queue:
             return
         batches = self._sched.dispatch()
         if not batches:
             return
-        self._log(now, EventKind.ITERATION_BOUNDARY, self._sched.iteration, 0)
+        self._events.append((now, _BOUNDARY, self._sched.iteration, 0))
         head.queue.extend(batches)
         self._try_start_compute(head, now)
 
@@ -447,60 +425,65 @@ class PipelineEngine:
         event logs, reports, and per-request timelines.
         """
         self._reset(trace.requests)
+        heap, seq = self._heap, self._seq
+        push, pop = heapq.heappush, heapq.heappop
         for req in self._sched.requests.values():
             arrival_ns = s_to_ns(req.arrival_time)
             req.arrival_time = arrival_ns / NS_PER_S  # snap to the virtual clock
-            self._push(arrival_ns, EventKind.ARRIVAL, req.id, None)
+            push(heap, (arrival_ns, _ARRIVAL, req.id, next(seq), None))
         horizon_ns = None if horizon_s is None else s_to_ns(horizon_s)
 
-        last_time = 0
-        heap, sched, links, stages = self._heap, self._sched, self._links, self._stages
-        # Local names: attribute access on an enum class is slow in the loop.
-        arrival, boundary = EventKind.ARRIVAL, EventKind.ITERATION_BOUNDARY
-        compute_done, sent = EventKind.COMPUTE_DONE, EventKind.CHUNK_SENT
-        delivered = EventKind.PAYLOAD_DELIVERED
-        while heap:
-            if horizon_ns is not None and heap[0][0] > horizon_ns:
-                last_time = horizon_ns
+        now = 0
+        sched, links, stages = self._sched, self._links, self._stages
+        log = self._events.append
+        arrival, compute_done, sent, delivered = _ARRIVAL, _COMPUTE_DONE, _SENT, _DELIVERED
+        while True:
+            # A due boundary runs once nothing left sorts before (now,
+            # ITERATION_BOUNDARY).  It pushes only compute completions at least
+            # 1 ns ahead, so nothing that sorts before it can appear after it.
+            if self._boundary_due and (not heap or heap[0][0] > now or heap[0][1] is sent):
+                self._boundary_due = False
+                self._on_boundary(now)
+            if not heap:
                 break
-            time_ns, kind, subject, _, data = heapq.heappop(heap)
-            last_time = time_ns  # the heap pops in time order
+            if horizon_ns is not None and heap[0][0] > horizon_ns:
+                now = horizon_ns
+                break
+            now, kind, subject, _, data = pop(heap)  # the heap pops in time order
             if kind is sent:
                 link_idx, chunk = data
                 link = links[link_idx]
-                started = link.sent(chunk, time_ns)
-                self._push(time_ns + link.latency_ns, delivered, chunk.payload_id, data)
+                started = link.sent(chunk, now)
+                push(heap, (now + link.latency_ns, delivered, subject, next(seq), data))
                 if started is not None:
                     end, chunk = started
-                    self._push(end, sent, chunk.payload_id, (link_idx, chunk))
+                    push(heap, (end, sent, chunk.payload_id, next(seq), (link_idx, chunk)))
             elif kind is arrival:
                 sched.arrive(sched.requests[subject])
-                self._log(time_ns, arrival, subject)
-                self._schedule_boundary(time_ns)
-            elif kind is boundary:
-                self._on_boundary(time_ns)
+                log((now, arrival, subject, -1))
+                self._boundary_due = True
             elif kind is compute_done:
-                self._on_compute_done(data, subject, time_ns)  # data = stage idx
+                self._on_compute_done(data, subject, now)  # data = stage idx
             else:  # PAYLOAD_DELIVERED
                 link_idx, chunk = data
-                links[link_idx].deliver(chunk, time_ns)
+                links[link_idx].deliver(chunk, now)
                 if not chunk.is_last:
                     continue
-                mb = self._payload_mb.pop(chunk.payload_id)
+                mb = self._payload_mb.pop(subject)
                 dst_idx = (link_idx + 1) % len(stages)
-                self._log(time_ns, delivered, chunk.payload_id, dst_idx)
+                log((now, delivered, subject, dst_idx))
                 if dst_idx == 0:
-                    sched.feedback(mb, time_ns)
-                    self._schedule_boundary(time_ns)
+                    sched.feedback(mb, now)
+                    self._boundary_due = True
                 else:
                     dst = stages[dst_idx]
                     dst.queue.append(mb)
-                    self._try_start_compute(dst, time_ns)
+                    self._try_start_compute(dst, now)
 
         # Close busy intervals cut off by the horizon.
         for stage in self._stages:
             if stage.current is not None:
-                stage.busy_intervals.append((stage.current_start, last_time))
+                stage.busy_intervals.append((stage.current_start, now))
 
         return RunResult(
             requests=[sched.requests[rid] for rid in sorted(sched.requests)],
@@ -510,6 +493,6 @@ class PipelineEngine:
             link_events=self._link_events,
             decisions=sched.decisions,
             stage_busy_ns=[s.busy_intervals for s in self._stages],
-            end_ns=last_time,
+            end_ns=now,
             all_finished=sched.unfinished == 0,
         )

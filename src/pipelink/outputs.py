@@ -6,6 +6,10 @@ a batch at a time.  Ordering contract: each log is written in the order given,
 the order the run logged it, and is never sorted or copied.  The engine logs
 at its current virtual time, so its logs are in time order; ``write_link_log``
 refuses a row earlier than the one before it.
+
+The rows are plain tuples: ``(time_ns, kind, subject, stage)`` for the event
+log and ``(time_ns, link, payload_id, chunk_index, size_bytes, phase, event)``
+for the link log.
 """
 
 from __future__ import annotations
@@ -20,10 +24,10 @@ from typing import Iterable
 
 from .controller import ControllerDecision
 from .decode import encode
-from .engine import EngineEvent, EventKind
+from .engine import EngineRow, EventKind
 from .metrics import MetricsReport
 from .profiles import Phase
-from .transport import NS_PER_S, LinkEvent
+from .transport import NS_PER_S, LinkRow
 
 EVENT_LOG_HEADER = ("time_s", "kind", "subject", "stage")
 LINK_LOG_HEADER = ("time_s", "link", "payload_id", "chunk_index", "bytes", "class", "event")
@@ -45,7 +49,7 @@ def write_csv_lines(path: str | Path, header: tuple[str, ...], lines: Iterable[s
             fh.write(batch)
 
 
-def write_event_log(events: list[EngineEvent], path: str | Path) -> None:
+def write_event_log(events: list[EngineRow], path: str | Path) -> None:
     """Write the rows in order.
 
     A time is formatted once per run of equal times, so once per distinct
@@ -63,7 +67,7 @@ def write_event_log(events: list[EngineEvent], path: str | Path) -> None:
     write_csv_lines(path, EVENT_LOG_HEADER, lines())
 
 
-def write_link_log(events: list[LinkEvent], path: str | Path) -> None:
+def write_link_log(events: list[LinkRow], path: str | Path) -> None:
     """Write the rows in order; a row earlier than the one before raises ``ValueError``.
 
     A time is formatted once per distinct time, and a link name, which may

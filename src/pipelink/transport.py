@@ -9,14 +9,17 @@ head-of-line-blocking baseline.
 The same queue mechanics back two transports: :class:`VirtualLink`, the one
 virtual-time driver (the simulator and :func:`replay_link` both run it), and
 the socket workers in :mod:`pipelink.wire`.  Only link mechanics live here:
-the :class:`LinkEvent` rows a link logs are written by :mod:`pipelink.outputs`.
+the rows a link logs are written by :mod:`pipelink.outputs`.  A row is a plain
+tuple ``(time_ns, link, payload_id, chunk_index, size_bytes, phase, event)``,
+where ``event`` is ``enqueue`` (``chunk_index`` -1), ``emit``, ``sent`` or
+``deliver``.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import deque
-from operator import attrgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ConfigError, ProtocolError
@@ -127,21 +130,11 @@ class LinkQueue:
         return Chunk(p.id, 0, p.size_bytes, True, p.phase)
 
 
-class LinkEvent(NamedTuple):
-    """One row of the emission/delivery log."""
-
-    time_ns: int
-    link: str
-    payload_id: int
-    chunk_index: int
-    size_bytes: int
-    phase: Phase
-    event: str  # enqueue | emit | sent | deliver
-
+LinkRow = tuple[int, str, int, int, int, Phase, str]  # see the module docstring
 
 # The one ordering rule of replayed link logs: by time, equal times in logged
 # order (``sorted`` is stable).
-_by_time = attrgetter("time_ns")
+_by_time = itemgetter(0)
 
 
 def transmission_ns(profile: LinkProfile, size_bytes: int) -> int:
@@ -168,7 +161,7 @@ class VirtualLink:
         profile: LinkProfile,
         chunk_size: int | None,
         policy: LinkPolicy,
-        log: list[LinkEvent],
+        log: list[LinkRow],
     ):
         self.profile = profile
         self.name = profile.name
@@ -179,23 +172,24 @@ class VirtualLink:
         self._tx_ns: dict[int, int] = {}  # transmission_ns by chunk size
 
     def _row(self, now: int, chunk: Chunk, event: str) -> None:
-        self.log.append(LinkEvent(now, self.name, chunk.payload_id, chunk.index,
-                                  chunk.size_bytes, chunk.phase, event))
+        payload_id, index, size, _, phase = chunk
+        self.log.append((now, self.name, payload_id, index, size, phase, event))
 
     def _emit_next(self, now: int) -> tuple[int, Chunk] | None:
         chunk = self.queue.next_chunk()
         self.busy = chunk is not None
         if chunk is None:
             return None
-        self._row(now, chunk, "emit")
-        if (tx_ns := self._tx_ns.get(chunk.size_bytes)) is None:
-            tx_ns = self._tx_ns[chunk.size_bytes] = transmission_ns(self.profile, chunk.size_bytes)
+        payload_id, index, size, _, phase = chunk
+        self.log.append((now, self.name, payload_id, index, size, phase, "emit"))
+        if (tx_ns := self._tx_ns.get(size)) is None:
+            tx_ns = self._tx_ns[size] = transmission_ns(self.profile, size)
         return now + tx_ns, chunk
 
     def offer(self, payload: Payload, now: int) -> tuple[int, Chunk] | None:
         self.queue.enqueue(payload)
-        self.log.append(LinkEvent(now, self.name, payload.id, -1, payload.size_bytes,
-                                  payload.phase, "enqueue"))
+        payload_id, phase, size = payload
+        self.log.append((now, self.name, payload_id, -1, size, phase, "enqueue"))
         return None if self.busy else self._emit_next(now)
 
     def sent(self, chunk: Chunk, now: int) -> tuple[int, Chunk] | None:
@@ -211,14 +205,14 @@ def replay_link(
     arrivals: list[tuple[int, Payload]],
     chunk_size: int | None = DEFAULT_CHUNK_SIZE,
     policy: LinkPolicy = LinkPolicy.DECODE_PRIORITY,
-) -> list[LinkEvent]:
+) -> list[LinkRow]:
     """Virtual-time schedule of one link fed by timed payload arrivals.
 
     Returns the full event log (enqueue/emit/sent/deliver).  At equal times
     arrivals are queued before a transmission ends, so that a decode arriving
     at a chunk boundary preempts there.
     """
-    events: list[LinkEvent] = []
+    events: list[LinkRow] = []
     link = VirtualLink(profile, chunk_size, policy, events)
     on_wire = None  # (end_ns, chunk) of the chunk in transmission
 

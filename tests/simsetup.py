@@ -1,14 +1,17 @@
 """Shared builders for engine-level tests, and helpers that only tests call."""
 
 import csv
+from collections import deque
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 import pipelink.engine
 from pipelink.controller import ControllerConfig
 from pipelink.decode import encode
-from pipelink.engine import EngineConfig
+from pipelink.engine import EngineConfig, EventKind, MicroBatch
 from pipelink.placement import (
     ClusterSpec,
     ModelSpec,
@@ -16,9 +19,40 @@ from pipelink.placement import (
     PartitionPlan,
     Platform,
 )
-from pipelink.profiles import PROFILE_HEADER, LinkProfile, flat_profile
+from pipelink.profiles import PROFILE_HEADER, LinkProfile, Phase, flat_profile
 from pipelink.transport import TOKEN_FEEDBACK_BYTES, s_to_ns
 from pipelink.workload import Request, Trace
+
+
+class EngineEvent(NamedTuple):
+    """A named view of one engine log row, ``EngineEvent._make(row)``."""
+
+    time_ns: int
+    kind: EventKind
+    subject: int
+    stage: int  # -1 when not stage-scoped
+
+
+class LinkEvent(NamedTuple):
+    """A named view of one link log row, ``LinkEvent._make(row)``."""
+
+    time_ns: int
+    link: str
+    payload_id: int
+    chunk_index: int
+    size_bytes: int
+    phase: Phase
+    event: str  # enqueue | emit | sent | deliver
+
+
+def engine_events(result):
+    """The engine log rows of a run as :class:`EngineEvent` views."""
+    return [EngineEvent._make(row) for row in result.events]
+
+
+def link_events(result):
+    """The link log rows of a run as :class:`LinkEvent` views."""
+    return [LinkEvent._make(row) for row in result.link_events]
 
 
 def make_node(
@@ -106,7 +140,7 @@ def tokens_in_window(result, return_link, t0_s, t1_s):
     t0, t1 = s_to_ns(t0_s), s_to_ns(t1_s)
     return sum(
         e.size_bytes // TOKEN_FEEDBACK_BYTES
-        for e in result.link_events
+        for e in link_events(result)
         if e.link == return_link and e.event == "deliver" and t0 <= e.time_ns < t1
     )
 
@@ -139,6 +173,7 @@ def run_recording_first_compute(engine, trace, **run_kwargs):
 
 def first_emit_delay_ns(events, payload_id):
     """Transmission-start delay of a payload: first emit minus its enqueue."""
+    events = [LinkEvent._make(row) for row in events]
     enq = next(e.time_ns for e in events if e.payload_id == payload_id and e.event == "enqueue")
     emit = next(e.time_ns for e in events if e.payload_id == payload_id and e.event == "emit")
     return emit - enq
@@ -171,3 +206,82 @@ def cluster_json_dict(cluster):
         "nodes": [encode(node) for _, node in sorted(cluster.nodes.items())],
         "links": [encode(link) for _, link in sorted(cluster.links.items())],
     }
+
+
+@dataclass
+class _Bin:
+    index: int
+    tokens: int = 0
+    members: list = field(default_factory=list)
+    phase: Phase | None = None
+
+
+def reference_admit_and_batch(
+    decoding: deque,
+    queued: deque,
+    decision,
+    max_batch_size: int,
+    capacity: int,
+    id_start: int = 0,
+) -> list[MicroBatch]:
+    """``engine.admit_and_batch`` as a search for the lightest bin per request.
+
+    The reference the closed-form engine version is checked against: every
+    request, decode or prefill, goes into the lightest compatible bin under
+    the caps, or into a fresh bin while there is capacity.
+    """
+    budget = decision.token_budget_per_microbatch
+    if capacity < 1:
+        return []
+    bins: list[_Bin] = []
+
+    def lightest(phase, extra_tokens):
+        fits = [
+            b
+            for b in bins
+            if b.phase is phase
+            and b.tokens + extra_tokens <= budget
+            and len(b.members) < max_batch_size
+        ]
+        return min(fits, key=lambda b: (b.tokens, b.index)) if fits else None
+
+    def place(b, request, tokens, phase):
+        b.members.append(request)
+        b.tokens += tokens
+        b.phase = phase
+
+    def open_bin():
+        if len(bins) >= capacity:
+            return None
+        b = _Bin(index=len(bins))
+        bins.append(b)
+        return b
+
+    while decoding:
+        b = lightest(Phase.DECODE, 1) or open_bin()
+        if b is None:
+            break
+        place(b, decoding.popleft(), 1, Phase.DECODE)
+
+    while queued:
+        request = queued[0]
+        b = lightest(Phase.PREFILL, request.input_len)
+        if b is None:
+            b = open_bin()
+        if b is None:
+            break
+        place(b, queued.popleft(), request.input_len, Phase.PREFILL)
+
+    batches = []
+    for b in bins:
+        if not b.members:
+            continue
+        batches.append(
+            MicroBatch(
+                id=id_start + len(batches),
+                request_ids=tuple(r.id for r in b.members),
+                phase=b.phase,
+                batched_tokens=b.tokens,
+            )
+        )
+    return batches

@@ -307,16 +307,22 @@ def test_http_non_object_body_is_invalid(http_server, path, body):
     assert status == 400 and reply["code"] == "invalid"
 
 
-@pytest.mark.parametrize("length", ["abc", "-1"])
+# A length is ASCII digits only, where int() also takes "1_0", "+8" and "8 ".
+# A leading space never reaches the handler (the header parser strips it),
+# and "٨" arrives as the Latin-1 reading of its UTF-8 bytes.
+@pytest.mark.parametrize("length", ["abc", "-1", "1_0", "+8", "8 ", "٨"])
 def test_http_bad_content_length_is_invalid(http_server, length):
     _, base = http_server
     conn = http.client.HTTPConnection(base.removeprefix("http://"), timeout=10)
     try:
         conn.putrequest("POST", "/nodes")
-        conn.putheader("Content-Length", length)
+        conn.putheader("Content-Length", length.encode())
         conn.endheaders()
+        conn.send(b"{}".ljust(10))  # as many bytes as int() would read
         resp = conn.getresponse()
-        assert resp.status == 400 and json.loads(resp.read())["code"] == "invalid"
+        reply = json.loads(resp.read())
+        assert resp.status == 400 and reply["code"] == "invalid"
+        assert reply["message"].startswith("bad Content-Length")
     finally:
         conn.close()
 

@@ -3,6 +3,8 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pipelink.engine
 from pipelink.controller import ControllerDecision, clamp_demand
@@ -29,7 +31,10 @@ from pipelink.workload import (
 
 from simsetup import (
     engine_config,
+    engine_events,
+    link_events,
     make_node,
+    reference_admit_and_batch,
     run_recording_first_compute,
     stationary_decode_trace,
     tokens_in_window,
@@ -113,6 +118,32 @@ def test_no_request_in_two_microbatches_per_iteration():
     assert len(ids) == len(set(ids))
 
 
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    n_decoding=st.integers(0, 40),
+    prefill_lens=st.lists(st.integers(1, 3000), max_size=20),
+    budget=st.integers(0, 2048) | st.integers(0, 8),
+    max_batch_size=st.integers(1, 12),
+    capacity=st.integers(-1, 9),
+    id_start=st.integers(0, 100),
+)
+def test_admit_matches_the_lightest_bin_search(
+    n_decoding, prefill_lens, budget, max_batch_size, capacity, id_start
+):
+    # Prefills range past the budget, so oversize admission is drawn too.
+    def queues():
+        return (deque(dec(i) for i in range(n_decoding)),
+                deque(pre(100 + i, n) for i, n in enumerate(prefill_lens)))
+
+    args = (decision(max(capacity, 1), budget), max_batch_size, capacity, id_start)
+    decoding, queued = queues()
+    ref_decoding, ref_queued = queues()
+    batches = admit_and_batch(decoding, queued, *args)
+    assert batches == reference_admit_and_batch(ref_decoding, ref_queued, *args)
+    assert [r.id for r in decoding] == [r.id for r in ref_decoding]
+    assert [r.id for r in queued] == [r.id for r in ref_queued]
+
+
 # -- simple runs --------------------------------------------------------------
 
 
@@ -172,7 +203,7 @@ def test_causality_and_stage_fifo():
     for stage_id in (1, 2):
         deliveries = sorted(
             e.time_ns
-            for e in result.events
+            for e in engine_events(result)
             if e.kind is EventKind.PAYLOAD_DELIVERED and e.stage == stage_id
         )
         starts = sorted(s for s, _ in result.stage_busy_ns[stage_id])
@@ -379,8 +410,8 @@ def test_link_events_are_logged_in_time_order(horizon_s):
     # Writers and replay rely on this: the run hands the log over unsorted.
     trace = generate_trace(rate=30.0, duration=1.0, seed=8)
     result = chunked_three_stage_engine().run(trace, horizon_s=horizon_s)
-    times = [e.time_ns for e in result.link_events]
-    assert any(e.chunk_index > 0 for e in result.link_events)
+    times = [e.time_ns for e in link_events(result)]
+    assert any(e.chunk_index > 0 for e in link_events(result))
     assert times == sorted(times)
     if horizon_s is not None:
         assert not result.all_finished
@@ -397,7 +428,7 @@ def test_engine_links_hold_transport_invariants(policy, seed):
     assert result.all_finished
     preempted = 0
     for profile in engine.link_profiles:
-        rows = [e for e in result.link_events if e.link == profile.name]
+        rows = [e for e in link_events(result) if e.link == profile.name]
         check_link_invariants(rows, policy)
         # replay_link, which criteria 3 and 9 run, gives the same schedule.
         arrivals = [(e.time_ns, Payload(e.payload_id, e.phase, e.size_bytes))
@@ -418,15 +449,24 @@ def test_full_length_chunked_run_holds_transport_invariants():
     assert result.all_finished
     assert len(result.link_events) > 70_000
     for profile in engine.link_profiles:
-        check_link_invariants([e for e in result.link_events if e.link == profile.name])
+        check_link_invariants([e for e in link_events(result) if e.link == profile.name])
 
 
 def test_logged_event_kinds_are_members():
     trace = generate_trace(rate=30.0, duration=1.0, seed=8)
     result = chunked_three_stage_engine().run(trace)
-    assert {type(e.kind) for e in result.events} == {EventKind}
+    assert {type(e.kind) for e in engine_events(result)} == {EventKind}
     # CHUNK_SENT orders the heap only; its rows are the link log's "sent" rows.
-    assert {e.kind for e in result.events} == set(EventKind) - {EventKind.CHUNK_SENT}
+    assert {e.kind for e in engine_events(result)} == set(EventKind) - {EventKind.CHUNK_SENT}
+
+
+def test_log_rows_are_plain_tuples():
+    # A NamedTuple row costs a Python-level __new__ per row; the logs hold
+    # hundreds of thousands of rows on a long run.
+    result = chunked_three_stage_engine().run(generate_trace(rate=30.0, duration=0.5, seed=8))
+    assert result.events and result.link_events
+    assert all(type(row) is tuple for row in result.events)
+    assert all(type(row) is tuple for row in result.link_events)
 
 
 # -- the head scheduler, driven without a clock --------------------------------

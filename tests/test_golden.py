@@ -14,6 +14,10 @@ horizon, which only the engine API offers.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +162,24 @@ def _simulate(case, directory):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_simulate_outputs_match_pinned_digests(case, tmp_path, capsys):
     assert _simulate(case, tmp_path) == GOLDEN[case]
+
+
+def test_simulate_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    cluster, config = CASES["overloaded"]
+    (tmp_path / "cluster.json").write_text(json.dumps(cluster))
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"out{seed}"
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "pipelink.cli", "simulate",
+                        "--config", str(tmp_path / "run.json"), "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=60)
+        digests.append({name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                        for name in GOLDEN["overloaded"]})
+    assert digests == [GOLDEN["overloaded"]] * 2
 
 
 # Three stages cut off by a horizon while requests are mid-flight, through

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pipelink.controller import ControllerDecision
-from pipelink.engine import EngineEvent, EventKind
+from pipelink.engine import EventKind
 from pipelink.metrics import MetricsReport
 from pipelink.outputs import (
     DECISION_LOG_HEADER,
@@ -27,7 +27,9 @@ from pipelink.outputs import (
     write_sweep_table,
 )
 from pipelink.profiles import Phase
-from pipelink.transport import NS_PER_S, LinkEvent
+from pipelink.transport import NS_PER_S
+
+from simsetup import EngineEvent, LinkEvent
 
 
 def reference_link_log(events, path):

@@ -6,7 +6,6 @@ import pytest
 from pipelink.errors import ConfigError, ProtocolError
 from pipelink.profiles import LinkProfile, Phase
 from pipelink.transport import (
-    LinkEvent,
     LinkPolicy,
     LinkQueue,
     Payload,
@@ -15,7 +14,7 @@ from pipelink.transport import (
     transmission_ns,
 )
 
-from simsetup import first_emit_delay_ns
+from simsetup import LinkEvent, first_emit_delay_ns
 
 
 def payload(pid, pclass, size):
@@ -111,7 +110,7 @@ def test_single_chunk_delivery_time():
     events = replay_link(
         link, [(0, payload(1, Phase.PREFILL, 262_144))], chunk_size=None
     )
-    deliver = [e for e in events if e.event == "deliver"]
+    deliver = [e for e in map(LinkEvent._make, events) if e.event == "deliver"]
     assert len(deliver) == 1
     assert deliver[0].time_ns == s_to_ns(0.03097152)
 
@@ -160,6 +159,7 @@ def check_link_invariants(
 
     Every clause is a sort or a sweep, so a log of n rows costs O(n log n).
     """
+    events = [LinkEvent._make(row) for row in events]
     by_payload: dict[int, dict] = {}
     for e in events:
         rec = by_payload.setdefault(
