@@ -220,11 +220,10 @@ def _build_profiles(
 
 def _report_from_result(result: RunResult) -> MetricsReport:
     bubbles = []
-    if result.requests:
-        start_ns = s_to_ns(min(r.arrival_time for r in result.requests))
-        if result.end_ns > start_ns:
-            for stage_id in range(len(result.stage_busy_ns)):
-                bubbles.append(measure_bubble(result, stage_id, start_ns, result.end_ns))
+    start_ns = s_to_ns(min(r.arrival_time for r in result.requests))
+    if result.end_ns > start_ns:
+        for stage_id in range(len(result.stage_busy_ns)):
+            bubbles.append(measure_bubble(result, stage_id, start_ns, result.end_ns))
     return summarize(result.requests, tuple(bubbles))
 
 

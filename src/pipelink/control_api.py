@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import ClassVar
-from urllib.parse import parse_qs
+from urllib.parse import parse_qs, unquote, urlsplit
 
 from .decode import decode, encode
 from .errors import ConfigError, PipelinkError, PlacementError, RegistryError
@@ -293,6 +293,8 @@ class ClusterRegistry:
         ``resource_specification`` is the JSON object of a service body; one
         that does not decode as a ResourceSpec raises :class:`ConfigError`.
         """
+        if not service_name:  # a path segment can name no empty service
+            raise RegistryError("invalid", "service_name must not be empty")
         spec = decode(ResourceSpec, resource_specification, "$.resource_specification")
         with self._lock:
             if service_name in self._services:
@@ -436,9 +438,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _route(self) -> None:
         registry = self.registry
-        path = self.path.split("?", 1)[0].rstrip("/")
-        query = self.path.split("?", 1)[1] if "?" in self.path else ""
-        parts = [p for p in path.split("/") if p]
+        target = urlsplit(self.path)
+        parts = [unquote(p) for p in target.path.split("/") if p]
         try:
             if self.command == "POST" and parts == ["nodes"]:
                 body = self._read_body()
@@ -449,7 +450,7 @@ class _Handler(BaseHTTPRequestHandler):
             elif self.command == "GET" and len(parts) == 2 and parts[0] == "nodes":
                 self._send_json(200, registry.check_node_status(parts[1]))
             elif self.command == "DELETE" and len(parts) == 2 and parts[0] == "nodes":
-                cascade = parse_qs(query).get("cascade") == ["true"]
+                cascade = parse_qs(target.query).get("cascade") == ["true"]
                 registry.node_exit(parts[1], cascade=cascade)
                 self._send_json(200, {"deleted": parts[1]})
             elif self.command == "POST" and parts == ["services"]:
@@ -473,7 +474,7 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 self._send_json(
                     404,
-                    {"code": "not_found", "message": f"no route {self.command} {path}",
+                    {"code": "not_found", "message": f"no route {self.command} {target.path}",
                      "details": {}},
                 )
         except RegistryError as exc:

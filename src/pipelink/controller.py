@@ -131,10 +131,7 @@ def choose_n(
     gain_delta, or at n_max; returns that n with its per-micro-batch token
     budget and predicted bubble.
     """
-    num_stages = len(stage_profiles)
-    if num_stages == 0:
-        raise ConfigError("need at least one stage profile")
-    n_max = cfg.effective_n_max(num_stages)
+    n_max = cfg.effective_n_max(len(stage_profiles))
     budget_pool = clamp_demand(cfg, queued_tokens)
 
     def tokens_for(n: int) -> int:

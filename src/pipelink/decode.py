@@ -1,4 +1,5 @@
-"""One strict decoder from JSON values to the dataclasses that describe them.
+"""One strict decoder from JSON values to the dataclasses that describe them,
+and one reader of CSV inputs.
 
 Cluster files, run configs, model files, control API bodies and journal
 records all go through :func:`decode`, which reads field names, types and
@@ -22,10 +23,15 @@ Annotations understood: ``str``, ``int``, ``float``, ``bool``, ``dict`` (any
 object, checked by whatever reads it), enums of strings, dataclasses,
 ``tuple[X, ...]`` and ``tuple[X, Y]`` (lists), and unions of these whose
 members take different JSON types.
+
+The trace and profile CSVs are read by :func:`read_csv`, which refuses a bad
+header, row or field with the caller's error type, naming the file and line;
+each caller keeps only the checks that span fields or rows.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import enum
 import functools
@@ -33,9 +39,10 @@ import json
 import math
 import types
 import typing
+from collections.abc import Callable, Iterator
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, PipelinkError
 
 _MISSING = dataclasses.MISSING
 _UNIONS = (typing.Union, types.UnionType)
@@ -157,3 +164,38 @@ def read_json(path: str | Path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # also an integer of too many digits
         raise ConfigError(f"{path}: bad JSON: {exc}") from None
+
+
+def read_csv(
+    path: str | Path,
+    header: tuple[str, ...],
+    columns: tuple[Callable[[str], object], ...],
+    error: type[PipelinkError],
+) -> Iterator[tuple[int, tuple]]:
+    """Per non-blank row of the CSV at ``path``, its line number and its fields,
+    each converted by the callable of its column in ``columns``.
+
+    Line 1 must be ``header`` (fields stripped).  A missing header, a row of
+    another width, a field over ``csv.field_size_limit()``, and a field whose
+    callable raises ``ValueError`` raise ``error`` naming the file and line.
+    Bytes that are not UTF-8 read as U+FFFD, which a number or enum column's
+    callable refuses.
+    """
+    with Path(path).open(newline="", encoding="utf-8", errors="replace") as fh:
+        reader = csv.reader(fh)
+        try:
+            if tuple(h.strip() for h in next(reader, ())) != header:
+                raise error(f"{path}: line 1: expected header {','.join(header)}")
+            for row in reader:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != len(header):
+                    raise error(f"{path}: line {reader.line_num}: "
+                                f"expected {len(header)} fields, got {len(row)}")
+                try:
+                    fields = tuple(f(v) for f, v in zip(columns, row))
+                except ValueError as exc:
+                    raise error(f"{path}: line {reader.line_num}: {exc}") from None
+                yield reader.line_num, fields
+        except csv.Error as exc:
+            raise error(f"{path}: line {reader.line_num}: {exc}") from None

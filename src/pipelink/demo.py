@@ -11,7 +11,10 @@ exactly that.
 Each hop of the ring (stage i to stage i+1, the last stage back to the head)
 is one loopback connection with one sender.  The head sends activations;
 each middle stage relays them unchanged; the tail turns each activation into
-one feedback payload for the head.  A stage reads its hop with
+one feedback payload for the head.  Payloads have the simulator's sizes:
+an activation's first ``min(4, size)`` bytes carry its request count, which
+fits because a micro-batch has no more requests than tokens, and no more
+tokens than activation bytes.  A stage reads its hop with
 :func:`~pipelink.wire.receive_payloads`, whose ``on_payload(payload, body)``
 has the signature of ``SocketLinkSender.send``, so a relay passes the next
 hop's ``send`` itself.  The head keeps the pipeline full: when feedback comes
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 import queue
 import socket
-import struct
 import threading
 from queue import Empty
 
@@ -41,8 +43,6 @@ from .transport import Payload, activation_bytes, feedback_bytes
 from .wire import SocketLinkSender, loopback_pair, receive_payloads
 from .workload import Trace
 
-_COUNT = struct.Struct("<I")
-
 
 def _relay(in_sock, out_sender: SocketLinkSender) -> None:
     """Middle stage: pass each payload on unchanged, with its id and phase."""
@@ -56,8 +56,7 @@ def _tail_worker(forward_sock, return_sender: SocketLinkSender) -> None:
     """Last stage: receive an activation, emit one feedback token per request."""
 
     def on_payload(p: Payload, body: bytes) -> None:
-        (count,) = _COUNT.unpack(body[:4])
-        size = feedback_bytes(count)
+        size = feedback_bytes(int.from_bytes(body[:4], "little"))
         return_sender.send(Payload(p.id, Phase.DECODE, size), bytes(size))
 
     try:
@@ -147,10 +146,10 @@ def run_socket_demo(
             batches = sched.dispatch()
             for mb in batches:
                 # The payload id is the micro-batch id: each is sent once.
-                body = _COUNT.pack(len(mb.request_ids)) + bytes(
-                    activation_bytes(mb.batched_tokens, sched.bytes_per_token)
-                )
-                forward_sender.send(Payload(mb.id, mb.phase, len(body)), body)
+                size = activation_bytes(mb.batched_tokens, sched.bytes_per_token)
+                head = min(4, size)
+                body = len(mb.request_ids).to_bytes(head, "little") + bytes(size - head)
+                forward_sender.send(Payload(mb.id, mb.phase, size), body)
             if batches:
                 continue
             if not sched.in_flight:

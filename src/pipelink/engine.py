@@ -12,9 +12,11 @@ chunk completions), then by subject id, so runs are bit-reproducible.  An
 iteration boundary is a deferred step, not a heap entry: it is due at the
 current time and runs once the heap holds nothing that sorts before it.
 
-The engine's log rows are plain tuples ``(time_ns, kind, subject, stage)``,
-with ``stage`` -1 when the row is not stage-scoped; the link rows are
-described in :mod:`pipelink.transport`.
+The engine's log rows are plain tuples of ints and strings,
+``(time_ns, kind, subject, stage)``.  ``kind`` is the name of an
+:class:`EventKind` member, spelled here; :mod:`pipelink.outputs` prints every
+field as held.  ``stage`` is -1 when the row is not stage-scoped.  The link
+rows are described in :mod:`pipelink.transport`.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class EngineConfig:
     scheduling_policy: LinkPolicy = LinkPolicy.DECODE_PRIORITY
 
 
-EngineRow = tuple[int, EventKind, int, int]  # (time_ns, kind, subject, stage)
+EngineRow = tuple[int, str, int, int]  # (time_ns, kind name, subject, stage)
 
 
 @dataclass
@@ -216,17 +218,15 @@ class HeadScheduler:
         self.ready: deque[Request] = deque()
         self.in_flight: dict[int, MicroBatch] = {}
         self.demand = 0  # len(ready) + in-flight batched tokens + pending input tokens
-        self.decisions: list[tuple[int, ControllerDecision]] = []
-        self.iteration = 0
+        self.decisions: list[tuple[int, ControllerDecision]] = []  # (iteration, decision)
         self._next_mb_id = 0
-        self._last_decision: ControllerDecision | None = None
         # Keyed by (clamped demand, decoding?): a Phase key would hash in Python.
         self._memo: dict[tuple[int, bool], ControllerDecision] = {}
 
     def _decide(self) -> ControllerDecision:
         ctrl = self.cfg.controller
-        if self._last_decision is not None and self.iteration % ctrl.decision_stride:
-            return self._last_decision
+        if self.decisions and len(self.decisions) % ctrl.decision_stride:
+            return self.decisions[-1][1]
         key = (clamp_demand(ctrl, self.demand), bool(self.ready))
         decision = self._memo.get(key)
         if decision is None:
@@ -262,9 +262,7 @@ class HeadScheduler:
             capacity,
             id_start=self._next_mb_id,
         )
-        self.iteration += 1
-        self._last_decision = decision
-        self.decisions.append((self.iteration, decision))
+        self.decisions.append((len(self.decisions) + 1, decision))
         self._next_mb_id += len(batches)
         for mb in batches:
             self.in_flight[mb.id] = mb
@@ -310,6 +308,9 @@ class _StageRuntime:
 _DECODE = Phase.DECODE
 _DELIVERED, _COMPUTE_DONE = EventKind.PAYLOAD_DELIVERED, EventKind.COMPUTE_DONE
 _ARRIVAL, _BOUNDARY, _SENT = EventKind.ARRIVAL, EventKind.ITERATION_BOUNDARY, EventKind.CHUNK_SENT
+# What a log row holds for a kind: its name.
+_DELIVERED_ROW, _COMPUTE_DONE_ROW = _DELIVERED.name, _COMPUTE_DONE.name
+_ARRIVAL_ROW, _BOUNDARY_ROW = _ARRIVAL.name, _BOUNDARY.name
 
 
 class PipelineEngine:
@@ -385,7 +386,7 @@ class PipelineEngine:
         assert mb is not None and mb.id == mb_id
         stage.busy_intervals.append((stage.current_start, now))
         stage.current = None
-        self._events.append((now, _COMPUTE_DONE, mb_id, stage_idx))
+        self._events.append((now, _COMPUTE_DONE_ROW, mb_id, stage_idx))
 
         last = stage_idx == len(self._stages) - 1
         if not last:
@@ -412,7 +413,7 @@ class PipelineEngine:
         batches = self._sched.dispatch()
         if not batches:
             return
-        self._events.append((now, _BOUNDARY, self._sched.iteration, 0))
+        self._events.append((now, _BOUNDARY_ROW, len(self._sched.decisions), 0))
         head.queue.extend(batches)
         self._try_start_compute(head, now)
 
@@ -460,7 +461,7 @@ class PipelineEngine:
                     push(heap, (end, sent, chunk.payload_id, next(seq), (link_idx, chunk)))
             elif kind is arrival:
                 sched.arrive(sched.requests[subject])
-                log((now, arrival, subject, -1))
+                log((now, _ARRIVAL_ROW, subject, -1))
                 self._boundary_due = True
             elif kind is compute_done:
                 self._on_compute_done(data, subject, now)  # data = stage idx
@@ -471,7 +472,7 @@ class PipelineEngine:
                     continue
                 mb = self._payload_mb.pop(subject)
                 dst_idx = (link_idx + 1) % len(stages)
-                log((now, delivered, subject, dst_idx))
+                log((now, _DELIVERED_ROW, subject, dst_idx))
                 if dst_idx == 0:
                     sched.feedback(mb, now)
                     self._boundary_due = True

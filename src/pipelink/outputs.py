@@ -7,9 +7,11 @@ the order the run logged it, and is never sorted or copied.  The engine logs
 at its current virtual time, so its logs are in time order; ``write_link_log``
 refuses a row earlier than the one before it.
 
-The rows are plain tuples: ``(time_ns, kind, subject, stage)`` for the event
-log and ``(time_ns, link, payload_id, chunk_index, size_bytes, phase, event)``
-for the link log.
+The rows are plain tuples of ints and strings, printed as held but for the
+time, which is formatted here as seconds to six places.  Event log rows,
+``(time_ns, kind, subject, stage)``, are spelled by :mod:`pipelink.engine`;
+link log rows, ``(time_ns, link, payload_id, chunk_index, size_bytes, class,
+event)``, by :mod:`pipelink.transport`, whose ``class`` is a ``Phase`` value.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from typing import Iterable
 
 from .controller import ControllerDecision
 from .decode import encode
-from .engine import EngineRow, EventKind
+from .engine import EngineRow
 from .metrics import MetricsReport
-from .profiles import Phase
 from .transport import NS_PER_S, LinkRow
 
 EVENT_LOG_HEADER = ("time_s", "kind", "subject", "stage")
@@ -55,14 +56,12 @@ def write_event_log(events: list[EngineRow], path: str | Path) -> None:
     A time is formatted once per run of equal times, so once per distinct
     time in a run's log, which is in time order.
     """
-    names = {kind: kind.name for kind in EventKind}
-
     def lines():
         last, stamp = None, ""
         for t, kind, subject, stage in events:
             if t != last:
                 last, stamp = t, f"{t / NS_PER_S:.6f}"
-            yield f"{stamp},{names[kind]},{subject},{stage}\r\n"
+            yield f"{stamp},{kind},{subject},{stage}\r\n"
 
     write_csv_lines(path, EVENT_LOG_HEADER, lines())
 
@@ -74,18 +73,16 @@ def write_link_log(events: list[LinkRow], path: str | Path) -> None:
     hold ``,`` or ``"``, is quoted by ``csv.writer`` once per name.
     """
     names: dict[str, str] = {}
-    decode, classes = Phase.DECODE, (Phase.PREFILL.value, Phase.DECODE.value)
 
     def lines():
         last, stamp = None, ""
-        for t, link, payload_id, index, size, phase, event in events:
+        for t, link, payload_id, index, size, cls, event in events:
             if t != last:
                 if last is not None and t < last:
                     raise ValueError(f"link log row at {t} ns follows one at {last} ns")
                 last, stamp = t, f"{t / NS_PER_S:.6f}"
             if (name := names.get(link)) is None:
                 name = names[link] = _csv_field(link)
-            cls = classes[phase is decode]
             yield f"{stamp},{name},{payload_id},{index},{size},{cls},{event}\r\n"
 
     write_csv_lines(path, LINK_LOG_HEADER, lines())

@@ -41,6 +41,8 @@ class NodeDescriptor:
     network_score: float = json_field(default=1.0)
 
     def __post_init__(self) -> None:
+        if not self.name:  # a path segment can name no empty node
+            raise ConfigError("node name must not be empty")
         if self.gpu_count < 1:
             raise ConfigError(f"node {self.name}: gpu_count must be >= 1")
         if self.gpu_mem_bytes < 1:

@@ -9,13 +9,12 @@ and order-preserving.
 from __future__ import annotations
 
 import bisect
-import csv
 import enum
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .decode import json_field
+from .decode import json_field, read_csv
 from .errors import ConfigError, ProfileError
 
 
@@ -173,31 +172,16 @@ def load_stage_profiles(path: str | Path) -> dict[int, StageProfile]:
 
     A malformed or repeated row raises ``ProfileError`` naming its line.
     """
-    path = Path(path)
     raw: dict[int, dict[tuple[Phase, int], float]] = {}
-    # Bytes that are not UTF-8 become U+FFFD, so the row holding them is refused.
-    with path.open(newline="", encoding="utf-8", errors="replace") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != PROFILE_HEADER:
-            raise ProfileError(f"{path}: bad or missing header")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(PROFILE_HEADER):
-                raise ProfileError(f"{path}: line {lineno}: expected {len(PROFILE_HEADER)} fields")
-            try:
-                stage_id = int(row[0])
-                phase = Phase(row[1].strip().lower())
-                tokens = int(row[2])
-                seconds = float(row[3])
-            except ValueError as exc:
-                raise ProfileError(f"{path}: line {lineno}: {exc}") from None
-            entries = raw.setdefault(stage_id, {})
-            if (phase, tokens) in entries:
-                raise ProfileError(f"{path}: line {lineno}: repeats stage {stage_id} "
-                                   f"{phase.value} at {tokens} batched tokens")
-            entries[(phase, tokens)] = seconds
+    for lineno, (stage_id, phase, tokens, seconds) in read_csv(
+        path, PROFILE_HEADER, (int, lambda text: Phase(text.strip().lower()), int, float),
+        ProfileError,
+    ):
+        entries = raw.setdefault(stage_id, {})
+        if (phase, tokens) in entries:
+            raise ProfileError(f"{path}: line {lineno}: repeats stage {stage_id} "
+                               f"{phase.value} at {tokens} batched tokens")
+        entries[(phase, tokens)] = seconds
     try:
         return {
             stage_id: StageProfile(stage_id=stage_id, entries=entries)
@@ -205,4 +189,3 @@ def load_stage_profiles(path: str | Path) -> dict[int, StageProfile]:
         }
     except ConfigError as exc:
         raise ProfileError(f"{path}: {exc}") from None
-

@@ -9,10 +9,12 @@ head-of-line-blocking baseline.
 The same queue mechanics back two transports: :class:`VirtualLink`, the one
 virtual-time driver (the simulator and :func:`replay_link` both run it), and
 the socket workers in :mod:`pipelink.wire`.  Only link mechanics live here:
-the rows a link logs are written by :mod:`pipelink.outputs`.  A row is a plain
-tuple ``(time_ns, link, payload_id, chunk_index, size_bytes, phase, event)``,
-where ``event`` is ``enqueue`` (``chunk_index`` -1), ``emit``, ``sent`` or
-``deliver``.
+the rows a link logs are written by :mod:`pipelink.outputs`, which prints
+each field as held.  A row is a plain tuple of ints and strings,
+``(time_ns, link, payload_id, chunk_index, size_bytes, class, event)``:
+``link`` is the profile's name, ``class`` the payload's :class:`Phase` value
+(spelled by :mod:`pipelink.profiles`), and ``event``, spelled here, is
+``enqueue`` (``chunk_index`` -1), ``emit``, ``sent`` or ``deliver``.
 """
 
 from __future__ import annotations
@@ -130,7 +132,7 @@ class LinkQueue:
         return Chunk(p.id, 0, p.size_bytes, True, p.phase)
 
 
-LinkRow = tuple[int, str, int, int, int, Phase, str]  # see the module docstring
+LinkRow = tuple[int, str, int, int, int, str, str]  # see the module docstring
 
 # The one ordering rule of replayed link logs: by time, equal times in logged
 # order (``sorted`` is stable).
@@ -153,7 +155,8 @@ class VirtualLink:
     chunk they just put on the wire, or ``None``, and the caller calls
     ``sent`` at that end time.  A chunk lands ``latency_ns`` after its
     transmission ends, so propagation overlaps the next transmission;
-    ``deliver`` logs the landing.
+    ``deliver`` logs the landing.  Rows hold ``phase._value_``, the value
+    that ``phase.value`` reads through a slower descriptor.
     """
 
     def __init__(
@@ -173,7 +176,7 @@ class VirtualLink:
 
     def _row(self, now: int, chunk: Chunk, event: str) -> None:
         payload_id, index, size, _, phase = chunk
-        self.log.append((now, self.name, payload_id, index, size, phase, event))
+        self.log.append((now, self.name, payload_id, index, size, phase._value_, event))
 
     def _emit_next(self, now: int) -> tuple[int, Chunk] | None:
         chunk = self.queue.next_chunk()
@@ -181,7 +184,7 @@ class VirtualLink:
         if chunk is None:
             return None
         payload_id, index, size, _, phase = chunk
-        self.log.append((now, self.name, payload_id, index, size, phase, "emit"))
+        self.log.append((now, self.name, payload_id, index, size, phase._value_, "emit"))
         if (tx_ns := self._tx_ns.get(size)) is None:
             tx_ns = self._tx_ns[size] = transmission_ns(self.profile, size)
         return now + tx_ns, chunk
@@ -189,7 +192,7 @@ class VirtualLink:
     def offer(self, payload: Payload, now: int) -> tuple[int, Chunk] | None:
         self.queue.enqueue(payload)
         payload_id, phase, size = payload
-        self.log.append((now, self.name, payload_id, -1, size, phase, "enqueue"))
+        self.log.append((now, self.name, payload_id, -1, size, phase._value_, "enqueue"))
         return None if self.busy else self._emit_next(now)
 
     def sent(self, chunk: Chunk, now: int) -> tuple[int, Chunk] | None:

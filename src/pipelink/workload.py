@@ -10,6 +10,7 @@ import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .decode import read_csv
 from .errors import ConfigError, TraceError
 
 TRACE_HEADER = ("arrival_s", "input_tokens", "output_tokens")
@@ -192,49 +193,22 @@ def load_trace(path: str | Path) -> Trace:
     Malformed rows raise ``TraceError`` naming the offending line; nothing is
     skipped silently.
     """
-    path = Path(path)
     requests: list[Request] = []
-    # Bytes that are not UTF-8 become U+FFFD, so the row holding them is refused.
-    with path.open(newline="", encoding="utf-8", errors="replace") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TraceError(f"{path}: empty file, expected header row") from None
-        if tuple(h.strip() for h in header) != TRACE_HEADER:
+    last_arrival = 0.0
+    for lineno, (arrival, input_len, output_len) in read_csv(
+        path, TRACE_HEADER, (float, int, int), TraceError
+    ):
+        if not math.isfinite(arrival):
+            raise TraceError(f"{path}: line {lineno}: arrival_s must be finite")
+        if arrival < last_arrival:
             raise TraceError(
-                f"{path}: line 1: expected header {','.join(TRACE_HEADER)}"
+                f"{path}: line {lineno}: arrival_s decreases ({arrival} < {last_arrival})"
             )
-        last_arrival = 0.0
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise TraceError(f"{path}: line {lineno}: expected 3 fields")
-            try:
-                arrival = float(row[0])
-                input_len = int(row[1])
-                output_len = int(row[2])
-            except ValueError as exc:
-                raise TraceError(f"{path}: line {lineno}: {exc}") from None
-            if not math.isfinite(arrival):
-                raise TraceError(f"{path}: line {lineno}: arrival_s must be finite")
-            if arrival < last_arrival:
-                raise TraceError(
-                    f"{path}: line {lineno}: arrival_s decreases ({arrival} < {last_arrival})"
-                )
-            try:
-                requests.append(
-                    Request(
-                        id=len(requests),
-                        arrival_time=arrival,
-                        input_len=input_len,
-                        output_len=output_len,
-                    )
-                )
-            except ConfigError as exc:
-                raise TraceError(f"{path}: line {lineno}: {exc}") from None
-            last_arrival = arrival
+        try:
+            requests.append(Request(len(requests), arrival, input_len, output_len))
+        except ConfigError as exc:
+            raise TraceError(f"{path}: line {lineno}: {exc}") from None
+        last_arrival = arrival
     return Trace(requests=requests)
 
 

@@ -25,16 +25,29 @@ from pipelink.workload import Request, Trace
 
 
 class EngineEvent(NamedTuple):
-    """A named view of one engine log row, ``EngineEvent._make(row)``."""
+    """A named view of one engine log row, ``EngineEvent.of(row)``.
+
+    The row holds the kind's name, as ``events.csv`` prints it; the view
+    holds the member, so that ``e.kind is EventKind.ARRIVAL`` reads as it says.
+    """
 
     time_ns: int
     kind: EventKind
     subject: int
     stage: int  # -1 when not stage-scoped
 
+    @classmethod
+    def of(cls, row):
+        time_ns, kind, subject, stage = row
+        return cls(time_ns, EventKind[kind], subject, stage)
+
 
 class LinkEvent(NamedTuple):
-    """A named view of one link log row, ``LinkEvent._make(row)``."""
+    """A named view of one link log row, ``LinkEvent.of(row)``.
+
+    The row holds the phase's value, as ``transport.csv`` prints it; the view
+    holds the member.
+    """
 
     time_ns: int
     link: str
@@ -44,15 +57,20 @@ class LinkEvent(NamedTuple):
     phase: Phase
     event: str  # enqueue | emit | sent | deliver
 
+    @classmethod
+    def of(cls, row):
+        time_ns, link, payload_id, chunk_index, size_bytes, phase, event = row
+        return cls(time_ns, link, payload_id, chunk_index, size_bytes, Phase(phase), event)
+
 
 def engine_events(result):
     """The engine log rows of a run as :class:`EngineEvent` views."""
-    return [EngineEvent._make(row) for row in result.events]
+    return [EngineEvent.of(row) for row in result.events]
 
 
 def link_events(result):
     """The link log rows of a run as :class:`LinkEvent` views."""
-    return [LinkEvent._make(row) for row in result.link_events]
+    return [LinkEvent.of(row) for row in result.link_events]
 
 
 def make_node(
@@ -173,7 +191,7 @@ def run_recording_first_compute(engine, trace, **run_kwargs):
 
 def first_emit_delay_ns(events, payload_id):
     """Transmission-start delay of a payload: first emit minus its enqueue."""
-    events = [LinkEvent._make(row) for row in events]
+    events = [LinkEvent.of(row) for row in events]
     enq = next(e.time_ns for e in events if e.payload_id == payload_id and e.event == "enqueue")
     emit = next(e.time_ns for e in events if e.payload_id == payload_id and e.event == "emit")
     return emit - enq

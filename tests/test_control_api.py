@@ -3,6 +3,7 @@ import json
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -193,9 +194,14 @@ def test_replay_drops_torn_last_line(tmp_path):
      b'"gpu_mem_bytes": 1}}\n',
      b'{"op": "node_access", "node": {"name": 5, "gpu_type": "g", "gpu_count": 1, '
      b'"gpu_mem_bytes": 1}}\n',
+     b'{"op": "node_access", "node": {"name": "", "gpu_type": "g", "gpu_count": 1, '
+     b'"gpu_mem_bytes": 1}}\n',
+     b'{"op": "deploy", "service_name": "", "model_name": "tiny-4l", "api_key": "k", '
+     b'"resource_specification": {"gpu_type": "rtx4090", "gpu_count": 1}}\n',
      b"[" * 100_000 + b"\n"],
     ids=["not-json", "torn-but-not-last", "unknown-op", "not-an-object", "no-name",
-         "cascade-text", "gpu-count-float", "node-name-int", "nested-too-deep"],
+         "cascade-text", "gpu-count-float", "node-name-int", "node-name-empty",
+         "service-name-empty", "nested-too-deep"],
 )
 def test_replay_bad_middle_line_names_it(tmp_path, bad_line):
     journal = tmp_path / "registry.jsonl"
@@ -290,6 +296,43 @@ def test_http_service_lifecycle_and_errors(http_server):
     assert status == 200 and set(body) == {"service_name", "model", "state", "uptime_s", "plan"}
     assert call(base, "DELETE", "/services/svc")[0] == 200
     assert call(base, "GET", "/services/svc")[0] == 404
+
+
+@pytest.mark.parametrize("name", ["a b", "a/b", "x?y", "n%41", "é"])
+def test_http_addresses_every_name_it_registers(http_server, name):
+    _, base = http_server
+    quoted = urllib.parse.quote(name, safe="")
+    node = {"name": name, "gpu_type": "rtx4090", "gpu_count": 1, "gpu_mem_bytes": 8 * GB}
+    assert call(base, "POST", "/nodes", node)[0] == 201
+    status, body = call(base, "GET", f"/nodes/{quoted}")
+    assert status == 200 and body["name"] == name
+    deploy = {
+        "service_name": name, "model_name": "tiny-4l",
+        "resource_specification": {"gpu_type": "rtx4090", "gpu_count": 1},
+    }
+    assert call(base, "POST", "/services", deploy)[0] == 201
+    status, body = call(base, "GET", f"/services/{quoted}/key")
+    assert status == 200 and len(body["api_key"]) == 32
+    status, body = call(base, "GET", f"/services/{quoted}")
+    assert status == 200 and body["service_name"] == name
+    assert call(base, "DELETE", f"/services/{quoted}") == (200, {"deleted": name})
+    assert call(base, "DELETE", f"/nodes/{quoted}") == (200, {"deleted": name})
+    assert call(base, "GET", f"/nodes/{quoted}")[0] == 404
+
+
+def test_http_refuses_an_empty_name(http_server):
+    reg, base = http_server
+    node = {"name": "", "gpu_type": "rtx4090", "gpu_count": 1, "gpu_mem_bytes": 8 * GB}
+    status, body = call(base, "POST", "/nodes", node)
+    assert status == 400 and body["code"] == "invalid"
+    assert call(base, "POST", "/nodes", {**node, "name": "w0"})[0] == 201
+    deploy = {
+        "service_name": "", "model_name": "tiny-4l",
+        "resource_specification": {"gpu_type": "rtx4090", "gpu_count": 1},
+    }
+    status, body = call(base, "POST", "/services", deploy)
+    assert status == 400 and body["code"] == "invalid"
+    assert reg.snapshot() == {"nodes": ["w0"], "services": {}, "assignments": {}}
 
 
 def test_http_bad_body_is_invalid(http_server):

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -12,9 +13,10 @@ from pipelink.cli import RunConfig
 from pipelink.control_api import ClusterRegistry, ServiceRequest
 from pipelink.controller import BudgetMode, ControllerConfig
 from pipelink.decode import decode, read_json
-from pipelink.errors import ConfigError
+from pipelink.errors import ConfigError, ProfileError, TraceError
 from pipelink.placement import ClusterSpec, ModelSpec, NodeDescriptor, Platform, ResourceSpec
-from pipelink.profiles import LinkProfile
+from pipelink.profiles import LinkProfile, load_stage_profiles
+from pipelink.workload import load_trace
 
 from test_control_api import _FOUR_OP_JOURNAL
 
@@ -222,3 +224,45 @@ def test_mutated_documents_raise_only_config_error(name, data):
         decode_doc(doc)
     except ConfigError:
         pass
+
+
+# -- the CSV inputs: one reader, one way to refuse ------------------------------
+
+# Per loader: its header, a good row, and the error it raises.
+CSV_INPUTS = {
+    "trace": (load_trace, "arrival_s,input_tokens,output_tokens", "0.5,1,1", TraceError),
+    "profiles": (load_stage_profiles, "stage_id,phase,batched_tokens,seconds",
+                 "0,decode,1,0.01", ProfileError),
+}
+# Per malformation: the file's lines, from a header and a good row, and the
+# line it is refused at.  Line 3 is blank, so it is skipped but counted.
+CSV_MALFORMATIONS = {
+    "no-header": (lambda header, good: [good, good], 1),
+    "wrong-header": (lambda header, good: [header.replace("_", "-", 1), good], 1),
+    "extra-field": (lambda header, good: [header, good, "", good + ",7"], 4),
+    "missing-field": (lambda header, good: [header, good, "", good.rsplit(",", 1)[0]], 4),
+    "non-utf8": (lambda header, good: [header, good, "", b"\xff".decode("latin-1") + good], 4),
+    "bad-number": (lambda header, good: [header, good, "", "x" + good.split(",", 1)[1]], 4),
+    "field-over-limit": (lambda header, good: [header, good, "", "1" * 200_000 + good], 4),
+}
+
+
+@pytest.mark.parametrize("malformation", CSV_MALFORMATIONS)
+@pytest.mark.parametrize("schema", CSV_INPUTS)
+def test_csv_inputs_refuse_a_malformation_at_its_line(tmp_path, schema, malformation):
+    load, header, good, error = CSV_INPUTS[schema]
+    lines, lineno = CSV_MALFORMATIONS[malformation]
+    path = tmp_path / f"{schema}.csv"
+    path.write_bytes("\n".join(lines(header, good)).encode("latin-1") + b"\n")
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: line {lineno}: "):
+        load(path)
+
+
+@pytest.mark.parametrize("schema", CSV_INPUTS)
+def test_csv_inputs_skip_blank_lines(tmp_path, schema):
+    load, header, good, _ = CSV_INPUTS[schema]
+    second = good.replace(",1,", ",2,")
+    plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+    plain.write_text(f"{header}\n{good}\n{second}\n")
+    blank.write_text(f"{header}\n\n{good}\n   \n\n{second}\n\n")
+    assert load(blank) == load(plain)

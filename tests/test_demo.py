@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pipelink.demo
+import pipelink.engine
 from pipelink.demo import run_socket_demo
 from pipelink.engine import HeadScheduler, PipelineEngine, ring_links
 from pipelink.errors import ConfigError, ProtocolError
 from pipelink.profiles import Phase
-from pipelink.transport import LinkPolicy, Payload
-from pipelink.wire import receive_payloads
+from pipelink.transport import LinkPolicy, Payload, activation_bytes, feedback_bytes
+from pipelink.wire import SocketLinkSender, receive_payloads
 from pipelink.workload import Request, Trace
 
 from simsetup import engine_config, uniform_pipeline
@@ -60,6 +61,44 @@ def test_socket_demo_matches_virtual_run(
     live = run_socket_demo(cfg, cluster, profiles, trace, timeout_s=10.0)
     assert live == virtual.tokens_by_request()
     assert live == {r.id: r.output_len for r in trace.requests}
+
+
+def test_live_payloads_have_the_simulator_sizes(monkeypatch):
+    cfg, cluster, profiles = two_stage(LinkPolicy.DECODE_PRIORITY, 256, 1, stages=3)
+    trace = Trace(requests=[
+        Request(id=i, arrival_time=0.0, input_len=1 + 7 * i % 40, output_len=1 + i % 5)
+        for i in range(24)
+    ])
+    batches, sent = {}, []
+    admit_and_batch, send = pipelink.engine.admit_and_batch, SocketLinkSender.send
+
+    def recording_admit(*args, **kwargs):
+        formed = admit_and_batch(*args, **kwargs)
+        batches.update((mb.id, mb) for mb in formed)
+        return formed
+
+    def recording_send(self, payload, body):
+        sent.append((self.name, payload, len(body)))
+        return send(self, payload, body)
+
+    monkeypatch.setattr(pipelink.engine, "admit_and_batch", recording_admit)
+    monkeypatch.setattr(SocketLinkSender, "send", recording_send)
+    live = run_socket_demo(cfg, cluster, profiles, trace, timeout_s=10.0)
+    assert live == {r.id: r.output_len for r in trace.requests}
+    bpt = cfg.model.bytes_per_token
+    expected = {
+        name: {mb_id: size(mb) for mb_id, mb in batches.items()}
+        for name, size in [
+            ("hop0-sender", lambda mb: activation_bytes(mb.batched_tokens, bpt)),
+            ("hop1-sender", lambda mb: activation_bytes(mb.batched_tokens, bpt)),
+            ("hop2-sender", lambda mb: feedback_bytes(len(mb.request_ids))),
+        ]
+    }
+    assert {(name, p.id) for name, p, _ in sent} == {
+        (name, mb_id) for name in expected for mb_id in batches
+    }
+    for name, payload, body_len in sent:
+        assert payload.size_bytes == body_len == expected[name][payload.id]
 
 
 def _silent_tail(forward_sock, return_sender):

@@ -1,0 +1,207 @@
+"""Whole-engine invariants on random rings, configs and traces.
+
+One strategy draws a whole scenario: 1-6 heterogeneous stages, links from
+link-bound to effectively infinite bandwidth, chunking from none down to one
+byte, both link policies, small controller caps, equal-ns arrivals, 1-token
+requests and an optional horizon.  Every example checks causality (arrival,
+first head compute and first token in order; no compute before its input
+lands), stage FIFO order, disjoint busy intervals, the decision's cap on
+micro-batches in flight, token conservation, bubbles in [0, 1], chunk
+timings, the link invariants and ``replay_link`` parity on every link, and
+that a second run logs the same.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pipelink.controller import BudgetMode, ControllerConfig
+from pipelink.engine import EngineConfig, EventKind, HeadScheduler, PipelineEngine, measure_bubble
+from pipelink.placement import ClusterSpec, ModelSpec, PartitionPlan
+from pipelink.profiles import LinkProfile, Phase, StageProfile, synth_profile
+from pipelink.transport import (
+    TOKEN_FEEDBACK_BYTES,
+    LinkPolicy,
+    Payload,
+    replay_link,
+    s_to_ns,
+    transmission_ns,
+)
+from pipelink.workload import Request, Trace
+
+from simsetup import EngineEvent, LinkEvent, make_node, run_recording_first_compute
+from test_transport import check_link_invariants
+
+
+@st.composite
+def stage_profiles(draw, stage_id):
+    """A tabulated profile whose prefill may cost more than decode, or a synthetic one."""
+    overhead_us = draw(st.integers(1, 5_000))
+    per_token_us = draw(st.integers(0, 200))
+    if draw(st.booleans()):
+        return synth_profile(draw(st.integers(1, 8)), (per_token_us + 1) / 1e7,
+                             overhead_us / 1e6, stage_id)
+    prefill_factor = draw(st.integers(1, 4))
+    return StageProfile(stage_id, {
+        (phase, tokens): (overhead_us + per_token_us * tokens
+                          * (prefill_factor if phase is Phase.PREFILL else 1)) / 1e6
+        for phase in Phase for tokens in (1, 16, 64)
+    })
+
+
+@st.composite
+def scenarios(draw):
+    """(config, cluster, profiles, trace, horizon_s) for a random ring."""
+    num_stages = draw(st.integers(1, 6))
+    names = [f"s{i}" for i in range(num_stages)]
+    hops = list(zip(names, names[1:])) + [(names[-1], names[0])] if num_stages > 1 else []
+    links = {
+        (src, dst): LinkProfile(src, dst, draw(st.integers(0, 50_000)) / 1e6,
+                                draw(st.floats(1e3, 1e18)))
+        for src, dst in hops
+    }
+    cluster = ClusterSpec(nodes={n: make_node(n) for n in names}, links=links)
+    model = ModelSpec("m", num_stages, draw(st.integers(1, 8)), draw(st.integers(1, 2)), 1)
+    plan = PartitionPlan(stages=tuple((n, (i, i + 1)) for i, n in enumerate(names)),
+                         head=names[0])
+    controller = ControllerConfig(
+        max_batched_tokens=draw(st.integers(1, 32)),
+        max_batch_size=draw(st.integers(1, 8)),
+        n_max=draw(st.none() | st.integers(1, 4)),
+        mode=draw(st.sampled_from(BudgetMode)),
+        decision_stride=draw(st.integers(1, 4)),
+    )
+    cfg = EngineConfig(plan, model, controller,
+                       chunk_size=draw(st.none() | st.integers(1, 4096)),
+                       scheduling_policy=draw(st.sampled_from(LinkPolicy)))
+    profiles = [draw(stage_profiles(i)) for i in range(num_stages)]
+    # Whole milliseconds, so that arrivals often share a nanosecond.
+    arrivals = sorted(draw(st.lists(st.integers(0, 20), min_size=1, max_size=8)))
+    trace = Trace(requests=[
+        Request(i, ms / 1000, draw(st.integers(1, 24)), draw(st.integers(1, 6)))
+        for i, ms in enumerate(arrivals)
+    ])
+    horizon_s = draw(st.none() | st.integers(0, 2_000).map(lambda ms: ms / 1000))
+    return cfg, cluster, profiles, trace, horizon_s
+
+
+def check_requests(result, first_compute_ns, horizon_s):
+    for r in result.requests:
+        assert 0 <= r.tokens_emitted <= r.output_len
+        assert (r.finish_time is not None) == (r.tokens_emitted == r.output_len)
+        if r.id in first_compute_ns:
+            assert s_to_ns(r.arrival_time) <= first_compute_ns[r.id]
+        if r.tokens_emitted:
+            assert first_compute_ns[r.id] <= s_to_ns(r.first_token_time)
+            assert r.first_token_time <= (r.finish_time or r.first_token_time)
+    assert result.all_finished == all(r.finish_time is not None for r in result.requests)
+    assert result.all_finished or horizon_s is not None
+
+
+def check_stages(result, done, horizon_ns):
+    """Each stage computes one micro-batch at a time, once each; ``done`` is
+    per stage the compute-done rows in log order."""
+    for busy, rows in zip(result.stage_busy_ns, done):
+        assert all(s <= e for s, e in busy)
+        assert all(e0 <= s1 for (_, e0), (s1, _) in zip(busy, busy[1:]))
+        assert [e for _, e in busy[:len(rows)]] == [row.time_ns for row in rows]
+        # One more interval only when the horizon cut a compute short.
+        assert len(busy) - len(rows) in ((0, 1) if horizon_ns is not None else (0,))
+        assert len({row.subject for row in rows}) == len(rows)
+
+
+def check_links(engine, result, events, done, horizon_ns):
+    """Per hop: link invariants, ``replay_link`` parity, causality across the
+    hop and FIFO order at the stage it feeds; and token conservation at the head."""
+    cfg, num_stages = engine.cfg, len(engine.stage_profiles)
+    for hop, profile in enumerate(engine.link_profiles):
+        rows = [row for row in result.link_events if row[1] == profile.name]
+        views = [LinkEvent.of(row) for row in rows]
+        enqueued = [e for e in views if e.event == "enqueue"]
+        replayed = replay_link(
+            profile, [(e.time_ns, Payload(e.payload_id, e.phase, e.size_bytes)) for e in enqueued],
+            cfg.chunk_size, cfg.scheduling_policy,
+        )
+        check_link_invariants(replayed, cfg.scheduling_policy)
+        if horizon_ns is None:
+            assert replayed == rows
+        else:
+            assert [row for row in replayed if row[0] <= horizon_ns] == rows
+
+        # A chunk is on the wire for its transmission time, then in flight
+        # for the link's latency.
+        at = {(e.event, e.payload_id, e.chunk_index): e.time_ns for e in views}
+        for e in views:
+            if e.event == "sent":
+                took = e.time_ns - at["emit", e.payload_id, e.chunk_index]
+                assert took == transmission_ns(profile, e.size_bytes)
+            elif e.event == "deliver":
+                took = e.time_ns - at["sent", e.payload_id, e.chunk_index]
+                assert took == s_to_ns(profile.latency_s)
+
+        # Stage ``hop`` sends each micro-batch it finishes at that moment.
+        assert [e.time_ns for e in enqueued] == [row.time_ns for row in done[hop]]
+        mb_of = {e.payload_id: row.subject for e, row in zip(enqueued, done[hop])}
+        dst = (hop + 1) % num_stages
+        delivered = [e for e in events
+                     if e.kind is EventKind.PAYLOAD_DELIVERED and e.stage == dst]
+        landed = {e.payload_id: e.time_ns for e in views if e.event == "deliver"}
+        assert all(landed[e.subject] == e.time_ns for e in delivered)
+        if dst == 0:
+            fed_back = sum(e.size_bytes // TOKEN_FEEDBACK_BYTES for e in views
+                           if e.event == "deliver")
+            assert fed_back == sum(r.tokens_emitted for r in result.requests)
+            continue
+        # FIFO at the destination stage, and no compute before its input lands.
+        order = [mb_of[e.subject] for e in delivered]
+        assert [row.subject for row in done[dst]] == order[:len(done[dst])]
+        starts = [s for s, _ in result.stage_busy_ns[dst]]
+        assert all(start >= e.time_ns for start, e in zip(starts, delivered))
+        if horizon_ns is None:
+            assert len(order) == len(done[dst])
+
+
+def dispatch_within_decision(dispatch):
+    """``HeadScheduler.dispatch``, checking that it never puts more micro-batches
+    in flight than the decision it dispatched under allows."""
+
+    def checked(self):
+        batches = dispatch(self)
+        if batches:
+            assert len(self.in_flight) <= self.decisions[-1][1].n_microbatches
+        return batches
+
+    return checked
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(scenario=scenarios())
+def test_engine_invariants_hold_on_random_rings(scenario):
+    cfg, cluster, profiles, trace, horizon_s = scenario
+    engine = PipelineEngine(cfg, cluster, profiles)
+    horizon_ns = None if horizon_s is None else s_to_ns(horizon_s)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(HeadScheduler, "dispatch", dispatch_within_decision(HeadScheduler.dispatch))
+        result, first_compute_ns = run_recording_first_compute(engine, trace,
+                                                               horizon_s=horizon_s)
+
+    events = [EngineEvent.of(row) for row in result.events]
+    times = [e.time_ns for e in events] + [row[0] for row in result.link_events]
+    assert all(t <= result.end_ns for t in times)
+    assert horizon_ns is None or result.end_ns <= horizon_ns
+    check_requests(result, first_compute_ns, horizon_s)
+    if result.end_ns > 0:
+        for stage_id in range(len(profiles)):
+            assert 0.0 <= measure_bubble(result, stage_id, 0, result.end_ns) <= 1.0
+    done = [[e for e in events if e.kind is EventKind.COMPUTE_DONE and e.stage == s]
+            for s in range(len(engine.stage_profiles))]
+    check_stages(result, done, horizon_ns)
+    check_links(engine, result, events, done, horizon_ns)
+
+    again = PipelineEngine(cfg, cluster, profiles).run(trace, horizon_s=horizon_s)
+    assert again.events == result.events
+    assert again.link_events == result.link_events
+    assert again.decisions == result.decisions
+    assert again.stage_busy_ns == result.stage_busy_ns
+    assert again.tokens_by_request() == result.tokens_by_request()
+    assert again.end_ns == result.end_ns

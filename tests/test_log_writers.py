@@ -29,28 +29,24 @@ from pipelink.outputs import (
 from pipelink.profiles import Phase
 from pipelink.transport import NS_PER_S
 
-from simsetup import EngineEvent, LinkEvent
-
 
 def reference_link_log(events, path):
-    classes = {phase: phase.value for phase in Phase}
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(LINK_LOG_HEADER)
         writer.writerows(
             (f"{time_ns / NS_PER_S:.6f}", link, payload_id, chunk_index, size,
-             classes[phase], event)
-            for time_ns, link, payload_id, chunk_index, size, phase, event in events
+             cls, event)
+            for time_ns, link, payload_id, chunk_index, size, cls, event in events
         )
 
 
 def reference_event_log(events, path):
-    names = {kind: kind.name for kind in EventKind}
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(EVENT_LOG_HEADER)
         writer.writerows(
-            (f"{time_ns / NS_PER_S:.6f}", names[kind], subject, stage)
+            (f"{time_ns / NS_PER_S:.6f}", kind, subject, stage)
             for time_ns, kind, subject, stage in events
         )
 
@@ -96,21 +92,20 @@ times = st.one_of(
 link_names = st.text(st.sampled_from(list('ab->, "é→\n')), max_size=8)
 # In time order, as a run logs them; equal times keep the order drawn.
 link_events = st.lists(
-    st.builds(
-        LinkEvent,
+    st.tuples(
         times,
         link_names,
         st.integers(0, 2**40),
         st.integers(-1, 1000),
         st.integers(1, 2**40),
-        st.sampled_from(Phase),
+        st.sampled_from([phase.value for phase in Phase]),
         st.sampled_from(["enqueue", "emit", "sent", "deliver"]),
     ),
     max_size=30,
-).map(lambda rows: sorted(rows, key=lambda e: e.time_ns))
+).map(lambda rows: sorted(rows, key=lambda row: row[0]))
 engine_events = st.lists(
-    st.builds(
-        EngineEvent, times, st.sampled_from(EventKind), st.integers(0, 2**40),
+    st.tuples(
+        times, st.sampled_from([kind.name for kind in EventKind]), st.integers(0, 2**40),
         st.integers(-1, 8),
     ),
     max_size=30,
@@ -174,9 +169,9 @@ def test_sweep_table_bytes_match_hand_listed_columns(axis, points, tmp_path_fact
 
 def test_link_log_refuses_a_row_earlier_than_the_one_before(tmp_path):
     events = [
-        LinkEvent(2_000, "a->b", 1, -1, 10, Phase.PREFILL, "enqueue"),
-        LinkEvent(2_000, "a->b", 1, 0, 10, Phase.PREFILL, "emit"),
-        LinkEvent(1_000, "a->b", 2, -1, 20, Phase.DECODE, "enqueue"),
+        (2_000, "a->b", 1, -1, 10, Phase.PREFILL.value, "enqueue"),
+        (2_000, "a->b", 1, 0, 10, Phase.PREFILL.value, "emit"),
+        (1_000, "a->b", 2, -1, 20, Phase.DECODE.value, "enqueue"),
     ]
     path = tmp_path / "transport.csv"
     with pytest.raises(ValueError, match="at 1000 ns follows one at 2000 ns"):
@@ -186,8 +181,7 @@ def test_link_log_refuses_a_row_earlier_than_the_one_before(tmp_path):
 
 def test_link_log_is_streamed_not_held_whole(tmp_path):
     events = [
-        LinkEvent(t * 1_500, "node-alpha->node-beta", t // 4, t % 4, 16_384,
-                  Phase.PREFILL, "emit")
+        (t * 1_500, "node-alpha->node-beta", t // 4, t % 4, 16_384, Phase.PREFILL.value, "emit")
         for t in range(200_000)
     ]
     path = tmp_path / "transport.csv"

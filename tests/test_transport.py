@@ -110,7 +110,7 @@ def test_single_chunk_delivery_time():
     events = replay_link(
         link, [(0, payload(1, Phase.PREFILL, 262_144))], chunk_size=None
     )
-    deliver = [e for e in map(LinkEvent._make, events) if e.event == "deliver"]
+    deliver = [e for e in map(LinkEvent.of, events) if e.event == "deliver"]
     assert len(deliver) == 1
     assert deliver[0].time_ns == s_to_ns(0.03097152)
 
@@ -152,14 +152,14 @@ def test_decode_arriving_as_a_chunk_ends_goes_next():
 
 
 def check_link_invariants(
-    events: list[LinkEvent],
+    events: list[tuple],
     policy: LinkPolicy = LinkPolicy.DECODE_PRIORITY,
 ) -> None:
-    """Assert the invariants of one link's time-ordered log under ``policy``.
+    """Assert the invariants of one link's time-ordered log rows under ``policy``.
 
     Every clause is a sort or a sweep, so a log of n rows costs O(n log n).
     """
-    events = [LinkEvent._make(row) for row in events]
+    events = [LinkEvent.of(row) for row in events]
     by_payload: dict[int, dict] = {}
     for e in events:
         rec = by_payload.setdefault(
