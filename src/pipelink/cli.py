@@ -478,10 +478,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return 2
-    except PipelinkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PipelinkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

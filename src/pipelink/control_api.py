@@ -472,11 +472,7 @@ class _Handler(BaseHTTPRequestHandler):
                 registry.delete_llm_service(parts[1])
                 self._send_json(200, {"deleted": parts[1]})
             else:
-                self._send_json(
-                    404,
-                    {"code": "not_found", "message": f"no route {self.command} {target.path}",
-                     "details": {}},
-                )
+                raise RegistryError("not_found", f"no route {self.command} {target.path}")
         except RegistryError as exc:
             self._send_error_body(exc)
         except ConfigError as exc:

@@ -1,5 +1,5 @@
 """One strict decoder from JSON values to the dataclasses that describe them,
-and one reader of CSV inputs.
+and the one reader and one writer of CSV files.
 
 Cluster files, run configs, model files, control API bodies and journal
 records all go through :func:`decode`, which reads field names, types and
@@ -26,7 +26,13 @@ members take different JSON types.
 
 The trace and profile CSVs are read by :func:`read_csv`, which refuses a bad
 header, row or field with the caller's error type, naming the file and line;
-each caller keeps only the checks that span fields or rows.
+each caller keeps only the checks that span fields or rows.  Number columns
+convert with ``csv_int`` and ``csv_float``, which refuse what only Python's
+literal syntax takes.
+
+Every CSV the package writes (the trace, the run logs and a sweep's
+``combined.csv``) goes through :func:`write_csv_lines`, whose callers format
+whole rows; :func:`_csv_field` quotes a text field as the ``csv`` module does.
 """
 
 from __future__ import annotations
@@ -35,11 +41,13 @@ import csv
 import dataclasses
 import enum
 import functools
+import io
+import itertools
 import json
 import math
 import types
 import typing
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 
 from .errors import ConfigError, PipelinkError
@@ -199,3 +207,32 @@ def read_csv(
                 yield reader.line_num, fields
         except csv.Error as exc:
             raise error(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def _plain_number(convert: Callable[[str], object]) -> Callable[[str], object]:
+    """A CSV number column read by ``convert``, which takes only plain ASCII:
+    the rest of Python's literal syntax (``_``, a leading ``+``, blanks
+    around the number, other scripts' digits) is a ``ValueError``."""
+    def column(text: str):
+        if not text.isascii() or "_" in text or text[:1] == "+" or text != text.strip():
+            raise ValueError(f"expected a plain number, got {text!r:.60}")
+        return convert(text)
+    return column
+
+
+csv_int, csv_float = _plain_number(int), _plain_number(float)
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as one field of a longer row."""
+    csv.writer(buf := io.StringIO()).writerow((text, ""))
+    return buf.getvalue()[:-3]  # less the empty last field's "," and "\r\n"
+
+
+def write_csv_lines(path: str | Path, header: tuple[str, ...], lines: Iterable[str]) -> None:
+    """Write ``header``, then ``lines`` (whole rows) 1024 at a time, never all at once."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        lines = iter(lines)
+        while batch := "".join(itertools.islice(lines, 1024)):
+            fh.write(batch)

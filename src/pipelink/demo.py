@@ -21,6 +21,11 @@ hop's ``send`` itself.  The head keeps the pipeline full: when feedback comes
 back it applies every feedback already queued before it dispatches again, so
 micro-batches that return together go out together.
 
+A run ends hop by hop.  Closing a sender drains it, then half-closes its
+socket; the stage downstream reads EOF, returns from ``receive_payloads`` and
+closes its own sender, until the head's receiver reads the end of the return
+stream.  The head waits for that end before it closes the sockets.
+
 Arrivals are collapsed: the trace's requests are offered in arrival order as
 fast as the pipeline accepts them.
 """

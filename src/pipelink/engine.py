@@ -87,7 +87,7 @@ class RunResult:
     requests: list[Request]
     events: list[EngineRow]
     link_events: list[LinkRow]
-    decisions: list[tuple[int, ControllerDecision]]
+    decisions: list[ControllerDecision]  # one per iteration
     stage_busy_ns: list[list[tuple[int, int]]]
     end_ns: int
     all_finished: bool
@@ -218,7 +218,7 @@ class HeadScheduler:
         self.ready: deque[Request] = deque()
         self.in_flight: dict[int, MicroBatch] = {}
         self.demand = 0  # len(ready) + in-flight batched tokens + pending input tokens
-        self.decisions: list[tuple[int, ControllerDecision]] = []  # (iteration, decision)
+        self.decisions: list[ControllerDecision] = []  # one per iteration
         self._next_mb_id = 0
         # Keyed by (clamped demand, decoding?): a Phase key would hash in Python.
         self._memo: dict[tuple[int, bool], ControllerDecision] = {}
@@ -226,7 +226,7 @@ class HeadScheduler:
     def _decide(self) -> ControllerDecision:
         ctrl = self.cfg.controller
         if self.decisions and len(self.decisions) % ctrl.decision_stride:
-            return self.decisions[-1][1]
+            return self.decisions[-1]
         key = (clamp_demand(ctrl, self.demand), bool(self.ready))
         decision = self._memo.get(key)
         if decision is None:
@@ -262,7 +262,7 @@ class HeadScheduler:
             capacity,
             id_start=self._next_mb_id,
         )
-        self.decisions.append((len(self.decisions) + 1, decision))
+        self.decisions.append(decision)
         self._next_mb_id += len(batches)
         for mb in batches:
             self.in_flight[mb.id] = mb

@@ -1,31 +1,28 @@
 """Every file a simulation writes to ``--out``, and a sweep's ``combined.csv``.
 
-The logs ``events.csv``, ``transport.csv`` and ``decisions.csv`` are written
-byte for byte as ``csv.writer`` would, with rows formatted by hand and streamed
-a batch at a time.  Ordering contract: each log is written in the order given,
-the order the run logged it, and is never sorted or copied.  The engine logs
-at its current virtual time, so its logs are in time order; ``write_link_log``
-refuses a row earlier than the one before it.
+Every CSV here goes through :func:`pipelink.decode.write_csv_lines`, with
+rows formatted by hand and streamed a batch at a time, byte for byte as the
+``csv`` module would write them.  Ordering contract: each log is written in
+the order given, the order the run logged it, and is never sorted or copied.
+The engine logs at its current virtual time, so its logs are in time order;
+``write_link_log`` refuses a row earlier than the one before it.
 
 The rows are plain tuples of ints and strings, printed as held but for the
 time, which is formatted here as seconds to six places.  Event log rows,
 ``(time_ns, kind, subject, stage)``, are spelled by :mod:`pipelink.engine`;
 link log rows, ``(time_ns, link, payload_id, chunk_index, size_bytes, class,
 event)``, by :mod:`pipelink.transport`, whose ``class`` is a ``Phase`` value.
+``decisions.csv`` numbers the decisions from 1, one per iteration.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
-import itertools
 import json
 from pathlib import Path
-from typing import Iterable
 
 from .controller import ControllerDecision
-from .decode import encode
+from .decode import _csv_field, encode, write_csv_lines
 from .engine import EngineRow
 from .metrics import MetricsReport
 from .transport import NS_PER_S, LinkRow
@@ -33,21 +30,6 @@ from .transport import NS_PER_S, LinkRow
 EVENT_LOG_HEADER = ("time_s", "kind", "subject", "stage")
 LINK_LOG_HEADER = ("time_s", "link", "payload_id", "chunk_index", "bytes", "class", "event")
 DECISION_LOG_HEADER = ("iteration", "n", "token_budget", "predicted_bubble")
-
-
-def _csv_field(text: str) -> str:
-    """``text`` as ``csv.writer`` writes it as one field of a longer row."""
-    csv.writer(buf := io.StringIO()).writerow((text, ""))
-    return buf.getvalue()[:-3]  # less the empty last field's "," and "\r\n"
-
-
-def write_csv_lines(path: str | Path, header: tuple[str, ...], lines: Iterable[str]) -> None:
-    """Write ``header``, then ``lines`` (whole rows) 1024 at a time, never all at once."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        lines = iter(lines)
-        while batch := "".join(itertools.islice(lines, 1024)):
-            fh.write(batch)
 
 
 def write_event_log(events: list[EngineRow], path: str | Path) -> None:
@@ -70,7 +52,7 @@ def write_link_log(events: list[LinkRow], path: str | Path) -> None:
     """Write the rows in order; a row earlier than the one before raises ``ValueError``.
 
     A time is formatted once per distinct time, and a link name, which may
-    hold ``,`` or ``"``, is quoted by ``csv.writer`` once per name.
+    hold ``,`` or ``"``, is quoted once per name.
     """
     names: dict[str, str] = {}
 
@@ -88,13 +70,11 @@ def write_link_log(events: list[LinkRow], path: str | Path) -> None:
     write_csv_lines(path, LINK_LOG_HEADER, lines())
 
 
-def write_decision_log(
-    decisions: list[tuple[int, ControllerDecision]], path: str | Path
-) -> None:
+def write_decision_log(decisions: list[ControllerDecision], path: str | Path) -> None:
     lines = (
         f"{iteration},{d.n_microbatches},{d.token_budget_per_microbatch},"
         f"{d.predicted_bubble_fraction:.6f}\r\n"
-        for iteration, d in decisions
+        for iteration, d in enumerate(decisions, 1)
     )
     write_csv_lines(path, DECISION_LOG_HEADER, lines)
 
@@ -105,11 +85,11 @@ def write_report_json(report: MetricsReport, path: str | Path) -> None:
         fh.write("\n")
 
 
-def _sweep_cell(value):
+def _sweep_cell(value) -> str:
     """A report field as ``combined.csv`` writes it: floats to 6 places, None empty."""
     if value is None:
         return ""
-    return f"{value:.6f}" if isinstance(value, float) else value
+    return f"{value:.6f}" if isinstance(value, float) else str(value)
 
 
 def write_sweep_table(
@@ -118,8 +98,10 @@ def write_sweep_table(
     """``combined.csv``: per ``(axis value, report)``, the report less its per-stage bubbles."""
     names = [f.name for f in dataclasses.fields(MetricsReport)
              if f.name != "bubble_fraction_per_stage"]
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["axis", "value", *names])
-        for value, report in points:
-            writer.writerow([axis, value, *(_sweep_cell(getattr(report, n)) for n in names)])
+    axis_cell = _csv_field(axis)
+    lines = (
+        ",".join((axis_cell, _csv_field(value),
+                  *(_sweep_cell(getattr(report, n)) for n in names))) + "\r\n"
+        for value, report in points
+    )
+    write_csv_lines(path, ("axis", "value", *names), lines)

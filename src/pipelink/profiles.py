@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .decode import json_field, read_csv
+from .decode import csv_float, csv_int, json_field, read_csv
 from .errors import ConfigError, ProfileError
 
 
@@ -174,8 +174,8 @@ def load_stage_profiles(path: str | Path) -> dict[int, StageProfile]:
     """
     raw: dict[int, dict[tuple[Phase, int], float]] = {}
     for lineno, (stage_id, phase, tokens, seconds) in read_csv(
-        path, PROFILE_HEADER, (int, lambda text: Phase(text.strip().lower()), int, float),
-        ProfileError,
+        path, PROFILE_HEADER,
+        (csv_int, lambda text: Phase(text.strip().lower()), csv_int, csv_float), ProfileError,
     ):
         entries = raw.setdefault(stage_id, {})
         if (phase, tokens) in entries:

@@ -5,13 +5,16 @@ Wire format, little-endian throughout, length-prefixed:
     u32 frame_length            covers header + body
     u64 payload_id              16-byte header starts here
     u32 chunk_index
-    u32 flags                   bit 0: last chunk, bit 1: decode class,
-                                bit 2: control/shutdown
+    u32 flags                   bit 0: last chunk, bit 1: decode class;
+                                any other bit is refused
     ...                         chunk body (frame_length - 16 bytes)
 
 The sender applies the same two-class, chunk-granular schedule as the
 virtual-time backend: it owns a :class:`LinkQueue` guarded by a condition
-variable, and the worker thread drains it one chunk at a time.
+variable, and the worker thread drains it one chunk at a time.  A stream
+ends only with EOF between payloads: once closed and drained, the sender
+half-closes its socket (``shutdown(SHUT_WR)``).  A sender that failed leaves
+its stream open, so its peer never mistakes a cut stream for a finished one.
 :func:`receive_payloads` reads frames through one buffered reader per socket,
 so a frame costs two reads from the reader's buffer rather than two
 ``recv`` calls, and a burst of small frames is taken in by one ``recv``.  It
@@ -36,7 +39,7 @@ _HEADER = struct.Struct("<QII")
 
 FLAG_LAST = 1
 FLAG_DECODE = 2
-FLAG_SHUTDOWN = 4
+_FLAGS = FLAG_LAST | FLAG_DECODE
 
 HEADER_BYTES = _HEADER.size  # 16
 # Largest frame_length either side accepts, so a corrupt length field cannot
@@ -52,7 +55,8 @@ def encode_frame(payload_id: int, chunk_index: int, flags: int, body: bytes) -> 
 
 
 def read_frame(reader: BinaryIO) -> tuple[int, int, int, bytes] | None:
-    """One frame off a buffered reader, or None on clean EOF between frames."""
+    """One frame off a buffered reader, or None on clean EOF between frames;
+    a truncated frame, a bad length or an unknown flag bit is a ProtocolError."""
     raw_len = reader.read(_LEN.size)
     if not raw_len:
         return None
@@ -67,6 +71,8 @@ def read_frame(reader: BinaryIO) -> tuple[int, int, int, bytes] | None:
     if len(rest) < length:
         raise ProtocolError("connection closed mid-frame")
     payload_id, chunk_index, flags = _HEADER.unpack_from(rest)
+    if flags & ~_FLAGS:
+        raise ProtocolError(f"payload {payload_id}: unknown flag bits {flags:#x}")
     return payload_id, chunk_index, flags, rest[HEADER_BYTES:]
 
 
@@ -115,7 +121,7 @@ class SocketLinkSender(threading.Thread):
             self._cond.notify()
 
     def close(self) -> None:
-        """Flush queued payloads, then send the shutdown frame and stop."""
+        """Flush queued payloads, then half-close the socket and stop."""
         with self._cond:
             self._closing = True
             self._cond.notify()
@@ -146,7 +152,7 @@ class SocketLinkSender(threading.Thread):
                 self._sock.sendall(
                     encode_frame(chunk.payload_id, chunk.index, flags, piece)
                 )
-            self._sock.sendall(encode_frame(0, 0, FLAG_SHUTDOWN, b""))
+            self._sock.shutdown(socket.SHUT_WR)
         except (OSError, ProtocolError) as exc:
             with self._cond:  # later sends fail instead of queueing for nobody
                 self._error = exc
@@ -156,10 +162,10 @@ class SocketLinkSender(threading.Thread):
 def receive_payloads(sock: socket.socket, on_payload) -> None:
     """Reassemble framed chunks into payloads; call ``on_payload(payload, body)``.
 
-    Returns on the shutdown frame or on a clean EOF between payloads.  Raises
-    :class:`ProtocolError` on a chunk whose index is out of order or
-    repeated, on a stream that ends in the middle of a payload, and on a
-    socket error.
+    Returns on EOF between payloads.  Raises :class:`ProtocolError` on a
+    frame that :func:`read_frame` refuses, on a chunk whose index is out of
+    order or repeated, on a stream that ends in the middle of a payload, and
+    on a socket error.
     """
     partial: dict[int, list[bytes]] = {}  # payload id -> chunks so far
     try:
@@ -167,7 +173,7 @@ def receive_payloads(sock: socket.socket, on_payload) -> None:
         with sock.makefile("rb") as reader:
             while True:
                 frame = read_frame(reader)
-                if frame is None or frame[2] & FLAG_SHUTDOWN:
+                if frame is None:
                     if partial:
                         raise ProtocolError(
                             f"stream ended in the middle of payload {min(partial)}"

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import bisect
-import csv
 import enum
 import math
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .decode import read_csv
+from .decode import csv_float, csv_int, read_csv, write_csv_lines
 from .errors import ConfigError, TraceError
 
 TRACE_HEADER = ("arrival_s", "input_tokens", "output_tokens")
@@ -196,7 +195,7 @@ def load_trace(path: str | Path) -> Trace:
     requests: list[Request] = []
     last_arrival = 0.0
     for lineno, (arrival, input_len, output_len) in read_csv(
-        path, TRACE_HEADER, (float, int, int), TraceError
+        path, TRACE_HEADER, (csv_float, csv_int, csv_int), TraceError
     ):
         if not math.isfinite(arrival):
             raise TraceError(f"{path}: line {lineno}: arrival_s must be finite")
@@ -214,12 +213,8 @@ def load_trace(path: str | Path) -> Trace:
 
 def save_trace(trace: Trace, path: str | Path) -> None:
     """Write the trace CSV; float arrivals use repr so they round-trip exactly."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for r in trace.requests:
-            writer.writerow([repr(r.arrival_time), r.input_len, r.output_len])
+    lines = (f"{r.arrival_time!r},{r.input_len},{r.output_len}\r\n" for r in trace.requests)
+    write_csv_lines(path, TRACE_HEADER, lines)
 
 
 def filter_trace(

@@ -121,7 +121,7 @@ def _desk_run(n_max):
 def test_criterion_2_dynamic_count_beats_fixed_degree():
     fixed = _desk_run(n_max=2)
     dynamic = _desk_run(n_max=None)
-    assert dynamic.decisions[0][1].n_microbatches == 3
+    assert dynamic.decisions[0].n_microbatches == 3
     w0, w1 = 0.09, 0.39
     tokens_fixed = tokens_in_window(fixed, "node1->node0", w0, w1)
     tokens_dynamic = tokens_in_window(dynamic, "node1->node0", w0, w1)

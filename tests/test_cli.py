@@ -152,6 +152,66 @@ def test_sweep_empty_values_is_usage_error(workdir):
     assert rc == 2
 
 
+def write_profiles(path, stages=(0, 1), seconds=0.001):
+    """A profile CSV with both phases at two token counts for each of ``stages``."""
+    rows = [f"{stage},{phase},{tokens},{seconds * tokens ** 0.5:.9f}"
+            for stage in stages for phase in ("prefill", "decode") for tokens in (1, 256)]
+    path.write_text("stage_id,phase,batched_tokens,seconds\n" + "\n".join(rows) + "\n")
+
+
+def test_simulate_with_a_profile_csv_runs_on_its_seconds(workdir):
+    spans = []
+    for seconds in (0.001, 0.01):
+        write_profiles(workdir / "profiles.csv", seconds=seconds)
+        write_run_config(workdir / "run.json", profiles={"path": "profiles.csv"})
+        out = workdir / f"out-{seconds}"
+        assert main(["simulate", "--config", str(workdir / "run.json"), "--out", str(out)]) == 0
+        spans.append(json.loads((out / "report.json").read_text())["span_s"])
+    assert spans[1] > spans[0]  # ten times the compute seconds: a longer run
+
+
+def test_simulate_with_a_profile_csv_missing_a_stage_exits_2(workdir, capsys):
+    write_profiles(workdir / "profiles.csv", stages=(0,))
+    write_run_config(workdir / "run.json", profiles={"path": "profiles.csv"})
+    rc = main(["simulate", "--config", str(workdir / "run.json"),
+               "--out", str(workdir / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2 and "error: profile file has no rows for stage 1" in err, err
+    assert not (workdir / "out").exists()
+
+
+def test_sweep_rate_runs_one_generated_trace_per_rate(workdir):
+    rc = main(["sweep", "--config", str(workdir / "run.json"), "--sweep-axis", "rate",
+               "--sweep-values", "2,8", "--out", str(workdir / "s")])
+    assert rc == 0
+    rows = (workdir / "s" / "combined.csv").read_text().splitlines()
+    assert [row.split(",")[:2] for row in rows[1:]] == [["rate", "2"], ["rate", "8"]]
+    tokens = [json.loads((workdir / "s" / f"rate={rate}" / "report.json").read_text())
+              ["total_tokens"] for rate in (2, 8)]
+    assert tokens[1] > tokens[0]  # four times the arrivals over the same duration
+
+
+def test_sweep_rate_over_a_trace_file_exits_2(workdir, capsys):
+    (workdir / "trace.csv").write_text("arrival_s,input_tokens,output_tokens\n0.1,4,4\n")
+    write_run_config(workdir / "run.json", trace={"path": "trace.csv"})
+    rc = main(["sweep", "--config", str(workdir / "run.json"), "--sweep-axis", "rate",
+               "--sweep-values", "2,8", "--out", str(workdir / "s")])
+    err = capsys.readouterr().err
+    assert rc == 2 and "error: rate sweep needs a generated trace" in err, err
+    assert not (workdir / "s").exists()
+
+
+def test_plan_json_prints_the_plan_document(workdir, capsys):
+    rc = main(["plan", "--cluster", str(workdir / "cluster.json"), "--model", "tiny-4l",
+               "--gpu-type", "rtx4090", "--gpu-count", "1", "--json"])
+    assert rc == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert json.loads(last) == {
+        "head": "alpha",
+        "stages": [{"node": "alpha", "layers": [0, 2]}, {"node": "beta", "layers": [2, 4]}],
+    }
+
+
 def test_plan_uniform_split(workdir, capsys):
     write_cluster(workdir / "big.json", mem_mb=3)
     rc = main(["plan", "--cluster", str(workdir / "big.json"),

@@ -1,14 +1,23 @@
 import http.client
 import json
+import re
 import threading
 import time
 import urllib.error
 import urllib.parse
 import urllib.request
+from pathlib import Path
 
 import pytest
 
-from pipelink.control_api import MAX_BODY_BYTES, ClusterRegistry, _Handler, make_server
+import pipelink
+from pipelink.control_api import (
+    _STATUS_BY_CODE,
+    MAX_BODY_BYTES,
+    ClusterRegistry,
+    _Handler,
+    make_server,
+)
 from pipelink.errors import ConfigError, RegistryError
 from pipelink.placement import Platform
 from pipelink.profiles import LinkProfile
@@ -267,6 +276,30 @@ def test_http_node_lifecycle(http_server):
     assert status == 200
     status, body = call(base, "GET", "/nodes/w0")
     assert status == 404 and body["code"] == "not_found"
+
+
+@pytest.mark.parametrize("method, path", [("GET", "/nope"), ("POST", "/nodes/a"),
+                                          ("DELETE", "/services/a/key")])
+def test_http_route_miss_is_a_404_error_body(http_server, method, path):
+    _, base = http_server
+    conn = http.client.HTTPConnection(base.removeprefix("http://"), timeout=10)
+    try:
+        conn.request(method, path)
+        resp = conn.getresponse()
+        raw = resp.read()
+    finally:
+        conn.close()
+    assert resp.status == 404
+    assert raw == json.dumps({"code": "not_found", "details": {},
+                              "message": f"no route {method} {path}"}).encode()
+
+
+def test_every_registry_error_code_in_src_has_an_http_status():
+    src = Path(pipelink.__file__).parent
+    codes = {code for path in src.glob("*.py")
+             for code in re.findall(r'RegistryError\(\s*"(\w+)"', path.read_text())}
+    assert {"conflict", "not_found", "invalid", "internal"} <= codes
+    assert codes <= set(_STATUS_BY_CODE), codes - set(_STATUS_BY_CODE)
 
 
 def test_http_service_lifecycle_and_errors(http_server):

@@ -146,10 +146,7 @@ def test_gain_rule_stops_search():
 
 
 def test_decision_log_format(tmp_path):
-    decisions = [
-        (1, ControllerDecision(3, 4, 0.0)),
-        (2, ControllerDecision(2, 8, 0.25)),
-    ]
+    decisions = [ControllerDecision(3, 4, 0.0), ControllerDecision(2, 8, 0.25)]
     path = tmp_path / "decisions.csv"
     write_decision_log(decisions, path)
     lines = path.read_text().strip().splitlines()

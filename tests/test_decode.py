@@ -266,3 +266,45 @@ def test_csv_inputs_skip_blank_lines(tmp_path, schema):
     plain.write_text(f"{header}\n{good}\n{second}\n")
     blank.write_text(f"{header}\n\n{good}\n   \n\n{second}\n\n")
     assert load(blank) == load(plain)
+
+
+# Number columns take plain ASCII decimals only; these each load as some
+# number under Python's int/float literal syntax.
+LENIENT_NUMBERS = {"underscore": "1_0", "plus": "+1", "leading-blank": " 1",
+                   "trailing-blank": "1 ", "arabic-indic": "\u0661", "fullwidth": "\uff11"}
+
+
+NUMBER_COLUMNS = [("trace", 0), ("trace", 1), ("trace", 2),
+                  ("profiles", 0), ("profiles", 2), ("profiles", 3)]
+
+
+@pytest.mark.parametrize("text", LENIENT_NUMBERS.values(), ids=LENIENT_NUMBERS)
+@pytest.mark.parametrize("schema, column", NUMBER_COLUMNS)
+def test_csv_number_columns_refuse_literal_syntax(tmp_path, schema, column, text):
+    load, header, good, error = CSV_INPUTS[schema]
+    fields = good.split(",")
+    fields[column] = text
+    path = tmp_path / f"{schema}.csv"
+    path.write_text(f"{header}\n{good}\n{','.join(fields)}\n", encoding="utf-8")
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: line 3: expected a plain number"):
+        load(path)
+
+
+@pytest.mark.parametrize(
+    "schema, row",
+    [("trace", "0_0.5, 1_0 ,+1"), ("profiles", "+0, Decode ,1_0,1e-3")],
+    ids=["trace", "profiles"],
+)
+def test_csv_rows_in_python_literal_syntax_are_refused(tmp_path, schema, row):
+    load, header, _, error = CSV_INPUTS[schema]
+    path = tmp_path / f"{schema}.csv"
+    path.write_text(f"{header}\n{row}\n")
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: line 2: expected a plain number"):
+        load(path)
+
+
+@pytest.mark.parametrize("arrival", ["1e-05", "5e-324", "1e+16", "0.1", ".5", "2.", "7"])
+def test_trace_arrivals_in_repr_and_plain_decimal_forms_load(tmp_path, arrival):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"arrival_s,input_tokens,output_tokens\n{arrival},1,1\n")
+    assert load_trace(path).requests[0].arrival_time == float(arrival)

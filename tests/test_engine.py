@@ -291,7 +291,7 @@ def test_zero_transfer_full_utilization():
         w0 = 2 * S * 0.010
         w1 = w0 + 10 * S * 0.010
         assert measure_bubble(result, 0, s_to_ns(w0), s_to_ns(w1)) <= 1e-9
-        assert result.decisions[0][1].n_microbatches == S
+        assert result.decisions[0].n_microbatches == S
 
 
 # -- config validation --------------------------------------------------------
@@ -511,7 +511,7 @@ def drive(sched, rng):
     while sched.unfinished:
         batches = sched.dispatch()
         if batches:
-            cap = sched.decisions[-1][1].n_microbatches
+            cap = sched.decisions[-1].n_microbatches
             assert 0 < len(sched.in_flight) <= cap
             continue
         assert sched.in_flight, "stalled with nothing in flight"
@@ -529,7 +529,7 @@ def test_head_scheduler_finishes_every_request_within_the_in_flight_cap(
     drive(sched, random.Random(seed))
     assert not (sched.pending or sched.ready or sched.in_flight)
     assert len(sched.decisions) > 10
-    assert len({d.n_microbatches for _, d in sched.decisions}) > 1
+    assert len({d.n_microbatches for d in sched.decisions}) > 1
     for seed_req in trace.requests:
         req = sched.requests[seed_req.id]
         assert req.state is RequestState.FINISHED
@@ -545,7 +545,7 @@ def test_head_scheduler_reuses_the_decision_between_strides():
     stride = 3
     sched, _ = scheduler_setup(stride, scheduler=UnmemoisedScheduler)
     drive(sched, random.Random(2))
-    decisions = [d for _, d in sched.decisions]
+    decisions = sched.decisions
     assert len(decisions) > 3 * stride
     # Without a memo every fresh decision is a new object, so identity shows
     # exactly where the last decision was reused.

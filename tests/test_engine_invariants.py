@@ -168,7 +168,7 @@ def dispatch_within_decision(dispatch):
     def checked(self):
         batches = dispatch(self)
         if batches:
-            assert len(self.in_flight) <= self.decisions[-1][1].n_microbatches
+            assert len(self.in_flight) <= self.decisions[-1].n_microbatches
         return batches
 
     return checked

@@ -55,7 +55,7 @@ def reference_decision_log(decisions, path):
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(DECISION_LOG_HEADER)
-        for iteration, d in decisions:
+        for iteration, d in enumerate(decisions, 1):
             writer.writerow([
                 iteration,
                 d.n_microbatches,
@@ -124,10 +124,7 @@ reports = st.builds(
 sweep_points = st.lists(st.tuples(st.text(st.sampled_from(list('1e.-, "a\n')), max_size=6),
                                   reports), max_size=5)
 decisions = st.lists(
-    st.tuples(
-        st.integers(1, 2**40),
-        st.builds(ControllerDecision, st.integers(1, 64), st.integers(1, 2**20), st.floats()),
-    ),
+    st.builds(ControllerDecision, st.integers(1, 64), st.integers(1, 2**20), st.floats()),
     max_size=30,
 )
 

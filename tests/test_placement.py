@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pipelink.decode import decode, encode
 from pipelink.errors import ConfigError, PlacementError
 from pipelink.placement import (
+    EXACT_CHAIN_SEARCH_LIMIT,
     ClusterSpec,
     ModelSpec,
     NodeDescriptor,
@@ -125,6 +126,48 @@ def test_equal_cost_chains_tie_exactly_and_break_by_name():
     links = {(x, y): LinkProfile(x, y, lat, 1e30) for (x, y), lat in hops.items()}
     cluster = ClusterSpec(nodes=nodes, links=links)
     assert [n.name for n in select_nodes(cluster, model, "g", 1)] == ["h", "a", "b", "c"]
+
+
+GREEDY_NAMES = ["h", *(f"n{i}" for i in range(9))]
+
+
+def greedy_cluster(hops):
+    """Ten 4 GB nodes with head ``h``: one more than the exact search takes.
+
+    Every link takes 100 ms, but a pair in ``hops`` takes its value in ms,
+    and a pair mapped to None has no link.
+    """
+    nodes = {n: make_node(n, gpu_mem_bytes=4 * GB, cpu=2.0 if n == "h" else 1.0)
+             for n in GREEDY_NAMES}
+    links = {}
+    for a, b in itertools.permutations(GREEDY_NAMES, 2):
+        if (ms := hops.get((a, b), 100)) is not None:
+            links[(a, b)] = LinkProfile(a, b, ms / 1000, 1e9)
+    cluster = ClusterSpec(nodes=nodes, links=links)
+    assert len(cluster.nodes) > EXACT_CHAIN_SEARCH_LIMIT
+    return cluster
+
+
+def test_greedy_chain_takes_the_nearest_unused_neighbour_of_its_tail():
+    model = small_model(num_layers=32, bytes_per_layer=GB // 2)  # 16 GB: four nodes
+    # From h the nearest is n7; from n7 it is h, already used, then n2 and n4
+    # at a tie that names break; from n2, n8.  That walk costs 53 ms, where
+    # h-n0-n1-n3 would cost 9 ms: the search is greedy, not exact.
+    hops = {("h", "n7"): 1, ("n7", "h"): 1, ("n7", "n2"): 50, ("n7", "n4"): 50,
+            ("n2", "n8"): 2, ("h", "n0"): 3, ("n0", "n1"): 3, ("n1", "n3"): 3}
+    chain = select_nodes(greedy_cluster(hops), model, "g", 1)
+    assert [n.name for n in chain] == ["h", "n7", "n2", "n8"]
+
+
+def test_greedy_chain_stalls_at_a_tail_with_no_unused_neighbour():
+    model = small_model(num_layers=32, bytes_per_layer=GB // 2)
+    # n5 is nearest to h, and its only outgoing link leads back to h.
+    hops = {("h", "n5"): 1, **{("n5", b): None for b in GREEDY_NAMES[1:] if b != "n5"}}
+    with pytest.raises(PlacementError, match=(
+        f"chain stalled at n5: need {8 * GB} more bytes but no outgoing links "
+        "to unused 'g' nodes"
+    )):
+        select_nodes(greedy_cluster(hops), model, "g", 1)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

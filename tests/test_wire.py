@@ -8,6 +8,8 @@ import time
 from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pipelink.errors import ConfigError, ProtocolError
 from pipelink.profiles import Phase
@@ -226,7 +228,7 @@ def test_sender_receiver_round_trip_chunked():
         receiver.join(timeout=10)
         left.close()
         right.close()
-    assert not receiver.is_alive()  # the shutdown frame ended it
+    assert not receiver.is_alive()  # the sender's half-close ended it
 
 
 class RecordingSocket:
@@ -235,10 +237,14 @@ class RecordingSocket:
     def __init__(self, after_frame):
         self.frames = []
         self.after_frame = after_frame
+        self.shut = []
 
     def sendall(self, data):
         self.frames.append(data)
         self.after_frame(len(self.frames))
+
+    def shutdown(self, how):
+        self.shut.append(how)
 
 
 def test_sender_sends_each_chunk_from_its_offset():
@@ -265,9 +271,10 @@ def test_sender_sends_each_chunk_from_its_offset():
 
     headers = [struct.unpack_from("<QII", frame, 4) for frame in sock.frames]
     assert [(pid, index) for pid, index, _ in headers] == [
-        (1, 0), (2, 0), (1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (0, 0)
+        (1, 0), (2, 0), (1, 1), (1, 2), (1, 3), (1, 4), (1, 5)
     ]
-    assert len(sock.frames[-2]) == 4 + wire.HEADER_BYTES + 300  # length, header, short body
+    assert len(sock.frames[-1]) == 4 + wire.HEADER_BYTES + 300  # length, header, short body
+    assert sock.shut == [socket.SHUT_WR]
     a, b = socket.socketpair()
     delivered = []
     try:
@@ -319,7 +326,7 @@ def test_decode_overtakes_queued_prefill_on_the_wire():
         right.close()
 
 
-def test_clean_shutdown_frame_ends_receiver():
+def test_sender_close_ends_receiver_at_eof():
     left, right = loopback_pair()
     received = queue.Queue()
     sender = SocketLinkSender(left, chunk_size=None)
@@ -383,6 +390,58 @@ def test_receiver_eof_mid_payload_raises():
     assert delivered == [] and "middle of payload 1" in str(error)
 
 
+@pytest.mark.parametrize("bit", [4, 8, 1 << 31], ids=["bit2", "bit3", "bit31"])
+def test_receiver_refuses_an_unknown_flag_bit(bit):
+    delivered, error = receive_frames(
+        (1, 0, FLAG_LAST, b"A"), (2, 0, bit, b""), (3, 0, FLAG_LAST, b"C")
+    )
+    assert [p.payload_id for p in delivered] == [1]
+    assert f"payload 2: unknown flag bits {bit:#x}" in str(error)
+
+
+ids = st.integers(0, 3) | st.integers(0, 2**64 - 1)
+indices = st.sampled_from([0, 0, 1]) | st.integers(0, 2**32 - 1)
+flag_bits = st.sampled_from([0, FLAG_LAST, FLAG_DECODE, FLAG_LAST | FLAG_DECODE]) | st.integers(
+    0, 2**32 - 1
+)
+frames = st.tuples(ids, indices, flag_bits, st.binary(max_size=32))
+# What follows the whole frames: garbage, a frame cut short, or a length
+# field of any value and what bytes there are.
+tails = (
+    st.binary(max_size=24)
+    | st.tuples(frames, st.integers(0, 64)).map(lambda cut: encode_frame(*cut[0])[: cut[1]])
+    | st.tuples(st.integers(0, 64) | st.integers(0, 2**32 - 1), st.binary(max_size=24)).map(
+        lambda raw: struct.pack("<I", raw[0]) + raw[1]
+    )
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stream=st.lists(frames, max_size=8), tail=tails)
+def test_receiver_returns_or_raises_protocol_error_on_any_stream(stream, tail):
+    a, b = socket.socketpair()
+    outcome = []
+
+    def receive():
+        try:
+            receive_payloads(b, lambda p, body: None)
+            outcome.append(None)
+        except Exception as exc:  # anything but a ProtocolError fails below
+            outcome.append(exc)
+
+    try:
+        a.sendall(b"".join(encode_frame(*frame) for frame in stream) + tail)
+        a.close()
+        receiver = threading.Thread(target=receive, daemon=True)
+        receiver.start()
+        receiver.join(timeout=5)
+        assert not receiver.is_alive(), "receive_payloads hung on a closed stream"
+    finally:
+        a.close()
+        b.close()
+    assert outcome == [None] or isinstance(outcome[0], ProtocolError), outcome
+
+
 def test_receiver_socket_error_is_protocol_error():
     a, b = socket.socketpair()
     b.close()
@@ -391,6 +450,28 @@ def test_receiver_socket_error_is_protocol_error():
             receive_payloads(b, lambda p, body: None)
     finally:
         a.close()
+
+
+class FailingSocket(RecordingSocket):
+    """A socket whose peer is gone: every write fails."""
+
+    def sendall(self, data):
+        raise ConnectionResetError("peer reset")
+
+
+@pytest.mark.parametrize("failure", ["peer-gone", "frame-refused"])
+def test_sender_that_failed_does_not_end_its_stream(monkeypatch, failure):
+    sock = FailingSocket(None) if failure == "peer-gone" else RecordingSocket(lambda n: None)
+    sender = SocketLinkSender(sock, chunk_size=None)
+    sender.send(payload(1, Phase.DECODE, 64), bytes(64))
+    if failure == "frame-refused":  # the worker's encode_frame refuses the chunk
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", wire.HEADER_BYTES + 8)
+    sender.start()
+    sender.close()
+    sender.join(timeout=10)
+    assert not sender.is_alive()
+    assert sender._error is not None
+    assert sock.frames == [] and sock.shut == []  # no EOF: the peer sees a cut stream
 
 
 def test_sender_to_dead_peer_refuses_later_sends_and_holds_no_body():

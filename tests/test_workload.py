@@ -1,3 +1,4 @@
+import csv
 import math
 
 import pytest
@@ -67,6 +68,30 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "trace.csv"
     save_trace(trace, path)
     assert load_trace(path) == trace
+
+
+traces = st.lists(
+    st.tuples(st.floats(0, 1e6) | st.sampled_from([1e-05, 5e-324, 1e16]),
+              st.integers(1, 2**40), st.integers(1, 2**40)),
+    max_size=30,
+).map(lambda rows: Trace(requests=[
+    Request(id=i, arrival_time=t, input_len=n_in, output_len=n_out)
+    for i, (t, n_in, n_out) in enumerate(sorted(rows))
+]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace=traces)
+def test_save_trace_writes_the_bytes_of_csv_writer(trace, tmp_path_factory):
+    directory = tmp_path_factory.mktemp("trace", numbered=True)
+    save_trace(trace, directory / "new.csv")
+    with (directory / "reference.csv").open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("arrival_s", "input_tokens", "output_tokens"))
+        for r in trace.requests:
+            writer.writerow([repr(r.arrival_time), r.input_len, r.output_len])
+    assert (directory / "new.csv").read_bytes() == (directory / "reference.csv").read_bytes()
+    assert load_trace(directory / "new.csv") == trace
 
 
 def test_load_header_only(tmp_path):
