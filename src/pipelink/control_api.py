@@ -243,12 +243,7 @@ class ClusterRegistry:
                         details={"service": service},
                     )
                 self.delete_llm_service(service)
-            del self._cluster.nodes[name]
-            self._cluster.links = {
-                key: link
-                for key, link in self._cluster.links.items()
-                if name not in key
-            }
+            self._cluster = self._cluster.subcluster(self._cluster.nodes.keys() - {name})
             self._journal(_NodeExit(name, cascade))
 
     # -- service lifecycle --------------------------------------------------
@@ -262,18 +257,7 @@ class ClusterRegistry:
         }
 
     def _free_subcluster(self) -> ClusterSpec:
-        hosts = self._hosts()
-        free = {
-            name: node
-            for name, node in self._cluster.nodes.items()
-            if name not in hosts
-        }
-        links = {
-            key: link
-            for key, link in self._cluster.links.items()
-            if key[0] in free and key[1] in free
-        }
-        return ClusterSpec(nodes=free, links=links)
+        return self._cluster.subcluster(self._cluster.nodes.keys() - self._hosts().keys())
 
     def _new_api_key(self) -> str:
         if self._key_rng is not None:

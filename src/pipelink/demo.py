@@ -21,10 +21,15 @@ hop's ``send`` itself.  The head keeps the pipeline full: when feedback comes
 back it applies every feedback already queued before it dispatches again, so
 micro-batches that return together go out together.
 
-A run ends hop by hop.  Closing a sender drains it, then half-closes its
-socket; the stage downstream reads EOF, returns from ``receive_payloads`` and
-closes its own sender, until the head's receiver reads the end of the return
-stream.  The head waits for that end before it closes the sockets.
+Every stage thread, the head's reader of the return hop included, runs
+:func:`_stage`: the stage's work, then the close of its out sender, then one
+end report on the head's queue, a ``ProtocolError`` naming the stage and
+saying whether its input ended or what it raised.  A run ends hop by hop:
+closing a sender drains it, then half-closes its socket, and the stage
+downstream reads EOF and ends too, up to the head's reader.  The head then
+joins the workers and closes the sockets; the end reports go unread.  While
+work is in flight, the head raises the first end report it reads, so a
+failed stage reaches it by name and cause, and it shuts every socket down.
 
 Arrivals are collapsed: the trace's requests are offered in arrival order as
 fast as the pipeline accepts them.
@@ -51,10 +56,7 @@ from .workload import Trace
 
 def _relay(in_sock, out_sender: SocketLinkSender) -> None:
     """Middle stage: pass each payload on unchanged, with its id and phase."""
-    try:
-        receive_payloads(in_sock, out_sender.send)
-    finally:
-        out_sender.close()  # the end of the stream, or its failure, goes on
+    receive_payloads(in_sock, out_sender.send)
 
 
 def _tail_worker(forward_sock, return_sender: SocketLinkSender) -> None:
@@ -64,14 +66,32 @@ def _tail_worker(forward_sock, return_sender: SocketLinkSender) -> None:
         size = feedback_bytes(int.from_bytes(body[:4], "little"))
         return_sender.send(Payload(p.id, Phase.DECODE, size), bytes(size))
 
+    receive_payloads(forward_sock, on_payload)
+
+
+def _stage(name: str, work, in_sock, out_sender: SocketLinkSender | None, reports) -> None:
+    """Run ``work`` on the stage's hop, close its out sender, put its end report.
+
+    The head's reader has no out sender: the head's loop owns the forward
+    sender, so it never finds that sender closed under it while it sends.
+    """
+    report = ProtocolError(f"{name}'s input ended, so the ring closed the return stream early")
     try:
-        receive_payloads(forward_sock, on_payload)
+        work(in_sock, out_sender)
+    except BaseException as exc:  # whatever stopped the stage reaches the head
+        report = ProtocolError(f"{name} failed: {type(exc).__name__}: {exc}")
+        report.__cause__ = exc
+        if not isinstance(exc, Exception):
+            raise  # an exit or interrupt goes on, once reported below
     finally:
-        return_sender.close()
+        if out_sender is not None:
+            out_sender.close()
+        reports.put(report)
 
 
 def _apply_feedback(sched: HeadScheduler, feedback_q, timeout_s: float) -> None:
-    """Wait for one feedback, then apply it and every other one already queued."""
+    """Wait for one feedback, then apply it and every other one already queued;
+    with work in flight, an end report comes early, and is raised."""
     try:
         fb = feedback_q.get(timeout=timeout_s)
     except Empty:
@@ -79,10 +99,8 @@ def _apply_feedback(sched: HeadScheduler, feedback_q, timeout_s: float) -> None:
             f"no feedback from the tail stage within {timeout_s} s"
         ) from None
     while True:
-        if fb is None:
-            raise ProtocolError("the tail stage closed the return stream early")
         if isinstance(fb, ProtocolError):
-            raise ProtocolError(f"the return stream failed: {fb}") from fb
+            raise fb
         mb = sched.in_flight.get(fb.id)
         if mb is None:
             raise ProtocolError(f"feedback for unknown micro-batch {fb.id}")
@@ -114,33 +132,21 @@ def run_socket_demo(
         SocketLinkSender(out, cfg.chunk_size, cfg.scheduling_policy, f"hop{i}-sender")
         for i, (out, _) in enumerate(pairs)
     ]
-    feedback_q: queue.Queue[Payload | ProtocolError | None] = queue.Queue()
+    feedback_q: queue.Queue[Payload | ProtocolError] = queue.Queue()
 
-    def receive_feedback() -> None:
-        # The end of the return stream, None or the error that ended it, wakes
-        # the head if it still waits for feedback.
-        end = None
-        try:
-            receive_payloads(pairs[-1][1], lambda p, _: feedback_q.put(p))
-        except ProtocolError as exc:
-            end = exc
-        feedback_q.put(end)
-
-    # Stage i reads hop i-1 and writes hop i; the last stage is the tail.
-    last = len(links) - 1
-    stages = [
-        threading.Thread(
-            target=_tail_worker if i == last else _relay,
-            args=(pairs[i - 1][1], senders[i]),
-            name="tail" if i == last else f"relay{i}",
-            daemon=True,
-        )
-        for i in range(1, len(links))
+    # Stage i reads hop i-1 and writes hop i; stage 0 is the head's reader of
+    # the return hop (the head's loop writes hop 0), the last stage the tail.
+    roles = [
+        ("head", lambda sock, _: receive_payloads(sock, lambda p, _: feedback_q.put(p))),
+        *((f"relay {i}", _relay) for i in range(1, len(links) - 1)),
+        ("tail", _tail_worker),
     ]
-    head_receiver = threading.Thread(
-        target=receive_feedback, name="head-recv", daemon=True
-    )
-    workers = [*senders, *stages, head_receiver]
+    stages = [
+        threading.Thread(target=_stage, name=name, daemon=True, args=(
+            name, work, pairs[i - 1][1], senders[i] if i else None, feedback_q))
+        for i, (name, work) in enumerate(roles)
+    ]
+    workers = [*senders, *stages]
     for worker in workers:
         worker.start()
 

@@ -74,6 +74,13 @@ class ClusterSpec:
     def link(self, src: str, dst: str) -> LinkProfile | None:
         return self.links.get((src, dst))
 
+    def subcluster(self, names: set[str]) -> "ClusterSpec":
+        """The named nodes, in this cluster's order, and the links between them."""
+        return ClusterSpec(
+            nodes={name: node for name, node in self.nodes.items() if name in names},
+            links={key: link for key, link in self.links.items() if names.issuperset(key)},
+        )
+
     @classmethod
     def from_json_dict(cls, data, path: str = "$") -> "ClusterSpec":
         """Decode the JSON form, ``{"nodes": [...], "links": [...]}``."""

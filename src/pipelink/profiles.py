@@ -175,7 +175,7 @@ def load_stage_profiles(path: str | Path) -> dict[int, StageProfile]:
     raw: dict[int, dict[tuple[Phase, int], float]] = {}
     for lineno, (stage_id, phase, tokens, seconds) in read_csv(
         path, PROFILE_HEADER,
-        (csv_int, lambda text: Phase(text.strip().lower()), csv_int, csv_float), ProfileError,
+        (csv_int, Phase, csv_int, csv_float), ProfileError,
     ):
         entries = raw.setdefault(stage_id, {})
         if (phase, tokens) in entries:

@@ -164,8 +164,8 @@ def receive_payloads(sock: socket.socket, on_payload) -> None:
 
     Returns on EOF between payloads.  Raises :class:`ProtocolError` on a
     frame that :func:`read_frame` refuses, on a chunk whose index is out of
-    order or repeated, on a stream that ends in the middle of a payload, and
-    on a socket error.
+    order or repeated, on a payload of 0 bytes, on a stream that ends in the
+    middle of a payload, and on a socket error.
     """
     partial: dict[int, list[bytes]] = {}  # payload id -> chunks so far
     try:
@@ -191,6 +191,8 @@ def receive_payloads(sock: socket.socket, on_payload) -> None:
                     del partial[payload_id]
                     phase = Phase.DECODE if flags & FLAG_DECODE else Phase.PREFILL
                     whole = b"".join(pieces)
+                    if not whole:  # no sender sends one (SocketLinkSender.send)
+                        raise ProtocolError(f"payload {payload_id}: empty payload")
                     on_payload(Payload(payload_id, phase, len(whole)), whole)
     except OSError as exc:
         raise ProtocolError(f"link socket failed: {exc}") from exc

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import signal
 import socket
 import subprocess
@@ -7,12 +8,18 @@ import sys
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
 from pipelink.cli import main
 
 MB = 1 << 20
+
+# The environment of a ``pipelink.cli`` child process, which finds the package
+# where this process does.
+CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")])))
 
 
 def write_cluster(path, mem_mb=3):
@@ -268,7 +275,7 @@ def _serve(*args):
     proc = subprocess.Popen(
         [sys.executable, "-u", "-m", "pipelink.cli", "serve", "--listen", "127.0.0.1:0",
          *args],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=CLI_ENV,
     )
     line = proc.stdout.readline()
     if "listening on" not in line:
@@ -338,7 +345,7 @@ def test_serve_cluster_with_non_empty_journal_exits_2(workdir):
     proc = subprocess.run(
         [sys.executable, "-m", "pipelink.cli", "serve", "--listen", "127.0.0.1:0",
          "--journal", str(journal), "--cluster", str(workdir / "cluster.json")],
-        capture_output=True, text=True, timeout=15,
+        capture_output=True, text=True, timeout=15, env=CLI_ENV,
     )
     assert proc.returncode == 2
     assert "not empty" in proc.stderr
@@ -362,7 +369,7 @@ def test_serve_port_in_use_fails(workdir):
         proc = subprocess.run(
             [sys.executable, "-m", "pipelink.cli", "serve",
              "--listen", f"127.0.0.1:{port}"],
-            capture_output=True, text=True, timeout=15,
+            capture_output=True, text=True, timeout=15, env=CLI_ENV,
         )
         assert proc.returncode != 0
     finally:

@@ -185,6 +185,48 @@ def test_relay_that_closes_its_input_mid_run_fails_the_head_at_once(monkeypatch)
     assert time.monotonic() - start < 5.0
 
 
+def relay_failing_after_one(in_sock, out_sender):
+    # Pass the first payload on, then fail as a refused frame would.
+    def on_payload(p, body):
+        out_sender.send(p, body)
+        raise ProtocolError("payload 7: unknown flag bits 0x4")
+
+    receive_payloads(in_sock, on_payload)
+
+
+def crashing_tail(forward_sock, return_sender):
+    def on_payload(p, body):
+        raise RuntimeError("tail crashed")
+
+    receive_payloads(forward_sock, on_payload)
+
+
+@pytest.mark.parametrize("stage, work, match", [
+    ("_relay", relay_failing_after_one,
+     "relay 1 failed: ProtocolError: payload 7: unknown flag bits 0x4"),
+    ("_tail_worker", crashing_tail, "tail failed: RuntimeError: tail crashed"),
+], ids=["relay-protocol-error", "tail-runtime-error"])
+def test_a_failing_stage_reaches_the_head_by_name(monkeypatch, stage, work, match):
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", lambda args: hooked.append(args))
+    monkeypatch.setattr(pipelink.demo, stage, work)
+    cfg, cluster, profiles = two_stage(LinkPolicy.DECODE_PRIORITY, None, 1, stages=3)
+    trace = Trace(requests=[
+        Request(id=i, arrival_time=0.0, input_len=4, output_len=5) for i in range(4)
+    ])
+    before = set(threading.enumerate())
+    start = time.monotonic()
+    with pytest.raises(ProtocolError, match=match):
+        run_socket_demo(cfg, cluster, profiles, trace, timeout_s=60.0)
+    assert time.monotonic() - start < 5.0
+    # Every worker ends once the head has shut the sockets, and none of them
+    # leaves an exception to the hook.
+    for thread in set(threading.enumerate()) - before:
+        thread.join(timeout=5.0)
+        assert not thread.is_alive(), thread.name
+    assert hooked == []
+
+
 def in_flight_scheduler():
     """A head scheduler with at least two micro-batches in flight."""
     cfg, cluster, profiles = two_stage(LinkPolicy.DECODE_PRIORITY, None, 1)
@@ -216,9 +258,22 @@ def test_apply_feedback_applies_every_queued_feedback_at_once():
     assert sched.in_flight == {} and feedback_q.empty()
 
 
+def end_report(name, error=None):
+    """The end report ``_stage`` puts for stage ``name``, whose input ended or
+    whose work raised ``error``."""
+
+    def work(in_sock, out_sender):
+        if error is not None:
+            raise error
+
+    reports = queue.Queue()
+    pipelink.demo._stage(name, work, None, None, reports)
+    return reports.get_nowait()
+
+
 @pytest.mark.parametrize("bad, match", [
-    (None, "closed the return stream"),
-    (ProtocolError("reset"), "return stream failed: reset"),
+    (end_report("tail"), "closed the return stream"),
+    (end_report("head", ProtocolError("reset")), "head failed: ProtocolError: reset"),
     (feedback_for(10**9), "unknown micro-batch"),
 ])
 def test_apply_feedback_raises_on_a_bad_item_amid_good_ones(bad, match):

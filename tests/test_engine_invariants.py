@@ -8,8 +8,12 @@ first head compute and first token in order; no compute before its input
 lands), stage FIFO order, disjoint busy intervals, the decision's cap on
 micro-batches in flight, token conservation, bubbles in [0, 1], chunk
 timings, the link invariants and ``replay_link`` parity on every link, and
-that a second run logs the same.
+that a second run logs the same.  Two metamorphic relations compare runs on
+drawn rings that must agree: chunks no smaller than any payload against no
+chunking, and every duration doubled against the original.
 """
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -49,15 +53,25 @@ def stage_profiles(draw, stage_id):
     })
 
 
+exact_bandwidths = st.integers(1, 1000).map(lambda k: 1e9 / k) | st.just(1e18)
+
+
 @st.composite
-def scenarios(draw):
-    """(config, cluster, profiles, trace, horizon_s) for a random ring."""
+def scenarios(draw, exact=False):
+    """(config, cluster, profiles, trace, horizon_s) for a random ring.
+
+    Latencies are whole microseconds, arrivals and the horizon whole
+    milliseconds, and compute times linear in batched tokens with whole-ns
+    coefficients.  With ``exact``, a bandwidth is 1e9/k bytes/s for a whole
+    k, or so high that every transmission takes 0 ns, so that every
+    transmission time is a whole number of ns too.
+    """
     num_stages = draw(st.integers(1, 6))
     names = [f"s{i}" for i in range(num_stages)]
     hops = list(zip(names, names[1:])) + [(names[-1], names[0])] if num_stages > 1 else []
     links = {
         (src, dst): LinkProfile(src, dst, draw(st.integers(0, 50_000)) / 1e6,
-                                draw(st.floats(1e3, 1e18)))
+                                draw(exact_bandwidths if exact else st.floats(1e3, 1e18)))
         for src, dst in hops
     }
     cluster = ClusterSpec(nodes={n: make_node(n) for n in names}, links=links)
@@ -205,3 +219,48 @@ def test_engine_invariants_hold_on_random_rings(scenario):
     assert again.stage_busy_ns == result.stage_busy_ns
     assert again.tokens_by_request() == result.tokens_by_request()
     assert again.end_ns == result.end_ns
+
+
+# Metamorphic relations: two runs that must agree, with no oracle for either.
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(scenario=scenarios(), slack=st.integers(0, 4096))
+def test_a_chunk_as_large_as_every_payload_is_no_chunking(scenario, slack):
+    cfg, cluster, profiles, trace, horizon_s = scenario
+    unchunked = PipelineEngine(replace(cfg, chunk_size=None), cluster, profiles).run(
+        trace, horizon_s=horizon_s)
+    largest = max((row[4] for row in unchunked.link_events), default=1)
+    chunked = PipelineEngine(replace(cfg, chunk_size=largest + slack), cluster, profiles).run(
+        trace, horizon_s=horizon_s)
+    assert chunked.events == unchunked.events
+    assert chunked.link_events == unchunked.link_events
+    assert chunked.decisions == unchunked.decisions
+
+
+def doubled(profile):
+    return StageProfile(profile.stage_id, {k: 2 * s for k, s in profile.entries.items()})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(scenario=scenarios(exact=True))
+def test_doubling_every_duration_doubles_every_time(scenario):
+    # Every duration is a whole number of ns (see ``scenarios``), so doubling
+    # it, and halving every bandwidth, rounds to exactly twice the ns.
+    cfg, cluster, profiles, trace, horizon_s = scenario
+    slow_cluster = ClusterSpec(cluster.nodes, {
+        key: LinkProfile(link.src, link.dst, 2 * link.latency_s, link.bandwidth_bps / 2)
+        for key, link in cluster.links.items()
+    })
+    slow_trace = Trace(requests=[replace(r, arrival_time=2 * r.arrival_time)
+                                 for r in trace.requests])
+    base = PipelineEngine(cfg, cluster, profiles).run(trace, horizon_s=horizon_s)
+    slow = PipelineEngine(cfg, slow_cluster, [doubled(p) for p in profiles]).run(
+        slow_trace, horizon_s=None if horizon_s is None else 2 * horizon_s)
+    assert slow.events == [(2 * t, *rest) for t, *rest in base.events]
+    assert slow.link_events == [(2 * t, *rest) for t, *rest in base.link_events]
+    assert slow.stage_busy_ns == [[(2 * s, 2 * e) for s, e in busy]
+                                  for busy in base.stage_busy_ns]
+    assert slow.end_ns == 2 * base.end_ns
+    assert slow.tokens_by_request() == base.tokens_by_request()
+    assert slow.decisions == base.decisions  # so decisions.csv is byte-equal

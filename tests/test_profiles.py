@@ -187,10 +187,12 @@ def test_stage_profile_csv_round_trip(tmp_path):
     [
         ("0,prefill,1,0.001,junk\n0,prefill,64,0.01\n", "line 2: expected 4 fields"),
         ("0,prefill,1,0.001\n0,prefill,64\n", "line 3: expected 4 fields"),
-        ("0,prefill,1,0.001\n0,prefill,64,0.01\n0,PREFILL,1,0.002\n",
+        ("0,prefill,1,0.001\n0,prefill,64,0.01\n0,prefill,1,0.002\n",
          "line 4: repeats stage 0 prefill at 1 batched tokens"),
+        ("0,prefill,1,0.001\n0,PREFILL,64,0.01\n", "line 3: 'PREFILL' is not a valid Phase"),
+        ("0,decode,1,0.001\n0, decode,64,0.01\n", "line 3: ' decode' is not a valid Phase"),
     ],
-    ids=["extra-field", "missing-field", "repeated-row"],
+    ids=["extra-field", "missing-field", "repeated-row", "upper-case-phase", "padded-phase"],
 )
 def test_profile_csv_refuses_a_malformed_row(tmp_path, rows, message):
     path = tmp_path / "profiles.csv"

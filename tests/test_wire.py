@@ -399,6 +399,18 @@ def test_receiver_refuses_an_unknown_flag_bit(bit):
     assert f"payload 2: unknown flag bits {bit:#x}" in str(error)
 
 
+@pytest.mark.parametrize("frames", [
+    [(7, 0, FLAG_LAST, b"")],
+    [(7, 0, 0, b""), (7, 1, FLAG_LAST | FLAG_DECODE, b"")],
+], ids=["one-frame", "chunked"])
+def test_receiver_refuses_an_empty_payload(frames):
+    # A relay would pass it to SocketLinkSender.send, which refuses it as a
+    # configuration error: the fault is on the wire, so the receiver names it.
+    delivered, error = receive_frames((1, 0, FLAG_LAST, b"A"), *frames, (3, 0, FLAG_LAST, b"C"))
+    assert [p.payload_id for p in delivered] == [1]
+    assert isinstance(error, ProtocolError) and "payload 7: empty payload" in str(error)
+
+
 ids = st.integers(0, 3) | st.integers(0, 2**64 - 1)
 indices = st.sampled_from([0, 0, 1]) | st.integers(0, 2**32 - 1)
 flag_bits = st.sampled_from([0, FLAG_LAST, FLAG_DECODE, FLAG_LAST | FLAG_DECODE]) | st.integers(
