@@ -60,7 +60,6 @@ from .transport import (
     LinkPolicy,
     LinkQueue,
     Payload,
-    replay_link,
     s_to_ns,
     transfer_ns,
 )

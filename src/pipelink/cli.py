@@ -31,6 +31,7 @@ from .engine import (
 from .errors import ConfigError, PipelinkError, ProfileError, TraceError
 from .metrics import MetricsReport, summarize
 from .outputs import (
+    LogSink,
     write_decision_log,
     write_event_log,
     write_link_log,
@@ -245,7 +246,7 @@ def run_simulation(cfg: RunConfig, seed_override: int | None = None):
         scheduling_policy=cfg.engine.scheduling_policy,
     )
     engine = PipelineEngine(engine_cfg, cluster, profiles)
-    result = engine.run(trace)
+    result = engine.run(trace, sink=LogSink())
     if not result.all_finished:
         raise PipelinkError("run ended with unfinished requests")
     return result, _report_from_result(result), plan

@@ -95,10 +95,9 @@ class _NodeAccess:
 class _NodeExit:
     op: ClassVar[str] = "node_exit"
     name: str
-    cascade: bool = False
 
     def redo(self, registry: ClusterRegistry) -> None:
-        registry.node_exit(self.name, cascade=self.cascade)
+        registry.node_exit(self.name)
 
 
 @dataclass(frozen=True)
@@ -190,8 +189,12 @@ class ClusterRegistry:
         """Redo one journal record, decoded by the schema of its ``op``."""
         rec = dict(decode(dict, rec))
         op = rec.pop("op", None)
-        if op == "deploy":  # journaled by versions that took them; never applied
+        # Keys journaled by earlier versions and never applied.  A cascading
+        # exit journals its service's delete first, so it replays as a plain one.
+        if op == "deploy":
             rec.pop("inference_parameters", None)
+        elif op == "node_exit":
+            decode(bool, rec.pop("cascade", False), "$.cascade")
         schema = _JOURNAL_RECORDS.get(op) if type(op) is str else None
         if schema is None:
             raise ConfigError(
@@ -244,7 +247,7 @@ class ClusterRegistry:
                     )
                 self.delete_llm_service(service)
             self._cluster = self._cluster.subcluster(self._cluster.nodes.keys() - {name})
-            self._journal(_NodeExit(name, cascade))
+            self._journal(_NodeExit(name))
 
     # -- service lifecycle --------------------------------------------------
 

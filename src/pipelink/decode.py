@@ -32,7 +32,9 @@ literal syntax takes.
 
 Every CSV the package writes (the trace, the run logs and a sweep's
 ``combined.csv``) goes through :func:`write_csv_lines`, whose callers format
-whole rows; :func:`_csv_field` quotes a text field as the ``csv`` module does.
+whole rows, or, for rows already formatted into blocks of text, through
+:func:`write_csv_blocks`, on which ``write_csv_lines`` is built;
+:func:`_csv_field` quotes a text field as the ``csv`` module does.
 """
 
 from __future__ import annotations
@@ -229,10 +231,15 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-3]  # less the empty last field's "," and "\r\n"
 
 
-def write_csv_lines(path: str | Path, header: tuple[str, ...], lines: Iterable[str]) -> None:
-    """Write ``header``, then ``lines`` (whole rows) 1024 at a time, never all at once."""
+def write_csv_blocks(path: str | Path, header: tuple[str, ...], blocks: Iterable[str]) -> None:
+    """Write ``header``, then each block of whole rows with one ``write``."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        lines = iter(lines)
-        while batch := "".join(itertools.islice(lines, 1024)):
-            fh.write(batch)
+        for block in blocks:
+            fh.write(block)
+
+
+def write_csv_lines(path: str | Path, header: tuple[str, ...], lines: Iterable[str]) -> None:
+    """Write ``header``, then ``lines`` (whole rows) 1024 at a time, never all at once."""
+    lines = iter(lines)
+    write_csv_blocks(path, header, iter(lambda: "".join(itertools.islice(lines, 1024)), ""))

@@ -17,6 +17,13 @@ The engine's log rows are plain tuples of ints and strings,
 :class:`EventKind` member, spelled here; :mod:`pipelink.outputs` prints every
 field as held.  ``stage`` is -1 when the row is not stage-scoped.  The link
 rows are described in :mod:`pipelink.transport`.
+
+Rows are appended to two lists, one per log.  Without a sink a run keeps
+them all and returns them.  With a sink (:class:`pipelink.outputs.LogSink`),
+after an iteration boundary that dispatched, once the two lists hold
+``LOG_BLOCK_ROWS`` rows or more, the run hands each list to its log's
+``take`` and empties it, and hands over the rest when it ends; so the blocks
+arrive in log order, and a run holds a block of rows at most.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import TYPE_CHECKING
 
 from .controller import ControllerConfig, ControllerDecision, choose_n, clamp_demand
 from .errors import ConfigError
@@ -44,6 +52,12 @@ from .transport import (
     s_to_ns,
 )
 from .workload import Request, RequestState, Trace
+
+if TYPE_CHECKING:
+    from .outputs import HeldLog, LogSink
+
+# Rows a run with a sink holds before it hands them over.
+LOG_BLOCK_ROWS = 4096
 
 
 class EventKind(enum.IntEnum):
@@ -82,11 +96,16 @@ EngineRow = tuple[int, str, int, int]  # (time_ns, kind name, subject, stage)
 
 @dataclass
 class RunResult:
-    """Everything a run produced, at nanosecond precision for exact checks."""
+    """Everything a run produced, at nanosecond precision for exact checks.
+
+    Without a sink, ``events`` and ``link_events`` are every row the run
+    logged, in log order.  With one, they are the sink's two logs, which hold
+    the same rows as CSV text; ``len()`` of either is its row count.
+    """
 
     requests: list[Request]
-    events: list[EngineRow]
-    link_events: list[LinkRow]
+    events: list[EngineRow] | HeldLog
+    link_events: list[LinkRow] | HeldLog
     decisions: list[ControllerDecision]  # one per iteration
     stage_busy_ns: list[list[tuple[int, int]]]
     end_ns: int
@@ -352,6 +371,13 @@ class PipelineEngine:
         self._events: list[EngineRow] = []
         self._next_payload_id = 0
 
+    def _hand_over(self) -> None:
+        """Hand both logs' rows to the sink and start new blocks."""
+        self._sink.events.take(self._events)
+        self._sink.link_events.take(self._link_events)
+        self._events.clear()
+        self._link_events.clear()
+
     # -- link mechanics ----------------------------------------------------
 
     def _send_payload(self, link_idx: int, mb: MicroBatch, size: int,
@@ -416,16 +442,23 @@ class PipelineEngine:
         self._events.append((now, _BOUNDARY_ROW, len(self._sched.decisions), 0))
         head.queue.extend(batches)
         self._try_start_compute(head, now)
+        # Every row so far is at or before now, and every later one at or after.
+        if (self._sink is not None
+                and len(self._events) + len(self._link_events) >= LOG_BLOCK_ROWS):
+            self._hand_over()
 
     # -- event loop --------------------------------------------------------
 
-    def run(self, trace: Trace, horizon_s: float | None = None) -> RunResult:
+    def run(self, trace: Trace, horizon_s: float | None = None,
+            sink: LogSink | None = None) -> RunResult:
         """Process the trace to completion (or up to ``horizon_s``).
 
         Deterministic for a fixed config: identical inputs produce identical
-        event logs, reports, and per-request timelines.
+        event logs, reports, and per-request timelines.  A ``sink`` takes the
+        logs a block at a time (see the module docstring).
         """
         self._reset(trace.requests)
+        self._sink = sink
         heap, seq = self._heap, self._seq
         push, pop = heapq.heappush, heapq.heappop
         for req in self._sched.requests.values():
@@ -486,12 +519,16 @@ class PipelineEngine:
             if stage.current is not None:
                 stage.busy_intervals.append((stage.current_start, now))
 
+        events, link_events = self._events, self._link_events
+        if sink is not None:
+            self._hand_over()
+            events, link_events = sink.events, sink.link_events
         return RunResult(
             requests=[sched.requests[rid] for rid in sorted(sched.requests)],
-            events=self._events,
+            events=events,
             # Every link event is logged at the current virtual time, so the
-            # list is already in time order.
-            link_events=self._link_events,
+            # log is already in time order.
+            link_events=link_events,
             decisions=sched.decisions,
             stage_busy_ns=[s.busy_intervals for s in self._stages],
             end_ns=now,

@@ -7,10 +7,10 @@ transfer.  Setting ``chunk_size=None`` disables chunking and recovers the
 head-of-line-blocking baseline.
 
 The same queue mechanics back two transports: :class:`VirtualLink`, the one
-virtual-time driver (the simulator and :func:`replay_link` both run it), and
-the socket workers in :mod:`pipelink.wire`.  Only link mechanics live here:
-the rows a link logs are written by :mod:`pipelink.outputs`, which prints
-each field as held.  A row is a plain tuple of ints and strings,
+virtual-time driver, and the socket workers in :mod:`pipelink.wire`.  Only
+link mechanics live here: the rows a link logs are written by
+:mod:`pipelink.outputs`, which prints each field as held.  A row is a plain
+tuple of ints and strings,
 ``(time_ns, link, payload_id, chunk_index, size_bytes, class, event)``:
 ``link`` is the profile's name, ``class`` the payload's :class:`Phase` value
 (spelled by :mod:`pipelink.profiles`), and ``event``, spelled here, is
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ConfigError, ProtocolError
@@ -134,10 +133,6 @@ class LinkQueue:
 
 LinkRow = tuple[int, str, int, int, int, str, str]  # see the module docstring
 
-# The one ordering rule of replayed link logs: by time, equal times in logged
-# order (``sorted`` is stable).
-_by_time = itemgetter(0)
-
 
 def transmission_ns(profile: LinkProfile, size_bytes: int) -> int:
     return round(size_bytes * NS_PER_S / profile.bandwidth_bps)
@@ -201,34 +196,3 @@ class VirtualLink:
 
     def deliver(self, chunk: Chunk, now: int) -> None:
         self._row(now, chunk, "deliver")
-
-
-def replay_link(
-    profile: LinkProfile,
-    arrivals: list[tuple[int, Payload]],
-    chunk_size: int | None = DEFAULT_CHUNK_SIZE,
-    policy: LinkPolicy = LinkPolicy.DECODE_PRIORITY,
-) -> list[LinkRow]:
-    """Virtual-time schedule of one link fed by timed payload arrivals.
-
-    Returns the full event log (enqueue/emit/sent/deliver).  At equal times
-    arrivals are queued before a transmission ends, so that a decode arriving
-    at a chunk boundary preempts there.
-    """
-    events: list[LinkRow] = []
-    link = VirtualLink(profile, chunk_size, policy, events)
-    on_wire = None  # (end_ns, chunk) of the chunk in transmission
-
-    def finish(end: int, chunk: Chunk) -> tuple[int, Chunk] | None:
-        following = link.sent(chunk, end)
-        link.deliver(chunk, end + link.latency_ns)
-        return following
-
-    for t, payload in sorted(arrivals, key=lambda a: (a[0], a[1].id)):
-        while on_wire is not None and on_wire[0] < t:
-            on_wire = finish(*on_wire)
-        on_wire = link.offer(payload, t) or on_wire
-    while on_wire is not None:
-        on_wire = finish(*on_wire)
-    return sorted(events, key=_by_time)
-

@@ -115,7 +115,7 @@ class SocketLinkSender(threading.Thread):
                 why = "peer gone" if isinstance(self._error, OSError) else "own frame refused"
                 raise ProtocolError(f"{self.name}: {why}: {self._error}")
             if self._closing:
-                raise ProtocolError("sender is closing")
+                raise ProtocolError(f"{self.name}: payload {payload.id}: sender is closing")
             self._queue.enqueue(payload)
             self._bodies[payload.id] = body
             self._cond.notify()

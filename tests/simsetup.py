@@ -3,6 +3,7 @@
 import csv
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -20,7 +21,13 @@ from pipelink.placement import (
     Platform,
 )
 from pipelink.profiles import PROFILE_HEADER, LinkProfile, Phase, flat_profile
-from pipelink.transport import TOKEN_FEEDBACK_BYTES, s_to_ns
+from pipelink.transport import (
+    DEFAULT_CHUNK_SIZE,
+    TOKEN_FEEDBACK_BYTES,
+    LinkPolicy,
+    VirtualLink,
+    s_to_ns,
+)
 from pipelink.workload import Request, Trace
 
 
@@ -195,6 +202,35 @@ def first_emit_delay_ns(events, payload_id):
     enq = next(e.time_ns for e in events if e.payload_id == payload_id and e.event == "enqueue")
     emit = next(e.time_ns for e in events if e.payload_id == payload_id and e.event == "emit")
     return emit - enq
+
+
+def replay_link(profile, arrivals, chunk_size=DEFAULT_CHUNK_SIZE,
+                policy=LinkPolicy.DECODE_PRIORITY):
+    """Virtual-time schedule of one link fed by ``(time_ns, Payload)`` arrivals.
+
+    The engine's ``VirtualLink`` logs into a list, the reference the link
+    tests compare the engine against.  Returns every row (enqueue/emit/sent/
+    deliver) sorted by time, equal times in logged order: a chunk's deliver
+    row is logged when its send ends.  At equal times arrivals are queued
+    before a transmission ends, so that a decode arriving at a chunk boundary
+    preempts there.
+    """
+    events = []
+    link = VirtualLink(profile, chunk_size, policy, events)
+    on_wire = None  # (end_ns, chunk) of the chunk in transmission
+
+    def finish(end, chunk):
+        following = link.sent(chunk, end)
+        link.deliver(chunk, end + link.latency_ns)
+        return following
+
+    for t, payload in sorted(arrivals, key=lambda a: (a[0], a[1].id)):
+        while on_wire is not None and on_wire[0] < t:
+            on_wire = finish(*on_wire)
+        on_wire = link.offer(payload, t) or on_wire
+    while on_wire is not None:
+        on_wire = finish(*on_wire)
+    return sorted(events, key=itemgetter(0))
 
 
 def stage_points(profile, phase):

@@ -23,7 +23,7 @@ from pipelink.placement import partition_layers, ModelSpec
 from pipelink.profiles import LinkProfile, Phase, flat_profile
 from pipelink.control_api import ClusterRegistry
 from pipelink.demo import run_socket_demo
-from pipelink.transport import Payload, replay_link, s_to_ns
+from pipelink.transport import Payload, s_to_ns
 from pipelink.workload import Request, Trace, generate_trace
 
 from simsetup import (
@@ -31,6 +31,7 @@ from simsetup import (
     first_emit_delay_ns,
     make_node,
     plan_num_layers,
+    replay_link,
     run_recording_first_compute,
     stationary_decode_trace,
     tokens_in_window,

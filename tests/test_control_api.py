@@ -667,6 +667,22 @@ def test_journal_of_every_op_replays(tmp_path):
     assert journal.read_text() == _FOUR_OP_JOURNAL
 
 
+def test_old_journal_with_a_cascading_exit_replays_to_the_same_snapshot(tmp_path):
+    journal = tmp_path / "registry.jsonl"
+    reg = registry_with_nodes(2, journal=journal)
+    hosting = reg.deploy_llm_service("svc", "tiny-4l", {"gpu_type": "rtx4090"}).plan
+    node = hosting.node_names()[0]
+    reg.node_exit(node, cascade=True)
+    lines = journal.read_text().splitlines(keepends=True)
+    assert lines[-2] == '{"op": "delete", "service_name": "svc"}\n'
+    assert lines[-1] == f'{{"name": "{node}", "op": "node_exit"}}\n'
+    # As journaled when exits carried their cascade flag.
+    old = "".join(lines[:-1]) + f'{{"cascade": true, "name": "{node}", "op": "node_exit"}}\n'
+    journal.write_text(old)
+    assert ClusterRegistry.replay(journal).snapshot() == reg.snapshot()
+    assert journal.read_text() == old
+
+
 def test_http_body_over_the_limit_is_refused_before_reading(http_server):
     _, base = http_server
     conn = http.client.HTTPConnection(base.removeprefix("http://"), timeout=10)

@@ -20,9 +20,10 @@ from pipelink.engine import (
 )
 from pipelink.errors import ConfigError
 from pipelink.metrics import summarize
+from pipelink.outputs import LogSink, write_event_log, write_link_log
 from pipelink.placement import ClusterSpec, ModelSpec, PartitionPlan
 from pipelink.profiles import LinkProfile, Phase, StageProfile, flat_profile
-from pipelink.transport import LinkPolicy, Payload, replay_link, s_to_ns
+from pipelink.transport import LinkPolicy, Payload, s_to_ns
 from pipelink.workload import (
     LengthHistogram,
     Request,
@@ -38,6 +39,7 @@ from simsetup import (
     link_events,
     make_node,
     reference_admit_and_batch,
+    replay_link,
     run_recording_first_compute,
     stationary_decode_trace,
     tokens_in_window,
@@ -454,6 +456,21 @@ def test_full_length_chunked_run_holds_transport_invariants():
     assert len(result.link_events) > 70_000
     for profile in engine.link_profiles:
         check_link_invariants([row for row in result.link_events if row[1] == profile.name])
+
+
+@pytest.mark.parametrize("horizon_s", [None, 0.8])
+def test_a_sink_takes_the_logs_in_blocks_that_save_as_the_rows_would(horizon_s, tmp_path):
+    trace = generate_trace(rate=30.0, duration=1.0, seed=8)
+    rows = chunked_three_stage_engine().run(trace, horizon_s=horizon_s)
+    held = chunked_three_stage_engine().run(trace, horizon_s=horizon_s, sink=LogSink())
+    assert len(held.link_events.blocks) > 1  # a block handed over before the end
+    for write, log in ((write_event_log, "events"), (write_link_log, "link_events")):
+        assert len(getattr(held, log)) == len(getattr(rows, log))
+        write(getattr(rows, log), tmp_path / "rows.csv")
+        write(getattr(held, log), tmp_path / "held.csv")
+        assert (tmp_path / "held.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    assert (held.decisions, held.stage_busy_ns, held.end_ns) == (
+        rows.decisions, rows.stage_busy_ns, rows.end_ns)
 
 
 def test_logged_event_kinds_are_member_names():

@@ -27,13 +27,18 @@ from pipelink.transport import (
     TOKEN_FEEDBACK_BYTES,
     LinkPolicy,
     Payload,
-    replay_link,
     s_to_ns,
     transmission_ns,
 )
 from pipelink.workload import Request, Trace
 
-from simsetup import EngineEvent, LinkEvent, make_node, run_recording_first_compute
+from simsetup import (
+    EngineEvent,
+    LinkEvent,
+    make_node,
+    replay_link,
+    run_recording_first_compute,
+)
 from test_transport import check_link_invariants
 
 

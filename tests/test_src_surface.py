@@ -22,7 +22,6 @@ ALLOWED = {
     "engine.RunResult.tokens_by_request": "bench/ derives its expected tokens from it",
     "metrics.cost_profit_margin": "the cost model, whose caller is ROADMAP item 8",
     "profiles.flat_profile": "bench/ builds its stage profiles with it",
-    "transport.replay_link": "the reference the link tests compare the engine against",
     "workload.save_trace": "bench/ writes its traces with it",
 }
 

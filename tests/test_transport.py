@@ -9,12 +9,11 @@ from pipelink.transport import (
     LinkPolicy,
     LinkQueue,
     Payload,
-    replay_link,
     s_to_ns,
     transmission_ns,
 )
 
-from simsetup import LinkEvent, first_emit_delay_ns
+from simsetup import LinkEvent, first_emit_delay_ns, replay_link
 
 
 def payload(pid, pclass, size):

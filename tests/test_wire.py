@@ -192,6 +192,19 @@ def test_sender_whose_frame_is_refused_refuses_later_sends(monkeypatch):
         right.close()
 
 
+def test_sender_that_is_closing_refuses_a_send_by_name_and_payload():
+    left, right = loopback_pair()
+    sender = SocketLinkSender(left, chunk_size=None, name="closing")
+    sender.close()  # not started: nothing drains, so it stays closing
+    try:
+        with pytest.raises(ProtocolError, match=r"^closing: payload 4: sender is closing$"):
+            sender.send(payload(4, Phase.DECODE, 8), bytes(8))
+        assert sender._bodies == {} and sender._queue.next_chunk() is None
+    finally:
+        left.close()
+        right.close()
+
+
 def test_sender_refuses_an_empty_payload_and_queues_nothing():
     left, right = loopback_pair()
     sender = SocketLinkSender(left, chunk_size=1024, name="empty")
