@@ -252,19 +252,21 @@ def run_simulation(cfg: RunConfig, seed_override: int | None = None):
     return result, _report_from_result(result), plan
 
 
-def _write_outputs(out_dir: Path, result: RunResult, report: MetricsReport) -> None:
+def _simulate_into(out_dir: Path, cfg: RunConfig, seed: int | None) -> MetricsReport:
+    """Run one simulation and write its files; the run's logs go when it returns."""
+    result, report, _ = run_simulation(cfg, seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_report_json(report, out_dir / "report.json")
     write_event_log(result.events, out_dir / "events.csv")
     write_link_log(result.link_events, out_dir / "transport.csv")
     write_decision_log(result.decisions, out_dir / "decisions.csv")
+    return report
 
 
 def cmd_simulate(args) -> int:
     cfg = load_run_config(args.config)
-    result, report, _ = run_simulation(cfg, args.seed)
     out_dir = Path(args.out)
-    _write_outputs(out_dir, result, report)
+    report = _simulate_into(out_dir, cfg, args.seed)
     print(report.format_table())
     print(f"outputs written to {out_dir}")
     return 0
@@ -337,8 +339,7 @@ def cmd_sweep(args) -> int:
         with cluster_path.open("w", encoding="utf-8") as fh:
             json.dump(cluster_data, fh, indent=2, sort_keys=True)
         cfg = dataclasses.replace(cfg, cluster=str(cluster_path))
-        result, report, _ = run_simulation(cfg, args.seed)
-        _write_outputs(point_dir, result, report)
+        report = _simulate_into(point_dir, cfg, args.seed)
         reports.append((text, report))
         print(f"{axis}={text}: {report.throughput_tok_s:.3f} tok/s")
     combined = out_root / "combined.csv"

@@ -31,9 +31,10 @@ convert with ``csv_int`` and ``csv_float``, which refuse what only Python's
 literal syntax takes.
 
 Every CSV the package writes (the trace, the run logs and a sweep's
-``combined.csv``) goes through :func:`write_csv_lines`, whose callers format
-whole rows, or, for rows already formatted into blocks of text, through
-:func:`write_csv_blocks`, on which ``write_csv_lines`` is built;
+``combined.csv``) goes through :func:`write_csv_blocks`, which writes blocks
+of whole rows: the run logs come as blocks formatted by
+:mod:`pipelink.outputs`, and the other files as rows formatted one at a
+time, through :func:`write_csv_lines`, which is built on it;
 :func:`_csv_field` quotes a text field as the ``csv`` module does.
 """
 

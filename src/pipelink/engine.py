@@ -13,10 +13,12 @@ iteration boundary is a deferred step, not a heap entry: it is due at the
 current time and runs once the heap holds nothing that sorts before it.
 
 The engine's log rows are plain tuples of ints and strings,
-``(time_ns, kind, subject, stage)``.  ``kind`` is the name of an
-:class:`EventKind` member, spelled here; :mod:`pipelink.outputs` prints every
-field as held.  ``stage`` is -1 when the row is not stage-scoped.  The link
-rows are described in :mod:`pipelink.transport`.
+``(time, kind, subject, stage)``.  ``kind`` is the name of an
+:class:`EventKind` member, spelled here; ``stage`` is -1 when the row is not
+stage-scoped; the link rows are described in :mod:`pipelink.transport`.  The
+time slot of every row holds the run clock's stamp for the current tick,
+computed once per distinct time right after the heap pop: the ns int itself
+without a sink, or the sink's ``stamp`` of it, the CSV text of the time.
 
 Rows are appended to two lists, one per log.  Without a sink a run keeps
 them all and returns them.  With a sink (:class:`pipelink.outputs.LogSink`),
@@ -47,6 +49,7 @@ from .transport import (
     NS_PER_S,
     Payload,
     VirtualLink,
+    _new,
     activation_bytes,
     feedback_bytes,
     s_to_ns,
@@ -91,7 +94,7 @@ class EngineConfig:
     scheduling_policy: LinkPolicy = LinkPolicy.DECODE_PRIORITY
 
 
-EngineRow = tuple[int, str, int, int]  # (time_ns, kind name, subject, stage)
+EngineRow = tuple[int | str, str, int, int]  # (time stamp, kind name, subject, stage)
 
 
 @dataclass
@@ -352,7 +355,7 @@ class PipelineEngine:
 
     # -- run state ---------------------------------------------------------
 
-    def _reset(self, requests: list[Request]) -> None:
+    def _reset(self, requests: list[Request], sink: LogSink | None) -> None:
         self._sched = HeadScheduler(
             self.cfg, self.stage_profiles, self.link_profiles, requests
         )
@@ -360,7 +363,7 @@ class PipelineEngine:
         self._link_events: list[LinkRow] = []
         self._links = [
             VirtualLink(lp, self.cfg.chunk_size, self.cfg.scheduling_policy,
-                        self._link_events)
+                        self._link_events, None if sink is None else sink.quote(lp.name))
             for lp in self.link_profiles
         ]
         self._payload_mb: dict[int, MicroBatch] = {}  # payload ids are unique per run
@@ -378,24 +381,10 @@ class PipelineEngine:
         self._events.clear()
         self._link_events.clear()
 
-    # -- link mechanics ----------------------------------------------------
-
-    def _send_payload(self, link_idx: int, mb: MicroBatch, size: int,
-                      phase: Phase, now: int) -> None:
-        payload_id = self._next_payload_id
-        self._next_payload_id += 1
-        self._payload_mb[payload_id] = mb
-        started = self._links[link_idx].offer(Payload(payload_id, phase, size), now)
-        if started is not None:  # the link was idle: schedule the chunk's end
-            end, chunk = started
-            heapq.heappush(self._heap, (end, _SENT, chunk.payload_id, next(self._seq),
-                                        (link_idx, chunk)))
-
     # -- stage mechanics ---------------------------------------------------
 
-    def _try_start_compute(self, stage: _StageRuntime, now: int) -> None:
-        if stage.current is not None or not stage.queue:
-            return
+    def _start_compute(self, stage: _StageRuntime, now: int) -> None:
+        """Start the next micro-batch of an idle stage whose queue is not empty."""
         mb = stage.queue.popleft()
         stage.current = mb
         stage.current_start = now
@@ -406,42 +395,50 @@ class PipelineEngine:
         heapq.heappush(self._heap, (now + c_ns, _COMPUTE_DONE, mb.id, next(self._seq),
                                     stage.idx))
 
-    def _on_compute_done(self, stage_idx: int, mb_id: int, now: int) -> None:
+    def _on_compute_done(self, stage_idx: int, mb_id: int, now: int, stamp) -> None:
         stage = self._stages[stage_idx]
         mb = stage.current
         assert mb is not None and mb.id == mb_id
         stage.busy_intervals.append((stage.current_start, now))
         stage.current = None
-        self._events.append((now, _COMPUTE_DONE_ROW, mb_id, stage_idx))
+        self._events.append((stamp, _COMPUTE_DONE_ROW, mb_id, stage_idx))
 
-        last = stage_idx == len(self._stages) - 1
-        if not last:
-            size = activation_bytes(mb.batched_tokens, self._sched.bytes_per_token)
-            self._send_payload(stage_idx, mb, size, mb.phase, now)
-        elif self._links:
-            size = feedback_bytes(len(mb.request_ids))
-            self._send_payload(stage_idx, mb, size, _DECODE, now)
+        if links := self._links:  # send the activations on, or the last stage's tokens back
+            if stage_idx < len(links) - 1:
+                phase = mb.phase
+                size = activation_bytes(mb.batched_tokens, self._sched.bytes_per_token)
+            else:
+                phase, size = _DECODE, feedback_bytes(len(mb.request_ids))
+            payload_id = self._next_payload_id
+            self._next_payload_id = payload_id + 1
+            self._payload_mb[payload_id] = mb
+            started = links[stage_idx].offer(_new(Payload, (payload_id, phase, size)), now, stamp)
+            if started is not None:  # the link was idle: schedule the chunk's end
+                end, chunk = started
+                heapq.heappush(self._heap, (end, _SENT, chunk.payload_id, next(self._seq),
+                                            (stage_idx, chunk)))
         else:
             # Single-stage pipeline: tokens surface at compute completion.
             self._sched.feedback(mb, now)
             self._boundary_due = True
 
-        self._try_start_compute(stage, now)
+        if stage.queue:
+            self._start_compute(stage, now)
         if stage_idx == 0:
             self._boundary_due = True
 
     # -- head scheduling ---------------------------------------------------
 
-    def _on_boundary(self, now: int) -> None:
+    def _on_boundary(self, now: int, stamp) -> None:
         head = self._stages[0]
         if head.current is not None or head.queue:
             return
         batches = self._sched.dispatch()
         if not batches:
             return
-        self._events.append((now, _BOUNDARY_ROW, len(self._sched.decisions), 0))
+        self._events.append((stamp, _BOUNDARY_ROW, len(self._sched.decisions), 0))
         head.queue.extend(batches)
-        self._try_start_compute(head, now)
+        self._start_compute(head, now)
         # Every row so far is at or before now, and every later one at or after.
         if (self._sink is not None
                 and len(self._events) + len(self._link_events) >= LOG_BLOCK_ROWS):
@@ -457,7 +454,7 @@ class PipelineEngine:
         event logs, reports, and per-request timelines.  A ``sink`` takes the
         logs a block at a time (see the module docstring).
         """
-        self._reset(trace.requests)
+        self._reset(trace.requests, sink)
         self._sink = sink
         heap, seq = self._heap, self._seq
         push, pop = heapq.heappush, heapq.heappop
@@ -467,7 +464,8 @@ class PipelineEngine:
             push(heap, (arrival_ns, _ARRIVAL, req.id, next(seq), None))
         horizon_ns = None if horizon_s is None else s_to_ns(horizon_s)
 
-        now = 0
+        now, tick, stamp = 0, None, 0  # the current time, its tick and the tick's stamp
+        clock = None if sink is None else sink.stamp
         sched, links, stages = self._sched, self._links, self._stages
         log = self._events.append
         arrival, compute_done, sent, delivered = _ARRIVAL, _COMPUTE_DONE, _SENT, _DELIVERED
@@ -477,42 +475,47 @@ class PipelineEngine:
             # 1 ns ahead, so nothing that sorts before it can appear after it.
             if self._boundary_due and (not heap or heap[0][0] > now or heap[0][1] is sent):
                 self._boundary_due = False
-                self._on_boundary(now)
+                self._on_boundary(now, stamp)
             if not heap:
                 break
             if horizon_ns is not None and heap[0][0] > horizon_ns:
                 now = horizon_ns
                 break
             now, kind, subject, _, data = pop(heap)  # the heap pops in time order
+            if now != tick:
+                tick = stamp = now
+                if clock is not None:
+                    stamp = clock(now)
             if kind is sent:
                 link_idx, chunk = data
                 link = links[link_idx]
-                started = link.sent(chunk, now)
+                started = link.sent(chunk, now, stamp)
                 push(heap, (now + link.latency_ns, delivered, subject, next(seq), data))
                 if started is not None:
                     end, chunk = started
                     push(heap, (end, sent, chunk.payload_id, next(seq), (link_idx, chunk)))
             elif kind is arrival:
                 sched.arrive(sched.requests[subject])
-                log((now, _ARRIVAL_ROW, subject, -1))
+                log((stamp, _ARRIVAL_ROW, subject, -1))
                 self._boundary_due = True
             elif kind is compute_done:
-                self._on_compute_done(data, subject, now)  # data = stage idx
+                self._on_compute_done(data, subject, now, stamp)  # data = stage idx
             else:  # PAYLOAD_DELIVERED
                 link_idx, chunk = data
-                links[link_idx].deliver(chunk, now)
+                links[link_idx].deliver(chunk, stamp)
                 if not chunk.is_last:
                     continue
                 mb = self._payload_mb.pop(subject)
                 dst_idx = (link_idx + 1) % len(stages)
-                log((now, _DELIVERED_ROW, subject, dst_idx))
+                log((stamp, _DELIVERED_ROW, subject, dst_idx))
                 if dst_idx == 0:
                     sched.feedback(mb, now)
                     self._boundary_due = True
                 else:
                     dst = stages[dst_idx]
                     dst.queue.append(mb)
-                    self._try_start_compute(dst, now)
+                    if dst.current is None:
+                        self._start_compute(dst, now)
 
         # Close busy intervals cut off by the horizon.
         for stage in self._stages:

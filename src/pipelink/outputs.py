@@ -1,32 +1,29 @@
 """Every file a simulation writes to ``--out``, and a sweep's ``combined.csv``.
 
-Every CSV here goes through :func:`pipelink.decode.write_csv_lines`, with
-rows formatted by hand and streamed a batch at a time, byte for byte as the
-``csv`` module would write them, or, for a log held as text, through
-:func:`pipelink.decode.write_csv_blocks`.  Ordering contract: each log is written in
-the order given, the order the run logged it, and is never sorted or copied.
-The engine logs at its current virtual time, so its logs are in time order;
-``write_link_log`` refuses a row earlier than the one before it.
+Every CSV here is written through :func:`pipelink.decode.write_csv_blocks` a
+batch of whole rows at a time, byte for byte as the ``csv`` module would
+write it.  Each log is written in the order given, the order the run logged
+it, which is time order; ``write_link_log`` refuses a row earlier than the
+one before it.  ``decisions.csv`` numbers the decisions from 1.
 
-The rows are plain tuples of ints and strings, printed as held but for the
-time, which is formatted here as seconds to six places.  Event log rows,
-``(time_ns, kind, subject, stage)``, are spelled by :mod:`pipelink.engine`;
-link log rows, ``(time_ns, link, payload_id, chunk_index, size_bytes, class,
-event)``, by :mod:`pipelink.transport`, whose ``class`` is a ``Phase`` value.
-``decisions.csv`` numbers the decisions from 1, one per iteration.
-
-A run given a :class:`LogSink` (``PipelineEngine.run(trace, sink=...)``, as
-``pipelink simulate`` and ``sweep`` run) hands it each log a block of rows at
-a time, in log order.  Each :class:`HeldLog` formats a block as it arrives,
-with the same formatter its writer uses, and keeps only the text; the writer
-then saves the blocks one ``write`` each, never joined into one string.
+Log rows are plain tuples of ints and strings, spelled by
+:mod:`pipelink.engine` and :mod:`pipelink.transport`.  Each log has one
+formatter, its fixed ``%`` row format applied to at most 128 rows a pass,
+which prints every field as held: the time slot holds a stamp, the time in
+seconds to six places, and a link row its link name CSV-quoted.  A run
+given a :class:`LogSink`, as ``simulate`` and ``sweep`` run, logs rows that
+hold the sink's stamps and quoted names, and hands each log over a block of
+rows at a time to a :class:`HeldLog`, which formats it and keeps only the
+text.  Rows held at ns precision are stamped 1,024 at a time and formatted
+the same way.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+from itertools import chain, islice
 from pathlib import Path
 
 from .controller import ControllerDecision
@@ -38,53 +35,23 @@ from .transport import NS_PER_S, LinkRow
 EVENT_LOG_HEADER = ("time_s", "kind", "subject", "stage")
 LINK_LOG_HEADER = ("time_s", "link", "payload_id", "chunk_index", "bytes", "class", "event")
 DECISION_LOG_HEADER = ("iteration", "n", "token_budget", "predicted_bubble")
+EVENT_ROW = "%s,%s,%s,%s\r\n"
+LINK_ROW = "%s,%s,%s,%s,%s,%s,%s\r\n"
+# Rows per % pass: one pass over a whole block of 4,096 rows raised the peak
+# RSS of a run, and passes of 128 rows format as fast.
+_SLICE_ROWS = 128
 
 
-class _EventLines:
-    """The event log's rows as CSV lines.
-
-    Called on one block of a log after another, it carries the last time and
-    its stamp across blocks, so a time is formatted once per run of equal
-    times, so once per distinct time in a run's log, which is in time order.
-    """
-
-    def __init__(self) -> None:
-        self.last: int | None = None
-        self.stamp = ""
-
-    def __call__(self, rows):
-        last, stamp = self.last, self.stamp
-        for t, kind, subject, stage in rows:
-            if t != last:
-                last, stamp = t, f"{t / NS_PER_S:.6f}"
-            yield f"{stamp},{kind},{subject},{stage}\r\n"
-        self.last, self.stamp = last, stamp
+def _seconds(t: int) -> str:
+    """The stamp of ``t`` ns: seconds to six places."""
+    return f"{t / NS_PER_S:.6f}"
 
 
-class _LinkLines:
-    """The link log's rows as CSV lines; a row earlier than the one before
-    raises ``ValueError``, across blocks too.
-
-    As for the event log, a time is formatted once per run of equal times; a
-    link name, which may hold ``,`` or ``"``, is quoted once per name.
-    """
-
-    def __init__(self) -> None:
-        self.last: int | None = None
-        self.stamp = ""
-        self.names: dict[str, str] = {}
-
-    def __call__(self, rows):
-        last, stamp, names = self.last, self.stamp, self.names
-        for t, link, payload_id, index, size, cls, event in rows:
-            if t != last:
-                if last is not None and t < last:
-                    raise ValueError(f"link log row at {t} ns follows one at {last} ns")
-                last, stamp = t, f"{t / NS_PER_S:.6f}"
-            if (name := names.get(link)) is None:
-                name = names[link] = _csv_field(link)
-            yield f"{stamp},{name},{payload_id},{index},{size},{cls},{event}\r\n"
-        self.last, self.stamp = last, stamp
+def _text(fmt: str, rows: list) -> Iterator[str]:
+    """Stamped ``rows`` as CSV text, one string per slice of at most 128 rows."""
+    for i in range(0, len(rows), _SLICE_ROWS):
+        part = rows[i:i + _SLICE_ROWS]
+        yield (fmt * len(part)) % tuple(chain.from_iterable(part))
 
 
 class HeldLog:
@@ -94,14 +61,14 @@ class HeldLog:
     in for.
     """
 
-    def __init__(self, lines: Callable[[list], Iterator[str]]) -> None:
-        self._lines = lines
+    def __init__(self, fmt: str) -> None:
+        self._fmt = fmt
         self._rows = 0
         self.blocks: list[str] = []  # in the order taken
 
     def take(self, rows: list) -> None:
-        """Format ``rows``, the next block of the log, and keep the text."""
-        self.blocks.append("".join(self._lines(rows)))
+        """Format ``rows``, the next block of the log, stamped, and keep the text."""
+        self.blocks.append("".join(_text(self._fmt, rows)))
         self._rows += len(rows)
 
     def __len__(self) -> int:
@@ -109,30 +76,64 @@ class HeldLog:
 
 
 class LogSink:
-    """Where a run hands its two logs over, each as a :class:`HeldLog`."""
+    """Where a run hands its two logs over, each as a :class:`HeldLog`, and
+    the clock that stamps the rows it logs."""
 
     def __init__(self) -> None:
-        self.events = HeldLog(_EventLines())
-        self.link_events = HeldLog(_LinkLines())
+        self.events = HeldLog(EVENT_ROW)
+        self.link_events = HeldLog(LINK_ROW)
+        self._tick = -float("inf")
+
+    def stamp(self, t: int) -> str:
+        """The stamp of the tick at ``t`` ns; a tick earlier than the last
+        one stamped raises ``ValueError``."""
+        if t < self._tick:
+            raise ValueError(f"link log row at {t} ns follows one at {self._tick} ns")
+        self._tick = t
+        return f"{t / NS_PER_S:.6f}"  # _seconds(t), a call less per tick
+
+    @staticmethod
+    def quote(name: str) -> str:
+        """A link name as its rows hold it: one CSV field."""
+        return _csv_field(name)
 
 
-def _write_log(path: str | Path, header: tuple[str, ...], rows, lines) -> None:
-    """``rows`` through a fresh formatter ``lines()``, or the text they were held as."""
+def _stamped_text(fmt: str, rows: Iterable, stamp: Callable[[int], str],
+                  label: Callable[[str], str]) -> Iterator[str]:
+    """Rows at ns precision as CSV text, stamped and formatted 1,024 at a time.
+
+    A time is stamped once per run of equal times, and a second field passed
+    through ``label`` once per distinct value.
+    """
+    last, labels, rows = None, {}, iter(rows)
+    while batch := list(islice(rows, 1024)):
+        held = []
+        for t, field, *rest in batch:
+            if t != last:
+                last, stamped = t, stamp(t)
+            if (labelled := labels.get(field)) is None:
+                labelled = labels[field] = label(field)
+            held.append((stamped, labelled, *rest))
+        yield from _text(fmt, held)
+
+
+def _write_log(path, header, rows, fmt, stamp, label) -> None:
+    """The text a :class:`HeldLog` holds, or ``rows`` stamped and formatted."""
     if isinstance(rows, HeldLog):
         write_csv_blocks(path, header, rows.blocks)
     else:
-        write_csv_lines(path, header, lines()(rows))
+        write_csv_blocks(path, header, _stamped_text(fmt, rows, stamp, label))
 
 
 def write_event_log(events: list[EngineRow] | HeldLog, path: str | Path) -> None:
     """Write the rows in order, or the text a :class:`HeldLog` holds."""
-    _write_log(path, EVENT_LOG_HEADER, events, _EventLines)
+    _write_log(path, EVENT_LOG_HEADER, events, EVENT_ROW, _seconds, str)
 
 
 def write_link_log(events: list[LinkRow] | HeldLog, path: str | Path) -> None:
     """Write the rows in order, or the text a :class:`HeldLog` holds; a row
     earlier than the one before raises ``ValueError``."""
-    _write_log(path, LINK_LOG_HEADER, events, _LinkLines)
+    _write_log(path, LINK_LOG_HEADER, events, LINK_ROW, LogSink().stamp, _csv_field)
 
 
 def write_decision_log(decisions: list[ControllerDecision], path: str | Path) -> None:

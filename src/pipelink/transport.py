@@ -11,10 +11,11 @@ virtual-time driver, and the socket workers in :mod:`pipelink.wire`.  Only
 link mechanics live here: the rows a link logs are written by
 :mod:`pipelink.outputs`, which prints each field as held.  A row is a plain
 tuple of ints and strings,
-``(time_ns, link, payload_id, chunk_index, size_bytes, class, event)``:
-``link`` is the profile's name, ``class`` the payload's :class:`Phase` value
-(spelled by :mod:`pipelink.profiles`), and ``event``, spelled here, is
-``enqueue`` (``chunk_index`` -1), ``emit``, ``sent`` or ``deliver``.
+``(time, link, payload_id, chunk_index, size_bytes, class, event)``:
+``time`` is the caller's stamp for the current tick, ``link`` the link's
+name, ``class`` the payload's :class:`Phase` value (spelled by
+:mod:`pipelink.profiles`), and ``event``, spelled here, is ``enqueue``
+(``chunk_index`` -1), ``emit``, ``sent`` or ``deliver``.
 """
 
 from __future__ import annotations
@@ -69,6 +70,12 @@ class Chunk(NamedTuple):
     phase: Phase
 
 
+# A NamedTuple's __new__ is a Python call that tuple.__new__ skips, and
+# attribute access on an enum class is slow per payload.
+_new = tuple.__new__
+_DECODE = Phase.DECODE
+
+
 class LinkQueue:
     """Outbound queue for one directed link.
 
@@ -89,6 +96,7 @@ class LinkQueue:
             raise ConfigError("chunk_size must be >= 1 byte")
         self.chunk_size = chunk_size  # None: unchunked
         self.policy = policy
+        self._decode_first = policy is LinkPolicy.DECODE_PRIORITY
         self._decode: deque[Payload] = deque()
         self._fifo: deque[Payload] = deque()
         self._seen_ids: set[int] = set()
@@ -101,8 +109,7 @@ class LinkQueue:
         if payload.id in self._seen_ids:
             raise ProtocolError(f"payload {payload.id} already enqueued on this link")
         self._seen_ids.add(payload.id)
-        if (self.policy is LinkPolicy.DECODE_PRIORITY
-                and payload.phase is Phase.DECODE):
+        if self._decode_first and payload.phase is _DECODE:
             self._decode.append(payload)
         else:
             self._fifo.append(payload)
@@ -113,25 +120,23 @@ class LinkQueue:
             p = self._decode.popleft()
         elif not self._fifo:
             return None
-        elif self._fifo[0].phase is Phase.DECODE or self.chunk_size is None:
+        elif self._fifo[0].phase is _DECODE or self.chunk_size is None:
             p = self._fifo.popleft()
         else:
-            p = self._fifo[0]
-            remaining = p.size_bytes - self._head_offset
-            size = min(self.chunk_size, remaining)
-            chunk = Chunk(p.id, self._head_index, size, size == remaining, p.phase)
-            if chunk.is_last:
+            payload_id, phase, total = self._fifo[0]
+            remaining, index = total - self._head_offset, self._head_index
+            if remaining <= self.chunk_size:
                 self._fifo.popleft()
-                self._head_offset = 0
-                self._head_index = 0
-            else:
-                self._head_offset += size
-                self._head_index += 1
-            return chunk
-        return Chunk(p.id, 0, p.size_bytes, True, p.phase)
+                self._head_offset = self._head_index = 0
+                return _new(Chunk, (payload_id, index, remaining, True, phase))
+            self._head_offset += self.chunk_size
+            self._head_index = index + 1
+            return _new(Chunk, (payload_id, index, self.chunk_size, False, phase))
+        payload_id, phase, size = p
+        return _new(Chunk, (payload_id, 0, size, True, phase))
 
 
-LinkRow = tuple[int, str, int, int, int, str, str]  # see the module docstring
+LinkRow = tuple[int | str, str, int, int, int, str, str]  # see the module docstring
 
 
 def transmission_ns(profile: LinkProfile, size_bytes: int) -> int:
@@ -150,8 +155,10 @@ class VirtualLink:
     chunk they just put on the wire, or ``None``, and the caller calls
     ``sent`` at that end time.  A chunk lands ``latency_ns`` after its
     transmission ends, so propagation overlaps the next transmission;
-    ``deliver`` logs the landing.  Rows hold ``phase._value_``, the value
-    that ``phase.value`` reads through a slower descriptor.
+    ``deliver`` logs the landing.  Rows hold the ``stamp`` a call is given
+    for its time, the link's ``name`` (the profile's by default) and
+    ``phase._value_``, the value that ``phase.value`` reads through a slower
+    descriptor.
     """
 
     def __init__(
@@ -160,39 +167,38 @@ class VirtualLink:
         chunk_size: int | None,
         policy: LinkPolicy,
         log: list[LinkRow],
+        name: str | None = None,
     ):
         self.profile = profile
-        self.name = profile.name
+        self.name = profile.name if name is None else name
         self.latency_ns = s_to_ns(profile.latency_s)
         self.queue = LinkQueue(chunk_size=chunk_size, policy=policy)
         self.busy = False
         self.log = log
         self._tx_ns: dict[int, int] = {}  # transmission_ns by chunk size
 
-    def _row(self, now: int, chunk: Chunk, event: str) -> None:
-        payload_id, index, size, _, phase = chunk
-        self.log.append((now, self.name, payload_id, index, size, phase._value_, event))
-
-    def _emit_next(self, now: int) -> tuple[int, Chunk] | None:
+    def _emit_next(self, now: int, stamp) -> tuple[int, Chunk] | None:
         chunk = self.queue.next_chunk()
         self.busy = chunk is not None
         if chunk is None:
             return None
         payload_id, index, size, _, phase = chunk
-        self.log.append((now, self.name, payload_id, index, size, phase._value_, "emit"))
+        self.log.append((stamp, self.name, payload_id, index, size, phase._value_, "emit"))
         if (tx_ns := self._tx_ns.get(size)) is None:
             tx_ns = self._tx_ns[size] = transmission_ns(self.profile, size)
         return now + tx_ns, chunk
 
-    def offer(self, payload: Payload, now: int) -> tuple[int, Chunk] | None:
+    def offer(self, payload: Payload, now: int, stamp) -> tuple[int, Chunk] | None:
         self.queue.enqueue(payload)
         payload_id, phase, size = payload
-        self.log.append((now, self.name, payload_id, -1, size, phase._value_, "enqueue"))
-        return None if self.busy else self._emit_next(now)
+        self.log.append((stamp, self.name, payload_id, -1, size, phase._value_, "enqueue"))
+        return None if self.busy else self._emit_next(now, stamp)
 
-    def sent(self, chunk: Chunk, now: int) -> tuple[int, Chunk] | None:
-        self._row(now, chunk, "sent")
-        return self._emit_next(now)
+    def sent(self, chunk: Chunk, now: int, stamp) -> tuple[int, Chunk] | None:
+        payload_id, index, size, _, phase = chunk
+        self.log.append((stamp, self.name, payload_id, index, size, phase._value_, "sent"))
+        return self._emit_next(now, stamp)
 
-    def deliver(self, chunk: Chunk, now: int) -> None:
-        self._row(now, chunk, "deliver")
+    def deliver(self, chunk: Chunk, stamp) -> None:
+        payload_id, index, size, _, phase = chunk
+        self.log.append((stamp, self.name, payload_id, index, size, phase._value_, "deliver"))

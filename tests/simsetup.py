@@ -220,14 +220,14 @@ def replay_link(profile, arrivals, chunk_size=DEFAULT_CHUNK_SIZE,
     on_wire = None  # (end_ns, chunk) of the chunk in transmission
 
     def finish(end, chunk):
-        following = link.sent(chunk, end)
+        following = link.sent(chunk, end, end)
         link.deliver(chunk, end + link.latency_ns)
         return following
 
     for t, payload in sorted(arrivals, key=lambda a: (a[0], a[1].id)):
         while on_wire is not None and on_wire[0] < t:
             on_wire = finish(*on_wire)
-        on_wire = link.offer(payload, t) or on_wire
+        on_wire = link.offer(payload, t, t) or on_wire
     while on_wire is not None:
         on_wire = finish(*on_wire)
     return sorted(events, key=itemgetter(0))

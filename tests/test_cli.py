@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -6,13 +7,17 @@ import socket
 import subprocess
 import sys
 import time
+import tracemalloc
 import urllib.error
 import urllib.request
 from pathlib import Path
 
 import pytest
 
+import pipelink.cli
 from pipelink.cli import main
+
+from test_golden import CASES
 
 MB = 1 << 20
 
@@ -139,6 +144,31 @@ def test_sweep_bandwidth_three_points(workdir):
     assert rows[0].startswith("axis,value,throughput_tok_s")
     for value in ("100000000", "1000000000", "10000000000"):
         assert (workdir / "sweep" / f"bandwidth={value}" / "report.json").exists()
+
+
+def test_sweep_holds_no_earlier_point_while_the_next_runs(tmp_path, monkeypatch):
+    cluster, config = CASES["heterogeneous"]
+    (tmp_path / "cluster.json").write_text(json.dumps(cluster))
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    run_simulation = pipelink.cli.run_simulation
+    held = []  # bytes traced on entering each point's run
+
+    def entered(*args):
+        gc.collect()  # a full collection also empties the free lists of tuples
+        held.append(tracemalloc.get_traced_memory()[0])
+        return run_simulation(*args)
+
+    monkeypatch.setattr(pipelink.cli, "run_simulation", entered)
+    tracemalloc.start()
+    try:
+        rc = main(["sweep", "--config", str(tmp_path / "run.json"), "--sweep-axis", "bandwidth",
+                   "--sweep-values", "1.25e7,2.5e7,5e7", "--out", str(tmp_path / "sweep")])
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and len(held) == 3
+    # Each point reads about 0.07 MiB; keeping the point before alive while
+    # the next one ran read 0.07, 0.88 and 0.88 MiB.
+    assert max(held[1:]) < held[0] + (1 << 18), held
 
 
 def test_sweep_chunk_size_pair(workdir):

@@ -10,7 +10,9 @@ micro-batches in flight, token conservation, bubbles in [0, 1], chunk
 timings, the link invariants and ``replay_link`` parity on every link, and
 that a second run logs the same.  Two metamorphic relations compare runs on
 drawn rings that must agree: chunks no smaller than any payload against no
-chunking, and every duration doubled against the original.
+chunking, and every duration doubled against the original.  On rings whose
+node names need CSV quoting, a run with a log sink saves the same files as
+the writers make of the same run's rows.
 """
 
 from dataclasses import replace
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 
 from pipelink.controller import BudgetMode, ControllerConfig
 from pipelink.engine import EngineConfig, EventKind, HeadScheduler, PipelineEngine, measure_bubble
+from pipelink.outputs import LogSink, write_event_log, write_link_log
 from pipelink.placement import ClusterSpec, ModelSpec, PartitionPlan
 from pipelink.profiles import LinkProfile, Phase, StageProfile, synth_profile
 from pipelink.transport import (
@@ -62,17 +65,19 @@ exact_bandwidths = st.integers(1, 1000).map(lambda k: 1e9 / k) | st.just(1e18)
 
 
 @st.composite
-def scenarios(draw, exact=False):
+def scenarios(draw, exact=False, quoted=False):
     """(config, cluster, profiles, trace, horizon_s) for a random ring.
 
     Latencies are whole microseconds, arrivals and the horizon whole
     milliseconds, and compute times linear in batched tokens with whole-ns
     coefficients.  With ``exact``, a bandwidth is 1e9/k bytes/s for a whole
     k, or so high that every transmission takes 0 ns, so that every
-    transmission time is a whole number of ns too.
+    transmission time is a whole number of ns too.  With ``quoted``, node
+    names may hold ``,`` and ``"``, so link names need CSV quoting.
     """
     num_stages = draw(st.integers(1, 6))
-    names = [f"s{i}" for i in range(num_stages)]
+    prefix = draw(st.sampled_from(["s", "n,", 'q"', '"a, b" '])) if quoted else "s"
+    names = [f"{prefix}{i}" for i in range(num_stages)]
     hops = list(zip(names, names[1:])) + [(names[-1], names[0])] if num_stages > 1 else []
     links = {
         (src, dst): LinkProfile(src, dst, draw(st.integers(0, 50_000)) / 1e6,
@@ -224,6 +229,23 @@ def test_engine_invariants_hold_on_random_rings(scenario):
     assert again.stage_busy_ns == result.stage_busy_ns
     assert again.tokens_by_request() == result.tokens_by_request()
     assert again.end_ns == result.end_ns
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(scenario=scenarios(quoted=True))
+def test_a_sink_saves_the_logs_the_writers_make_of_the_rows(scenario, tmp_path_factory):
+    # The drawn horizon is none or a cut, which may stop the run mid-flight.
+    cfg, cluster, profiles, trace, horizon_s = scenario
+    rows = PipelineEngine(cfg, cluster, profiles).run(trace, horizon_s=horizon_s)
+    held = PipelineEngine(cfg, cluster, profiles).run(trace, horizon_s=horizon_s,
+                                                      sink=LogSink())
+    directory = tmp_path_factory.mktemp("sink", numbered=True)
+    for write, log in ((write_event_log, "events"), (write_link_log, "link_events")):
+        write(getattr(rows, log), directory / "rows.csv")
+        write(getattr(held, log), directory / "held.csv")
+        assert (directory / "held.csv").read_bytes() == (directory / "rows.csv").read_bytes()
+    assert (held.decisions, held.stage_busy_ns, held.end_ns) == (
+        rows.decisions, rows.stage_busy_ns, rows.end_ns)
 
 
 # Metamorphic relations: two runs that must agree, with no oracle for either.

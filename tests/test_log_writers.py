@@ -10,12 +10,14 @@ import csv
 import json
 import tracemalloc
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pipelink.cli
 from pipelink.cli import load_run_config, run_simulation
 from pipelink.controller import ControllerDecision
 from pipelink.engine import EventKind
@@ -117,6 +119,8 @@ engine_events = st.lists(
     ),
     max_size=30,
 )
+# In time order, as a run logs them: a sink's clock refuses a tick that goes back.
+engine_log = engine_events.map(lambda rows: sorted(rows, key=lambda row: row[0]))
 floats = st.floats(allow_nan=False)
 reports = st.builds(
     lambda q, tpot, bubbles, tokens: MetricsReport(
@@ -209,11 +213,20 @@ def saved_or_refused(write, rows, path):
     return path.read_bytes()
 
 
-def held_in_blocks(log, rows, cuts):
-    """``log``, a sink's held log, given ``rows`` in blocks cut at ``cuts``."""
+def held_in_blocks(sink, log, rows, cuts, name=str):
+    """``log``, one of ``sink``'s held logs, given ``rows`` in blocks cut at
+    ``cuts``, as a run with ``sink`` logs them: a time is stamped through
+    ``sink.stamp`` once per run of equal times, across blocks too, and the
+    second field is held as ``name`` gives it."""
     edges = sorted({0, len(rows), *(c % (len(rows) + 1) for c in cuts)})
+    tick = None
     for start, end in zip(edges, edges[1:]):
-        log.take(rows[start:end])
+        block = []
+        for t, field, *rest in rows[start:end]:
+            if t != tick:
+                tick, stamp = t, sink.stamp(t)
+            block.append((stamp, name(field), *rest))
+        log.take(block)
     return log
 
 
@@ -238,9 +251,10 @@ EARLIER_AFTER_AN_EDGE = [
 def test_held_link_log_saves_as_the_rows_would(rows, cuts, tmp_path_factory):
     directory = tmp_path_factory.mktemp("held-links", numbered=True)
     expected = saved_or_refused(write_link_log, rows, directory / "rows.csv")
+    sink = LogSink()
     try:
-        held = held_in_blocks(LogSink().link_events, rows, cuts)
-    except ValueError as exc:  # refused at the block that holds the row
+        held = held_in_blocks(sink, sink.link_events, rows, cuts, sink.quote)
+    except ValueError as exc:  # refused at the tick that goes back, in any block
         assert str(exc) == expected
         return
     assert len(held) == len(rows)
@@ -248,23 +262,28 @@ def test_held_link_log_saves_as_the_rows_would(rows, cuts, tmp_path_factory):
 
 
 @settings(max_examples=200, deadline=None)
-@given(rows=engine_events, cuts=st.lists(st.integers(0, 30), max_size=6))
+@given(rows=engine_log, cuts=st.lists(st.integers(0, 30), max_size=6))
 @example(rows=[(t, "ARRIVAL", i, -1) for i, (t, *_) in enumerate(EQUAL_TIMES_ACROSS_AN_EDGE)],
          cuts=[2])
 def test_held_event_log_saves_as_the_rows_would(rows, cuts, tmp_path_factory):
     directory = tmp_path_factory.mktemp("held-events", numbered=True)
     write_event_log(rows, directory / "rows.csv")
-    held = held_in_blocks(LogSink().events, rows, cuts)
+    sink = LogSink()
+    held = held_in_blocks(sink, sink.events, rows, cuts)
     assert len(held) == len(rows)
     write_event_log(held, directory / "held.csv")
     assert (directory / "held.csv").read_bytes() == (directory / "rows.csv").read_bytes()
 
 
+def golden_config(directory, case):
+    cluster, config = CASES[case]
+    (directory / "cluster.json").write_text(json.dumps(cluster))
+    (directory / "run.json").write_text(json.dumps(config))
+    return load_run_config(directory / "run.json")
+
+
 def test_simulate_holds_its_logs_as_text_not_rows(tmp_path):
-    cluster, config = CASES["overloaded"]
-    (tmp_path / "cluster.json").write_text(json.dumps(cluster))
-    (tmp_path / "run.json").write_text(json.dumps(config))
-    cfg = load_run_config(tmp_path / "run.json")
+    cfg = golden_config(tmp_path, "overloaded")
     tracemalloc.start()
     try:
         result, _, _ = run_simulation(cfg)
@@ -278,3 +297,28 @@ def test_simulate_holds_its_logs_as_text_not_rows(tmp_path):
     # held after the run; the rows formatted a block at a time leave 2.1,
     # about 0.3 MB of which is tuples the interpreter keeps for reuse.
     assert held < 2.75 * log_bytes
+
+
+class CountingSink(LogSink):
+    """A sink that records each time it stamps."""
+
+    def __init__(self):
+        super().__init__()
+        self.stamped = []
+
+    def stamp(self, t):
+        self.stamped.append(t)
+        return super().stamp(t)
+
+
+def test_a_run_stamps_each_tick_once_and_its_sink_takes_every_row(tmp_path, monkeypatch):
+    cfg = golden_config(tmp_path, "overloaded")
+    sinks = []
+    monkeypatch.setattr(pipelink.cli, "LogSink", lambda: sinks.append(CountingSink()) or sinks[0])
+    held, _, _ = run_simulation(cfg)
+    monkeypatch.setattr(pipelink.cli, "LogSink", lambda: None)
+    rows, _, _ = run_simulation(cfg)
+    # Once per distinct time across both logs of the same run without a sink.
+    assert sinks[0].stamped == sorted({row[0] for row in chain(rows.events, rows.link_events)})
+    assert len(held.events) == len(rows.events)
+    assert len(held.link_events) == len(rows.link_events)

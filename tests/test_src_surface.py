@@ -20,7 +20,7 @@ ALLOWED = {
     "control_api.ClusterRegistry.snapshot": "bench/ compares a replayed registry to the live one",
     "demo.run_socket_demo": "bench/ runs the socket_pipeline workload through it",
     "engine.RunResult.tokens_by_request": "bench/ derives its expected tokens from it",
-    "metrics.cost_profit_margin": "the cost model, whose caller is ROADMAP item 8",
+    "metrics.cost_profit_margin": "the cost model, whose caller is ROADMAP item 10",
     "profiles.flat_profile": "bench/ builds its stage profiles with it",
     "workload.save_trace": "bench/ writes its traces with it",
 }
