@@ -229,7 +229,7 @@ def _report_from_result(result: RunResult) -> MetricsReport:
 
 
 def run_simulation(cfg: RunConfig, seed_override: int | None = None):
-    """Assemble and run one simulation; returns (result, report, plan)."""
+    """Assemble and run one simulation; returns (result, report)."""
     cluster = load_cluster(cfg.cluster)
     plan = plan_deployment(
         cluster, cfg.model, cfg.placement.gpu_type, cfg.placement.gpu_count
@@ -249,12 +249,12 @@ def run_simulation(cfg: RunConfig, seed_override: int | None = None):
     result = engine.run(trace, sink=LogSink())
     if not result.all_finished:
         raise PipelinkError("run ended with unfinished requests")
-    return result, _report_from_result(result), plan
+    return result, _report_from_result(result)
 
 
 def _simulate_into(out_dir: Path, cfg: RunConfig, seed: int | None) -> MetricsReport:
     """Run one simulation and write its files; the run's logs go when it returns."""
-    result, report, _ = run_simulation(cfg, seed)
+    result, report = run_simulation(cfg, seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_report_json(report, out_dir / "report.json")
     write_event_log(result.events, out_dir / "events.csv")
@@ -325,9 +325,14 @@ def cmd_sweep(args) -> int:
     base_cluster_data = read_json(base_cfg.cluster)
     ClusterSpec.from_json_dict(base_cluster_data, f"{base_cfg.cluster}: $")
     points = []  # every point is checked before the first one runs
+    seen = {}  # decoded value -> the item that gave it
     for text in texts:
+        value = _sweep_value(axis, text)
+        if value in seen:
+            raise ConfigError(f"--sweep-values {axis}={text}: repeats {axis}={seen[value]}")
+        seen[value] = text
         cluster_data = json.loads(json.dumps(base_cluster_data))
-        cfg = _apply_axis(base_cfg, cluster_data, axis, _sweep_value(axis, text))
+        cfg = _apply_axis(base_cfg, cluster_data, axis, value)
         ClusterSpec.from_json_dict(cluster_data, f"{base_cfg.cluster} at {axis}={text}: $")
         points.append((text, cfg, cluster_data))
     out_root = Path(args.out)

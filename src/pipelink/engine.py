@@ -21,11 +21,13 @@ computed once per distinct time right after the heap pop: the ns int itself
 without a sink, or the sink's ``stamp`` of it, the CSV text of the time.
 
 Rows are appended to two lists, one per log.  Without a sink a run keeps
-them all and returns them.  With a sink (:class:`pipelink.outputs.LogSink`),
-after an iteration boundary that dispatched, once the two lists hold
+them all and returns them, the list form that checks read; no file is
+written from it.  With a sink (:class:`pipelink.outputs.LogSink`), after an
+iteration boundary that dispatched, once the two lists hold
 ``LOG_BLOCK_ROWS`` rows or more, the run hands each list to its log's
 ``take`` and empties it, and hands over the rest when it ends; so the blocks
-arrive in log order, and a run holds a block of rows at most.
+arrive in log order, and a run holds a block of rows at most.  The sink's
+clock refuses a tick that goes back.
 """
 
 from __future__ import annotations
@@ -102,8 +104,9 @@ class RunResult:
     """Everything a run produced, at nanosecond precision for exact checks.
 
     Without a sink, ``events`` and ``link_events`` are every row the run
-    logged, in log order.  With one, they are the sink's two logs, which hold
-    the same rows as CSV text; ``len()`` of either is its row count.
+    logged, in log order, for checks to read.  With one, they are the sink's
+    two :class:`HeldLog` logs, which hold the same rows as CSV text and are
+    what the log writers write; ``len()`` of either is its row count.
     """
 
     requests: list[Request]
@@ -363,7 +366,7 @@ class PipelineEngine:
         self._link_events: list[LinkRow] = []
         self._links = [
             VirtualLink(lp, self.cfg.chunk_size, self.cfg.scheduling_policy,
-                        self._link_events, None if sink is None else sink.quote(lp.name))
+                        self._link_events, lp.name if sink is None else sink.quote(lp.name))
             for lp in self.link_profiles
         ]
         self._payload_mb: dict[int, MicroBatch] = {}  # payload ids are unique per run

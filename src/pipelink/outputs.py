@@ -2,35 +2,32 @@
 
 Every CSV here is written through :func:`pipelink.decode.write_csv_blocks` a
 batch of whole rows at a time, byte for byte as the ``csv`` module would
-write it.  Each log is written in the order given, the order the run logged
-it, which is time order; ``write_link_log`` refuses a row earlier than the
-one before it.  ``decisions.csv`` numbers the decisions from 1.
+write it.  ``decisions.csv`` numbers the decisions from 1.
 
+A run's two logs are written only from a :class:`HeldLog`.  A run given a
+:class:`LogSink`, as ``simulate`` and ``sweep`` run, hands each log over a
+block of rows at a time, in the order it logged them, which is time order.
 Log rows are plain tuples of ints and strings, spelled by
-:mod:`pipelink.engine` and :mod:`pipelink.transport`.  Each log has one
-formatter, its fixed ``%`` row format applied to at most 128 rows a pass,
-which prints every field as held: the time slot holds a stamp, the time in
-seconds to six places, and a link row its link name CSV-quoted.  A run
-given a :class:`LogSink`, as ``simulate`` and ``sweep`` run, logs rows that
-hold the sink's stamps and quoted names, and hands each log over a block of
-rows at a time to a :class:`HeldLog`, which formats it and keeps only the
-text.  Rows held at ns precision are stamped 1,024 at a time and formatted
-the same way.
+:mod:`pipelink.engine` and :mod:`pipelink.transport`.  ``HeldLog.take`` is
+the one formatter: it applies its log's fixed ``%`` row format to at most 128
+rows a pass, which prints every field as held, and keeps only the text.  The
+time slot holds the sink's stamp, the time in seconds to six places, and a
+link row its link name CSV-quoted.  ``LogSink.stamp``, the sink's clock, is
+the only place a time is formatted, and it refuses a tick earlier than the
+last one.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from collections.abc import Callable, Iterable, Iterator
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 from .controller import ControllerDecision
 from .decode import _csv_field, encode, write_csv_blocks, write_csv_lines
-from .engine import EngineRow
 from .metrics import MetricsReport
-from .transport import NS_PER_S, LinkRow
+from .transport import NS_PER_S
 
 EVENT_LOG_HEADER = ("time_s", "kind", "subject", "stage")
 LINK_LOG_HEADER = ("time_s", "link", "payload_id", "chunk_index", "bytes", "class", "event")
@@ -40,18 +37,6 @@ LINK_ROW = "%s,%s,%s,%s,%s,%s,%s\r\n"
 # Rows per % pass: one pass over a whole block of 4,096 rows raised the peak
 # RSS of a run, and passes of 128 rows format as fast.
 _SLICE_ROWS = 128
-
-
-def _seconds(t: int) -> str:
-    """The stamp of ``t`` ns: seconds to six places."""
-    return f"{t / NS_PER_S:.6f}"
-
-
-def _text(fmt: str, rows: list) -> Iterator[str]:
-    """Stamped ``rows`` as CSV text, one string per slice of at most 128 rows."""
-    for i in range(0, len(rows), _SLICE_ROWS):
-        part = rows[i:i + _SLICE_ROWS]
-        yield (fmt * len(part)) % tuple(chain.from_iterable(part))
 
 
 class HeldLog:
@@ -68,7 +53,9 @@ class HeldLog:
 
     def take(self, rows: list) -> None:
         """Format ``rows``, the next block of the log, stamped, and keep the text."""
-        self.blocks.append("".join(_text(self._fmt, rows)))
+        fmt = self._fmt
+        parts = (rows[i:i + _SLICE_ROWS] for i in range(0, len(rows), _SLICE_ROWS))
+        self.blocks.append("".join((fmt * len(p)) % tuple(chain.from_iterable(p)) for p in parts))
         self._rows += len(rows)
 
     def __len__(self) -> int:
@@ -90,7 +77,7 @@ class LogSink:
         if t < self._tick:
             raise ValueError(f"link log row at {t} ns follows one at {self._tick} ns")
         self._tick = t
-        return f"{t / NS_PER_S:.6f}"  # _seconds(t), a call less per tick
+        return f"{t / NS_PER_S:.6f}"
 
     @staticmethod
     def quote(name: str) -> str:
@@ -98,42 +85,14 @@ class LogSink:
         return _csv_field(name)
 
 
-def _stamped_text(fmt: str, rows: Iterable, stamp: Callable[[int], str],
-                  label: Callable[[str], str]) -> Iterator[str]:
-    """Rows at ns precision as CSV text, stamped and formatted 1,024 at a time.
-
-    A time is stamped once per run of equal times, and a second field passed
-    through ``label`` once per distinct value.
-    """
-    last, labels, rows = None, {}, iter(rows)
-    while batch := list(islice(rows, 1024)):
-        held = []
-        for t, field, *rest in batch:
-            if t != last:
-                last, stamped = t, stamp(t)
-            if (labelled := labels.get(field)) is None:
-                labelled = labels[field] = label(field)
-            held.append((stamped, labelled, *rest))
-        yield from _text(fmt, held)
+def write_event_log(log: HeldLog, path: str | Path) -> None:
+    """Write the engine log's text, in the order ``log`` took it."""
+    write_csv_blocks(path, EVENT_LOG_HEADER, log.blocks)
 
 
-def _write_log(path, header, rows, fmt, stamp, label) -> None:
-    """The text a :class:`HeldLog` holds, or ``rows`` stamped and formatted."""
-    if isinstance(rows, HeldLog):
-        write_csv_blocks(path, header, rows.blocks)
-    else:
-        write_csv_blocks(path, header, _stamped_text(fmt, rows, stamp, label))
-
-
-def write_event_log(events: list[EngineRow] | HeldLog, path: str | Path) -> None:
-    """Write the rows in order, or the text a :class:`HeldLog` holds."""
-    _write_log(path, EVENT_LOG_HEADER, events, EVENT_ROW, _seconds, str)
-
-
-def write_link_log(events: list[LinkRow] | HeldLog, path: str | Path) -> None:
-    """Write the rows in order, or the text a :class:`HeldLog` holds; a row
-    earlier than the one before raises ``ValueError``."""
-    _write_log(path, LINK_LOG_HEADER, events, LINK_ROW, LogSink().stamp, _csv_field)
+def write_link_log(log: HeldLog, path: str | Path) -> None:
+    """Write the link log's text, in the order ``log`` took it."""
+    write_csv_blocks(path, LINK_LOG_HEADER, log.blocks)
 
 
 def write_decision_log(decisions: list[ControllerDecision], path: str | Path) -> None:

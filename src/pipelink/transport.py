@@ -8,12 +8,13 @@ head-of-line-blocking baseline.
 
 The same queue mechanics back two transports: :class:`VirtualLink`, the one
 virtual-time driver, and the socket workers in :mod:`pipelink.wire`.  Only
-link mechanics live here: the rows a link logs are written by
-:mod:`pipelink.outputs`, which prints each field as held.  A row is a plain
-tuple of ints and strings,
+link mechanics live here: the rows a link logs reach a file only through a
+:class:`pipelink.outputs.HeldLog`, which prints each field as held.  A row is
+a plain tuple of ints and strings,
 ``(time, link, payload_id, chunk_index, size_bytes, class, event)``:
-``time`` is the caller's stamp for the current tick, ``link`` the link's
-name, ``class`` the payload's :class:`Phase` value (spelled by
+``time`` is the caller's stamp for the current tick (with a sink, the
+sink's clock gives it and refuses a tick that goes back), ``link`` the
+link's name, ``class`` the payload's :class:`Phase` value (spelled by
 :mod:`pipelink.profiles`), and ``event``, spelled here, is ``enqueue``
 (``chunk_index`` -1), ``emit``, ``sent`` or ``deliver``.
 """
@@ -95,7 +96,6 @@ class LinkQueue:
         if chunk_size is not None and chunk_size < 1:
             raise ConfigError("chunk_size must be >= 1 byte")
         self.chunk_size = chunk_size  # None: unchunked
-        self.policy = policy
         self._decode_first = policy is LinkPolicy.DECODE_PRIORITY
         self._decode: deque[Payload] = deque()
         self._fifo: deque[Payload] = deque()
@@ -156,9 +156,9 @@ class VirtualLink:
     ``sent`` at that end time.  A chunk lands ``latency_ns`` after its
     transmission ends, so propagation overlaps the next transmission;
     ``deliver`` logs the landing.  Rows hold the ``stamp`` a call is given
-    for its time, the link's ``name`` (the profile's by default) and
-    ``phase._value_``, the value that ``phase.value`` reads through a slower
-    descriptor.
+    for its time, the ``name`` the link was built with (the profile's name,
+    CSV-quoted when the run has a sink) and ``phase._value_``, the value that
+    ``phase.value`` reads through a slower descriptor.
     """
 
     def __init__(
@@ -167,10 +167,10 @@ class VirtualLink:
         chunk_size: int | None,
         policy: LinkPolicy,
         log: list[LinkRow],
-        name: str | None = None,
+        name: str,
     ):
         self.profile = profile
-        self.name = profile.name if name is None else name
+        self.name = name
         self.latency_ns = s_to_ns(profile.latency_s)
         self.queue = LinkQueue(chunk_size=chunk_size, policy=policy)
         self.busy = False

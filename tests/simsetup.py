@@ -20,9 +20,11 @@ from pipelink.placement import (
     PartitionPlan,
     Platform,
 )
+from pipelink.outputs import EVENT_LOG_HEADER, LINK_LOG_HEADER, write_event_log, write_link_log
 from pipelink.profiles import PROFILE_HEADER, LinkProfile, Phase, flat_profile
 from pipelink.transport import (
     DEFAULT_CHUNK_SIZE,
+    NS_PER_S,
     TOKEN_FEEDBACK_BYTES,
     LinkPolicy,
     VirtualLink,
@@ -216,7 +218,7 @@ def replay_link(profile, arrivals, chunk_size=DEFAULT_CHUNK_SIZE,
     preempts there.
     """
     events = []
-    link = VirtualLink(profile, chunk_size, policy, events)
+    link = VirtualLink(profile, chunk_size, policy, events, profile.name)
     on_wire = None  # (end_ns, chunk) of the chunk in transmission
 
     def finish(end, chunk):
@@ -247,6 +249,42 @@ def save_stage_profiles(profiles, path):
         for stage_id in sorted(profiles):
             for (phase, tokens), secs in profiles[stage_id].entries.items():
                 writer.writerow([stage_id, phase.value, tokens, repr(secs)])
+
+
+def reference_link_log(events, path):
+    """The link log of ns rows, written by ``csv.writer``: the independent
+    reference for ``transport.csv``."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(LINK_LOG_HEADER)
+        writer.writerows(
+            (f"{time_ns / NS_PER_S:.6f}", link, payload_id, chunk_index, size,
+             cls, event)
+            for time_ns, link, payload_id, chunk_index, size, cls, event in events
+        )
+
+
+def reference_event_log(events, path):
+    """The engine log of ns rows, written by ``csv.writer``: the independent
+    reference for ``events.csv``."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(EVENT_LOG_HEADER)
+        writer.writerows(
+            (f"{time_ns / NS_PER_S:.6f}", kind, subject, stage)
+            for time_ns, kind, subject, stage in events
+        )
+
+
+def assert_sink_saves_the_rows(rows, held, directory):
+    """``held``, a run with a sink, writes each log as the reference writes
+    ``rows``, the same run without one."""
+    for log, write, reference in (("events", write_event_log, reference_event_log),
+                                  ("link_events", write_link_log, reference_link_log)):
+        assert len(getattr(held, log)) == len(getattr(rows, log))
+        write(getattr(held, log), directory / "held.csv")
+        reference(getattr(rows, log), directory / "rows.csv")
+        assert (directory / "held.csv").read_bytes() == (directory / "rows.csv").read_bytes()
 
 
 def plan_num_layers(plan):

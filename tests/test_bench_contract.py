@@ -47,7 +47,7 @@ def test_socket_workload_operation_emits_every_token(monkeypatch, tmp_path):
 def test_run_simulation_result_has_what_the_bench_reads(tmp_path):
     write_cluster(tmp_path / "cluster.json")
     write_run_config(tmp_path / "run.json")
-    result, _, _ = run_simulation(load_run_config(tmp_path / "run.json"))
+    result, _ = run_simulation(load_run_config(tmp_path / "run.json"))
     assert result.requests and result.events and result.link_events
 
 

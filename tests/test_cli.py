@@ -588,9 +588,11 @@ def test_plan_gpu_count_below_one_exits_2(workdir, capsys, count):
          "cluster.json at bandwidth=0: $.links[0]: link alpha->beta: bandwidth must be"),
         ("rate", "1e400", "--sweep-values rate=1e400: expected a finite number"),
         ("latency", "[" * 100_000, "expected a number, got '[[["),
+        ("bandwidth", "1e6,1e6,2e6", "--sweep-values bandwidth=1e6: repeats bandwidth=1e6"),
     ],
     ids=["bandwidth-text", "latency-nan", "chunk-float", "chunk-none", "n-max-float",
-         "n-max-zero", "bandwidth-zero", "rate-infinite", "nested-too-deep"],
+         "n-max-zero", "bandwidth-zero", "rate-infinite", "nested-too-deep",
+         "bandwidth-repeated"],
 )
 def test_bad_sweep_values_exit_2_before_any_point_runs(workdir, capsys, axis, values, where):
     rc = main(["sweep", "--config", str(workdir / "run.json"), "--sweep-axis", axis,

@@ -20,7 +20,7 @@ from pipelink.engine import (
 )
 from pipelink.errors import ConfigError
 from pipelink.metrics import summarize
-from pipelink.outputs import LogSink, write_event_log, write_link_log
+from pipelink.outputs import LogSink
 from pipelink.placement import ClusterSpec, ModelSpec, PartitionPlan
 from pipelink.profiles import LinkProfile, Phase, StageProfile, flat_profile
 from pipelink.transport import LinkPolicy, Payload, s_to_ns
@@ -34,6 +34,7 @@ from pipelink.workload import (
 
 from simsetup import (
     LinkEvent,
+    assert_sink_saves_the_rows,
     engine_config,
     engine_events,
     link_events,
@@ -464,11 +465,7 @@ def test_a_sink_takes_the_logs_in_blocks_that_save_as_the_rows_would(horizon_s, 
     rows = chunked_three_stage_engine().run(trace, horizon_s=horizon_s)
     held = chunked_three_stage_engine().run(trace, horizon_s=horizon_s, sink=LogSink())
     assert len(held.link_events.blocks) > 1  # a block handed over before the end
-    for write, log in ((write_event_log, "events"), (write_link_log, "link_events")):
-        assert len(getattr(held, log)) == len(getattr(rows, log))
-        write(getattr(rows, log), tmp_path / "rows.csv")
-        write(getattr(held, log), tmp_path / "held.csv")
-        assert (tmp_path / "held.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    assert_sink_saves_the_rows(rows, held, tmp_path)
     assert (held.decisions, held.stage_busy_ns, held.end_ns) == (
         rows.decisions, rows.stage_busy_ns, rows.end_ns)
 

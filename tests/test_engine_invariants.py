@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from pipelink.controller import BudgetMode, ControllerConfig
 from pipelink.engine import EngineConfig, EventKind, HeadScheduler, PipelineEngine, measure_bubble
-from pipelink.outputs import LogSink, write_event_log, write_link_log
+from pipelink.outputs import LogSink
 from pipelink.placement import ClusterSpec, ModelSpec, PartitionPlan
 from pipelink.profiles import LinkProfile, Phase, StageProfile, synth_profile
 from pipelink.transport import (
@@ -38,6 +38,7 @@ from pipelink.workload import Request, Trace
 from simsetup import (
     EngineEvent,
     LinkEvent,
+    assert_sink_saves_the_rows,
     make_node,
     replay_link,
     run_recording_first_compute,
@@ -239,11 +240,7 @@ def test_a_sink_saves_the_logs_the_writers_make_of_the_rows(scenario, tmp_path_f
     rows = PipelineEngine(cfg, cluster, profiles).run(trace, horizon_s=horizon_s)
     held = PipelineEngine(cfg, cluster, profiles).run(trace, horizon_s=horizon_s,
                                                       sink=LogSink())
-    directory = tmp_path_factory.mktemp("sink", numbered=True)
-    for write, log in ((write_event_log, "events"), (write_link_log, "link_events")):
-        write(getattr(rows, log), directory / "rows.csv")
-        write(getattr(held, log), directory / "held.csv")
-        assert (directory / "held.csv").read_bytes() == (directory / "rows.csv").read_bytes()
+    assert_sink_saves_the_rows(rows, held, tmp_path_factory.mktemp("sink", numbered=True))
     assert (held.decisions, held.stage_busy_ns, held.end_ns) == (
         rows.decisions, rows.stage_busy_ns, rows.end_ns)
 

@@ -23,7 +23,7 @@ import pytest
 
 from pipelink.cli import main
 from pipelink.engine import PipelineEngine
-from pipelink.outputs import write_decision_log, write_event_log, write_link_log
+from pipelink.outputs import LogSink, write_decision_log, write_event_log, write_link_log
 from pipelink.workload import generate_trace
 
 from simsetup import engine_config, uniform_pipeline
@@ -183,8 +183,8 @@ def test_simulate_outputs_do_not_depend_on_the_hash_seed(tmp_path):
 
 
 # Three stages cut off by a horizon while requests are mid-flight, through
-# ``PipelineEngine.run`` (the CLI has no horizon).  The logs go through the
-# same writers as the CLI's, so the pin holds whatever type the rows have.
+# ``PipelineEngine.run`` (the CLI has no horizon).  The logs go through a
+# ``LogSink`` and the same writers as the CLI's.
 HORIZON_GOLDEN = {
     "events.csv": "4e5f399a75a46e7ae1cad04fb50793f5c60d3efd63d8efddc9618f4d280b8c36",
     "transport.csv": "80c35235f4097ef6deebe32519bbefeb07f9521e2778e169d8fb643f1f0bc18f",
@@ -198,7 +198,7 @@ def test_horizon_run_matches_pinned_digests(tmp_path):
         3, 0.004, 0.003, bandwidth=2e6, hidden_dim=256, dtype_bytes=2)
     cfg = engine_config(plan, model, 512, 16, chunk_size=4096)
     result = PipelineEngine(cfg, cluster, profiles).run(
-        generate_trace(40.0, 1.0, seed=5), horizon_s=0.6)
+        generate_trace(40.0, 1.0, seed=5), horizon_s=0.6, sink=LogSink())
     assert not result.all_finished
     write_event_log(result.events, tmp_path / "events.csv")
     write_link_log(result.link_events, tmp_path / "transport.csv")

@@ -1,9 +1,11 @@
-"""Byte contract of the run-file writers in ``pipelink.outputs``, and their streaming.
+"""Byte contract of the run-file writers in ``pipelink.outputs``, and what a run holds.
 
 The references are the writers they replaced: the ``csv.writer`` log writers
-and the sweep table with its columns listed by hand.  On any rows both must
-write the same bytes.  A log sink's held text must save as the same bytes as
-the rows it took, however the rows were cut into blocks.
+of ``simsetup`` and the sweep table with its columns listed by hand.  A log's
+rows, held by a sink in blocks cut anywhere, must save as the reference
+writes the same rows at ns precision, or be refused by the sink's clock at
+the first tick that goes back.  The other files must write the same bytes as
+their reference on any rows.
 """
 
 import csv
@@ -13,7 +15,6 @@ from functools import partial
 from itertools import chain
 from pathlib import Path
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,8 +25,6 @@ from pipelink.engine import EventKind
 from pipelink.metrics import MetricsReport
 from pipelink.outputs import (
     DECISION_LOG_HEADER,
-    EVENT_LOG_HEADER,
-    LINK_LOG_HEADER,
     LogSink,
     write_decision_log,
     write_event_log,
@@ -33,30 +32,9 @@ from pipelink.outputs import (
     write_sweep_table,
 )
 from pipelink.profiles import Phase
-from pipelink.transport import NS_PER_S
 
+from simsetup import reference_event_log, reference_link_log
 from test_golden import CASES
-
-
-def reference_link_log(events, path):
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LINK_LOG_HEADER)
-        writer.writerows(
-            (f"{time_ns / NS_PER_S:.6f}", link, payload_id, chunk_index, size,
-             cls, event)
-            for time_ns, link, payload_id, chunk_index, size, cls, event in events
-        )
-
-
-def reference_event_log(events, path):
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EVENT_LOG_HEADER)
-        writer.writerows(
-            (f"{time_ns / NS_PER_S:.6f}", kind, subject, stage)
-            for time_ns, kind, subject, stage in events
-        )
 
 
 def reference_decision_log(decisions, path):
@@ -147,20 +125,6 @@ def same_bytes(directory, writer, reference, events):
 
 
 @settings(max_examples=200, deadline=None)
-@given(events=link_events)
-def test_link_log_bytes_match_csv_writer(events, tmp_path_factory):
-    directory = tmp_path_factory.mktemp("links", numbered=True)
-    assert same_bytes(directory, write_link_log, reference_link_log, events)
-
-
-@settings(max_examples=200, deadline=None)
-@given(events=engine_events)
-def test_event_log_bytes_match_csv_writer(events, tmp_path_factory):
-    directory = tmp_path_factory.mktemp("events", numbered=True)
-    assert same_bytes(directory, write_event_log, reference_event_log, events)
-
-
-@settings(max_examples=200, deadline=None)
 @given(rows=decisions)
 def test_decision_log_bytes_match_csv_writer(rows, tmp_path_factory):
     directory = tmp_path_factory.mktemp("decisions", numbered=True)
@@ -173,44 +137,6 @@ def test_sweep_table_bytes_match_hand_listed_columns(axis, points, tmp_path_fact
     directory = tmp_path_factory.mktemp("sweep", numbered=True)
     assert same_bytes(directory, partial(write_sweep_table, axis),
                       partial(reference_sweep_table, axis), points)
-
-
-def test_link_log_refuses_a_row_earlier_than_the_one_before(tmp_path):
-    events = [
-        (2_000, "a->b", 1, -1, 10, Phase.PREFILL.value, "enqueue"),
-        (2_000, "a->b", 1, 0, 10, Phase.PREFILL.value, "emit"),
-        (1_000, "a->b", 2, -1, 20, Phase.DECODE.value, "enqueue"),
-    ]
-    path = tmp_path / "transport.csv"
-    with pytest.raises(ValueError, match="at 1000 ns follows one at 2000 ns"):
-        write_link_log(events, path)
-    assert "0.000001" not in path.read_text()
-
-
-def test_link_log_is_streamed_not_held_whole(tmp_path):
-    events = [
-        (t * 1_500, "node-alpha->node-beta", t // 4, t % 4, 16_384, Phase.PREFILL.value, "emit")
-        for t in range(200_000)
-    ]
-    path = tmp_path / "transport.csv"
-    tracemalloc.start()
-    try:
-        write_link_log(events, path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # Nothing is held per row: one 1,024-row batch and its text peak near
-    # 0.25 MB for this 11.8 MB file, where a sorted copy alone would hold
-    # 16 bytes a row (3.2 MB) and a file held whole at least its own size.
-    assert peak < 1 << 20
-
-
-def saved_or_refused(write, rows, path):
-    try:
-        write(rows, path)
-    except ValueError as exc:
-        return str(exc)
-    return path.read_bytes()
 
 
 def held_in_blocks(sink, log, rows, cuts, name=str):
@@ -244,35 +170,49 @@ EARLIER_AFTER_AN_EDGE = [
 ]
 
 
+def saved_or_refused(rows, cuts, directory, log, write, name=str):
+    """The bytes ``write`` saves of ``rows`` held by a sink's ``log`` in
+    blocks cut at ``cuts``, or the message the sink's clock refuses them with."""
+    sink = LogSink()
+    try:
+        held = held_in_blocks(sink, getattr(sink, log), rows, cuts, name)
+    except ValueError as exc:  # refused at the tick that goes back, in any block
+        return str(exc)
+    assert len(held) == len(rows)
+    write(held, directory / "held.csv")
+    return (directory / "held.csv").read_bytes()
+
+
+def reference_or_refusal(rows, directory, reference):
+    """The bytes ``reference`` writes of ``rows`` in time order; of rows out
+    of it, the refusal at the first time earlier than the one before."""
+    for (before, *_), (t, *_) in zip(rows, rows[1:]):
+        if t < before:
+            return f"link log row at {t} ns follows one at {before} ns"
+    reference(rows, directory / "reference.csv")
+    return (directory / "reference.csv").read_bytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(rows=link_events | link_rows, cuts=st.lists(st.integers(0, 30), max_size=6))
 @example(rows=EQUAL_TIMES_ACROSS_AN_EDGE, cuts=[2])
 @example(rows=EARLIER_AFTER_AN_EDGE, cuts=[1])
-def test_held_link_log_saves_as_the_rows_would(rows, cuts, tmp_path_factory):
-    directory = tmp_path_factory.mktemp("held-links", numbered=True)
-    expected = saved_or_refused(write_link_log, rows, directory / "rows.csv")
-    sink = LogSink()
-    try:
-        held = held_in_blocks(sink, sink.link_events, rows, cuts, sink.quote)
-    except ValueError as exc:  # refused at the tick that goes back, in any block
-        assert str(exc) == expected
-        return
-    assert len(held) == len(rows)
-    assert saved_or_refused(write_link_log, held, directory / "held.csv") == expected
+def test_link_log_bytes_match_csv_writer(rows, cuts, tmp_path_factory):
+    directory = tmp_path_factory.mktemp("links", numbered=True)
+    assert (saved_or_refused(rows, cuts, directory, "link_events", write_link_log, LogSink.quote)
+            == reference_or_refusal(rows, directory, reference_link_log))
 
 
 @settings(max_examples=200, deadline=None)
-@given(rows=engine_log, cuts=st.lists(st.integers(0, 30), max_size=6))
+@given(rows=engine_log | engine_events, cuts=st.lists(st.integers(0, 30), max_size=6))
 @example(rows=[(t, "ARRIVAL", i, -1) for i, (t, *_) in enumerate(EQUAL_TIMES_ACROSS_AN_EDGE)],
          cuts=[2])
-def test_held_event_log_saves_as_the_rows_would(rows, cuts, tmp_path_factory):
-    directory = tmp_path_factory.mktemp("held-events", numbered=True)
-    write_event_log(rows, directory / "rows.csv")
-    sink = LogSink()
-    held = held_in_blocks(sink, sink.events, rows, cuts)
-    assert len(held) == len(rows)
-    write_event_log(held, directory / "held.csv")
-    assert (directory / "held.csv").read_bytes() == (directory / "rows.csv").read_bytes()
+@example(rows=[(t, "ARRIVAL", i, -1) for i, (t, *_) in enumerate(EARLIER_AFTER_AN_EDGE)],
+         cuts=[1])
+def test_event_log_bytes_match_csv_writer(rows, cuts, tmp_path_factory):
+    directory = tmp_path_factory.mktemp("events", numbered=True)
+    assert (saved_or_refused(rows, cuts, directory, "events", write_event_log)
+            == reference_or_refusal(rows, directory, reference_event_log))
 
 
 def golden_config(directory, case):
@@ -286,7 +226,7 @@ def test_simulate_holds_its_logs_as_text_not_rows(tmp_path):
     cfg = golden_config(tmp_path, "overloaded")
     tracemalloc.start()
     try:
-        result, _, _ = run_simulation(cfg)
+        result, _ = run_simulation(cfg)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -315,9 +255,9 @@ def test_a_run_stamps_each_tick_once_and_its_sink_takes_every_row(tmp_path, monk
     cfg = golden_config(tmp_path, "overloaded")
     sinks = []
     monkeypatch.setattr(pipelink.cli, "LogSink", lambda: sinks.append(CountingSink()) or sinks[0])
-    held, _, _ = run_simulation(cfg)
+    held, _ = run_simulation(cfg)
     monkeypatch.setattr(pipelink.cli, "LogSink", lambda: None)
-    rows, _, _ = run_simulation(cfg)
+    rows, _ = run_simulation(cfg)
     # Once per distinct time across both logs of the same run without a sink.
     assert sinks[0].stamped == sorted({row[0] for row in chain(rows.events, rows.link_events)})
     assert len(held.events) == len(rows.events)

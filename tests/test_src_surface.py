@@ -5,7 +5,9 @@ top-level class must be named somewhere in ``src/``: as a name, or as an
 attribute (``x.name``), outside an import.  Dunder methods are called by
 Python itself.  The few names that only a caller outside ``src/`` needs are
 listed below, each with the reason it stays; a helper that only tests call
-belongs in ``tests/simsetup.py``.
+belongs in ``tests/simsetup.py``.  Every attribute that ``src/`` assigns as
+``self.<name>`` must also be read there: loaded as ``x.name``, or named by
+a ``getattr`` string.
 """
 
 import ast
@@ -67,3 +69,34 @@ def test_every_src_name_has_a_caller_in_src_or_a_reason():
 def test_every_allowed_name_still_exists_and_still_needs_its_entry():
     # An entry whose name is gone, or that src/ now calls, is dropped.
     assert sorted(ALLOWED.keys() - unnamed()) == []
+
+
+def assigned_on_self():
+    """(qualified name, name) of each attribute a class in src/ assigns as ``self.<name>``."""
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                    yield f"{path.stem}.{cls.name}.{node.attr}", node.attr
+
+
+def read_in_src() -> Counter:
+    """How often each attribute is read in src/: loaded, or named by a ``getattr`` string."""
+    reads = Counter()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads[node.attr] += 1
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "getattr" and len(node.args) > 1
+                    and isinstance(node.args[1], ast.Constant)):
+                reads[node.args[1].value] += 1
+    return reads
+
+
+def test_every_attribute_src_assigns_on_self_is_read_in_src():
+    reads = read_in_src()
+    assert sorted({qualified for qualified, name in assigned_on_self() if not reads[name]}) == []
