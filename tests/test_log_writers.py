@@ -2,9 +2,10 @@
 
 The references are the writers they replaced: the ``csv.writer`` log writers
 of ``simsetup`` and the sweep table with its columns listed by hand.  A log's
-rows, held by a sink in blocks cut anywhere, must save as the reference
-writes the same rows at ns precision, or be refused by the sink's clock at
-the first tick that goes back.  The other files must write the same bytes as
+rows, held by a sink in one block, must save as the reference writes the
+same rows at ns precision, or be refused by the sink's clock at the first
+tick that goes back; held in blocks cut anywhere, they must save or be
+refused just as in one block.  The other files must write the same bytes as
 their reference on any rows.
 """
 
@@ -194,13 +195,32 @@ def reference_or_refusal(rows, directory, reference):
 
 
 @settings(max_examples=200, deadline=None)
+@given(rows=link_events | link_rows)
+@example(rows=EARLIER_AFTER_AN_EDGE)
+def test_link_log_bytes_match_csv_writer(rows, tmp_path_factory):
+    directory = tmp_path_factory.mktemp("links", numbered=True)
+    assert (saved_or_refused(rows, [], directory, "link_events", write_link_log, LogSink.quote)
+            == reference_or_refusal(rows, directory, reference_link_log))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=engine_log | engine_events)
+@example(rows=[(t, "ARRIVAL", i, -1) for i, (t, *_) in enumerate(EARLIER_AFTER_AN_EDGE)])
+def test_event_log_bytes_match_csv_writer(rows, tmp_path_factory):
+    directory = tmp_path_factory.mktemp("events", numbered=True)
+    assert (saved_or_refused(rows, [], directory, "events", write_event_log)
+            == reference_or_refusal(rows, directory, reference_event_log))
+
+
+@settings(max_examples=200, deadline=None)
 @given(rows=link_events | link_rows, cuts=st.lists(st.integers(0, 30), max_size=6))
 @example(rows=EQUAL_TIMES_ACROSS_AN_EDGE, cuts=[2])
 @example(rows=EARLIER_AFTER_AN_EDGE, cuts=[1])
-def test_link_log_bytes_match_csv_writer(rows, cuts, tmp_path_factory):
-    directory = tmp_path_factory.mktemp("links", numbered=True)
-    assert (saved_or_refused(rows, cuts, directory, "link_events", write_link_log, LogSink.quote)
-            == reference_or_refusal(rows, directory, reference_link_log))
+def test_held_link_log_saves_as_the_rows_would(rows, cuts, tmp_path_factory):
+    whole = tmp_path_factory.mktemp("held-links-whole", numbered=True)
+    cut = tmp_path_factory.mktemp("held-links-cut", numbered=True)
+    save = partial(saved_or_refused, log="link_events", write=write_link_log, name=LogSink.quote)
+    assert save(rows, cuts, cut) == save(rows, [], whole)
 
 
 @settings(max_examples=200, deadline=None)
@@ -209,10 +229,11 @@ def test_link_log_bytes_match_csv_writer(rows, cuts, tmp_path_factory):
          cuts=[2])
 @example(rows=[(t, "ARRIVAL", i, -1) for i, (t, *_) in enumerate(EARLIER_AFTER_AN_EDGE)],
          cuts=[1])
-def test_event_log_bytes_match_csv_writer(rows, cuts, tmp_path_factory):
-    directory = tmp_path_factory.mktemp("events", numbered=True)
-    assert (saved_or_refused(rows, cuts, directory, "events", write_event_log)
-            == reference_or_refusal(rows, directory, reference_event_log))
+def test_held_event_log_saves_as_the_rows_would(rows, cuts, tmp_path_factory):
+    whole = tmp_path_factory.mktemp("held-events-whole", numbered=True)
+    cut = tmp_path_factory.mktemp("held-events-cut", numbered=True)
+    save = partial(saved_or_refused, log="events", write=write_event_log)
+    assert save(rows, cuts, cut) == save(rows, [], whole)
 
 
 def golden_config(directory, case):
