@@ -246,10 +246,15 @@ def run_simulation(cfg: RunConfig, seed_override: int | None = None):
         scheduling_policy=cfg.engine.scheduling_policy,
     )
     engine = PipelineEngine(engine_cfg, cluster, profiles)
-    result = engine.run(trace, sink=LogSink())
-    if not result.all_finished:
-        raise PipelinkError("run ended with unfinished requests")
-    return result, _report_from_result(result)
+    sink = LogSink()
+    try:
+        result = engine.run(trace, sink=sink)
+        if not result.all_finished:
+            raise PipelinkError("run ended with unfinished requests")
+        return result, _report_from_result(result)
+    except BaseException:
+        sink.close()  # the traceback may keep the sink alive
+        raise
 
 
 def _simulate_into(out_dir: Path, cfg: RunConfig, seed: int | None) -> MetricsReport:

@@ -30,12 +30,11 @@ each caller keeps only the checks that span fields or rows.  Number columns
 convert with ``csv_int`` and ``csv_float``, which refuse what only Python's
 literal syntax takes.
 
-Every CSV the package writes (the trace, the run logs and a sweep's
-``combined.csv``) goes through :func:`write_csv_blocks`, which writes blocks
-of whole rows: the run logs come as blocks formatted by
-:mod:`pipelink.outputs`, and the other files as rows formatted one at a
-time, through :func:`write_csv_lines`, which is built on it;
-:func:`_csv_field` quotes a text field as the ``csv`` module does.
+Every CSV the package writes, other than the run logs, which
+:class:`pipelink.outputs.HeldLog` copies from its file, goes through
+:func:`write_csv_lines`, which writes rows formatted one at a time a batch
+at a time; :func:`_csv_field` quotes a text field as the ``csv`` module
+does.
 """
 
 from __future__ import annotations
@@ -232,15 +231,10 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-3]  # less the empty last field's "," and "\r\n"
 
 
-def write_csv_blocks(path: str | Path, header: tuple[str, ...], blocks: Iterable[str]) -> None:
-    """Write ``header``, then each block of whole rows with one ``write``."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for block in blocks:
-            fh.write(block)
-
-
 def write_csv_lines(path: str | Path, header: tuple[str, ...], lines: Iterable[str]) -> None:
     """Write ``header``, then ``lines`` (whole rows) 1024 at a time, never all at once."""
     lines = iter(lines)
-    write_csv_blocks(path, header, iter(lambda: "".join(itertools.islice(lines, 1024)), ""))
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for block in iter(lambda: "".join(itertools.islice(lines, 1024)), ""):
+            fh.write(block)

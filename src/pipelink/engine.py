@@ -25,8 +25,9 @@ them all and returns them, the list form that checks read; no file is
 written from it.  With a sink (:class:`pipelink.outputs.LogSink`), after an
 iteration boundary that dispatched, once the two lists hold
 ``LOG_BLOCK_ROWS`` rows or more, the run hands each list to its log's
-``take`` and empties it, and hands over the rest when it ends; so the blocks
-arrive in log order, and a run holds a block of rows at most.  The sink's
+``take``, which writes it as CSV text to the log's temporary file, and
+empties it, and hands over the rest when it ends; so the blocks arrive in
+log order, and a run holds a block of rows in memory at most.  The sink's
 clock refuses a tick that goes back.
 """
 
@@ -35,9 +36,10 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING
 
 from .controller import ControllerConfig, ControllerDecision, choose_n, clamp_demand
@@ -105,8 +107,9 @@ class RunResult:
 
     Without a sink, ``events`` and ``link_events`` are every row the run
     logged, in log order, for checks to read.  With one, they are the sink's
-    two :class:`HeldLog` logs, which hold the same rows as CSV text and are
-    what the log writers write; ``len()`` of either is its row count.
+    two :class:`HeldLog` logs, which hold the same rows as CSV text in a
+    temporary file, not in memory, and are what the log writers write;
+    ``len()`` of either is its row count.
     """
 
     requests: list[Request]
@@ -121,6 +124,9 @@ class RunResult:
         return {r.id: r.tokens_emitted for r in self.requests}
 
 
+_START, _END = itemgetter(0), itemgetter(1)  # of a busy interval
+
+
 def measure_bubble(result: RunResult, stage_id: int, t0: int, t1: int) -> float:
     """Idle fraction of a stage within [t0, t1) ns: 1 means fully idle."""
     if t1 <= t0:
@@ -129,9 +135,16 @@ def measure_bubble(result: RunResult, stage_id: int, t0: int, t1: int) -> float:
         raise ConfigError(f"window [{t0}, {t1}] ns outside run span [0, {result.end_ns}] ns")
     if not 0 <= stage_id < len(result.stage_busy_ns):
         raise ConfigError(f"unknown stage {stage_id}")
-    busy = 0
-    for s, e in result.stage_busy_ns[stage_id]:
-        busy += max(0, min(e, t1) - max(s, t0))
+    # A stage's intervals are sorted and disjoint: those in [lo, hi) meet the
+    # window, and only the first and the last can stick out of it.
+    intervals = result.stage_busy_ns[stage_id]
+    lo = bisect_right(intervals, t0, key=_END)
+    hi = bisect_left(intervals, t1, lo, key=_START)
+    if lo == hi:
+        return 1.0
+    inside = intervals[lo:hi]
+    busy = (sum(map(_END, inside)) - sum(map(_START, inside))
+            - max(0, t0 - inside[0][0]) - max(0, inside[-1][1] - t1))
     return 1.0 - busy / (t1 - t0)
 
 

@@ -1,8 +1,7 @@
 """Every file a simulation writes to ``--out``, and a sweep's ``combined.csv``.
 
-Every CSV here is written through :func:`pipelink.decode.write_csv_blocks` a
-batch of whole rows at a time, byte for byte as the ``csv`` module would
-write it.  ``decisions.csv`` numbers the decisions from 1.
+Every CSV here is written byte for byte as the ``csv`` module would write it.
+``decisions.csv`` numbers the decisions from 1.
 
 A run's two logs are written only from a :class:`HeldLog`.  A run given a
 :class:`LogSink`, as ``simulate`` and ``sweep`` run, hands each log over a
@@ -10,22 +9,26 @@ block of rows at a time, in the order it logged them, which is time order.
 Log rows are plain tuples of ints and strings, spelled by
 :mod:`pipelink.engine` and :mod:`pipelink.transport`.  ``HeldLog.take`` is
 the one formatter: it applies its log's fixed ``%`` row format to at most 128
-rows a pass, which prints every field as held, and keeps only the text.  The
-time slot holds the sink's stamp, the time in seconds to six places, and a
-link row its link name CSV-quoted.  ``LogSink.stamp``, the sink's clock, is
-the only place a time is formatted, and it refuses a tick earlier than the
-last one.
+rows a pass, which prints every field as held, and writes the text to the
+log's unnamed temporary file, so a run's logs are held on disk, not in
+memory.  The time slot holds the sink's stamp, the time in seconds to six
+places, and a link row its link name CSV-quoted.  ``LogSink.stamp``, the
+sink's clock, is the only place a time is formatted, and it refuses a tick
+earlier than the last one.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import shutil
+import tempfile
+import weakref
 from itertools import chain
 from pathlib import Path
 
 from .controller import ControllerDecision
-from .decode import _csv_field, encode, write_csv_blocks, write_csv_lines
+from .decode import _csv_field, encode, write_csv_lines
 from .metrics import MetricsReport
 from .transport import NS_PER_S
 
@@ -40,23 +43,37 @@ _SLICE_ROWS = 128
 
 
 class HeldLog:
-    """One log of a run as CSV text, formatted a block of rows at a time.
+    """One log of a run as CSV text in an unnamed temporary file, formatted
+    a block of rows at a time.
 
     ``len()`` is the number of rows taken, as for the list of rows it stands
-    in for.
+    in for, and stays so once the log is saved.  The file is closed when the
+    log is saved, closed, or collected.
     """
 
     def __init__(self, fmt: str) -> None:
         self._fmt = fmt
         self._rows = 0
-        self.blocks: list[str] = []  # in the order taken
+        self._file = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+        # close() closes the file once; a log that is never saved closes it
+        # when it is collected, without a ResourceWarning.
+        self.close = weakref.finalize(self, self._file.close)
 
     def take(self, rows: list) -> None:
-        """Format ``rows``, the next block of the log, stamped, and keep the text."""
-        fmt = self._fmt
-        parts = (rows[i:i + _SLICE_ROWS] for i in range(0, len(rows), _SLICE_ROWS))
-        self.blocks.append("".join((fmt * len(p)) % tuple(chain.from_iterable(p)) for p in parts))
+        """Format ``rows``, the next block of the log, stamped, and write the text."""
+        fmt, write = self._fmt, self._file.write
+        for i in range(0, len(rows), _SLICE_ROWS):
+            part = rows[i:i + _SLICE_ROWS]
+            write((fmt * len(part)) % tuple(chain.from_iterable(part)))
         self._rows += len(rows)
+
+    def save(self, header: tuple[str, ...], path: str | Path) -> None:
+        """Write ``header``, then the text in the order taken, and close the file."""
+        self._file.seek(0)  # flushes what was taken
+        with Path(path).open("wb") as fh:
+            fh.write((",".join(header) + "\r\n").encode())
+            shutil.copyfileobj(self._file.buffer, fh)
+        self.close()
 
     def __len__(self) -> int:
         return self._rows
@@ -75,7 +92,7 @@ class LogSink:
         """The stamp of the tick at ``t`` ns; a tick earlier than the last
         one stamped raises ``ValueError``."""
         if t < self._tick:
-            raise ValueError(f"link log row at {t} ns follows one at {self._tick} ns")
+            raise ValueError(f"a row at {t} ns follows one at {self._tick} ns")
         self._tick = t
         return f"{t / NS_PER_S:.6f}"
 
@@ -84,15 +101,20 @@ class LogSink:
         """A link name as its rows hold it: one CSV field."""
         return _csv_field(name)
 
+    def close(self) -> None:
+        """Close both logs' files, as a run that failed leaves them."""
+        self.events.close()
+        self.link_events.close()
+
 
 def write_event_log(log: HeldLog, path: str | Path) -> None:
-    """Write the engine log's text, in the order ``log`` took it."""
-    write_csv_blocks(path, EVENT_LOG_HEADER, log.blocks)
+    """Write the engine log's text, in the order ``log`` took it, and close its file."""
+    log.save(EVENT_LOG_HEADER, path)
 
 
 def write_link_log(log: HeldLog, path: str | Path) -> None:
-    """Write the link log's text, in the order ``log`` took it."""
-    write_csv_blocks(path, LINK_LOG_HEADER, log.blocks)
+    """Write the link log's text, in the order ``log`` took it, and close its file."""
+    log.save(LINK_LOG_HEADER, path)
 
 
 def write_decision_log(decisions: list[ControllerDecision], path: str | Path) -> None:

@@ -287,6 +287,15 @@ def assert_sink_saves_the_rows(rows, held, directory):
         assert (directory / "held.csv").read_bytes() == (directory / "rows.csv").read_bytes()
 
 
+def reference_measure_bubble(intervals, t0, t1):
+    """Idle fraction of [t0, t1) ns for a stage busy over ``intervals``, each
+    clipped to the window in turn: the reference for ``measure_bubble``."""
+    busy = 0
+    for s, e in intervals:
+        busy += max(0, min(e, t1) - max(s, t0))
+    return 1.0 - busy / (t1 - t0)
+
+
 def plan_num_layers(plan):
     """The number of layers a partition plan covers: the end of its last stage."""
     return plan.stages[-1][1][1]

@@ -311,12 +311,13 @@ def _serve(*args):
     if "listening on" not in line:
         proc.kill()
         proc.wait()
+        proc.stdout.close()
         raise AssertionError(f"serve did not start: {line!r}")
     return proc, f"http://127.0.0.1:{int(line.strip().rsplit(':', 1)[1])}"
 
 
 def _stop(proc):
-    """Interrupt the server, which must exit 0."""
+    """Interrupt the server, which must exit 0, and close its output pipe."""
     try:
         if proc.poll() is None:
             proc.send_signal(signal.SIGINT)
@@ -325,6 +326,7 @@ def _stop(proc):
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+        proc.stdout.close()
 
 
 def _status(base, method, path, body=None):

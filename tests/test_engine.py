@@ -459,12 +459,29 @@ def test_full_length_chunked_run_holds_transport_invariants():
         check_link_invariants([row for row in result.link_events if row[1] == profile.name])
 
 
+class BlockCountingSink(LogSink):
+    """A sink that records how many rows each block its link log takes holds."""
+
+    def __init__(self):
+        super().__init__()
+        self.link_blocks = []
+        take = self.link_events.take
+
+        def counted(rows):
+            self.link_blocks.append(len(rows))
+            take(rows)
+
+        self.link_events.take = counted
+
+
 @pytest.mark.parametrize("horizon_s", [None, 0.8])
 def test_a_sink_takes_the_logs_in_blocks_that_save_as_the_rows_would(horizon_s, tmp_path):
     trace = generate_trace(rate=30.0, duration=1.0, seed=8)
     rows = chunked_three_stage_engine().run(trace, horizon_s=horizon_s)
-    held = chunked_three_stage_engine().run(trace, horizon_s=horizon_s, sink=LogSink())
-    assert len(held.link_events.blocks) > 1  # a block handed over before the end
+    sink = BlockCountingSink()
+    held = chunked_three_stage_engine().run(trace, horizon_s=horizon_s, sink=sink)
+    assert len(sink.link_blocks) > 1  # a block handed over before the end
+    assert sum(sink.link_blocks) == len(rows.link_events)
     assert_sink_saves_the_rows(rows, held, tmp_path)
     assert (held.decisions, held.stage_busy_ns, held.end_ns) == (
         rows.decisions, rows.stage_busy_ns, rows.end_ns)

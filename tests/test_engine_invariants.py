@@ -12,7 +12,8 @@ that a second run logs the same.  Two metamorphic relations compare runs on
 drawn rings that must agree: chunks no smaller than any payload against no
 chunking, and every duration doubled against the original.  On rings whose
 node names need CSV quoting, a run with a log sink saves the same files as
-the writers make of the same run's rows.
+the writers make of the same run's rows.  A stage's measured bubble equals
+the one its busy intervals give when each is clipped to the window in turn.
 """
 
 from dataclasses import replace
@@ -22,7 +23,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pipelink.controller import BudgetMode, ControllerConfig
-from pipelink.engine import EngineConfig, EventKind, HeadScheduler, PipelineEngine, measure_bubble
+from pipelink.engine import (
+    EngineConfig,
+    EventKind,
+    HeadScheduler,
+    PipelineEngine,
+    RunResult,
+    measure_bubble,
+)
 from pipelink.outputs import LogSink
 from pipelink.placement import ClusterSpec, ModelSpec, PartitionPlan
 from pipelink.profiles import LinkProfile, Phase, StageProfile, synth_profile
@@ -40,6 +48,7 @@ from simsetup import (
     LinkEvent,
     assert_sink_saves_the_rows,
     make_node,
+    reference_measure_bubble,
     replay_link,
     run_recording_first_compute,
 )
@@ -288,3 +297,29 @@ def test_doubling_every_duration_doubles_every_time(scenario):
     assert slow.end_ns == 2 * base.end_ns
     assert slow.tokens_by_request() == base.tokens_by_request()
     assert slow.decisions == base.decisions  # so decisions.csv is byte-equal
+
+
+@st.composite
+def busy_windows(draw):
+    """A stage's sorted, disjoint busy intervals, some empty and some
+    touching, the run's end, and a window in the run whose ends are drawn
+    at, beside, inside or away from the interval edges."""
+    intervals, t = [], draw(st.integers(0, 50))
+    for gap, length in draw(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 50)),
+                                     max_size=12)):
+        intervals.append((t + gap, t + gap + length))
+        t += gap + length
+    end_ns = t + draw(st.integers(1, 50))
+    edges = [edge + d for interval in intervals for edge in interval for d in (-1, 0, 1)]
+    points = (st.sampled_from([0, end_ns, *edges]) | st.integers(0, end_ns)).map(
+        lambda p: min(max(p, 0), end_ns))
+    t0, t1 = sorted(draw(st.lists(points, min_size=2, max_size=2, unique=True)))
+    return intervals, end_ns, t0, t1
+
+
+@settings(max_examples=500, deadline=None)
+@given(drawn=busy_windows())
+def test_measure_bubble_matches_the_clipped_loop(drawn):
+    intervals, end_ns, t0, t1 = drawn
+    result = RunResult([], [], [], [], [intervals], end_ns, True)
+    assert measure_bubble(result, 0, t0, t1) == reference_measure_bubble(intervals, t0, t1)

@@ -6,21 +6,24 @@ rows, held by a sink in one block, must save as the reference writes the
 same rows at ns precision, or be refused by the sink's clock at the first
 tick that goes back; held in blocks cut anywhere, they must save or be
 refused just as in one block.  The other files must write the same bytes as
-their reference on any rows.
+their reference on any rows.  A run holds its logs in temporary files, not
+in memory, and leaves none of them open.
 """
 
 import csv
 import json
+import os
 import tracemalloc
 from functools import partial
 from itertools import chain
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pipelink.cli
-from pipelink.cli import load_run_config, run_simulation
+from pipelink.cli import load_run_config, main, run_simulation
 from pipelink.controller import ControllerDecision
 from pipelink.engine import EventKind
 from pipelink.metrics import MetricsReport
@@ -189,7 +192,7 @@ def reference_or_refusal(rows, directory, reference):
     of it, the refusal at the first time earlier than the one before."""
     for (before, *_), (t, *_) in zip(rows, rows[1:]):
         if t < before:
-            return f"link log row at {t} ns follows one at {before} ns"
+            return f"a row at {t} ns follows one at {before} ns"
     reference(rows, directory / "reference.csv")
     return (directory / "reference.csv").read_bytes()
 
@@ -243,21 +246,66 @@ def golden_config(directory, case):
     return load_run_config(directory / "run.json")
 
 
-def test_simulate_holds_its_logs_as_text_not_rows(tmp_path):
-    cfg = golden_config(tmp_path, "overloaded")
+def test_simulate_holds_its_logs_in_files_not_in_memory(tmp_path):
+    cfg = golden_config(tmp_path, "heterogeneous")
     tracemalloc.start()
     try:
         result, _ = run_simulation(cfg)
-        held, _ = tracemalloc.get_traced_memory()
+        snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
+    outputs = [tracemalloc.Filter(True, "*/pipelink/outputs.py")]
+    held = sum(trace.size for trace in snapshot.filter_traces(outputs).traces)
     write_event_log(result.events, tmp_path / "events.csv")
     write_link_log(result.link_events, tmp_path / "transport.csv")
     log_bytes = sum((tmp_path / name).stat().st_size for name in ("events.csv", "transport.csv"))
-    # Every row held as a tuple, 9,526 of them, left 3.4 bytes per CSV byte
-    # held after the run; the rows formatted a block at a time leave 2.1,
-    # about 0.3 MB of which is tuples the interpreter keeps for reuse.
-    assert held < 2.75 * log_bytes
+    # Logs held as text in memory left about as many bytes here as they
+    # hold, 0.54 MB of them; held in files, about 10 KB of buffers and stamps.
+    assert log_bytes > 8 * 64 * 1024
+    assert held <= 64 * 1024
+
+
+def open_files():
+    """The targets of this process's open file descriptors."""
+    fds = Path("/proc/self/fd")
+    if not fds.is_dir():
+        pytest.skip("needs /proc/self/fd")
+    targets = []
+    for fd in os.listdir(fds):
+        try:
+            targets.append(os.readlink(fds / fd))
+        except FileNotFoundError:  # the descriptor that listed the directory
+            pass
+    return sorted(targets)
+
+
+def test_a_sweep_leaves_no_log_file_open(tmp_path):
+    golden_config(tmp_path, "heterogeneous")
+    before = open_files()
+    rc = main(["sweep", "--config", str(tmp_path / "run.json"), "--sweep-axis", "bandwidth",
+               "--sweep-values", "1.25e7,2.5e7,5e7", "--out", str(tmp_path / "sweep")])
+    assert rc == 0
+    assert open_files() == before
+
+
+class FailingSink(LogSink):
+    """A sink whose clock fails once the run has handed a block over."""
+
+    def stamp(self, t):
+        if len(self.link_events):
+            raise RuntimeError("the run fails here")
+        return super().stamp(t)
+
+
+def test_a_run_that_fails_leaves_no_log_file_open(tmp_path, monkeypatch):
+    cfg = golden_config(tmp_path, "heterogeneous")
+    monkeypatch.setattr(pipelink.cli, "LogSink", FailingSink)
+    before = open_files()
+    with pytest.raises(RuntimeError, match="the run fails here") as failed:
+        run_simulation(cfg)
+    # The traceback still holds the sink: its files were closed, not collected.
+    assert failed.traceback
+    assert open_files() == before
 
 
 class CountingSink(LogSink):
