@@ -418,6 +418,7 @@ def cmd_serve(args) -> int:
     finally:
         server.shutdown()
         server.server_close()
+        registry.close()
     return 0
 
 

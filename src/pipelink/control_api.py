@@ -5,9 +5,19 @@ mutation; reads take consistent snapshots under the same lock), backed by an
 optional append-only JSON-lines journal.  The journal is the whole state:
 ``pipelink serve --journal`` replays a non-empty journal on start (dropping a
 torn last line, the trace of a crash in the middle of an append) and journals
-every later change, including the nodes of ``--cluster`` on a fresh one.  The
-HTTP layer is a thin translation between the registry methods and the JSON
-wire format.
+every later change, including the nodes of ``--cluster`` on a fresh one.
+
+Each change is write-ahead: a mutation is validated, then journaled, then
+applied, so a journal write that raises leaves the live state as replay
+rebuilds it.  The registry opens its journal once, unbuffered in append mode,
+writes each record as one line in one write, and holds the handle until
+:meth:`ClusterRegistry.close` (or until the registry is collected).
+
+The HTTP layer is a thin translation between the registry methods and the
+JSON wire format.  The server hands each accepted connection to a reused
+worker thread; a worker is started only when none is idle, up to
+``_MAX_WORKERS``, and ``server_close`` stops and joins them.  A response of
+up to 8 KiB, headers included, leaves in one send.
 
 The registry holds running services only: deleting a service forgets it, so
 its name can be deployed again, and which service a node hosts is read off
@@ -28,6 +38,7 @@ import secrets
 import threading
 import time
 import traceback
+import weakref
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -138,19 +149,35 @@ class ClusterRegistry:
         self._cluster = ClusterSpec(nodes={}, links={})
         self._services: dict[str, ServiceRecord] = {}  # running services only
         self._key_rng = random.Random(key_seed) if key_seed is not None else None
-        self._journal_path = Path(journal_path) if journal_path else None
-        if self._journal_path and not self._journal_path.exists():
-            self._journal_path.touch()
+        self._journal_file = None
+        self._close_journal = lambda: None
+        if journal_path:
+            self._open_journal(Path(journal_path))
 
     # -- journal -----------------------------------------------------------
 
+    def _open_journal(self, path: Path) -> None:
+        # Unbuffered: a write that fails leaves no bytes behind in a buffer
+        # for the next record's write to carry into the file.
+        self._journal_file = path.open("ab", buffering=0)
+        # close() closes the file once; a registry that is never closed closes
+        # it when it is collected, without a ResourceWarning.
+        self._close_journal = weakref.finalize(self, self._journal_file.close)
+
+    def close(self) -> None:
+        """Close the journal; a later journaled change raises ``ValueError``."""
+        with self._lock:
+            self._close_journal()
+
     def _journal(self, record) -> None:
-        if self._journal_path is None:
+        """Append ``record`` as one line, before the change it records is applied."""
+        if self._journal_file is None:
             return
-        line = json.dumps({"op": record.op, **encode(record)}, sort_keys=True)
-        with self._journal_path.open("a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-            fh.flush()
+        line = json.dumps({"op": record.op, **encode(record)}, sort_keys=True).encode() + b"\n"
+        written = self._journal_file.write(line)
+        if written != len(line):  # the file system took only part, as when it fills up
+            self._journal_file.truncate(self._journal_file.tell() - written)
+            raise OSError(f"journal write cut short: {written} of {len(line)} bytes")
 
     @classmethod
     def replay(cls, journal_path: str | Path) -> "ClusterRegistry":
@@ -182,7 +209,7 @@ class ClusterRegistry:
                 good_bytes += len(line)
         if good_bytes < path.stat().st_size:
             os.truncate(path, good_bytes)
-        registry._journal_path = path
+        registry._open_journal(path)
         return registry
 
     def _apply(self, rec) -> None:
@@ -217,10 +244,10 @@ class ClusterRegistry:
                         raise RegistryError(
                             "invalid", f"link references unregistered node {end}"
                         )
+            self._journal(_NodeAccess(node, tuple(links or ())))
             self._cluster.nodes[node.name] = node
             for link in links or []:
                 self._cluster.links[(link.src, link.dst)] = link
-            self._journal(_NodeAccess(node, tuple(links or ())))
 
     def check_node_status(self, name: str) -> dict:
         with self._lock:
@@ -246,8 +273,8 @@ class ClusterRegistry:
                         details={"service": service},
                     )
                 self.delete_llm_service(service)
-            self._cluster = self._cluster.subcluster(self._cluster.nodes.keys() - {name})
             self._journal(_NodeExit(name))
+            self._cluster = self._cluster.subcluster(self._cluster.nodes.keys() - {name})
 
     # -- service lifecycle --------------------------------------------------
 
@@ -306,10 +333,10 @@ class ClusterRegistry:
                 api_key=_api_key or self._new_api_key(),
                 created_at=time.time(),
             )
-            self._services[service_name] = record
             self._journal(
                 _Deploy(service_name, model_name, resource_specification, record.api_key)
             )
+            self._services[service_name] = record
             return record
 
     def _active_service(self, service_name: str) -> ServiceRecord:
@@ -329,8 +356,8 @@ class ClusterRegistry:
     def delete_llm_service(self, service_name: str) -> None:
         with self._lock:
             self._active_service(service_name)  # unknown: not_found
-            del self._services[service_name]
             self._journal(_Delete(service_name))
+            del self._services[service_name]
 
     # -- introspection -------------------------------------------------------
 
@@ -381,10 +408,15 @@ _STATUS_BY_CODE = {
 
 MAX_BODY_BYTES = 1 << 20  # a longer Content-Length is refused with 413, unread
 
+# Handler threads one server runs at most; a connection that finds them all
+# busy waits for the first to finish.
+_MAX_WORKERS = 32
+
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "pipelink-control"
     timeout = 10  # seconds a read may stall, as on a body short of its Content-Length
+    wbufsize = -1  # buffered: a response of up to 8 KiB, headers included, is one send
     registry: ClusterRegistry  # set by make_server
 
     def log_message(self, fmt, *args):  # quiet by default
@@ -471,6 +503,52 @@ class _Handler(BaseHTTPRequestHandler):
     do_GET = do_POST = do_DELETE = _route
 
 
+class _Server(ThreadingHTTPServer):
+    """A threading HTTP server whose handler threads take connection after
+    connection from one queue, instead of a new thread per connection."""
+
+    def __init__(self, address: tuple[str, int], handler: type[_Handler]) -> None:
+        import queue  # here, so that importing this module loads no more modules
+
+        self._connections = queue.SimpleQueue()
+        self._workers: list[threading.Thread] = []
+        self._idle = 0  # workers free for a connection, less connections queued
+        self._pool_lock = threading.Lock()
+        super().__init__(address, handler)
+
+    def process_request(self, request, client_address) -> None:
+        with self._pool_lock:
+            if self._idle <= 0 and len(self._workers) < _MAX_WORKERS:
+                worker = threading.Thread(
+                    target=self._work, name=f"pipelink-control-{len(self._workers)}",
+                    daemon=True,
+                )
+                worker.start()
+                self._workers.append(worker)
+                self._idle += 1
+            self._idle -= 1
+        self._connections.put((request, client_address))
+
+    def _work(self) -> None:
+        while (connection := self._connections.get()) is not None:
+            self.process_request_thread(*connection)  # handle_error, shutdown_request
+            with self._pool_lock:
+                self._idle += 1
+
+    def server_close(self) -> None:
+        """Close the socket, then let each worker finish what is queued and stop.
+
+        A worker still reading a stalled request stops at the handler's timeout.
+        """
+        super().server_close()
+        with self._pool_lock:
+            workers, self._workers = self._workers, []
+        for _ in workers:
+            self._connections.put(None)
+        for worker in workers:
+            worker.join()
+
+
 def make_server(registry: ClusterRegistry, host: str, port: int) -> ThreadingHTTPServer:
     handler = type("BoundHandler", (_Handler,), {"registry": registry})
-    return ThreadingHTTPServer((host, port), handler)
+    return _Server((host, port), handler)

@@ -1,6 +1,7 @@
 """Shared builders for engine-level tests, and helpers that only tests call."""
 
 import csv
+import os
 from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -386,3 +387,17 @@ def reference_admit_and_batch(
             )
         )
     return batches
+
+
+def open_files():
+    """The targets of this process's open file descriptors."""
+    fds = Path("/proc/self/fd")
+    if not fds.is_dir():
+        pytest.skip("needs /proc/self/fd")
+    targets = []
+    for fd in os.listdir(fds):
+        try:
+            targets.append(os.readlink(fds / fd))
+        except FileNotFoundError:  # the descriptor that listed the directory
+            pass
+    return sorted(targets)

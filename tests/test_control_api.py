@@ -1,6 +1,11 @@
+import errno
 import http.client
 import json
+import os
 import re
+import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -11,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import pipelink
+import pipelink.control_api
 from pipelink.control_api import (
     _STATUS_BY_CODE,
     MAX_BODY_BYTES,
@@ -22,7 +28,7 @@ from pipelink.errors import ConfigError, RegistryError
 from pipelink.placement import Platform
 from pipelink.profiles import LinkProfile
 
-from simsetup import make_node, plan_num_layers
+from simsetup import make_node, open_files, plan_num_layers
 
 GB = 1 << 30
 
@@ -292,6 +298,11 @@ def test_http_route_miss_is_a_404_error_body(http_server, method, path):
     assert resp.status == 404
     assert raw == json.dumps({"code": "not_found", "details": {},
                               "message": f"no route {method} {path}"}).encode()
+    # The headers leave in the same buffered write as the body.
+    assert resp.getheader("Server").startswith("pipelink-control")
+    assert resp.getheader("Date")
+    assert resp.getheader("Content-Type") == "application/json"
+    assert resp.getheader("Content-Length") == str(len(raw))
 
 
 def test_every_registry_error_code_in_src_has_an_http_status():
@@ -469,6 +480,7 @@ def test_http_non_finite_node_numbers_are_invalid_and_not_journaled(tmp_path, ch
     finally:
         server.shutdown()
         server.server_close()
+        reg.close()
 
 
 @pytest.fixture()
@@ -482,6 +494,7 @@ def journaled_server(tmp_path):
     yield reg, f"http://127.0.0.1:{server.server_address[1]}", journal
     server.shutdown()
     server.server_close()
+    reg.close()
 
 
 @pytest.mark.parametrize("mem", [0, -5])
@@ -740,3 +753,176 @@ def test_http_unexpected_error_is_500_and_the_server_goes_on(journaled_server, m
     assert "registry bug" in body["message"]
     status, body = call(base, "GET", "/services/none")
     assert status == 404 and body["code"] == "not_found"
+
+
+def test_http_journal_write_that_fails_changes_nothing(journaled_server, monkeypatch):
+    reg, base, journal = journaled_server
+
+    def disk_full(record):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(reg, "_journal", disk_full)
+    node = {"name": "w", "gpu_type": "rtx4090", "gpu_count": 1, "gpu_mem_bytes": 8 * GB}
+    status, body = call(base, "POST", "/nodes", node)
+    assert status == 500 and body["code"] == "internal"
+    assert call(base, "GET", "/nodes/w")[0] == 404
+    assert ClusterRegistry.replay(journal).snapshot() == reg.snapshot()
+
+
+def test_a_failed_journal_write_leaves_nothing_for_the_next_one(tmp_path):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    journal = tmp_path / "registry.jsonl"
+    reg = ClusterRegistry(journal_path=journal)
+    reg.node_access(make_node("a", gpu_type="rtx4090", gpu_mem_bytes=8 * GB))
+    fd = reg._journal_file.fileno()
+    kept = os.dup(fd)
+    full = os.open("/dev/full", os.O_WRONLY)
+    os.dup2(full, fd)  # every write to the journal now fails with ENOSPC
+    try:
+        with pytest.raises(OSError) as failed:
+            reg.node_access(make_node("b", gpu_type="rtx4090", gpu_mem_bytes=8 * GB))
+        assert failed.value.errno == errno.ENOSPC
+    finally:
+        os.dup2(kept, fd)
+        os.close(kept)
+        os.close(full)
+    reg.node_access(make_node("c", gpu_type="rtx4090", gpu_mem_bytes=8 * GB))
+    reg.close()
+    assert reg.snapshot()["nodes"] == ["a", "c"]
+    assert ClusterRegistry.replay(journal).snapshot() == reg.snapshot()
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda reg: reg.node_access(make_node("n9", gpu_type="rtx4090", gpu_mem_bytes=8 * GB)),
+        lambda reg: reg.node_exit("n0", cascade=True),
+        lambda reg: reg.deploy_llm_service("svc2", "tiny-4l", {"gpu_type": "rtx4090"}),
+        lambda reg: reg.delete_llm_service("svc"),
+    ],
+    ids=["node_access", "node_exit", "deploy", "delete"],
+)
+def test_every_change_is_journaled_before_it_is_applied(tmp_path, monkeypatch, change):
+    journal = tmp_path / "registry.jsonl"
+    reg = registry_with_nodes(4, journal=journal, mem_gb=1)
+    reg.deploy_llm_service("svc", "tiny-4l", {"gpu_type": "rtx4090"})
+    before = reg.snapshot()
+    assert "n0" in before["assignments"]  # so the exit cascades to the service
+
+    def disk_full(record):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(reg, "_journal", disk_full)
+    with pytest.raises(OSError):
+        change(reg)
+    assert reg.snapshot() == before
+    assert ClusterRegistry.replay(journal).snapshot() == before
+    reg.close()
+
+
+# Run in a child process: the file size limit and SIGXFSZ are process-wide.
+_CUT_SHORT = """
+import os, resource, signal, sys
+from pipelink.control_api import ClusterRegistry
+from simsetup import make_node
+
+journal = sys.argv[1]
+reg = ClusterRegistry(journal_path=journal)
+reg.node_access(make_node("a"))
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+resource.setrlimit(resource.RLIMIT_FSIZE, (os.path.getsize(journal) + 40, hard))
+try:
+    reg.node_access(make_node("b"))  # its record does not fit in 40 bytes
+except OSError as exc:
+    print("refused:", exc)
+resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+reg.node_access(make_node("c"))
+reg.close()
+print(reg.snapshot()["nodes"])
+"""
+
+
+def test_a_journal_write_cut_short_leaves_no_torn_record(tmp_path):
+    pytest.importorskip("resource")
+    journal = tmp_path / "registry.jsonl"
+    paths = [str(Path(pipelink.__file__).parent.parent), str(Path(__file__).parent)]
+    run = subprocess.run(
+        [sys.executable, "-c", _CUT_SHORT, str(journal)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)}, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "refused: journal write cut short: 40 of 205 bytes", "['a', 'c']"
+    ]
+    assert ClusterRegistry.replay(journal).snapshot()["nodes"] == ["a", "c"]
+
+
+def test_registry_close_ends_journaling(tmp_path):
+    journal = tmp_path / "registry.jsonl"
+    reg = registry_with_nodes(1, journal=journal)
+    reg.close()
+    reg.close()  # a second close does nothing
+    before = journal.read_bytes()
+    with pytest.raises(ValueError):
+        reg.node_exit("n0")
+    assert reg.snapshot()["nodes"] == ["n0"] and journal.read_bytes() == before
+
+
+def _stall(base):
+    """A connection that has sent half a request line and then stops."""
+    host, port = base.removeprefix("http://").split(":")
+    stalled = socket.create_connection((host, int(port)), timeout=10)
+    stalled.sendall(b"GET /nodes/n0 HT")
+    return stalled
+
+
+def test_http_stalled_client_does_not_hold_up_another(http_server):
+    _, base = http_server
+    with _stall(base):
+        started = time.monotonic()
+        status, body = call(base, "GET", "/nodes/w0")
+        assert status == 404 and body["code"] == "not_found"
+        assert time.monotonic() - started < _Handler.timeout / 4
+
+
+def test_http_connection_waits_for_a_worker_when_all_are_busy(monkeypatch):
+    monkeypatch.setattr(pipelink.control_api, "_MAX_WORKERS", 1)
+    monkeypatch.setattr(_Handler, "timeout", 0.5)
+    server = make_server(ClusterRegistry(), "127.0.0.1", 0)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    base = f"http://127.0.0.1:{server.server_address[1]}"
+    try:
+        with _stall(base):
+            # The one worker reads the stalled request until its timeout.
+            assert call(base, "GET", "/nodes/w0")[0] == 404
+        assert call(base, "GET", "/nodes/w0")[0] == 404
+        workers = [t for t in threading.enumerate() if t.name.startswith("pipelink-control")]
+        assert len(workers) == 1
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_a_closed_server_leaves_no_thread_or_file_open(tmp_path):
+    before = open_files()
+    journal = tmp_path / "registry.jsonl"
+    reg = registry_with_nodes(1, journal=journal)
+    server = make_server(reg, "127.0.0.1", 0)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    base = f"http://127.0.0.1:{server.server_address[1]}"
+    with _stall(base):  # holds one worker, so the requests start another
+        assert call(base, "DELETE", "/nodes/n0")[0] == 200
+        assert call(base, "GET", "/nodes/n0")[0] == 404
+    workers = [t for t in threading.enumerate() if t.name.startswith("pipelink-control")]
+    assert len(workers) >= 2
+    server.shutdown()
+    server.server_close()
+    reg.close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert not any(worker.is_alive() for worker in workers)
+    assert open_files() == before

@@ -12,7 +12,6 @@ in memory, and leaves none of them open.
 
 import csv
 import json
-import os
 import tracemalloc
 from functools import partial
 from itertools import chain
@@ -37,7 +36,7 @@ from pipelink.outputs import (
 )
 from pipelink.profiles import Phase
 
-from simsetup import reference_event_log, reference_link_log
+from simsetup import open_files, reference_event_log, reference_link_log
 from test_golden import CASES
 
 
@@ -263,20 +262,6 @@ def test_simulate_holds_its_logs_in_files_not_in_memory(tmp_path):
     # hold, 0.54 MB of them; held in files, about 10 KB of buffers and stamps.
     assert log_bytes > 8 * 64 * 1024
     assert held <= 64 * 1024
-
-
-def open_files():
-    """The targets of this process's open file descriptors."""
-    fds = Path("/proc/self/fd")
-    if not fds.is_dir():
-        pytest.skip("needs /proc/self/fd")
-    targets = []
-    for fd in os.listdir(fds):
-        try:
-            targets.append(os.readlink(fds / fd))
-        except FileNotFoundError:  # the descriptor that listed the directory
-            pass
-    return sorted(targets)
 
 
 def test_a_sweep_leaves_no_log_file_open(tmp_path):

@@ -79,6 +79,7 @@ class RegistryMachine(RuleBasedStateMachine):
                     == live.check_service_status(service)["plan"])
 
     def teardown(self):
+        self.registry.close()
         self.dir.cleanup()
 
 
