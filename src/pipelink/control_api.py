@@ -402,6 +402,7 @@ _STATUS_BY_CODE = {
     "not_found": 404,
     "invalid": 400,
     "placement_failed": 409,
+    "method_not_allowed": 405,
     "too_large": 413,
     "internal": 500,
 }
@@ -428,13 +429,24 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(raw)))
         self.end_headers()
-        self.wfile.write(raw)
+        if self.command != "HEAD":
+            self.wfile.write(raw)
 
-    def _send_error_body(self, exc: RegistryError) -> None:
-        status = _STATUS_BY_CODE.get(exc.code, 400)
+    def _send_error_body(self, exc: RegistryError, status: int | None = None) -> None:
         self._send_json(
-            status, {"code": exc.code, "message": str(exc), "details": exc.details}
+            status or _STATUS_BY_CODE.get(exc.code, 400),
+            {"code": exc.code, "message": str(exc), "details": exc.details},
         )
+
+    def send_error(self, code: int, message: str | None = None, explain: str | None = None) -> None:
+        """The stdlib's refusals, before routing, as JSON error bodies: 405 for a
+        method with no ``do_`` handler (its 501), 400 for its 505 (HTTP 2 or
+        later), and otherwise its 4xx, such as 414 for a request line over 64 KiB."""
+        if code == 501:
+            exc = RegistryError("method_not_allowed", f"method {self.command} not allowed")
+        else:
+            exc = RegistryError("invalid", message or self.responses[code][0])
+        self._send_error_body(exc, code if code < 500 else None)
 
     def _read_body(self) -> dict:
         raw_length = self.headers.get("Content-Length", "0")

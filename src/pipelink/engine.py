@@ -12,23 +12,21 @@ chunk completions), then by subject id, so runs are bit-reproducible.  An
 iteration boundary is a deferred step, not a heap entry: it is due at the
 current time and runs once the heap holds nothing that sorts before it.
 
-The engine's log rows are plain tuples of ints and strings,
+Every run logs through a sink, a :class:`pipelink.outputs.LogSink`, which a
+run given none makes for itself.  The engine's log rows are plain tuples,
 ``(time, kind, subject, stage)``.  ``kind`` is the name of an
 :class:`EventKind` member, spelled here; ``stage`` is -1 when the row is not
 stage-scoped; the link rows are described in :mod:`pipelink.transport`.  The
-time slot of every row holds the run clock's stamp for the current tick,
-computed once per distinct time right after the heap pop: the ns int itself
-without a sink, or the sink's ``stamp`` of it, the CSV text of the time.
+time slot of every row holds the sink's ``stamp`` of the current tick, the
+CSV text of the time, computed once per distinct time right after the heap
+pop; the sink's clock refuses a tick that goes back.
 
-Rows are appended to two lists, one per log.  Without a sink a run keeps
-them all and returns them, the list form that checks read; no file is
-written from it.  With a sink (:class:`pipelink.outputs.LogSink`), after an
-iteration boundary that dispatched, once the two lists hold
-``LOG_BLOCK_ROWS`` rows or more, the run hands each list to its log's
-``take``, which writes it as CSV text to the log's temporary file, and
-empties it, and hands over the rest when it ends; so the blocks arrive in
-log order, and a run holds a block of rows in memory at most.  The sink's
-clock refuses a tick that goes back.
+Rows are appended to two lists, one per log.  After an iteration boundary
+that dispatched, once the two lists hold ``LOG_BLOCK_ROWS`` rows or more,
+the run hands each list to its log's ``take``, which writes it as CSV text
+to the log's temporary file, and empties it, and hands over the rest when it
+ends; so the blocks arrive in log order, and a run holds a block of rows in
+memory at most.
 """
 
 from __future__ import annotations
@@ -40,10 +38,10 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
-from typing import TYPE_CHECKING
 
 from .controller import ControllerConfig, ControllerDecision, choose_n, clamp_demand
 from .errors import ConfigError
+from .outputs import HeldLog, LogSink
 from .placement import ClusterSpec, ModelSpec, PartitionPlan
 from .profiles import LinkProfile, Phase, StageProfile, compute_time
 from .transport import (
@@ -60,10 +58,7 @@ from .transport import (
 )
 from .workload import Request, RequestState, Trace
 
-if TYPE_CHECKING:
-    from .outputs import HeldLog, LogSink
-
-# Rows a run with a sink holds before it hands them over.
+# Rows a run holds before it hands them over to its sink.
 LOG_BLOCK_ROWS = 4096
 
 
@@ -98,23 +93,22 @@ class EngineConfig:
     scheduling_policy: LinkPolicy = LinkPolicy.DECODE_PRIORITY
 
 
-EngineRow = tuple[int | str, str, int, int]  # (time stamp, kind name, subject, stage)
+EngineRow = tuple[str, str, int, int]  # (time stamp, kind name, subject, stage)
 
 
 @dataclass
 class RunResult:
-    """Everything a run produced, at nanosecond precision for exact checks.
+    """Everything a run produced; times other than the logs' are in ns.
 
-    Without a sink, ``events`` and ``link_events`` are every row the run
-    logged, in log order, for checks to read.  With one, they are the sink's
-    two :class:`HeldLog` logs, which hold the same rows as CSV text in a
+    ``events`` and ``link_events`` are the sink's two :class:`HeldLog` logs,
+    which hold every row the run logged, in log order, as CSV text in a
     temporary file, not in memory, and are what the log writers write;
     ``len()`` of either is its row count.
     """
 
     requests: list[Request]
-    events: list[EngineRow] | HeldLog
-    link_events: list[LinkRow] | HeldLog
+    events: HeldLog
+    link_events: HeldLog
     decisions: list[ControllerDecision]  # one per iteration
     stage_busy_ns: list[list[tuple[int, int]]]
     end_ns: int
@@ -371,7 +365,7 @@ class PipelineEngine:
 
     # -- run state ---------------------------------------------------------
 
-    def _reset(self, requests: list[Request], sink: LogSink | None) -> None:
+    def _reset(self, requests: list[Request], sink: LogSink) -> None:
         self._sched = HeadScheduler(
             self.cfg, self.stage_profiles, self.link_profiles, requests
         )
@@ -379,7 +373,7 @@ class PipelineEngine:
         self._link_events: list[LinkRow] = []
         self._links = [
             VirtualLink(lp, self.cfg.chunk_size, self.cfg.scheduling_policy,
-                        self._link_events, lp.name if sink is None else sink.quote(lp.name))
+                        self._link_events, sink.quote(lp.name))
             for lp in self.link_profiles
         ]
         self._payload_mb: dict[int, MicroBatch] = {}  # payload ids are unique per run
@@ -456,8 +450,7 @@ class PipelineEngine:
         head.queue.extend(batches)
         self._start_compute(head, now)
         # Every row so far is at or before now, and every later one at or after.
-        if (self._sink is not None
-                and len(self._events) + len(self._link_events) >= LOG_BLOCK_ROWS):
+        if len(self._events) + len(self._link_events) >= LOG_BLOCK_ROWS:
             self._hand_over()
 
     # -- event loop --------------------------------------------------------
@@ -467,11 +460,11 @@ class PipelineEngine:
         """Process the trace to completion (or up to ``horizon_s``).
 
         Deterministic for a fixed config: identical inputs produce identical
-        event logs, reports, and per-request timelines.  A ``sink`` takes the
-        logs a block at a time (see the module docstring).
+        event logs, reports, and per-request timelines.  The ``sink``, a fresh
+        :class:`LogSink` if none is given, takes the logs (see the module docstring).
         """
+        self._sink = sink = sink or LogSink()
         self._reset(trace.requests, sink)
-        self._sink = sink
         heap, seq = self._heap, self._seq
         push, pop = heapq.heappush, heapq.heappop
         for req in self._sched.requests.values():
@@ -480,8 +473,7 @@ class PipelineEngine:
             push(heap, (arrival_ns, _ARRIVAL, req.id, next(seq), None))
         horizon_ns = None if horizon_s is None else s_to_ns(horizon_s)
 
-        now, tick, stamp = 0, None, 0  # the current time, its tick and the tick's stamp
-        clock = None if sink is None else sink.stamp
+        now, tick, clock = 0, None, sink.stamp  # the current time, the last tick, its stamper
         sched, links, stages = self._sched, self._links, self._stages
         log = self._events.append
         arrival, compute_done, sent, delivered = _ARRIVAL, _COMPUTE_DONE, _SENT, _DELIVERED
@@ -499,9 +491,7 @@ class PipelineEngine:
                 break
             now, kind, subject, _, data = pop(heap)  # the heap pops in time order
             if now != tick:
-                tick = stamp = now
-                if clock is not None:
-                    stamp = clock(now)
+                tick, stamp = now, clock(now)
             if kind is sent:
                 link_idx, chunk = data
                 link = links[link_idx]
@@ -538,16 +528,13 @@ class PipelineEngine:
             if stage.current is not None:
                 stage.busy_intervals.append((stage.current_start, now))
 
-        events, link_events = self._events, self._link_events
-        if sink is not None:
-            self._hand_over()
-            events, link_events = sink.events, sink.link_events
+        self._hand_over()
         return RunResult(
             requests=[sched.requests[rid] for rid in sorted(sched.requests)],
-            events=events,
+            events=sink.events,
             # Every link event is logged at the current virtual time, so the
             # log is already in time order.
-            link_events=link_events,
+            link_events=sink.link_events,
             decisions=sched.decisions,
             stage_busy_ns=[s.busy_intervals for s in self._stages],
             end_ns=now,

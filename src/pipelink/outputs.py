@@ -3,9 +3,9 @@
 Every CSV here is written byte for byte as the ``csv`` module would write it.
 ``decisions.csv`` numbers the decisions from 1.
 
-A run's two logs are written only from a :class:`HeldLog`.  A run given a
-:class:`LogSink`, as ``simulate`` and ``sweep`` run, hands each log over a
-block of rows at a time, in the order it logged them, which is time order.
+A run's two logs are written only from a :class:`HeldLog`.  Every engine
+run hands each log over to a :class:`LogSink`, its own if it was given none,
+a block of rows at a time, in the order it logged them, which is time order.
 Log rows are plain tuples of ints and strings, spelled by
 :mod:`pipelink.engine` and :mod:`pipelink.transport`.  ``HeldLog.take`` is
 the one formatter: it applies its log's fixed ``%`` row format to at most 128

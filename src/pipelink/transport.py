@@ -12,10 +12,10 @@ link mechanics live here: the rows a link logs reach a file only through a
 :class:`pipelink.outputs.HeldLog`, which prints each field as held.  A row is
 a plain tuple of ints and strings,
 ``(time, link, payload_id, chunk_index, size_bytes, class, event)``:
-``time`` is the caller's stamp for the current tick (with a sink, the
-sink's clock gives it and refuses a tick that goes back), ``link`` the
-link's name, ``class`` the payload's :class:`Phase` value (spelled by
-:mod:`pipelink.profiles`), and ``event``, spelled here, is ``enqueue``
+``time`` is the caller's stamp for the current tick (in a run, the sink's
+clock gives it and refuses a tick that goes back), ``link`` the name the
+link was built with, ``class`` the payload's :class:`Phase` value (spelled
+by :mod:`pipelink.profiles`), and ``event``, spelled here, is ``enqueue``
 (``chunk_index`` -1), ``emit``, ``sent`` or ``deliver``.
 """
 
@@ -136,7 +136,7 @@ class LinkQueue:
         return _new(Chunk, (payload_id, 0, size, True, phase))
 
 
-LinkRow = tuple[int | str, str, int, int, int, str, str]  # see the module docstring
+LinkRow = tuple[str, str, int, int, int, str, str]  # see the module docstring
 
 
 def transmission_ns(profile: LinkProfile, size_bytes: int) -> int:
@@ -156,8 +156,8 @@ class VirtualLink:
     ``sent`` at that end time.  A chunk lands ``latency_ns`` after its
     transmission ends, so propagation overlaps the next transmission;
     ``deliver`` logs the landing.  Rows hold the ``stamp`` a call is given
-    for its time, the ``name`` the link was built with (the profile's name,
-    CSV-quoted when the run has a sink) and ``phase._value_``, the value that
+    for its time, the ``name`` the link was built with (in a run, the
+    profile's name as the sink quotes it) and ``phase._value_``, the value that
     ``phase.value`` reads through a slower descriptor.
     """
 

@@ -21,7 +21,13 @@ from pipelink.placement import (
     PartitionPlan,
     Platform,
 )
-from pipelink.outputs import EVENT_LOG_HEADER, LINK_LOG_HEADER, write_event_log, write_link_log
+from pipelink.outputs import (
+    EVENT_LOG_HEADER,
+    LINK_LOG_HEADER,
+    LogSink,
+    write_event_log,
+    write_link_log,
+)
 from pipelink.profiles import PROFILE_HEADER, LinkProfile, Phase, flat_profile
 from pipelink.transport import (
     DEFAULT_CHUNK_SIZE,
@@ -71,6 +77,34 @@ class LinkEvent(NamedTuple):
     def of(cls, row):
         time_ns, link, payload_id, chunk_index, size_bytes, phase, event = row
         return cls(time_ns, link, payload_id, chunk_index, size_bytes, Phase(phase), event)
+
+
+class Rows(list):
+    """One log of a :class:`RowsSink`: the list of its rows, which ``take``
+    extends by a block."""
+
+    take = list.extend
+
+
+class RowsSink(LogSink):
+    """A :class:`LogSink` fake whose two logs are :class:`Rows`, the rows
+    as the run logged them, for checks to read at ns precision.
+
+    Its clock refuses a tick that goes back, as the real one does, and
+    stamps a tick with its ns int; a link row holds the link's name as given.
+    """
+
+    def __init__(self):
+        self.events, self.link_events = Rows(), Rows()
+        self._tick = -float("inf")
+
+    def stamp(self, t):
+        LogSink.stamp(self, t)
+        return t
+
+    @staticmethod
+    def quote(name):
+        return name
 
 
 def engine_events(result):
@@ -278,8 +312,8 @@ def reference_event_log(events, path):
 
 
 def assert_sink_saves_the_rows(rows, held, directory):
-    """``held``, a run with a sink, writes each log as the reference writes
-    ``rows``, the same run without one."""
+    """``held``, a run with a :class:`LogSink`, writes each log as the
+    reference writes ``rows``, the same run with a :class:`RowsSink`."""
     for log, write, reference in (("events", write_event_log, reference_event_log),
                                   ("link_events", write_link_log, reference_link_log)):
         assert len(getattr(held, log)) == len(getattr(rows, log))

@@ -27,6 +27,7 @@ from pipelink.transport import Payload, s_to_ns
 from pipelink.workload import Request, Trace, generate_trace
 
 from simsetup import (
+    RowsSink,
     engine_config,
     first_emit_delay_ns,
     make_node,
@@ -115,7 +116,7 @@ def _desk_run(n_max):
     cfg = engine_config(plan, model, max_batched_tokens=12, max_batch_size=4,
                         n_max=n_max)
     return PipelineEngine(cfg, cluster, profiles).run(
-        stationary_decode_trace(12), horizon_s=0.4
+        stationary_decode_trace(12), horizon_s=0.4, sink=RowsSink()
     )
 
 

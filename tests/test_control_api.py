@@ -284,17 +284,22 @@ def test_http_node_lifecycle(http_server):
     assert status == 404 and body["code"] == "not_found"
 
 
-@pytest.mark.parametrize("method, path", [("GET", "/nope"), ("POST", "/nodes/a"),
-                                          ("DELETE", "/services/a/key")])
-def test_http_route_miss_is_a_404_error_body(http_server, method, path):
-    _, base = http_server
+def exchange(base, method, path):
+    """One request on a connection of its own: the response and its body."""
     conn = http.client.HTTPConnection(base.removeprefix("http://"), timeout=10)
     try:
         conn.request(method, path)
         resp = conn.getresponse()
-        raw = resp.read()
+        return resp, resp.read()
     finally:
         conn.close()
+
+
+@pytest.mark.parametrize("method, path", [("GET", "/nope"), ("POST", "/nodes/a"),
+                                          ("DELETE", "/services/a/key")])
+def test_http_route_miss_is_a_404_error_body(http_server, method, path):
+    _, base = http_server
+    resp, raw = exchange(base, method, path)
     assert resp.status == 404
     assert raw == json.dumps({"code": "not_found", "details": {},
                               "message": f"no route {method} {path}"}).encode()
@@ -303,6 +308,25 @@ def test_http_route_miss_is_a_404_error_body(http_server, method, path):
     assert resp.getheader("Date")
     assert resp.getheader("Content-Type") == "application/json"
     assert resp.getheader("Content-Length") == str(len(raw))
+
+
+@pytest.mark.parametrize("method, path, status, code, message", [
+    ("PUT", "/nodes", 405, "method_not_allowed", "method PUT not allowed"),
+    ("PATCH", "/nodes/a", 405, "method_not_allowed", "method PATCH not allowed"),
+    ("HEAD", "/nodes", 405, "method_not_allowed", "method HEAD not allowed"),
+    ("BREW", "/services", 405, "method_not_allowed", "method BREW not allowed"),
+    ("GET", "/" + "a" * 70_000, 414, "invalid", "Request-URI Too Long"),
+], ids=["put", "patch", "head", "unknown-method", "path-over-64k"])
+def test_http_request_the_stdlib_refuses_is_a_4xx_error_body(http_server, method, path,
+                                                              status, code, message):
+    _, base = http_server
+    resp, raw = exchange(base, method, path)
+    body = json.dumps({"code": code, "details": {}, "message": message}).encode()
+    assert resp.status == status
+    assert raw == (b"" if method == "HEAD" else body)  # a HEAD answer has no body
+    assert resp.getheader("Server").startswith("pipelink-control")
+    assert resp.getheader("Content-Type") == "application/json"
+    assert resp.getheader("Content-Length") == str(len(body))
 
 
 def test_every_registry_error_code_in_src_has_an_http_status():

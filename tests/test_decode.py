@@ -18,7 +18,7 @@ from pipelink.placement import ClusterSpec, ModelSpec, NodeDescriptor, Platform,
 from pipelink.profiles import LinkProfile, load_stage_profiles
 from pipelink.workload import load_trace
 
-from test_control_api import _FOUR_OP_JOURNAL
+from test_control_api import _FOUR_OP_JOURNAL, call, journaled_server  # noqa: F401 (a fixture)
 
 NODE = {"name": "a", "platform": "windows", "gpu_type": "g", "gpu_count": 2,
         "gpu_mem_bytes": 1 << 30, "capacity_score": 1.5, "cpu_score": 0.5,
@@ -224,6 +224,25 @@ def test_mutated_documents_raise_only_config_error(name, data):
         decode_doc(doc)
     except ConfigError:
         pass
+
+
+HTTP_BODIES = {"/nodes": NODE, "/services": SERVICE}
+
+
+def test_mutated_http_bodies_get_a_json_answer_below_500(journaled_server):
+    registry, base, journal = journaled_server
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def post(data):
+        path = data.draw(st.sampled_from(sorted(HTTP_BODIES)))
+        status, body = call(base, "POST", path, data.draw(mutated(HTTP_BODIES[path])))
+        assert status < 500, body
+        assert status < 400 or set(body) == {"code", "message", "details"}, body
+        registry.check_invariants()
+
+    post()
+    assert ClusterRegistry.replay(journal).snapshot() == registry.snapshot()
 
 
 # -- the CSV inputs: one reader, one way to refuse ------------------------------

@@ -20,7 +20,7 @@ from pipelink.engine import (
 )
 from pipelink.errors import ConfigError
 from pipelink.metrics import summarize
-from pipelink.outputs import LogSink
+from pipelink.outputs import HeldLog, LogSink, write_event_log, write_link_log
 from pipelink.placement import ClusterSpec, ModelSpec, PartitionPlan
 from pipelink.profiles import LinkProfile, Phase, StageProfile, flat_profile
 from pipelink.transport import LinkPolicy, Payload, s_to_ns
@@ -34,6 +34,7 @@ from pipelink.workload import (
 
 from simsetup import (
     LinkEvent,
+    RowsSink,
     assert_sink_saves_the_rows,
     engine_config,
     engine_events,
@@ -172,8 +173,8 @@ def test_run_is_deterministic():
         plan, model, max_batched_tokens=256, max_batch_size=8, chunk_size=4096
     )
     trace = generate_trace(rate=20.0, duration=1.0, seed=5)
-    a = PipelineEngine(cfg, cluster, profiles).run(trace)
-    b = PipelineEngine(cfg, cluster, profiles).run(trace)
+    a = PipelineEngine(cfg, cluster, profiles).run(trace, sink=RowsSink())
+    b = PipelineEngine(cfg, cluster, profiles).run(trace, sink=RowsSink())
     assert a.events == b.events
     assert a.link_events == b.link_events
     assert a.tokens_by_request() == b.tokens_by_request()
@@ -188,7 +189,7 @@ def test_token_conservation_and_drain():
         plan, model, max_batched_tokens=128, max_batch_size=16, chunk_size=8192
     )
     trace = generate_trace(rate=30.0, duration=1.0, seed=8)
-    result = PipelineEngine(cfg, cluster, profiles).run(trace)
+    result = PipelineEngine(cfg, cluster, profiles).run(trace, sink=RowsSink())
     assert result.all_finished  # no lost requests
     assert sum(r.tokens_emitted for r in result.requests) == sum(
         r.output_len for r in result.requests
@@ -205,7 +206,7 @@ def test_causality_and_stage_fifo():
         plan, model, max_batched_tokens=256, max_batch_size=8, chunk_size=4096
     )
     trace = generate_trace(rate=20.0, duration=1.0, seed=6)
-    result = PipelineEngine(cfg, cluster, profiles).run(trace)
+    result = PipelineEngine(cfg, cluster, profiles).run(trace, sink=RowsSink())
     for stage_id in (1, 2):
         deliveries = sorted(
             e.time_ns
@@ -381,10 +382,10 @@ def test_run_decides_once_per_distinct_clamped_demand(monkeypatch):
     monkeypatch.setattr(pipelink.engine, "choose_n", counting_choose_n)
     with monkeypatch.context() as patch:
         patch.setattr(pipelink.engine, "HeadScheduler", UnmemoisedScheduler)
-        reference = PipelineEngine(cfg, cluster, profiles).run(trace)
+        reference = PipelineEngine(cfg, cluster, profiles).run(trace, sink=RowsSink())
     every_point, decided[:] = list(decided), []
     engine = PipelineEngine(cfg, cluster, profiles)
-    result = engine.run(trace)
+    result = engine.run(trace, sink=RowsSink())
     assert result.all_finished
     # The memoised run asks once per distinct (clamped demand, phase), at the
     # point where that key first occurs, and runs exactly as the reference.
@@ -396,7 +397,7 @@ def test_run_decides_once_per_distinct_clamped_demand(monkeypatch):
     assert result.tokens_by_request() == reference.tokens_by_request()
     # A second run starts from an empty memo and decides the same keys again.
     first, decided[:] = list(decided), []
-    assert engine.run(trace).events == result.events
+    assert engine.run(trace, sink=RowsSink()).events == result.events
     assert decided == first
 
 
@@ -415,7 +416,7 @@ def chunked_three_stage_engine(policy=LinkPolicy.DECODE_PRIORITY):
 def test_link_events_are_logged_in_time_order(horizon_s):
     # Writers and replay rely on this: the run hands the log over unsorted.
     trace = generate_trace(rate=30.0, duration=1.0, seed=8)
-    result = chunked_three_stage_engine().run(trace, horizon_s=horizon_s)
+    result = chunked_three_stage_engine().run(trace, horizon_s=horizon_s, sink=RowsSink())
     times = [e.time_ns for e in link_events(result)]
     assert any(e.chunk_index > 0 for e in link_events(result))
     assert times == sorted(times)
@@ -430,7 +431,7 @@ def test_engine_links_hold_transport_invariants(policy, seed):
     engine = chunked_three_stage_engine(policy)
     trace = generate_trace(rate=30.0, duration=1.0, seed=seed,
                            output_lengths=LengthHistogram(((1, 12, 1.0),)))
-    result = engine.run(trace)
+    result = engine.run(trace, sink=RowsSink())
     assert result.all_finished
     preempted = 0
     for profile in engine.link_profiles:
@@ -452,7 +453,7 @@ def test_full_length_chunked_run_holds_transport_invariants():
     # Default output lengths: about 72k link rows, which the checker takes
     # in one pass per clause.
     engine = chunked_three_stage_engine()
-    result = engine.run(generate_trace(rate=30.0, duration=1.0, seed=8))
+    result = engine.run(generate_trace(rate=30.0, duration=1.0, seed=8), sink=RowsSink())
     assert result.all_finished
     assert len(result.link_events) > 70_000
     for profile in engine.link_profiles:
@@ -477,7 +478,7 @@ class BlockCountingSink(LogSink):
 @pytest.mark.parametrize("horizon_s", [None, 0.8])
 def test_a_sink_takes_the_logs_in_blocks_that_save_as_the_rows_would(horizon_s, tmp_path):
     trace = generate_trace(rate=30.0, duration=1.0, seed=8)
-    rows = chunked_three_stage_engine().run(trace, horizon_s=horizon_s)
+    rows = chunked_three_stage_engine().run(trace, horizon_s=horizon_s, sink=RowsSink())
     sink = BlockCountingSink()
     held = chunked_three_stage_engine().run(trace, horizon_s=horizon_s, sink=sink)
     assert len(sink.link_blocks) > 1  # a block handed over before the end
@@ -487,9 +488,22 @@ def test_a_sink_takes_the_logs_in_blocks_that_save_as_the_rows_would(horizon_s, 
         rows.decisions, rows.stage_busy_ns, rows.end_ns)
 
 
+def test_a_run_given_no_sink_is_a_held_run(tmp_path):
+    trace = generate_trace(rate=30.0, duration=0.5, seed=8)
+    unsunk = chunked_three_stage_engine().run(trace)
+    assert type(unsunk.events) is type(unsunk.link_events) is HeldLog
+    held = chunked_three_stage_engine().run(trace, sink=LogSink())
+    for log, write in (("events", write_event_log), ("link_events", write_link_log)):
+        write(getattr(unsunk, log), tmp_path / "unsunk.csv")
+        write(getattr(held, log), tmp_path / "held.csv")
+        assert (tmp_path / "unsunk.csv").read_bytes() == (tmp_path / "held.csv").read_bytes()
+    rows = chunked_three_stage_engine().run(trace, sink=RowsSink())
+    assert_sink_saves_the_rows(rows, chunked_three_stage_engine().run(trace), tmp_path)
+
+
 def test_logged_event_kinds_are_member_names():
     trace = generate_trace(rate=30.0, duration=1.0, seed=8)
-    result = chunked_three_stage_engine().run(trace)
+    result = chunked_three_stage_engine().run(trace, sink=RowsSink())
     # CHUNK_SENT orders the heap only; its rows are the link log's "sent" rows.
     assert {kind for _, kind, _, _ in result.events} == {
         kind.name for kind in EventKind if kind is not EventKind.CHUNK_SENT
@@ -501,7 +515,8 @@ def test_log_rows_are_plain_tuples():
     # A NamedTuple row costs a Python-level __new__ per row, and a row that
     # holds an enum member stays tracked by the garbage collector, which then
     # rescans every row as the logs grow to hundreds of thousands of rows.
-    result = chunked_three_stage_engine().run(generate_trace(rate=30.0, duration=0.5, seed=8))
+    result = chunked_three_stage_engine().run(generate_trace(rate=30.0, duration=0.5, seed=8),
+                                              sink=RowsSink())
     assert result.events and result.link_events
     gc.collect()
     for row in itertools.chain(result.events, result.link_events):

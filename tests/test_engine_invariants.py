@@ -12,7 +12,7 @@ that a second run logs the same.  Two metamorphic relations compare runs on
 drawn rings that must agree: chunks no smaller than any payload against no
 chunking, and every duration doubled against the original.  On rings whose
 node names need CSV quoting, a run with a log sink saves the same files as
-the writers make of the same run's rows.  A stage's measured bubble equals
+the writers make of the same run's rows, taken by a ``RowsSink``.  A stage's measured bubble equals
 the one its busy intervals give when each is clipped to the window in turn.
 """
 
@@ -46,6 +46,7 @@ from pipelink.workload import Request, Trace
 from simsetup import (
     EngineEvent,
     LinkEvent,
+    RowsSink,
     assert_sink_saves_the_rows,
     make_node,
     reference_measure_bubble,
@@ -216,8 +217,8 @@ def test_engine_invariants_hold_on_random_rings(scenario):
     horizon_ns = None if horizon_s is None else s_to_ns(horizon_s)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(HeadScheduler, "dispatch", dispatch_within_decision(HeadScheduler.dispatch))
-        result, first_compute_ns = run_recording_first_compute(engine, trace,
-                                                               horizon_s=horizon_s)
+        result, first_compute_ns = run_recording_first_compute(
+            engine, trace, horizon_s=horizon_s, sink=RowsSink())
 
     events = [EngineEvent.of(row) for row in result.events]
     times = [e.time_ns for e in events] + [row[0] for row in result.link_events]
@@ -232,7 +233,8 @@ def test_engine_invariants_hold_on_random_rings(scenario):
     check_stages(result, done, horizon_ns)
     check_links(engine, result, events, done, horizon_ns)
 
-    again = PipelineEngine(cfg, cluster, profiles).run(trace, horizon_s=horizon_s)
+    again = PipelineEngine(cfg, cluster, profiles).run(trace, horizon_s=horizon_s,
+                                                       sink=RowsSink())
     assert again.events == result.events
     assert again.link_events == result.link_events
     assert again.decisions == result.decisions
@@ -246,7 +248,8 @@ def test_engine_invariants_hold_on_random_rings(scenario):
 def test_a_sink_saves_the_logs_the_writers_make_of_the_rows(scenario, tmp_path_factory):
     # The drawn horizon is none or a cut, which may stop the run mid-flight.
     cfg, cluster, profiles, trace, horizon_s = scenario
-    rows = PipelineEngine(cfg, cluster, profiles).run(trace, horizon_s=horizon_s)
+    rows = PipelineEngine(cfg, cluster, profiles).run(trace, horizon_s=horizon_s,
+                                                      sink=RowsSink())
     held = PipelineEngine(cfg, cluster, profiles).run(trace, horizon_s=horizon_s,
                                                       sink=LogSink())
     assert_sink_saves_the_rows(rows, held, tmp_path_factory.mktemp("sink", numbered=True))
@@ -262,10 +265,10 @@ def test_a_sink_saves_the_logs_the_writers_make_of_the_rows(scenario, tmp_path_f
 def test_a_chunk_as_large_as_every_payload_is_no_chunking(scenario, slack):
     cfg, cluster, profiles, trace, horizon_s = scenario
     unchunked = PipelineEngine(replace(cfg, chunk_size=None), cluster, profiles).run(
-        trace, horizon_s=horizon_s)
+        trace, horizon_s=horizon_s, sink=RowsSink())
     largest = max((row[4] for row in unchunked.link_events), default=1)
     chunked = PipelineEngine(replace(cfg, chunk_size=largest + slack), cluster, profiles).run(
-        trace, horizon_s=horizon_s)
+        trace, horizon_s=horizon_s, sink=RowsSink())
     assert chunked.events == unchunked.events
     assert chunked.link_events == unchunked.link_events
     assert chunked.decisions == unchunked.decisions
@@ -287,9 +290,10 @@ def test_doubling_every_duration_doubles_every_time(scenario):
     })
     slow_trace = Trace(requests=[replace(r, arrival_time=2 * r.arrival_time)
                                  for r in trace.requests])
-    base = PipelineEngine(cfg, cluster, profiles).run(trace, horizon_s=horizon_s)
+    base = PipelineEngine(cfg, cluster, profiles).run(trace, horizon_s=horizon_s,
+                                                      sink=RowsSink())
     slow = PipelineEngine(cfg, slow_cluster, [doubled(p) for p in profiles]).run(
-        slow_trace, horizon_s=None if horizon_s is None else 2 * horizon_s)
+        slow_trace, horizon_s=None if horizon_s is None else 2 * horizon_s, sink=RowsSink())
     assert slow.events == [(2 * t, *rest) for t, *rest in base.events]
     assert slow.link_events == [(2 * t, *rest) for t, *rest in base.link_events]
     assert slow.stage_busy_ns == [[(2 * s, 2 * e) for s, e in busy]

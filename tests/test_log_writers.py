@@ -36,7 +36,7 @@ from pipelink.outputs import (
 )
 from pipelink.profiles import Phase
 
-from simsetup import open_files, reference_event_log, reference_link_log
+from simsetup import RowsSink, open_files, reference_event_log, reference_link_log
 from test_golden import CASES
 
 
@@ -310,9 +310,9 @@ def test_a_run_stamps_each_tick_once_and_its_sink_takes_every_row(tmp_path, monk
     sinks = []
     monkeypatch.setattr(pipelink.cli, "LogSink", lambda: sinks.append(CountingSink()) or sinks[0])
     held, _ = run_simulation(cfg)
-    monkeypatch.setattr(pipelink.cli, "LogSink", lambda: None)
+    monkeypatch.setattr(pipelink.cli, "LogSink", RowsSink)
     rows, _ = run_simulation(cfg)
-    # Once per distinct time across both logs of the same run without a sink.
+    # Once per distinct time across both logs of the same run with a RowsSink.
     assert sinks[0].stamped == sorted({row[0] for row in chain(rows.events, rows.link_events)})
     assert len(held.events) == len(rows.events)
     assert len(held.link_events) == len(rows.link_events)

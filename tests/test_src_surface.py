@@ -18,6 +18,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "pipelink"
 
 ALLOWED = {
     "control_api._Handler.log_message": "BaseHTTPRequestHandler hook",
+    "control_api._Handler.send_error": "BaseHTTPRequestHandler hook",
     "control_api._Server.process_request": "socketserver hook",
     "control_api.ClusterRegistry.check_invariants": "bench/ checks the registry after its runs",
     "control_api.ClusterRegistry.snapshot": "bench/ compares a replayed registry to the live one",
