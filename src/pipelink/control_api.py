@@ -418,6 +418,10 @@ class _Handler(BaseHTTPRequestHandler):
     server_version = "pipelink-control"
     timeout = 10  # seconds a read may stall, as on a body short of its Content-Length
     wbufsize = -1  # buffered: a response of up to 8 KiB, headers included, is one send
+    # The version a request line that names none is taken to ask for.  The
+    # stdlib's HTTP/0.9 would send no status line and no header, also to a
+    # request line it refuses, such as one it cannot parse or one for HTTP 2.
+    default_request_version = "HTTP/1.0"
     registry: ClusterRegistry  # set by make_server
 
     def log_message(self, fmt, *args):  # quiet by default

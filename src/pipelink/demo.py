@@ -11,10 +11,13 @@ exactly that.
 Each hop of the ring (stage i to stage i+1, the last stage back to the head)
 is one loopback connection with one sender.  The head sends activations;
 each middle stage relays them unchanged; the tail turns each activation into
-one feedback payload for the head.  Payloads have the simulator's sizes:
-an activation's first ``min(4, size)`` bytes carry its request count, which
-fits because a micro-batch has no more requests than tokens, and no more
-tokens than activation bytes.  A stage reads its hop with
+one feedback payload for the head.  The thread that sends on a hop (the
+head's loop, a relay's or the tail's reader) writes a frame itself when the
+hop is idle; the hop's sender thread writes only what the kernel did not
+take and what queues up behind a write in progress.  Payloads have the
+simulator's sizes: an activation's first ``min(4, size)`` bytes carry its
+request count, which fits because a micro-batch has no more requests than
+tokens, and no more tokens than activation bytes.  A stage reads its hop with
 :func:`~pipelink.wire.receive_payloads`, whose ``on_payload(payload, body)``
 has the signature of ``SocketLinkSender.send``, so a relay passes the next
 hop's ``send`` itself.  The head keeps the pipeline full: when feedback comes

@@ -1,4 +1,4 @@
-"""Real-socket transport backend: framing plus per-link worker threads.
+"""Real-socket transport backend: framing plus per-link senders.
 
 Wire format, little-endian throughout, length-prefixed:
 
@@ -11,9 +11,17 @@ Wire format, little-endian throughout, length-prefixed:
 
 The sender applies the same two-class, chunk-granular schedule as the
 virtual-time backend: it owns a :class:`LinkQueue` guarded by a condition
-variable, and the worker thread drains it one chunk at a time.  A stream
-ends only with EOF between payloads: once closed and drained, the sender
-half-closes its socket (``shutdown(SHUT_WR)``).  A sender that failed leaves
+variable.  Who writes a frame: when no thread is writing and nothing is
+queued, ``send()`` writes the payload's first frame from the caller's thread
+with one non-blocking ``send``, so an idle link costs no hand-off to another
+thread.  The sender's worker thread writes whatever the kernel did not take,
+before any other frame, then drains the queue one chunk at a time.
+``send()`` never blocks on the socket: a full socket buffer or a peer that
+stops reading stalls only the worker.  A stream ends only with EOF between
+payloads: ``close()`` lets the worker wait out a caller's write, write its
+rest and drain the queue before it half-closes the socket
+(``shutdown(SHUT_WR)``), so each hop of a ring still delivers everything
+sent on it before its EOF.  A sender that failed, in either thread, leaves
 its stream open, so its peer never mistakes a cut stream for a finished one.
 :func:`receive_payloads` reads frames through one buffered reader per socket,
 so a frame costs two reads from the reader's buffer rather than two
@@ -77,7 +85,17 @@ def read_frame(reader: BinaryIO) -> tuple[int, int, int, bytes] | None:
 
 
 class SocketLinkSender(threading.Thread):
-    """Worker draining a LinkQueue onto a socket, one chunk per frame."""
+    """Writes payloads onto a socket, one chunk per frame, in LinkQueue order.
+
+    ``send()`` never blocks on the socket: on an idle link it writes the next
+    frame from the caller's thread with one non-blocking ``send``, and this
+    worker thread writes what the kernel did not take, then every queued
+    chunk; ``close()`` lets it finish all of that before it half-closes.  The
+    socket must be in blocking mode (no timeout), so that the worker's writes
+    wait and the caller's return at once.  A write that fails, in either
+    thread, is recorded: later sends refuse, the worker stops, and the stream
+    is not half-closed.
+    """
 
     def __init__(
         self,
@@ -89,19 +107,24 @@ class SocketLinkSender(threading.Thread):
         super().__init__(name=name, daemon=True)
         self._sock = sock
         self._queue = LinkQueue(chunk_size=chunk_size, policy=policy)
+        # Payload id -> body, from send() until its last chunk is taken, so
+        # the queue is empty exactly when this is.
         self._bodies: dict[int, bytes] = {}
         self._cond = threading.Condition()
         self._closing = False
-        # Why the worker stopped early.
+        self._writing = False  # a thread is writing a frame
+        self._rest: memoryview | None = None  # what a caller's write left over
+        # Why the sender stopped early.
         self._error: OSError | ProtocolError | None = None
 
     def send(self, payload: Payload, body: bytes) -> None:
+        """Queue ``payload``, or write its first frame now if the link is idle."""
         if len(body) != payload.size_bytes:
             raise ProtocolError(
                 f"payload {payload.id}: body is {len(body)} bytes, "
                 f"declared {payload.size_bytes}"
             )
-        # Refuse here, not in the worker thread, a chunk no frame can carry.
+        # Refuse here, not in a writing thread, a chunk no frame can carry.
         # Decode payloads are never split (LinkQueue.next_chunk).
         chunk = payload.size_bytes
         if payload.phase is not Phase.DECODE and self._queue.chunk_size:
@@ -116,9 +139,16 @@ class SocketLinkSender(threading.Thread):
                 raise ProtocolError(f"{self.name}: {why}: {self._error}")
             if self._closing:
                 raise ProtocolError(f"{self.name}: payload {payload.id}: sender is closing")
+            idle = not (self._writing or self._bodies or self._rest is not None)
             self._queue.enqueue(payload)
             self._bodies[payload.id] = body
-            self._cond.notify()
+            if not idle:
+                if not self._writing:  # a writer looks at the queue when it is done
+                    self._cond.notify()
+                return
+            taken = self._take()
+            self._writing = True
+        self._write_now(*taken)
 
     def close(self) -> None:
         """Flush queued payloads, then half-close the socket and stop."""
@@ -126,37 +156,89 @@ class SocketLinkSender(threading.Thread):
             self._closing = True
             self._cond.notify()
 
-    def _next_chunk(self) -> Chunk | None:
-        """The next chunk to send, waiting for one; None once closed and drained."""
+    def _take(self) -> tuple[Chunk, bytes] | None:
+        """The next chunk and its payload's body; the caller holds ``_cond``."""
+        chunk = self._queue.next_chunk()
+        if chunk is None:
+            return None
+        body = self._bodies[chunk.payload_id]
+        if chunk.is_last:
+            del self._bodies[chunk.payload_id]
+        return chunk, body
+
+    def _frame(self, chunk: Chunk, body: bytes) -> bytes:
+        # Only a chunked payload has chunks past index 0, and every chunk
+        # before its last is full.
+        offset = chunk.index * (self._queue.chunk_size or 0)
+        flags = FLAG_LAST if chunk.is_last else 0
+        if chunk.phase is Phase.DECODE:
+            flags |= FLAG_DECODE
+        return encode_frame(
+            chunk.payload_id, chunk.index, flags, body[offset : offset + chunk.size_bytes]
+        )
+
+    def _write_now(self, chunk: Chunk, body: bytes) -> None:
+        """Write a frame from the caller's thread, without waiting on the socket."""
+        rest = error = None
+        try:
+            frame = self._frame(chunk, body)
+            try:
+                sent = self._sock.send(frame, socket.MSG_DONTWAIT)
+            except BlockingIOError:  # the socket buffer is full
+                sent = 0
+            if sent < len(frame):
+                rest = memoryview(frame)[sent:]
+        except (OSError, ProtocolError) as exc:
+            error = exc
+        finally:
+            with self._cond:
+                self._writing = False
+                self._rest = rest
+                if error is not None:
+                    self._fail(error)
+                if rest is not None or self._bodies or self._closing or error is not None:
+                    self._cond.notify()
+
+    def _fail(self, error: OSError | ProtocolError) -> None:
+        """Record why writing stopped; the caller holds ``_cond``.  Later sends
+        refuse instead of queueing for nobody."""
+        self._error = error
+        self._bodies.clear()
+
+    def _next_job(self, wrote: bool) -> tuple[Chunk | None, bytes | memoryview] | None:
+        """The rest of a caller's frame, or the next chunk and its body, marked
+        as being written, waiting for one; None once closed and drained, or
+        once a write failed.  ``wrote``: the worker wrote the last job."""
         with self._cond:
-            while True:
-                chunk = self._queue.next_chunk()
-                if chunk is not None or self._closing:
-                    return chunk
+            if wrote:
+                self._writing = False
+            while self._error is None:
+                if not self._writing:
+                    if (rest := self._rest) is not None:
+                        self._rest = None
+                        self._writing = True
+                        return None, rest
+                    if (taken := self._take()) is not None:
+                        self._writing = True
+                        return taken
+                    if self._closing:
+                        return None
                 self._cond.wait()
+            return None
 
     def run(self) -> None:
         try:
-            while (chunk := self._next_chunk()) is not None:
-                # Only a chunked payload has chunks past index 0, and every
-                # chunk before its last is full.
-                offset = chunk.index * (self._queue.chunk_size or 0)
-                body = self._bodies[chunk.payload_id]
-                piece = body[offset : offset + chunk.size_bytes]
-                flags = 0
-                if chunk.is_last:
-                    flags |= FLAG_LAST
-                    del self._bodies[chunk.payload_id]
-                if chunk.phase is Phase.DECODE:
-                    flags |= FLAG_DECODE
-                self._sock.sendall(
-                    encode_frame(chunk.payload_id, chunk.index, flags, piece)
-                )
-            self._sock.shutdown(socket.SHUT_WR)
+            job = self._next_job(False)
+            while job is not None:
+                chunk, body = job
+                self._sock.sendall(body if chunk is None else self._frame(chunk, body))
+                job = self._next_job(True)
+            if self._error is None:  # closed and drained: no write can start now
+                self._sock.shutdown(socket.SHUT_WR)
         except (OSError, ProtocolError) as exc:
-            with self._cond:  # later sends fail instead of queueing for nobody
-                self._error = exc
-                self._bodies.clear()
+            with self._cond:
+                self._writing = False
+                self._fail(exc)
 
 
 def receive_payloads(sock: socket.socket, on_payload) -> None:
@@ -165,7 +247,8 @@ def receive_payloads(sock: socket.socket, on_payload) -> None:
     Returns on EOF between payloads.  Raises :class:`ProtocolError` on a
     frame that :func:`read_frame` refuses, on a chunk whose index is out of
     order or repeated, on a payload of 0 bytes, on a stream that ends in the
-    middle of a payload, and on a socket error.
+    middle of a payload, and on a socket error.  A payload of one frame is
+    handed on with that frame's body, uncopied.
     """
     partial: dict[int, list[bytes]] = {}  # payload id -> chunks so far
     try:
@@ -180,20 +263,24 @@ def receive_payloads(sock: socket.socket, on_payload) -> None:
                         )
                     return
                 payload_id, chunk_index, flags, body = frame
-                pieces = partial.setdefault(payload_id, [])
-                if chunk_index != len(pieces):
+                pieces = partial.get(payload_id)
+                due = 0 if pieces is None else len(pieces)
+                if chunk_index != due:
                     raise ProtocolError(
                         f"payload {payload_id}: chunk {chunk_index} where "
-                        f"chunk {len(pieces)} was due"
+                        f"chunk {due} was due"
                     )
-                pieces.append(body)
-                if flags & FLAG_LAST:
+                if not flags & FLAG_LAST:
+                    partial.setdefault(payload_id, []).append(body)
+                    continue
+                if pieces is not None:
                     del partial[payload_id]
-                    phase = Phase.DECODE if flags & FLAG_DECODE else Phase.PREFILL
-                    whole = b"".join(pieces)
-                    if not whole:  # no sender sends one (SocketLinkSender.send)
-                        raise ProtocolError(f"payload {payload_id}: empty payload")
-                    on_payload(Payload(payload_id, phase, len(whole)), whole)
+                    pieces.append(body)
+                    body = b"".join(pieces)
+                if not body:  # no sender sends one (SocketLinkSender.send)
+                    raise ProtocolError(f"payload {payload_id}: empty payload")
+                phase = Phase.DECODE if flags & FLAG_DECODE else Phase.PREFILL
+                on_payload(Payload(payload_id, phase, len(body)), body)
     except OSError as exc:
         raise ProtocolError(f"link socket failed: {exc}") from exc
 

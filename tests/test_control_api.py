@@ -329,6 +329,27 @@ def test_http_request_the_stdlib_refuses_is_a_4xx_error_body(http_server, method
     assert resp.getheader("Content-Length") == str(len(body))
 
 
+@pytest.mark.parametrize("request_line, message", [
+    (b"GARBAGE", "Bad request syntax ('GARBAGE')"),
+    (b"GET /nodes HTTP/2.0", "Invalid HTTP version (2.0)"),
+], ids=["unparsable", "http-2"])
+def test_http_request_line_the_stdlib_refuses_gets_a_status_line(http_server, request_line,
+                                                                  message):
+    # http.client cannot send these lines, so they go over a raw socket.
+    _, base = http_server
+    host, port = base.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(request_line + b"\r\n\r\n")
+        raw = b"".join(iter(lambda: sock.recv(65536), b""))
+    head, _, body = raw.partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    header = dict(line.split(": ", 1) for line in header_lines)
+    assert re.fullmatch(r"HTTP/1\.[01] 400 Bad Request", status_line), raw
+    assert header["Content-Type"] == "application/json"
+    assert header["Content-Length"] == str(len(body))
+    assert json.loads(body) == {"code": "invalid", "details": {}, "message": message}
+
+
 def test_every_registry_error_code_in_src_has_an_http_status():
     src = Path(pipelink.__file__).parent
     codes = {code for path in src.glob("*.py")

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import queue
 import socket
+import sys
 import threading
 import time
 
@@ -59,6 +60,30 @@ def test_socket_demo_matches_virtual_run(
     virtual = PipelineEngine(cfg, cluster, profiles).run(trace)
     assert virtual.all_finished
     live = run_socket_demo(cfg, cluster, profiles, trace, timeout_s=10.0)
+    assert live == virtual.tokens_by_request()
+    assert live == {r.id: r.output_len for r in trace.requests}
+
+
+@pytest.mark.parametrize("interval", [1e-6, 0.05], ids=["switch-1us", "switch-50ms"])
+@pytest.mark.parametrize("chunk_size, stages", [(256, 3), (None, 2)], ids=["chunked", "unchunked"])
+def test_socket_demo_matches_virtual_run_however_its_threads_interleave(
+    interval, chunk_size, stages
+):
+    # A thread holds the GIL for about ``interval``: at 1 us a caller's write
+    # and the worker's meet between almost any two bytecodes, at 50 ms each
+    # thread runs long before it is made to yield.
+    cfg, cluster, profiles = two_stage(LinkPolicy.DECODE_PRIORITY, chunk_size, 1, stages)
+    trace = Trace(requests=[
+        Request(id=i, arrival_time=0.0, input_len=1 + 7 * i % 40, output_len=1 + i % 5)
+        for i in range(96)
+    ])
+    virtual = PipelineEngine(cfg, cluster, profiles).run(trace)
+    before = sys.getswitchinterval()
+    sys.setswitchinterval(interval)
+    try:
+        live = run_socket_demo(cfg, cluster, profiles, trace, timeout_s=30.0)
+    finally:
+        sys.setswitchinterval(before)
     assert live == virtual.tokens_by_request()
     assert live == {r.id: r.output_len for r in trace.requests}
 

@@ -172,17 +172,36 @@ def test_chunked_sender_refuses_oversize_decode_payload_and_stays_usable(monkeyp
     assert not sender.is_alive() and not receiver.is_alive()
 
 
+def noting_refusals(monkeypatch):
+    """Patch ``wire.encode_frame`` to note the thread of each frame it refuses."""
+    refused_in = []
+    encode = wire.encode_frame
+
+    def encode_frame(*args):
+        try:
+            return encode(*args)
+        except ProtocolError:
+            refused_in.append(threading.current_thread().name)
+            raise
+
+    monkeypatch.setattr(wire, "encode_frame", encode_frame)
+    return refused_in
+
+
 def test_sender_whose_frame_is_refused_refuses_later_sends(monkeypatch):
+    refused_in = noting_refusals(monkeypatch)
     left, right = loopback_pair()
-    sender = SocketLinkSender(left, chunk_size=None, name="refused")
-    sender.send(payload(1, Phase.DECODE, 64), bytes(64))
+    sender = SocketLinkSender(left, chunk_size=64, name="refused")
+    # The caller writes the first chunk; the second waits for the worker.
+    sender.send(payload(1, Phase.PREFILL, 128), bytes(128))
     # The limit shrinks after send() accepted the payload: the worker's
-    # encode_frame refuses it.
+    # encode_frame refuses its second chunk.
     monkeypatch.setattr(wire, "MAX_FRAME_BYTES", wire.HEADER_BYTES + 8)
     sender.start()
     try:
         sender.join(timeout=10)
         assert not sender.is_alive()
+        assert refused_in == ["refused"]
         with pytest.raises(ProtocolError, match="refused: .*exceeds") as refused:
             sender.send(payload(2, Phase.DECODE, 8), bytes(8))
         assert "peer gone" not in str(refused.value)  # the peer is alive
@@ -245,19 +264,44 @@ def test_sender_receiver_round_trip_chunked():
 
 
 class RecordingSocket:
-    """Keeps each frame a sender writes; ``after_frame(count)`` runs after each."""
+    """Keeps each frame a sender writes and the name of the thread that wrote
+    it; ``after_frame(count)`` runs after each, in that thread.  With
+    ``through``, a real socket, the frames go on to it too."""
 
-    def __init__(self, after_frame):
+    def __init__(self, after_frame, through=None):
         self.frames = []
+        self.writers = []
         self.after_frame = after_frame
+        self.through = through
         self.shut = []
+        self.frames_at_shut = None
 
-    def sendall(self, data):
-        self.frames.append(data)
+    def _record(self, data):
+        self.frames.append(bytes(data))
+        self.writers.append(threading.current_thread().name)
         self.after_frame(len(self.frames))
 
+    def sendall(self, data):
+        if self.through is not None:
+            self.through.sendall(data)
+        self._record(data)
+
+    def send(self, data, flags):
+        assert flags == socket.MSG_DONTWAIT  # a caller's write never waits
+        sent = len(data) if self.through is None else self.through.send(data, flags)
+        self._record(data[:sent])
+        return sent
+
     def shutdown(self, how):
+        if self.through is not None:
+            self.through.shutdown(how)
         self.shut.append(how)
+        self.frames_at_shut = len(self.frames)
+
+
+def headers(frames):
+    """(payload id, chunk index) of each frame."""
+    return [struct.unpack_from("<QI", frame, 4) for frame in frames]
 
 
 def test_sender_sends_each_chunk_from_its_offset():
@@ -274,7 +318,8 @@ def test_sender_sends_each_chunk_from_its_offset():
             decode_sent.set()
 
     sock = RecordingSocket(after_frame)
-    sender = SocketLinkSender(sock, chunk_size=1024)
+    sender = SocketLinkSender(sock, chunk_size=1024, name="offsets")
+    # The sender is idle, so this caller writes the first chunk itself.
     sender.send(payload(1, Phase.PREFILL, len(body)), body)
     sender.start()
     assert decode_sent.wait(timeout=10)
@@ -282,10 +327,10 @@ def test_sender_sends_each_chunk_from_its_offset():
     sender.join(timeout=10)
     assert not sender.is_alive()
 
-    headers = [struct.unpack_from("<QII", frame, 4) for frame in sock.frames]
-    assert [(pid, index) for pid, index, _ in headers] == [
+    assert headers(sock.frames) == [
         (1, 0), (2, 0), (1, 1), (1, 2), (1, 3), (1, 4), (1, 5)
     ]
+    assert sock.writers == [threading.current_thread().name] + ["offsets"] * 6
     assert len(sock.frames[-1]) == 4 + wire.HEADER_BYTES + 300  # length, header, short body
     assert sock.shut == [socket.SHUT_WR]
     a, b = socket.socketpair()
@@ -300,6 +345,160 @@ def test_sender_sends_each_chunk_from_its_offset():
     assert [(p.payload_id, p.phase, p.body) for p in delivered] == [
         (2, Phase.DECODE, small), (1, Phase.PREFILL, body)
     ]
+
+
+def test_a_send_to_an_idle_sender_is_written_from_the_callers_thread():
+    sock = RecordingSocket(lambda count: None)
+    sender = SocketLinkSender(sock, chunk_size=None, name="idle")
+    me = threading.current_thread().name
+    sender.send(payload(1, Phase.DECODE, 8), b"decode!!")
+    assert sock.frames == [encode_frame(1, 0, FLAG_LAST | FLAG_DECODE, b"decode!!")]
+    sender.start()  # a started worker that has nothing to do changes nothing
+    sender.send(payload(2, Phase.PREFILL, 8), b"prefill!")
+    assert sock.frames[1:] == [encode_frame(2, 0, FLAG_LAST, b"prefill!")]
+    assert sock.writers == [me, me]
+    assert sender._bodies == {} and sender._queue.next_chunk() is None
+    sender.close()
+    sender.join(timeout=10)
+    assert not sender.is_alive()
+    assert sock.shut == [socket.SHUT_WR] and len(sock.frames) == 2
+
+
+class PartialSocket(RecordingSocket):
+    """Takes only the first ``take`` bytes of a non-blocking send; with
+    ``take`` 0, its buffer is full."""
+
+    def __init__(self, take):
+        super().__init__(lambda count: None)
+        self.take = take
+
+    def send(self, data, flags):
+        assert flags == socket.MSG_DONTWAIT
+        if not self.take:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        self._record(data[: self.take])
+        return self.take
+
+
+@pytest.mark.parametrize("take", [0, 10], ids=["buffer-full", "part-taken"])
+def test_the_rest_of_a_callers_frame_goes_out_before_any_other(take):
+    sock = PartialSocket(take)
+    sender = SocketLinkSender(sock, chunk_size=None, name="rest")
+    prefill, decode = bytes(range(64)), b"decode!!"
+    sender.send(payload(1, Phase.PREFILL, len(prefill)), prefill)
+    # Under decode priority a decode goes before any queued prefill, but it
+    # cannot cut into a frame that is half written.
+    sender.send(payload(2, Phase.DECODE, len(decode)), decode)
+    sender.start()
+    sender.close()
+    sender.join(timeout=10)
+    assert not sender.is_alive()
+    first = encode_frame(1, 0, FLAG_LAST, prefill)
+    second = encode_frame(2, 0, FLAG_LAST | FLAG_DECODE, decode)
+    me = threading.current_thread().name
+    if take:
+        assert sock.frames == [first[:take], first[take:], second]
+        assert sock.writers == [me, "rest", "rest"]
+    else:
+        assert sock.frames == [first, second]
+        assert sock.writers == ["rest", "rest"]
+    assert sock.shut == [socket.SHUT_WR]
+
+
+def returns_at_once(send, within_s=2.0):
+    """Whether ``send()``, run in a thread of its own, returns within ``within_s``."""
+    sending = threading.Thread(target=send, daemon=True)
+    sending.start()
+    sending.join(timeout=within_s)
+    return not sending.is_alive()
+
+
+@pytest.mark.parametrize("fill", [False, True], ids=["buffer-empty", "buffer-full"])
+def test_send_returns_at_once_when_the_peer_stops_reading(fill):
+    left, right = loopback_pair()
+    left.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 64 << 10)
+    right.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 64 << 10)
+    big = bytes(4 << 20)  # far more than both buffers hold
+    sender = SocketLinkSender(left, chunk_size=None, name="stalled")
+    sender.start()
+
+    def send():
+        # An idle sender: the caller's write takes what fits, if anything,
+        # the worker blocks on the rest, and the next sends queue behind it.
+        sender.send(payload(1, Phase.PREFILL, len(big)), big)
+        sender.send(payload(2, Phase.DECODE, 8), bytes(8))
+        sender.send(payload(3, Phase.PREFILL, len(big)), big)
+
+    try:
+        if fill:
+            with pytest.raises(BlockingIOError):
+                for _ in range(10_000):
+                    left.send(bytes(4096), socket.MSG_DONTWAIT)
+        assert returns_at_once(send)
+        assert sender.is_alive()  # still writing payload 1
+    finally:
+        left.shutdown(socket.SHUT_RDWR)  # ends every blocked write
+        sender.join(timeout=10)
+        left.close()
+        right.close()
+    assert not sender.is_alive()
+    assert isinstance(sender._error, OSError) and sender._bodies == {}
+
+
+def test_a_decode_sent_while_the_worker_writes_a_prefill_goes_out_at_the_next_chunk():
+    left, right = loopback_pair()
+    small = b"decode!!"
+    decode_sent = threading.Event()
+
+    def after_frame(count):
+        if count == 2:  # the worker has written the prefill's second chunk
+            sender.send(payload(2, Phase.DECODE, len(small)), small)
+            decode_sent.set()
+
+    sock = RecordingSocket(after_frame, through=left)
+    sender = SocketLinkSender(sock, chunk_size=1024, name="preempted")
+    frames = []
+
+    def read_frames():
+        with right.makefile("rb") as reader:
+            while (frame := read_frame(reader)) is not None:
+                frames.append(frame)
+
+    reader = threading.Thread(target=read_frames, daemon=True)
+    reader.start()
+    sender.start()
+    try:
+        body = bytes(6 * 1024)
+        sender.send(payload(1, Phase.PREFILL, len(body)), body)
+        assert decode_sent.wait(timeout=10)
+        sender.close()
+        sender.join(timeout=10)
+        reader.join(timeout=10)
+    finally:
+        left.close()
+        right.close()
+    assert not sender.is_alive() and not reader.is_alive()
+    order = [(1, 0), (1, 1), (2, 0), (1, 2), (1, 3), (1, 4), (1, 5)]
+    assert [(pid, index) for pid, index, _, _ in frames] == order
+    assert headers(sock.frames) == order
+    assert sock.writers == [threading.current_thread().name] + ["preempted"] * 6
+
+
+def test_close_during_a_callers_write_drains_the_queue_then_half_closes():
+    def after_frame(count):
+        if count == 1:  # mid-write in this thread; the worker is waiting
+            sender.send(payload(2, Phase.DECODE, 8), bytes(8))
+            sender.close()
+
+    sock = RecordingSocket(after_frame)
+    sender = SocketLinkSender(sock, chunk_size=1024, name="closed")
+    sender.start()
+    sender.send(payload(1, Phase.PREFILL, 3 * 1024), bytes(3 * 1024))
+    sender.join(timeout=10)
+    assert not sender.is_alive()
+    assert headers(sock.frames) == [(1, 0), (2, 0), (1, 1), (1, 2)]
+    assert sock.writers == [threading.current_thread().name] + ["closed"] * 3
+    assert sock.shut == [socket.SHUT_WR] and sock.frames_at_shut == 4
 
 
 def test_sender_rejects_mismatched_body():
@@ -478,24 +677,57 @@ def test_receiver_socket_error_is_protocol_error():
 
 
 class FailingSocket(RecordingSocket):
-    """A socket whose peer is gone: every write fails."""
+    """A socket whose peer is gone after ``good`` frames: every later write fails."""
 
-    def sendall(self, data):
-        raise ConnectionResetError("peer reset")
+    def __init__(self, after_frame, good):
+        super().__init__(after_frame)
+        self.good = good
+        self.failed_in = []
+
+    def _record(self, data):
+        if len(self.frames) >= self.good:
+            self.failed_in.append(threading.current_thread().name)
+            raise ConnectionResetError("peer reset")
+        super()._record(data)
 
 
 @pytest.mark.parametrize("failure", ["peer-gone", "frame-refused"])
 def test_sender_that_failed_does_not_end_its_stream(monkeypatch, failure):
-    sock = FailingSocket(None) if failure == "peer-gone" else RecordingSocket(lambda n: None)
-    sender = SocketLinkSender(sock, chunk_size=None)
+    refused_in = noting_refusals(monkeypatch)
+
+    def after_frame(count):
+        # Payload 2 is sent while this caller writes payload 1, so the worker
+        # writes it, and its write fails.
+        sender.send(payload(2, Phase.DECODE, 64), bytes(64))
+        if failure == "frame-refused":  # the worker's encode_frame refuses the chunk
+            monkeypatch.setattr(wire, "MAX_FRAME_BYTES", wire.HEADER_BYTES + 8)
+
+    good = 1 if failure == "peer-gone" else 2
+    sock = FailingSocket(after_frame, good)
+    sender = SocketLinkSender(sock, chunk_size=None, name="failed")
     sender.send(payload(1, Phase.DECODE, 64), bytes(64))
-    if failure == "frame-refused":  # the worker's encode_frame refuses the chunk
-        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", wire.HEADER_BYTES + 8)
     sender.start()
     sender.close()
     sender.join(timeout=10)
     assert not sender.is_alive()
     assert sender._error is not None
+    assert sock.failed_in + refused_in == ["failed"]
+    # No frame after the one written, and no EOF: the peer sees a cut stream.
+    assert headers(sock.frames) == [(1, 0)] and sock.shut == []
+
+
+def test_a_callers_write_that_fails_is_recorded_as_a_workers_is():
+    sock = FailingSocket(lambda count: None, good=0)
+    sender = SocketLinkSender(sock, chunk_size=None, name="caller-failed")
+    sender.send(payload(1, Phase.DECODE, 64), bytes(64))  # fails, but raises nothing
+    assert sock.failed_in == [threading.current_thread().name]
+    assert isinstance(sender._error, ConnectionResetError) and sender._bodies == {}
+    with pytest.raises(ProtocolError, match="caller-failed: peer gone: peer reset"):
+        sender.send(payload(2, Phase.DECODE, 8), bytes(8))
+    sender.start()
+    sender.close()
+    sender.join(timeout=10)
+    assert not sender.is_alive()
     assert sock.frames == [] and sock.shut == []  # no EOF: the peer sees a cut stream
 
 
