@@ -546,10 +546,19 @@ class _Server(ThreadingHTTPServer):
         self._connections.put((request, client_address))
 
     def _work(self) -> None:
+        # process_request_thread, but the worker counts as free once the
+        # response is written, before it shuts the connection down, so a
+        # client's next connection finds it free instead of starting another.
         while (connection := self._connections.get()) is not None:
-            self.process_request_thread(*connection)  # handle_error, shutdown_request
-            with self._pool_lock:
-                self._idle += 1
+            request, client_address = connection
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                with self._pool_lock:
+                    self._idle += 1
+                self.shutdown_request(request)
 
     def server_close(self) -> None:
         """Close the socket, then let each worker finish what is queued and stop.

@@ -12,27 +12,36 @@ Each hop of the ring (stage i to stage i+1, the last stage back to the head)
 is one loopback connection with one sender.  The head sends activations;
 each middle stage relays them unchanged; the tail turns each activation into
 one feedback payload for the head.  The thread that sends on a hop (the
-head's loop, a relay's or the tail's reader) writes a frame itself when the
+head's loop, a relay's or the tail's thread) writes a frame itself when the
 hop is idle; the hop's sender thread writes only what the kernel did not
 take and what queues up behind a write in progress.  Payloads have the
 simulator's sizes: an activation's first ``min(4, size)`` bytes carry its
 request count, which fits because a micro-batch has no more requests than
-tokens, and no more tokens than activation bytes.  A stage reads its hop with
-:func:`~pipelink.wire.receive_payloads`, whose ``on_payload(payload, body)``
-has the signature of ``SocketLinkSender.send``, so a relay passes the next
-hop's ``send`` itself.  The head keeps the pipeline full: when feedback comes
-back it applies every feedback already queued before it dispatches again, so
-micro-batches that return together go out together.
+tokens, and no more tokens than activation bytes.
 
-Every stage thread, the head's reader of the return hop included, runs
-:func:`_stage`: the stage's work, then the close of its out sender, then one
-end report on the head's queue, a ``ProtocolError`` naming the stage and
-saying whether its input ended or what it raised.  A run ends hop by hop:
-closing a sender drains it, then half-closes its socket, and the stage
-downstream reads EOF and ends too, up to the head's reader.  The head then
-joins the workers and closes the sockets; the end reports go unread.  While
-work is in flight, the head raises the first end report it reads, so a
-failed stage reaches it by name and cause, and it shuts every socket down.
+A ring of n stages runs n - 1 stage threads, the relays and the tail, and
+one sender thread per hop.  Each stage thread runs :func:`_stage` and reads
+its hop with :func:`~pipelink.wire.receive_payloads`, whose
+``on_payload(payload, body)`` has the signature of ``SocketLinkSender.send``,
+so a relay passes the next hop's ``send`` itself.  No thread reads the
+return hop for the head: the head's loop reads it with a
+:class:`~pipelink.wire.PayloadReader`, and only when it has nothing left to
+dispatch.  It then applies every feedback that has arrived before it
+dispatches again, so micro-batches that return together go out together.
+
+A stage's end report is a ``ProtocolError`` naming the stage and saying
+whether its input ended or what it raised.  :func:`_stage` does the stage's
+work, then puts its report on the head's queue of end reports, then closes
+its out sender, so every report upstream of a stage is queued before that
+stage reads EOF.  A run ends hop by hop: closing a sender drains it, then
+half-closes its socket, and the stage downstream reads EOF and ends too, up
+to the head.  At the end of a run the head joins the workers and closes the
+sockets; the end reports go unread.  An end report reaches the head when
+the return stream ends while work is in flight: the head then raises the
+first report queued, so a failed stage reaches it by name and cause, and it
+shuts every socket down.  A stage whose out sender failed leaves its stream
+open, as every failed sender does, so the head sees no EOF: it raises that
+stage's report once it has waited ``timeout_s`` for feedback.
 
 Arrivals are collapsed: the trace's requests are offered in arrival order as
 fast as the pipeline accepts them.
@@ -53,7 +62,7 @@ from .errors import ConfigError, ProtocolError
 from .placement import ClusterSpec
 from .profiles import Phase, StageProfile
 from .transport import Payload, activation_bytes, feedback_bytes
-from .wire import SocketLinkSender, loopback_pair, receive_payloads
+from .wire import PayloadReader, SocketLinkSender, loopback_pair, receive_payloads
 from .workload import Trace
 
 
@@ -72,12 +81,8 @@ def _tail_worker(forward_sock, return_sender: SocketLinkSender) -> None:
     receive_payloads(forward_sock, on_payload)
 
 
-def _stage(name: str, work, in_sock, out_sender: SocketLinkSender | None, reports) -> None:
-    """Run ``work`` on the stage's hop, close its out sender, put its end report.
-
-    The head's reader has no out sender: the head's loop owns the forward
-    sender, so it never finds that sender closed under it while it sends.
-    """
+def _stage(name: str, work, in_sock, out_sender: SocketLinkSender, reports) -> None:
+    """Run ``work`` on the stage's hop, put its end report, close its out sender."""
     report = ProtocolError(f"{name}'s input ended, so the ring closed the return stream early")
     try:
         work(in_sock, out_sender)
@@ -87,31 +92,41 @@ def _stage(name: str, work, in_sock, out_sender: SocketLinkSender | None, report
         if not isinstance(exc, Exception):
             raise  # an exit or interrupt goes on, once reported below
     finally:
-        if out_sender is not None:
-            out_sender.close()
         reports.put(report)
+        out_sender.close()
 
 
-def _apply_feedback(sched: HeadScheduler, feedback_q, timeout_s: float) -> None:
-    """Wait for one feedback, then apply it and every other one already queued;
-    with work in flight, an end report comes early, and is raised."""
-    try:
-        fb = feedback_q.get(timeout=timeout_s)
-    except Empty:
-        raise ProtocolError(
-            f"no feedback from the tail stage within {timeout_s} s"
-        ) from None
-    while True:
-        if isinstance(fb, ProtocolError):
-            raise fb
-        mb = sched.in_flight.get(fb.id)
+def _feedback_to(sched: HeadScheduler):
+    """The head's ``on_payload`` for the return hop: apply one feedback."""
+
+    def apply(p: Payload, _body: bytes) -> None:
+        mb = sched.in_flight.get(p.id)
         if mb is None:
-            raise ProtocolError(f"feedback for unknown micro-batch {fb.id}")
+            raise ProtocolError(f"feedback for unknown micro-batch {p.id}")
         sched.feedback(mb, 0)
-        try:
-            fb = feedback_q.get_nowait()
-        except Empty:
-            return
+
+    return apply
+
+
+def _apply_feedback(returns: PayloadReader, reports, timeout_s: float) -> None:
+    """Wait for feedback, then apply every feedback that has arrived.  If the
+    return stream ended instead, or no feedback came in time, raise the first
+    end report, waiting for it at the end of the stream: the stage that ended
+    the stream puts its report before it closes the stream, or just after if
+    its work closed it."""
+    got = returns.read(timeout_s)
+    if got:
+        return
+    if got is None:
+        wait_s = timeout_s
+        why = f"the return stream ended, and no stage reported within {timeout_s} s"
+    else:
+        wait_s, why = 0, f"no feedback from the tail stage within {timeout_s} s"
+    try:
+        report = reports.get(timeout=wait_s)
+    except Empty:
+        raise ProtocolError(why) from None
+    raise report
 
 
 def run_socket_demo(
@@ -135,19 +150,18 @@ def run_socket_demo(
         SocketLinkSender(out, cfg.chunk_size, cfg.scheduling_policy, f"hop{i}-sender")
         for i, (out, _) in enumerate(pairs)
     ]
-    feedback_q: queue.Queue[Payload | ProtocolError] = queue.Queue()
+    reports: queue.Queue[ProtocolError] = queue.Queue()
+    returns = PayloadReader(pairs[-1][1], _feedback_to(sched))
 
-    # Stage i reads hop i-1 and writes hop i; stage 0 is the head's reader of
-    # the return hop (the head's loop writes hop 0), the last stage the tail.
+    # Stage i reads hop i-1 and writes hop i, for i from 1: the relays, then
+    # the tail.  The head's loop writes hop 0 and reads the return hop.
     roles = [
-        ("head", lambda sock, _: receive_payloads(sock, lambda p, _: feedback_q.put(p))),
-        *((f"relay {i}", _relay) for i in range(1, len(links) - 1)),
-        ("tail", _tail_worker),
+        *((f"relay {i}", _relay) for i in range(1, len(links) - 1)), ("tail", _tail_worker)
     ]
     stages = [
         threading.Thread(target=_stage, name=name, daemon=True, args=(
-            name, work, pairs[i - 1][1], senders[i] if i else None, feedback_q))
-        for i, (name, work) in enumerate(roles)
+            name, work, pairs[i - 1][1], senders[i], reports))
+        for i, (name, work) in enumerate(roles, start=1)
     ]
     workers = [*senders, *stages]
     for worker in workers:
@@ -168,7 +182,7 @@ def run_socket_demo(
                 continue
             if not sched.in_flight:
                 raise ProtocolError("demo stalled with no work in flight")
-            _apply_feedback(sched, feedback_q, timeout_s)
+            _apply_feedback(returns, reports, timeout_s)
     except BaseException:
         # No joins on failure: a mute worker would hold each one for
         # timeout_s.  Shutting the sockets down ends every blocked read/write.

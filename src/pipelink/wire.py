@@ -23,19 +23,28 @@ rest and drain the queue before it half-closes the socket
 (``shutdown(SHUT_WR)``), so each hop of a ring still delivers everything
 sent on it before its EOF.  A sender that failed, in either thread, leaves
 its stream open, so its peer never mistakes a cut stream for a finished one.
-:func:`receive_payloads` reads frames through one buffered reader per socket,
-so a frame costs two reads from the reader's buffer rather than two
-``recv`` calls, and a burst of small frames is taken in by one ``recv``.  It
-reassembles chunks into payloads, checking that each payload's chunks come in
-index order, and calls ``on_payload(payload, body)`` with each completed one:
-the :class:`~pipelink.transport.Payload` and the bytes its sender was given.
+There are two receivers with one decoder: :func:`_frame_length` checks a
+frame's length field and :func:`_frame` its header, for both, and one
+reassembly checks that each payload's chunks come in index order and calls
+``on_payload(payload, body)`` with each completed one: the
+:class:`~pipelink.transport.Payload` and the bytes its sender was given.
+:func:`receive_payloads` is for a thread that only reads its socket: it
+reads frames through one buffered reader per socket, so a frame costs two
+reads from the reader's buffer rather than two ``recv`` calls, and a burst
+of small frames is taken in by one ``recv``.  :class:`PayloadReader` is for
+a thread with other work between reads, such as the demo's head: each
+``read()`` takes in what has arrived and hands on every payload it
+completes, and waits, up to a timeout, only while no whole frame has come.
 """
 
 from __future__ import annotations
 
+import math
+import select
 import socket
 import struct
 import threading
+import time
 from typing import BinaryIO
 
 from .errors import ProtocolError
@@ -53,6 +62,8 @@ HEADER_BYTES = _HEADER.size  # 16
 # Largest frame_length either side accepts, so a corrupt length field cannot
 # make the receiver buffer up to 4 GiB.
 MAX_FRAME_BYTES = 64 << 20
+# Most bytes one PayloadReader.read takes in per recv.
+_RECV_BYTES = 64 << 10
 
 
 def encode_frame(payload_id: int, chunk_index: int, flags: int, body: bytes) -> bytes:
@@ -62,6 +73,35 @@ def encode_frame(payload_id: int, chunk_index: int, flags: int, body: bytes) -> 
     return _LEN.pack(length) + _HEADER.pack(payload_id, chunk_index, flags) + body
 
 
+# The two checks of a frame, for both receivers: its length field, read
+# first, then its header.
+def _frame_length(buf, at: int = 0) -> int:
+    """The frame_length field at ``at`` in ``buf``; a length that no frame
+    can have is a ProtocolError, before any of the frame's body is read."""
+    (length,) = _LEN.unpack_from(buf, at)
+    if length < HEADER_BYTES:
+        raise ProtocolError(f"frame shorter than header ({length} bytes)")
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
+    return length
+
+
+def _frame(buf, at: int, end: int) -> tuple[int, int, int, bytes]:
+    """The frame whose header starts at ``at`` in ``buf`` and whose body ends
+    at ``end``, its body a slice of ``buf``; an unknown flag bit is a
+    ProtocolError."""
+    payload_id, chunk_index, flags = _HEADER.unpack_from(buf, at)
+    if flags & ~_FLAGS:
+        raise ProtocolError(f"payload {payload_id}: unknown flag bits {flags:#x}")
+    return payload_id, chunk_index, flags, buf[at + HEADER_BYTES : end]
+
+
+def _cut_short(got: int) -> ProtocolError:
+    """The error for a stream that ended ``got`` bytes into a frame."""
+    where = "length field" if got < _LEN.size else "frame"
+    return ProtocolError(f"connection closed mid-{where}")
+
+
 def read_frame(reader: BinaryIO) -> tuple[int, int, int, bytes] | None:
     """One frame off a buffered reader, or None on clean EOF between frames;
     a truncated frame, a bad length or an unknown flag bit is a ProtocolError."""
@@ -69,19 +109,49 @@ def read_frame(reader: BinaryIO) -> tuple[int, int, int, bytes] | None:
     if not raw_len:
         return None
     if len(raw_len) < _LEN.size:
-        raise ProtocolError("connection closed mid-length field")
-    (length,) = _LEN.unpack(raw_len)
-    if length < HEADER_BYTES:
-        raise ProtocolError(f"frame shorter than header ({length} bytes)")
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
+        raise _cut_short(len(raw_len))
+    length = _frame_length(raw_len)
     rest = reader.read(length)
     if len(rest) < length:
-        raise ProtocolError("connection closed mid-frame")
-    payload_id, chunk_index, flags = _HEADER.unpack_from(rest)
-    if flags & ~_FLAGS:
-        raise ProtocolError(f"payload {payload_id}: unknown flag bits {flags:#x}")
-    return payload_id, chunk_index, flags, rest[HEADER_BYTES:]
+        raise _cut_short(_LEN.size + len(rest))
+    return _frame(rest, 0, length)
+
+
+class _Assembly:
+    """Reassembles frames into payloads and hands each completed one to
+    ``on_payload(payload, body)``: the payload and the bytes its sender was
+    given.  A payload of one frame is handed on with that frame's body,
+    uncopied."""
+
+    def __init__(self, on_payload) -> None:
+        self._on_payload = on_payload
+        self._partial: dict[int, list[bytes]] = {}  # payload id -> chunks so far
+
+    def add(self, payload_id: int, chunk_index: int, flags: int, body: bytes) -> None:
+        """Take one frame; a chunk out of index order, or repeated, and a
+        payload of 0 bytes are a ProtocolError."""
+        pieces = self._partial.get(payload_id)
+        due = 0 if pieces is None else len(pieces)
+        if chunk_index != due:
+            raise ProtocolError(
+                f"payload {payload_id}: chunk {chunk_index} where chunk {due} was due"
+            )
+        if not flags & FLAG_LAST:
+            self._partial.setdefault(payload_id, []).append(body)
+            return
+        if pieces is not None:
+            del self._partial[payload_id]
+            pieces.append(body)
+            body = b"".join(pieces)
+        if not body:  # no sender sends one (SocketLinkSender.send)
+            raise ProtocolError(f"payload {payload_id}: empty payload")
+        phase = Phase.DECODE if flags & FLAG_DECODE else Phase.PREFILL
+        self._on_payload(Payload(payload_id, phase, len(body)), body)
+
+    def end(self) -> None:
+        """The stream ended between frames: refuse it if a payload is cut."""
+        if self._partial:
+            raise ProtocolError(f"stream ended in the middle of payload {min(self._partial)}")
 
 
 class SocketLinkSender(threading.Thread):
@@ -247,42 +317,88 @@ def receive_payloads(sock: socket.socket, on_payload) -> None:
     Returns on EOF between payloads.  Raises :class:`ProtocolError` on a
     frame that :func:`read_frame` refuses, on a chunk whose index is out of
     order or repeated, on a payload of 0 bytes, on a stream that ends in the
-    middle of a payload, and on a socket error.  A payload of one frame is
-    handed on with that frame's body, uncopied.
+    middle of a payload, and on a socket error.
     """
-    partial: dict[int, list[bytes]] = {}  # payload id -> chunks so far
+    assembly = _Assembly(on_payload)
     try:
         # The socket keeps its fd until this reader is closed too.
         with sock.makefile("rb") as reader:
-            while True:
-                frame = read_frame(reader)
-                if frame is None:
-                    if partial:
-                        raise ProtocolError(
-                            f"stream ended in the middle of payload {min(partial)}"
-                        )
-                    return
-                payload_id, chunk_index, flags, body = frame
-                pieces = partial.get(payload_id)
-                due = 0 if pieces is None else len(pieces)
-                if chunk_index != due:
-                    raise ProtocolError(
-                        f"payload {payload_id}: chunk {chunk_index} where "
-                        f"chunk {due} was due"
-                    )
-                if not flags & FLAG_LAST:
-                    partial.setdefault(payload_id, []).append(body)
-                    continue
-                if pieces is not None:
-                    del partial[payload_id]
-                    pieces.append(body)
-                    body = b"".join(pieces)
-                if not body:  # no sender sends one (SocketLinkSender.send)
-                    raise ProtocolError(f"payload {payload_id}: empty payload")
-                phase = Phase.DECODE if flags & FLAG_DECODE else Phase.PREFILL
-                on_payload(Payload(payload_id, phase, len(body)), body)
+            while (frame := read_frame(reader)) is not None:
+                assembly.add(*frame)
     except OSError as exc:
         raise ProtocolError(f"link socket failed: {exc}") from exc
+    assembly.end()
+
+
+class PayloadReader:
+    """The payloads arriving on a socket, for a thread that reads it between
+    other work instead of blocking on it for good.
+
+    ``read()`` waits with ``poll`` until bytes arrive, takes in all that the
+    kernel holds, usually with one ``recv``, and hands on every payload those
+    bytes complete, so payloads that arrive together are handed on together.
+    Frames are checked as :func:`read_frame` checks them and reassembled as
+    :func:`receive_payloads` reassembles them, so a stream that one refuses
+    the other refuses with the same message, after handing on the same
+    payloads first.
+    """
+
+    def __init__(self, sock: socket.socket, on_payload) -> None:
+        self._sock = sock
+        self._poll = select.poll()
+        self._poll.register(sock, select.POLLIN)
+        self._chunk = memoryview(bytearray(_RECV_BYTES))  # each recv's bytes
+        self._buf = bytearray()  # the start of a frame not yet whole
+        self._assembly = _Assembly(on_payload)
+
+    def read(self, timeout_s: float) -> bool | None:
+        """Hand on every payload that the bytes arrived so far complete;
+        if no whole frame has arrived, wait up to ``timeout_s`` for one.
+
+        Returns True once whole frames were read, False if none arrived in
+        time, and None on EOF between payloads.  A refused stream or a socket
+        error is a :class:`ProtocolError`.
+        """
+        deadline = time.monotonic() + timeout_s
+        took = False  # whole frames were read
+        full = False  # the last recv filled the buffer: the kernel may hold more
+        while True:
+            if not full:
+                if took:
+                    return True
+                left_ms = math.ceil((deadline - time.monotonic()) * 1000)
+                if not self._poll.poll(max(left_ms, 0)):
+                    return False
+            try:
+                n = self._sock.recv_into(self._chunk, 0, socket.MSG_DONTWAIT)
+            except BlockingIOError:  # woken with nothing to read after all
+                full = False
+                continue
+            except OSError as exc:
+                raise ProtocolError(f"link socket failed: {exc}") from exc
+            if not n:
+                if self._buf:
+                    raise _cut_short(len(self._buf))
+                self._assembly.end()
+                return None
+            took |= self._take(n)
+            full = n == _RECV_BYTES
+
+    def _take(self, n: int) -> bool:
+        """Split the ``n`` bytes just received, after any start of a frame
+        before them, into frames; whether any frame was whole."""
+        buf = self._buf
+        buf += self._chunk[:n]
+        at, size = 0, len(buf)
+        while size - at >= _LEN.size:
+            end = at + _LEN.size + _frame_length(buf, at)
+            if end > size:
+                break
+            payload_id, chunk_index, flags, body = _frame(buf, at + _LEN.size, end)
+            self._assembly.add(payload_id, chunk_index, flags, bytes(body))
+            at = end
+        del buf[:at]
+        return at > 0
 
 
 def loopback_pair() -> tuple[socket.socket, socket.socket]:

@@ -951,6 +951,28 @@ def test_http_connection_waits_for_a_worker_when_all_are_busy(monkeypatch):
         server.server_close()
 
 
+def test_http_worker_counts_as_free_before_it_shuts_its_connection(monkeypatch):
+    server = make_server(ClusterRegistry(), "127.0.0.1", 0)
+    idle_at_shutdown = []
+    shutdown_request = server.shutdown_request
+
+    def recording_shutdown(request):
+        idle_at_shutdown.append(server._idle)
+        shutdown_request(request)
+
+    monkeypatch.setattr(server, "shutdown_request", recording_shutdown)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    base = f"http://127.0.0.1:{server.server_address[1]}"
+    try:
+        # One request, so one worker, and no other connection to take it.
+        assert call(base, "GET", "/nodes/w0")[0] == 404
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert idle_at_shutdown == [1]
+
+
 def test_a_closed_server_leaves_no_thread_or_file_open(tmp_path):
     before = open_files()
     journal = tmp_path / "registry.jsonl"

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import os
 import queue
@@ -17,7 +18,15 @@ from pipelink.engine import HeadScheduler, PipelineEngine, ring_links
 from pipelink.errors import ConfigError, ProtocolError
 from pipelink.profiles import Phase
 from pipelink.transport import LinkPolicy, Payload, activation_bytes, feedback_bytes
-from pipelink.wire import SocketLinkSender, receive_payloads
+from pipelink.wire import (
+    FLAG_DECODE,
+    FLAG_LAST,
+    PayloadReader,
+    SocketLinkSender,
+    encode_frame,
+    loopback_pair,
+    receive_payloads,
+)
 from pipelink.workload import Request, Trace
 
 from simsetup import engine_config, uniform_pipeline
@@ -252,6 +261,46 @@ def test_a_failing_stage_reaches_the_head_by_name(monkeypatch, stage, work, matc
     assert hooked == []
 
 
+class ResetHop:
+    """A hop's socket whose peer has reset it: every write fails."""
+
+    def __init__(self, sock):
+        self.sock = sock
+
+    def send(self, data, flags):
+        raise ConnectionResetError("peer reset")
+
+    sendall = send
+
+    def shutdown(self, how):
+        self.sock.shutdown(how)
+
+
+def test_a_stage_whose_sender_failed_reaches_the_head_by_name_after_timeout(monkeypatch):
+    # A failed sender leaves its stream open, so no EOF comes down the ring:
+    # the head finds the relay's report when it stops waiting for feedback.
+    def sender(sock, chunk_size, policy, name):
+        hop = ResetHop(sock) if name == "hop1-sender" else sock
+        return SocketLinkSender(hop, chunk_size, policy, name)
+
+    def relay_sending_twice(in_sock, out_sender):
+        def on_payload(p, body):
+            out_sender.send(p, body)  # its write fails, and the sender records why
+            out_sender.send(p, body)  # refused
+
+        receive_payloads(in_sock, on_payload)
+
+    monkeypatch.setattr(pipelink.demo, "SocketLinkSender", sender)
+    monkeypatch.setattr(pipelink.demo, "_relay", relay_sending_twice)
+    cfg, cluster, profiles = two_stage(LinkPolicy.DECODE_PRIORITY, None, 1, stages=3)
+    trace = Trace(requests=[Request(id=0, arrival_time=0.0, input_len=4, output_len=3)])
+    start = time.monotonic()
+    match = "relay 1 failed: ProtocolError: hop1-sender: peer gone"
+    with pytest.raises(ProtocolError, match=match):
+        run_socket_demo(cfg, cluster, profiles, trace, timeout_s=0.5)
+    assert time.monotonic() - start < 5.0
+
+
 def in_flight_scheduler():
     """A head scheduler with at least two micro-batches in flight."""
     cfg, cluster, profiles = two_stage(LinkPolicy.DECODE_PRIORITY, None, 1)
@@ -274,13 +323,45 @@ def feedback_for(mb_id):
     return Payload(mb_id, Phase.DECODE, 1)
 
 
+def frame_of(feedback):
+    """The frame the tail sends ``feedback`` in."""
+    return encode_frame(feedback.id, 0, FLAG_LAST | FLAG_DECODE, bytes(feedback.size_bytes))
+
+
+@contextlib.contextmanager
+def return_hop(sched):
+    """A loopback return hop: yields its two ends and the head's reader of
+    its head end, which applies feedback to ``sched``."""
+    tail_end, head_end = loopback_pair()
+    try:
+        yield tail_end, head_end, PayloadReader(head_end, pipelink.demo._feedback_to(sched))
+    finally:
+        tail_end.close()
+        head_end.close()
+
+
 def test_apply_feedback_applies_every_queued_feedback_at_once():
     sched = in_flight_scheduler()
-    feedback_q = queue.Queue()
-    for mb_id in list(sched.in_flight):
-        feedback_q.put(feedback_for(mb_id))
-    pipelink.demo._apply_feedback(sched, feedback_q, timeout_s=1.0)
-    assert sched.in_flight == {} and feedback_q.empty()
+    with return_hop(sched) as (tail_end, head_end, returns):
+        frames = [frame_of(feedback_for(mb_id)) for mb_id in sched.in_flight]
+        for frame in frames:
+            tail_end.sendall(frame)
+        # Returns once every frame is in the head end's socket buffer.
+        head_end.recv(sum(map(len, frames)), socket.MSG_PEEK | socket.MSG_WAITALL)
+        pipelink.demo._apply_feedback(returns, queue.Queue(), timeout_s=1.0)
+        assert sched.in_flight == {}
+        assert returns.read(timeout_s=0.0) is False  # nothing was left unread
+
+
+class ClosingSender:
+    """An out sender that notes how many end reports were queued when it closed."""
+
+    def __init__(self, reports):
+        self.reports = reports
+        self.queued_at_close = None
+
+    def close(self):
+        self.queued_at_close = self.reports.qsize()
 
 
 def end_report(name, error=None):
@@ -292,23 +373,66 @@ def end_report(name, error=None):
             raise error
 
     reports = queue.Queue()
-    pipelink.demo._stage(name, work, None, None, reports)
+    out_sender = ClosingSender(reports)
+    pipelink.demo._stage(name, work, None, out_sender, reports)
+    assert out_sender.queued_at_close == 1  # queued before EOF goes downstream
     return reports.get_nowait()
 
 
 @pytest.mark.parametrize("bad, match", [
     (end_report("tail"), "closed the return stream"),
-    (end_report("head", ProtocolError("reset")), "head failed: ProtocolError: reset"),
+    (end_report("tail", ProtocolError("reset")), "tail failed: ProtocolError: reset"),
     (feedback_for(10**9), "unknown micro-batch"),
 ])
 def test_apply_feedback_raises_on_a_bad_item_amid_good_ones(bad, match):
+    # An end report stands for the ring closing the return stream after it
+    # was queued; a feedback is sent in its frame.
     sched = in_flight_scheduler()
     first, second = list(sched.in_flight)[:2]
-    feedback_q = queue.Queue()
-    for item in (feedback_for(first), bad, feedback_for(second)):
-        feedback_q.put(item)
-    with pytest.raises(ProtocolError, match=match):
-        pipelink.demo._apply_feedback(sched, feedback_q, timeout_s=1.0)
+    reports = queue.Queue()
+    with return_hop(sched) as (tail_end, _, returns):
+        for item in (feedback_for(first), bad, feedback_for(second)):
+            if isinstance(item, ProtocolError):
+                reports.put(item)
+                tail_end.shutdown(socket.SHUT_WR)
+                break
+            tail_end.sendall(frame_of(item))
+        with pytest.raises(ProtocolError, match=match):
+            for _ in range(3):  # the frames may come in more than one read
+                pipelink.demo._apply_feedback(returns, reports, timeout_s=1.0)
+        assert first not in sched.in_flight
+
+
+def test_apply_feedback_without_an_end_report_names_the_ended_stream():
+    sched = in_flight_scheduler()
+    with return_hop(sched) as (tail_end, _, returns):
+        tail_end.shutdown(socket.SHUT_WR)
+        with pytest.raises(ProtocolError, match="return stream ended, and no stage reported"):
+            pipelink.demo._apply_feedback(returns, queue.Queue(), timeout_s=0.1)
+
+
+@pytest.mark.parametrize("stages", [2, 3, 4])
+def test_the_head_starts_no_thread_of_its_own(monkeypatch, stages):
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(self):
+        started.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    cfg, cluster, profiles = two_stage(LinkPolicy.DECODE_PRIORITY, 256, 1, stages)
+    trace = Trace(requests=[
+        Request(id=i, arrival_time=0.0, input_len=20, output_len=3) for i in range(6)
+    ])
+    assert run_socket_demo(cfg, cluster, profiles, trace, timeout_s=10.0) == {
+        r.id: r.output_len for r in trace.requests
+    }
+    assert sorted(started) == sorted([
+        *(f"hop{i}-sender" for i in range(stages)),
+        *(f"relay {i}" for i in range(1, stages - 1)),
+        "tail",
+    ])
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")

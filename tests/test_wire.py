@@ -18,6 +18,7 @@ from pipelink import wire
 from pipelink.wire import (
     FLAG_DECODE,
     FLAG_LAST,
+    PayloadReader,
     SocketLinkSender,
     encode_frame,
     loopback_pair,
@@ -672,6 +673,137 @@ def test_receiver_socket_error_is_protocol_error():
     try:
         with pytest.raises(ProtocolError, match="socket failed"):
             receive_payloads(b, lambda p, body: None)
+    finally:
+        a.close()
+
+
+def read_until_eof(sock, on_payload):
+    """What the demo's head does with a PayloadReader, read to the end."""
+    reader = PayloadReader(sock, on_payload)
+    while (got := reader.read(timeout_s=5.0)) is not None:
+        assert got, "PayloadReader waited out its timeout on a closed stream"
+
+
+def decoded(receive, stream, close=True):
+    """The payloads and the error, or None, of ``receive(sock, on_payload)``
+    over ``stream``, then EOF unless not ``close``; it must end within 5 s."""
+    a, b = socket.socketpair()
+    delivered, outcome = [], []
+
+    def run():
+        try:
+            receive(b, collect(delivered.append))
+            outcome.append(None)
+        except Exception as exc:  # compared below: only a ProtocolError may be here
+            outcome.append(exc)
+
+    try:
+        a.sendall(stream)
+        if close:
+            a.close()
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=5)
+        assert not worker.is_alive(), f"{receive.__name__} hung"
+    finally:
+        a.close()
+        b.close()
+    return delivered, outcome[0]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stream=st.lists(frames, max_size=8), tail=tails)
+def test_head_reader_decodes_any_stream_as_the_receiver_does(stream, tail):
+    raw = b"".join(encode_frame(*frame) for frame in stream) + tail
+    delivered, error = decoded(read_until_eof, raw)
+    assert error is None or isinstance(error, ProtocolError), error
+    expected, expected_error = decoded(receive_payloads, raw)
+    assert delivered == expected
+    assert (type(error), str(error)) == (type(expected_error), str(expected_error))
+
+
+both_receivers = pytest.mark.parametrize(
+    "receive", [receive_payloads, read_until_eof], ids=["receiver", "head-reader"]
+)
+
+
+@both_receivers
+@pytest.mark.parametrize("bit", [4, 1 << 31], ids=["bit2", "bit31"])
+def test_both_receivers_refuse_an_unknown_flag_bit(receive, bit):
+    frames = [(1, 0, FLAG_LAST, b"A"), (2, 0, bit, b""), (3, 0, FLAG_LAST, b"C")]
+    delivered, error = decoded(receive, b"".join(encode_frame(*f) for f in frames))
+    assert [p.payload_id for p in delivered] == [1]
+    assert isinstance(error, ProtocolError)
+    assert str(error) == f"payload 2: unknown flag bits {bit:#x}"
+
+
+@both_receivers
+def test_both_receivers_refuse_an_oversize_length_before_its_body_comes(receive):
+    # The stream stays open: waiting for the body would hang.
+    delivered, error = decoded(receive, b"\xff\xff\xff\xff", close=False)
+    assert delivered == [] and isinstance(error, ProtocolError)
+    assert str(error) == f"frame of {0xFFFFFFFF} bytes exceeds {wire.MAX_FRAME_BYTES}"
+
+
+@both_receivers
+@pytest.mark.parametrize("cut, message", [
+    (2, "connection closed mid-length field"),
+    (10, "connection closed mid-frame"),
+    (-1, "connection closed mid-frame"),
+], ids=["in-length", "in-header", "in-body"])
+def test_both_receivers_refuse_a_truncated_frame(receive, cut, message):
+    whole = encode_frame(1, 0, FLAG_LAST, b"A")
+    delivered, error = decoded(receive, whole + encode_frame(2, 0, FLAG_LAST, b"BB")[:cut])
+    assert [p.payload_id for p in delivered] == [1]
+    assert isinstance(error, ProtocolError) and str(error) == message
+
+
+def test_head_reader_reads_frames_sent_byte_by_byte_as_they_complete():
+    frames = [
+        encode_frame(9, 0, 0, b"tric"),
+        encode_frame(9, 1, FLAG_LAST, b"kled"),
+        encode_frame(4, 0, FLAG_LAST | FLAG_DECODE, b"d"),
+    ]
+    ends = set(itertools.accumulate(map(len, frames)))
+    a, b = socket.socketpair()
+    delivered = []
+    reader = PayloadReader(b, collect(delivered.append))
+    try:
+        for sent, byte in enumerate(b"".join(frames), start=1):
+            a.sendall(bytes([byte]))
+            # A byte that ends a frame makes a read that hands it on; any
+            # other byte is kept for the frame it starts or continues.
+            assert reader.read(timeout_s=5.0 if sent in ends else 0.0) is (sent in ends)
+        a.close()
+        assert reader.read(timeout_s=5.0) is None
+    finally:
+        a.close()
+        b.close()
+    assert delivered == [
+        Received(9, Phase.PREFILL, b"trickled"), Received(4, Phase.DECODE, b"d")
+    ]
+
+
+def test_head_reader_waits_up_to_its_timeout_for_a_frame():
+    a, b = socket.socketpair()
+    reader = PayloadReader(b, lambda p, body: None)
+    try:
+        a.sendall(encode_frame(1, 0, FLAG_LAST, b"A")[:-1])  # no whole frame
+        start = time.monotonic()
+        assert reader.read(timeout_s=0.2) is False
+        assert 0.15 < time.monotonic() - start < 2.0
+    finally:
+        a.close()
+        b.close()
+
+
+def test_head_reader_socket_error_is_protocol_error():
+    a, b = socket.socketpair()
+    reader = PayloadReader(b, lambda p, body: None)
+    b.close()
+    try:
+        with pytest.raises(ProtocolError, match="socket failed"):
+            reader.read(timeout_s=1.0)
     finally:
         a.close()
 
