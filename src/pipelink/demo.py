@@ -11,20 +11,21 @@ exactly that.
 Each hop of the ring (stage i to stage i+1, the last stage back to the head)
 is one loopback connection with one sender.  The head sends activations;
 each middle stage relays them unchanged; the tail turns each activation into
-one feedback payload for the head.  The thread that sends on a hop (the
-head's loop, a relay's or the tail's thread) writes a frame itself when the
-hop is idle; the hop's sender thread writes only what the kernel did not
-take and what queues up behind a write in progress.  Payloads have the
-simulator's sizes: an activation's first ``min(4, size)`` bytes carry its
-request count, which fits because a micro-batch has no more requests than
-tokens, and no more tokens than activation bytes.
+one feedback payload for the head.  Payloads move in bursts: the head sends
+one dispatch's micro-batches in one ``send``, and a stage sends on what one
+``recv`` completed in one, so a burst on an idle hop is one socket write, by
+the thread that sends it; the hop's sender thread writes only what the
+kernel did not take and what queues up behind a write in progress.
+Payloads have the simulator's sizes: an activation's first ``min(4, size)``
+bytes carry its request count, which fits because a micro-batch has no more
+requests than tokens, and no more tokens than activation bytes.
 
 A ring of n stages runs n - 1 stage threads, the relays and the tail, and
 one sender thread per hop.  Each stage thread runs :func:`_stage` and reads
 its hop with :func:`~pipelink.wire.receive_payloads`, whose
-``on_payload(payload, body)`` has the signature of ``SocketLinkSender.send``,
-so a relay passes the next hop's ``send`` itself.  No thread reads the
-return hop for the head: the head's loop reads it with a
+``on_payloads(items)`` has the signature of ``SocketLinkSender.send``, so a
+relay passes the next hop's ``send`` itself.  No thread reads the return hop
+for the head: the head's loop reads it with a
 :class:`~pipelink.wire.PayloadReader`, and only when it has nothing left to
 dispatch.  It then applies every feedback that has arrived before it
 dispatches again, so micro-batches that return together go out together.
@@ -35,13 +36,14 @@ work, then puts its report on the head's queue of end reports, then closes
 its out sender, so every report upstream of a stage is queued before that
 stage reads EOF.  A run ends hop by hop: closing a sender drains it, then
 half-closes its socket, and the stage downstream reads EOF and ends too, up
-to the head.  At the end of a run the head joins the workers and closes the
+to the head.  A stage whose work raised, its out sender's failure included,
+also cuts its out hop first: it shuts the socket down both ways, so the
+stage downstream reads EOF at once, though a failed sender leaves its
+stream open.  At the end of a run the head joins the workers and closes the
 sockets; the end reports go unread.  An end report reaches the head when
 the return stream ends while work is in flight: the head then raises the
-first report queued, so a failed stage reaches it by name and cause, and it
-shuts every socket down.  A stage whose out sender failed leaves its stream
-open, as every failed sender does, so the head sees no EOF: it raises that
-stage's report once it has waited ``timeout_s`` for feedback.
+first report queued, so a failed stage reaches it by name and cause, at
+once, and it shuts every socket down.
 
 Arrivals are collapsed: the trace's requests are offered in arrival order as
 fast as the pipeline accepts them.
@@ -67,22 +69,24 @@ from .workload import Trace
 
 
 def _relay(in_sock, out_sender: SocketLinkSender) -> None:
-    """Middle stage: pass each payload on unchanged, with its id and phase."""
+    """Middle stage: pass each burst on unchanged, with its ids and phases."""
     receive_payloads(in_sock, out_sender.send)
 
 
 def _tail_worker(forward_sock, return_sender: SocketLinkSender) -> None:
-    """Last stage: receive an activation, emit one feedback token per request."""
+    """Last stage: answer each burst of activations with one burst of feedback,
+    one token per request."""
 
-    def on_payload(p: Payload, body: bytes) -> None:
-        size = feedback_bytes(int.from_bytes(body[:4], "little"))
-        return_sender.send(Payload(p.id, Phase.DECODE, size), bytes(size))
+    def on_payloads(items) -> None:
+        sizes = [(p.id, feedback_bytes(int.from_bytes(body[:4], "little"))) for p, body in items]
+        return_sender.send([(Payload(pid, Phase.DECODE, n), bytes(n)) for pid, n in sizes])
 
-    receive_payloads(forward_sock, on_payload)
+    receive_payloads(forward_sock, on_payloads)
 
 
-def _stage(name: str, work, in_sock, out_sender: SocketLinkSender, reports) -> None:
-    """Run ``work`` on the stage's hop, put its end report, close its out sender."""
+def _stage(name: str, work, in_sock, out_sock, out_sender: SocketLinkSender, reports) -> None:
+    """Run ``work`` on the stage's hop, put its end report, cut its out hop if
+    ``work`` raised, and close its out sender."""
     report = ProtocolError(f"{name}'s input ended, so the ring closed the return stream early")
     try:
         work(in_sock, out_sender)
@@ -93,17 +97,23 @@ def _stage(name: str, work, in_sock, out_sender: SocketLinkSender, reports) -> N
             raise  # an exit or interrupt goes on, once reported below
     finally:
         reports.put(report)
+        if report.__cause__ is not None:  # cut the out hop: downstream reads EOF at once
+            try:
+                out_sock.shutdown(socket.SHUT_RDWR)
+            except OSError:  # the head has closed it already
+                pass
         out_sender.close()
 
 
 def _feedback_to(sched: HeadScheduler):
-    """The head's ``on_payload`` for the return hop: apply one feedback."""
+    """The head's ``on_payloads`` for the return hop: apply a burst of feedback."""
 
-    def apply(p: Payload, _body: bytes) -> None:
-        mb = sched.in_flight.get(p.id)
-        if mb is None:
-            raise ProtocolError(f"feedback for unknown micro-batch {p.id}")
-        sched.feedback(mb, 0)
+    def apply(items) -> None:
+        for p, _body in items:
+            mb = sched.in_flight.get(p.id)
+            if mb is None:
+                raise ProtocolError(f"feedback for unknown micro-batch {p.id}")
+            sched.feedback(mb, 0)
 
     return apply
 
@@ -160,7 +170,7 @@ def run_socket_demo(
     ]
     stages = [
         threading.Thread(target=_stage, name=name, daemon=True, args=(
-            name, work, pairs[i - 1][1], senders[i], reports))
+            name, work, pairs[i - 1][1], pairs[i][0], senders[i], reports))
         for i, (name, work) in enumerate(roles, start=1)
     ]
     workers = [*senders, *stages]
@@ -171,14 +181,15 @@ def run_socket_demo(
     socks = [sock for pair in pairs for sock in pair]
     try:
         while sched.unfinished:
-            batches = sched.dispatch()
-            for mb in batches:
+            burst = []
+            for mb in sched.dispatch():
                 # The payload id is the micro-batch id: each is sent once.
                 size = activation_bytes(mb.batched_tokens, sched.bytes_per_token)
                 head = min(4, size)
                 body = len(mb.request_ids).to_bytes(head, "little") + bytes(size - head)
-                forward_sender.send(Payload(mb.id, mb.phase, size), body)
-            if batches:
+                burst.append((Payload(mb.id, mb.phase, size), body))
+            if burst:
+                forward_sender.send(burst)
                 continue
             if not sched.in_flight:
                 raise ProtocolError("demo stalled with no work in flight")

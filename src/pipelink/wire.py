@@ -11,11 +11,14 @@ Wire format, little-endian throughout, length-prefixed:
 
 The sender applies the same two-class, chunk-granular schedule as the
 virtual-time backend: it owns a :class:`LinkQueue` guarded by a condition
-variable.  Who writes a frame: when no thread is writing and nothing is
-queued, ``send()`` writes the payload's first frame from the caller's thread
-with one non-blocking ``send``, so an idle link costs no hand-off to another
-thread.  The sender's worker thread writes whatever the kernel did not take,
-before any other frame, then drains the queue one chunk at a time.
+variable.  ``send(items)`` takes a burst of ``(payload, body)`` pairs and
+checks each before it queues any.  When no thread is writing and nothing is
+queued, it takes one chunk per item, in ``LinkQueue`` order, and writes their
+frames, joined, with one non-blocking ``send`` from the caller's thread: one
+write and no thread hand-off per burst, yet no burst of long prefills copied
+whole, and a later decode still waits only a chunk.  The sender's worker
+thread writes whatever the kernel did not take, before any other frame, then
+drains the queue one chunk at a time.
 ``send()`` never blocks on the socket: a full socket buffer or a peer that
 stops reading stalls only the worker.  A stream ends only with EOF between
 payloads: ``close()`` lets the worker wait out a caller's write, write its
@@ -23,18 +26,14 @@ rest and drain the queue before it half-closes the socket
 (``shutdown(SHUT_WR)``), so each hop of a ring still delivers everything
 sent on it before its EOF.  A sender that failed, in either thread, leaves
 its stream open, so its peer never mistakes a cut stream for a finished one.
-There are two receivers with one decoder: :func:`_frame_length` checks a
-frame's length field and :func:`_frame` its header, for both, and one
-reassembly checks that each payload's chunks come in index order and calls
-``on_payload(payload, body)`` with each completed one: the
-:class:`~pipelink.transport.Payload` and the bytes its sender was given.
-:func:`receive_payloads` is for a thread that only reads its socket: it
-reads frames through one buffered reader per socket, so a frame costs two
-reads from the reader's buffer rather than two ``recv`` calls, and a burst
-of small frames is taken in by one ``recv``.  :class:`PayloadReader` is for
-a thread with other work between reads, such as the demo's head: each
-``read()`` takes in what has arrived and hands on every payload it
-completes, and waits, up to a timeout, only while no whole frame has come.
+The one receiver, :class:`PayloadReader`, splits what each ``recv`` takes in
+into frames, checks them (:func:`_frame_length` and :func:`_frame`) and the
+index order of each payload's chunks, and calls ``on_payloads(items)`` once
+with the ``(payload, body)`` of each payload they complete, the signature of
+``SocketLinkSender.send``.  :func:`receive_payloads` runs it in blocking mode
+for a thread that only reads; the demo's head calls ``read(timeout_s)``
+between other work.  :func:`read_frame` applies the same checks to one frame
+off a buffered reader.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ import threading
 import time
 from typing import BinaryIO
 
-from .errors import ProtocolError
+from .errors import ConfigError, ProtocolError
 from .profiles import Phase
 from .transport import Chunk, LinkPolicy, LinkQueue, Payload
 
@@ -62,7 +61,7 @@ HEADER_BYTES = _HEADER.size  # 16
 # Largest frame_length either side accepts, so a corrupt length field cannot
 # make the receiver buffer up to 4 GiB.
 MAX_FRAME_BYTES = 64 << 20
-# Most bytes one PayloadReader.read takes in per recv.
+# Most bytes a PayloadReader takes in per recv.
 _RECV_BYTES = 64 << 10
 
 
@@ -73,8 +72,7 @@ def encode_frame(payload_id: int, chunk_index: int, flags: int, body: bytes) -> 
     return _LEN.pack(length) + _HEADER.pack(payload_id, chunk_index, flags) + body
 
 
-# The two checks of a frame, for both receivers: its length field, read
-# first, then its header.
+# The two checks of a frame: its length field, read first, then its header.
 def _frame_length(buf, at: int = 0) -> int:
     """The frame_length field at ``at`` in ``buf``; a length that no frame
     can have is a ProtocolError, before any of the frame's body is read."""
@@ -117,48 +115,11 @@ def read_frame(reader: BinaryIO) -> tuple[int, int, int, bytes] | None:
     return _frame(rest, 0, length)
 
 
-class _Assembly:
-    """Reassembles frames into payloads and hands each completed one to
-    ``on_payload(payload, body)``: the payload and the bytes its sender was
-    given.  A payload of one frame is handed on with that frame's body,
-    uncopied."""
-
-    def __init__(self, on_payload) -> None:
-        self._on_payload = on_payload
-        self._partial: dict[int, list[bytes]] = {}  # payload id -> chunks so far
-
-    def add(self, payload_id: int, chunk_index: int, flags: int, body: bytes) -> None:
-        """Take one frame; a chunk out of index order, or repeated, and a
-        payload of 0 bytes are a ProtocolError."""
-        pieces = self._partial.get(payload_id)
-        due = 0 if pieces is None else len(pieces)
-        if chunk_index != due:
-            raise ProtocolError(
-                f"payload {payload_id}: chunk {chunk_index} where chunk {due} was due"
-            )
-        if not flags & FLAG_LAST:
-            self._partial.setdefault(payload_id, []).append(body)
-            return
-        if pieces is not None:
-            del self._partial[payload_id]
-            pieces.append(body)
-            body = b"".join(pieces)
-        if not body:  # no sender sends one (SocketLinkSender.send)
-            raise ProtocolError(f"payload {payload_id}: empty payload")
-        phase = Phase.DECODE if flags & FLAG_DECODE else Phase.PREFILL
-        self._on_payload(Payload(payload_id, phase, len(body)), body)
-
-    def end(self) -> None:
-        """The stream ended between frames: refuse it if a payload is cut."""
-        if self._partial:
-            raise ProtocolError(f"stream ended in the middle of payload {min(self._partial)}")
-
-
 class SocketLinkSender(threading.Thread):
     """Writes payloads onto a socket, one chunk per frame, in LinkQueue order.
 
-    ``send()`` never blocks on the socket: on an idle link it writes the next
-    frame from the caller's thread with one non-blocking ``send``, and this
+    ``send()`` never blocks on the socket: on an idle link it writes a frame
+    per item from the caller's thread with one non-blocking ``send``, and this
     worker thread writes what the kernel did not take, then every queued
     chunk; ``close()`` lets it finish all of that before it half-closes.  The
     socket must be in blocking mode (no timeout), so that the worker's writes
@@ -187,38 +148,42 @@ class SocketLinkSender(threading.Thread):
         # Why the sender stopped early.
         self._error: OSError | ProtocolError | None = None
 
-    def send(self, payload: Payload, body: bytes) -> None:
-        """Queue ``payload``, or write its first frame now if the link is idle."""
-        if len(body) != payload.size_bytes:
-            raise ProtocolError(
-                f"payload {payload.id}: body is {len(body)} bytes, "
-                f"declared {payload.size_bytes}"
-            )
-        # Refuse here, not in a writing thread, a chunk no frame can carry.
-        # Decode payloads are never split (LinkQueue.next_chunk).
-        chunk = payload.size_bytes
-        if payload.phase is not Phase.DECODE and self._queue.chunk_size:
-            chunk = min(chunk, self._queue.chunk_size)
-        if HEADER_BYTES + chunk > MAX_FRAME_BYTES:
-            raise ProtocolError(
-                f"payload {payload.id}: {chunk}-byte chunks exceed the frame limit"
-            )
+    def send(self, items) -> None:
+        """Queue the ``(payload, body)`` items; on an idle link, write a chunk per item now."""
+        for payload, body in items:
+            if len(body) != payload.size_bytes:
+                raise ProtocolError(
+                    f"payload {payload.id}: body is {len(body)} bytes, "
+                    f"declared {payload.size_bytes}"
+                )
+            if not body:  # as LinkQueue.enqueue refuses it, but before any is queued
+                raise ConfigError(f"payload {payload.id}: size must be >= 1 byte")
+            # Refuse here, not in a writing thread, a chunk no frame can carry.
+            # Decode payloads are never split (LinkQueue.next_chunk).
+            chunk = payload.size_bytes
+            if payload.phase is not Phase.DECODE and self._queue.chunk_size:
+                chunk = min(chunk, self._queue.chunk_size)
+            if HEADER_BYTES + chunk > MAX_FRAME_BYTES:
+                raise ProtocolError(
+                    f"payload {payload.id}: {chunk}-byte chunks exceed the frame limit"
+                )
         with self._cond:
             if self._error is not None:
                 why = "peer gone" if isinstance(self._error, OSError) else "own frame refused"
                 raise ProtocolError(f"{self.name}: {why}: {self._error}")
             if self._closing:
-                raise ProtocolError(f"{self.name}: payload {payload.id}: sender is closing")
+                raise ProtocolError(f"{self.name}: payload {items[0][0].id}: sender is closing")
             idle = not (self._writing or self._bodies or self._rest is not None)
-            self._queue.enqueue(payload)
-            self._bodies[payload.id] = body
+            for payload, body in items:
+                self._queue.enqueue(payload)
+                self._bodies[payload.id] = body
             if not idle:
                 if not self._writing:  # a writer looks at the queue when it is done
                     self._cond.notify()
                 return
-            taken = self._take()
+            taken = [self._take() for _ in items]  # a chunk per item, in queue order
             self._writing = True
-        self._write_now(*taken)
+        self._write_now(taken)
 
     def close(self) -> None:
         """Flush queued payloads, then half-close the socket and stop."""
@@ -247,11 +212,11 @@ class SocketLinkSender(threading.Thread):
             chunk.payload_id, chunk.index, flags, body[offset : offset + chunk.size_bytes]
         )
 
-    def _write_now(self, chunk: Chunk, body: bytes) -> None:
-        """Write a frame from the caller's thread, without waiting on the socket."""
+    def _write_now(self, taken: list[tuple[Chunk, bytes]]) -> None:
+        """Write the frames of ``taken``, joined, from the caller's thread, without waiting."""
         rest = error = None
         try:
-            frame = self._frame(chunk, body)
+            frame = b"".join([self._frame(*job) for job in taken])
             try:
                 sent = self._sock.send(frame, socket.MSG_DONTWAIT)
             except BlockingIOError:  # the socket buffer is full
@@ -311,66 +276,60 @@ class SocketLinkSender(threading.Thread):
                 self._fail(exc)
 
 
-def receive_payloads(sock: socket.socket, on_payload) -> None:
-    """Reassemble framed chunks into payloads; call ``on_payload(payload, body)``.
-
-    Returns on EOF between payloads.  Raises :class:`ProtocolError` on a
-    frame that :func:`read_frame` refuses, on a chunk whose index is out of
-    order or repeated, on a payload of 0 bytes, on a stream that ends in the
-    middle of a payload, and on a socket error.
-    """
-    assembly = _Assembly(on_payload)
-    try:
-        # The socket keeps its fd until this reader is closed too.
-        with sock.makefile("rb") as reader:
-            while (frame := read_frame(reader)) is not None:
-                assembly.add(*frame)
-    except OSError as exc:
-        raise ProtocolError(f"link socket failed: {exc}") from exc
-    assembly.end()
+def receive_payloads(sock: socket.socket, on_payloads) -> None:
+    """Hand each ``recv``'s completed payloads to ``on_payloads(items)``,
+    reading in blocking mode, until EOF between payloads; a refused stream
+    or a socket error is a :class:`ProtocolError`."""
+    reader = PayloadReader(sock, on_payloads)
+    while reader.read(None) is not None:
+        pass
 
 
 class PayloadReader:
-    """The payloads arriving on a socket, for a thread that reads it between
-    other work instead of blocking on it for good.
+    """The payloads arriving on a socket, handed on as each ``recv`` completes them.
 
-    ``read()`` waits with ``poll`` until bytes arrive, takes in all that the
-    kernel holds, usually with one ``recv``, and hands on every payload those
-    bytes complete, so payloads that arrive together are handed on together.
-    Frames are checked as :func:`read_frame` checks them and reassembled as
-    :func:`receive_payloads` reassembles them, so a stream that one refuses
-    the other refuses with the same message, after handing on the same
-    payloads first.
+    Each ``recv`` takes up to ``_RECV_BYTES`` into one buffer held for the
+    reader's life, and ``on_payloads(items)`` gets the ``(payload, body)`` of
+    each payload its bytes complete, if any.  A refused frame, a chunk out of
+    index order or repeated, a payload of 0 bytes and a stream cut mid-frame
+    or mid-payload are a :class:`ProtocolError`, raised after the payloads
+    before it are handed on.
     """
 
-    def __init__(self, sock: socket.socket, on_payload) -> None:
+    def __init__(self, sock: socket.socket, on_payloads) -> None:
         self._sock = sock
-        self._poll = select.poll()
-        self._poll.register(sock, select.POLLIN)
+        self._fd, self._poll = sock.fileno(), None  # made by the first read with a timeout
         self._chunk = memoryview(bytearray(_RECV_BYTES))  # each recv's bytes
         self._buf = bytearray()  # the start of a frame not yet whole
-        self._assembly = _Assembly(on_payload)
+        self._partial: dict[int, list[bytes]] = {}  # payload id -> chunks so far
+        self._on_payloads = on_payloads
 
-    def read(self, timeout_s: float) -> bool | None:
-        """Hand on every payload that the bytes arrived so far complete;
-        if no whole frame has arrived, wait up to ``timeout_s`` for one.
+    def read(self, timeout_s: float | None) -> bool | None:
+        """Hand on every payload that the bytes arrived so far complete; until
+        a whole frame has arrived, wait up to ``timeout_s`` with ``poll``, or
+        with None, in blocking ``recv`` calls.
 
         Returns True once whole frames were read, False if none arrived in
         time, and None on EOF between payloads.  A refused stream or a socket
         error is a :class:`ProtocolError`.
         """
-        deadline = time.monotonic() + timeout_s
+        blocking = timeout_s is None
+        if not blocking and self._poll is None:
+            self._poll = select.poll()
+            self._poll.register(self._fd, select.POLLIN)
+        deadline = 0 if blocking else time.monotonic() + timeout_s
         took = False  # whole frames were read
         full = False  # the last recv filled the buffer: the kernel may hold more
         while True:
             if not full:
                 if took:
                     return True
-                left_ms = math.ceil((deadline - time.monotonic()) * 1000)
-                if not self._poll.poll(max(left_ms, 0)):
-                    return False
+                if not blocking:
+                    left_ms = math.ceil((deadline - time.monotonic()) * 1000)
+                    if not self._poll.poll(max(left_ms, 0)):
+                        return False
             try:
-                n = self._sock.recv_into(self._chunk, 0, socket.MSG_DONTWAIT)
+                n = self._sock.recv_into(self._chunk, 0, 0 if blocking else socket.MSG_DONTWAIT)
             except BlockingIOError:  # woken with nothing to read after all
                 full = False
                 continue
@@ -379,26 +338,56 @@ class PayloadReader:
             if not n:
                 if self._buf:
                     raise _cut_short(len(self._buf))
-                self._assembly.end()
+                if self._partial:
+                    cut = min(self._partial)
+                    raise ProtocolError(f"stream ended in the middle of payload {cut}")
                 return None
             took |= self._take(n)
-            full = n == _RECV_BYTES
+            full = not blocking and n == _RECV_BYTES  # a blocking read leaves it to the next
 
     def _take(self, n: int) -> bool:
         """Split the ``n`` bytes just received, after any start of a frame
-        before them, into frames; whether any frame was whole."""
+        before them, into frames, and hand on the payloads they complete;
+        whether any frame was whole."""
         buf = self._buf
         buf += self._chunk[:n]
-        at, size = 0, len(buf)
-        while size - at >= _LEN.size:
-            end = at + _LEN.size + _frame_length(buf, at)
-            if end > size:
-                break
-            payload_id, chunk_index, flags, body = _frame(buf, at + _LEN.size, end)
-            self._assembly.add(payload_id, chunk_index, flags, bytes(body))
-            at = end
-        del buf[:at]
+        at, size, done = 0, len(buf), []
+        try:
+            while size - at >= _LEN.size:
+                end = at + _LEN.size + _frame_length(buf, at)
+                if end > size:
+                    break
+                payload_id, chunk_index, flags, body = _frame(buf, at + _LEN.size, end)
+                if item := self._add(payload_id, chunk_index, flags, bytes(body)):
+                    done.append(item)
+                at = end
+        finally:
+            del buf[:at]
+            if done:  # also before a refusal: the payloads before it are good
+                self._on_payloads(done)
         return at > 0
+
+    def _add(self, payload_id: int, chunk_index: int, flags: int, body: bytes):
+        """The payload and body that this frame completes, or None; a chunk
+        out of index order, or repeated, and a payload of 0 bytes are a
+        ProtocolError."""
+        pieces = self._partial.get(payload_id)
+        due = 0 if pieces is None else len(pieces)
+        if chunk_index != due:
+            raise ProtocolError(
+                f"payload {payload_id}: chunk {chunk_index} where chunk {due} was due"
+            )
+        if not flags & FLAG_LAST:
+            self._partial.setdefault(payload_id, []).append(body)
+            return None
+        if pieces is not None:
+            del self._partial[payload_id]
+            pieces.append(body)
+            body = b"".join(pieces)
+        if not body:  # no sender sends one (SocketLinkSender.send)
+            raise ProtocolError(f"payload {payload_id}: empty payload")
+        phase = Phase.DECODE if flags & FLAG_DECODE else Phase.PREFILL
+        return Payload(payload_id, phase, len(body)), body
 
 
 def loopback_pair() -> tuple[socket.socket, socket.socket]:

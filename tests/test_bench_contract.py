@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+import pipelink.demo
+import pipelink.wire
 from pipelink.cli import load_run_config, main, run_simulation
 
 from test_cli import write_cluster, write_run_config
@@ -42,6 +44,32 @@ def test_socket_workload_operation_emits_every_token(monkeypatch, tmp_path):
     result = workload.op()
     assert result.failed == 0
     assert result.tokens == sum(r.output_len for r in workload.trace.requests)
+
+
+def test_tracer_patches_the_socket_layers_attributes(monkeypatch):
+    layers = import_bench(monkeypatch, "layers")
+    patched = set(layers.make_tracer().patched_attributes())
+    wire, demo = pipelink.wire, pipelink.demo
+    for owner, attr in [
+        (wire, "read_frame"), (wire, "encode_frame"), (wire.SocketLinkSender, "send"),
+        (demo, "queue"), (demo, "choose_n"), (demo, "admit_and_batch"),
+    ]:
+        assert (owner, attr) in patched, attr
+
+
+def test_traced_socket_operation_reaches_the_wire_spans(monkeypatch, tmp_path):
+    # The bench's per-layer socket figures come from these spans and counter.
+    layers = import_bench(monkeypatch, "layers")
+    workloads = import_bench(monkeypatch, "workloads")
+    workload = workloads.SocketPipeline(tmp_path)
+    workload.setup(workloads.DEFAULT_SEED)
+    with layers.make_tracer().installed() as tracer:
+        result = workload.op()
+    assert result.failed == 0
+    spans = tracer.by_name()
+    for span in ("wire.send", "wire.encode_frame"):
+        assert spans.get(span, (0,))[0] >= 1, span
+    assert tracer.counts().get("wire.bytes", 0) > 0
 
 
 def test_run_simulation_result_has_what_the_bench_reads(tmp_path):

@@ -111,9 +111,9 @@ def test_live_payloads_have_the_simulator_sizes(monkeypatch):
         batches.update((mb.id, mb) for mb in formed)
         return formed
 
-    def recording_send(self, payload, body):
-        sent.append((self.name, payload, len(body)))
-        return send(self, payload, body)
+    def recording_send(self, items):
+        sent.extend((self.name, payload, len(body)) for payload, body in items)
+        return send(self, items)
 
     monkeypatch.setattr(pipelink.engine, "admit_and_batch", recording_admit)
     monkeypatch.setattr(SocketLinkSender, "send", recording_send)
@@ -195,13 +195,13 @@ def test_relay_that_closes_its_input_mid_run_fails_the_head_at_once(monkeypatch)
         pass
 
     def closing_relay(in_sock, out_sender):
-        # Pass the first payload on, then take the input stream down.
-        def on_payload(p, body):
-            out_sender.send(p, body)
+        # Pass the first burst on, then take the input stream down.
+        def on_payloads(items):
+            out_sender.send(items)
             raise Stop
 
         try:
-            receive_payloads(in_sock, on_payload)
+            receive_payloads(in_sock, on_payloads)
         except Stop:
             in_sock.shutdown(socket.SHUT_RDWR)
             in_sock.close()
@@ -220,19 +220,19 @@ def test_relay_that_closes_its_input_mid_run_fails_the_head_at_once(monkeypatch)
 
 
 def relay_failing_after_one(in_sock, out_sender):
-    # Pass the first payload on, then fail as a refused frame would.
-    def on_payload(p, body):
-        out_sender.send(p, body)
+    # Pass the first burst on, then fail as a refused frame would.
+    def on_payloads(items):
+        out_sender.send(items)
         raise ProtocolError("payload 7: unknown flag bits 0x4")
 
-    receive_payloads(in_sock, on_payload)
+    receive_payloads(in_sock, on_payloads)
 
 
 def crashing_tail(forward_sock, return_sender):
-    def on_payload(p, body):
+    def on_payloads(items):
         raise RuntimeError("tail crashed")
 
-    receive_payloads(forward_sock, on_payload)
+    receive_payloads(forward_sock, on_payloads)
 
 
 @pytest.mark.parametrize("stage, work, match", [
@@ -276,19 +276,20 @@ class ResetHop:
         self.sock.shutdown(how)
 
 
-def test_a_stage_whose_sender_failed_reaches_the_head_by_name_after_timeout(monkeypatch):
-    # A failed sender leaves its stream open, so no EOF comes down the ring:
-    # the head finds the relay's report when it stops waiting for feedback.
+def test_a_stage_whose_sender_failed_reaches_the_head_by_name_at_once(monkeypatch):
+    # A failed sender leaves its stream open, but the relay, having put its
+    # report, cuts its out hop: EOF comes down the ring, and the head raises
+    # the relay's report without waiting out timeout_s.
     def sender(sock, chunk_size, policy, name):
         hop = ResetHop(sock) if name == "hop1-sender" else sock
         return SocketLinkSender(hop, chunk_size, policy, name)
 
     def relay_sending_twice(in_sock, out_sender):
-        def on_payload(p, body):
-            out_sender.send(p, body)  # its write fails, and the sender records why
-            out_sender.send(p, body)  # refused
+        def on_payloads(items):
+            out_sender.send(items)  # its write fails, and the sender records why
+            out_sender.send(items)  # refused
 
-        receive_payloads(in_sock, on_payload)
+        receive_payloads(in_sock, on_payloads)
 
     monkeypatch.setattr(pipelink.demo, "SocketLinkSender", sender)
     monkeypatch.setattr(pipelink.demo, "_relay", relay_sending_twice)
@@ -297,7 +298,7 @@ def test_a_stage_whose_sender_failed_reaches_the_head_by_name_after_timeout(monk
     start = time.monotonic()
     match = "relay 1 failed: ProtocolError: hop1-sender: peer gone"
     with pytest.raises(ProtocolError, match=match):
-        run_socket_demo(cfg, cluster, profiles, trace, timeout_s=0.5)
+        run_socket_demo(cfg, cluster, profiles, trace, timeout_s=60.0)
     assert time.monotonic() - start < 5.0
 
 
@@ -354,14 +355,19 @@ def test_apply_feedback_applies_every_queued_feedback_at_once():
 
 
 class ClosingSender:
-    """An out sender that notes how many end reports were queued when it closed."""
+    """An out sender, and its socket, that note how many end reports were
+    queued when the sender closed and when the socket was cut."""
 
     def __init__(self, reports):
         self.reports = reports
-        self.queued_at_close = None
+        self.queued_at_close = self.queued_at_cut = None
 
     def close(self):
         self.queued_at_close = self.reports.qsize()
+
+    def shutdown(self, how):
+        assert how == socket.SHUT_RDWR
+        self.queued_at_cut = self.reports.qsize()
 
 
 def end_report(name, error=None):
@@ -373,9 +379,11 @@ def end_report(name, error=None):
             raise error
 
     reports = queue.Queue()
-    out_sender = ClosingSender(reports)
-    pipelink.demo._stage(name, work, None, out_sender, reports)
-    assert out_sender.queued_at_close == 1  # queued before EOF goes downstream
+    out = ClosingSender(reports)
+    pipelink.demo._stage(name, work, None, out, out, reports)
+    assert out.queued_at_close == 1  # queued before EOF goes downstream
+    # A stage that failed cuts its out hop, once its report is queued.
+    assert out.queued_at_cut == (None if error is None else 1)
     return reports.get_nowait()
 
 

@@ -27,6 +27,7 @@ ALLOWED = {
     "metrics.cost_profit_margin": "the cost model, whose caller is ROADMAP item 10",
     "profiles.flat_profile": "bench/ builds its stage profiles with it",
     "workload.save_trace": "bench/ writes its traces with it",
+    "wire.read_frame": "bench/layers.py traces it",
 }
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from pipelink.errors import ConfigError, ProtocolError
 from pipelink.profiles import Phase
-from pipelink.transport import LinkPolicy, Payload
+from pipelink.transport import LinkPolicy, LinkQueue, Payload
 from pipelink import wire
 from pipelink.wire import (
     FLAG_DECODE,
@@ -40,12 +40,18 @@ class Received(NamedTuple):
 
 
 def collect(put):
-    """An ``on_payload`` callback that hands ``put`` one Received per payload."""
-    return lambda p, body: put(Received(p.id, p.phase, body))
+    """An ``on_payloads`` callback that hands ``put`` one Received per payload."""
+
+    def on_payloads(items):
+        assert items, "on_payloads was called with no payload"
+        for p, body in items:
+            put(Received(p.id, p.phase, body))
+
+    return on_payloads
 
 
-def receiver_thread(sock, on_payload):
-    return threading.Thread(target=receive_payloads, args=(sock, on_payload), daemon=True)
+def receiver_thread(sock, on_payloads):
+    return threading.Thread(target=receive_payloads, args=(sock, on_payloads), daemon=True)
 
 
 def test_frame_round_trip():
@@ -140,9 +146,9 @@ def test_sender_refuses_payload_whose_chunks_exceed_frame_limit(monkeypatch):
     try:
         unchunked = SocketLinkSender(a, chunk_size=None)
         with pytest.raises(ProtocolError, match="frame limit"):
-            unchunked.send(payload(1, Phase.PREFILL, 65), bytes(65))
+            unchunked.send([(payload(1, Phase.PREFILL, 65), bytes(65))])
         chunked = SocketLinkSender(a, chunk_size=64)
-        chunked.send(payload(2, Phase.PREFILL, 65), bytes(65))
+        chunked.send([(payload(2, Phase.PREFILL, 65), bytes(65))])
     finally:
         a.close()
         b.close()
@@ -159,9 +165,9 @@ def test_chunked_sender_refuses_oversize_decode_payload_and_stays_usable(monkeyp
     receiver.start()
     try:
         with pytest.raises(ProtocolError, match="frame limit"):
-            sender.send(payload(1, Phase.DECODE, 65), bytes(65))
-        sender.send(payload(2, Phase.DECODE, 64), b"d" * 64)
-        sender.send(payload(3, Phase.PREFILL, 65), b"p" * 65)
+            sender.send([(payload(1, Phase.DECODE, 65), bytes(65))])
+        sender.send([(payload(2, Phase.DECODE, 64), b"d" * 64)])
+        sender.send([(payload(3, Phase.PREFILL, 65), b"p" * 65)])
         got = {p.payload_id: p.body for p in (received.get(timeout=10) for _ in range(2))}
         assert got == {2: b"d" * 64, 3: b"p" * 65}
     finally:
@@ -194,7 +200,7 @@ def test_sender_whose_frame_is_refused_refuses_later_sends(monkeypatch):
     left, right = loopback_pair()
     sender = SocketLinkSender(left, chunk_size=64, name="refused")
     # The caller writes the first chunk; the second waits for the worker.
-    sender.send(payload(1, Phase.PREFILL, 128), bytes(128))
+    sender.send([(payload(1, Phase.PREFILL, 128), bytes(128))])
     # The limit shrinks after send() accepted the payload: the worker's
     # encode_frame refuses its second chunk.
     monkeypatch.setattr(wire, "MAX_FRAME_BYTES", wire.HEADER_BYTES + 8)
@@ -204,7 +210,7 @@ def test_sender_whose_frame_is_refused_refuses_later_sends(monkeypatch):
         assert not sender.is_alive()
         assert refused_in == ["refused"]
         with pytest.raises(ProtocolError, match="refused: .*exceeds") as refused:
-            sender.send(payload(2, Phase.DECODE, 8), bytes(8))
+            sender.send([(payload(2, Phase.DECODE, 8), bytes(8))])
         assert "peer gone" not in str(refused.value)  # the peer is alive
         assert sender._bodies == {}
     finally:
@@ -218,7 +224,7 @@ def test_sender_that_is_closing_refuses_a_send_by_name_and_payload():
     sender.close()  # not started: nothing drains, so it stays closing
     try:
         with pytest.raises(ProtocolError, match=r"^closing: payload 4: sender is closing$"):
-            sender.send(payload(4, Phase.DECODE, 8), bytes(8))
+            sender.send([(payload(4, Phase.DECODE, 8), bytes(8))])
         assert sender._bodies == {} and sender._queue.next_chunk() is None
     finally:
         left.close()
@@ -230,7 +236,7 @@ def test_sender_refuses_an_empty_payload_and_queues_nothing():
     sender = SocketLinkSender(left, chunk_size=1024, name="empty")
     try:
         with pytest.raises(ConfigError, match="size must be >= 1"):
-            sender.send(payload(0, Phase.PREFILL, 0), b"")
+            sender.send([(payload(0, Phase.PREFILL, 0), b"")])
         assert sender._bodies == {} and sender._queue.next_chunk() is None
     finally:
         left.close()
@@ -247,8 +253,8 @@ def test_sender_receiver_round_trip_chunked():
     try:
         body_big = bytes(range(256)) * 20  # 5120 B -> 5 chunks
         body_small = b"\x01" * 64
-        sender.send(payload(1, Phase.PREFILL, len(body_big)), body_big)
-        sender.send(payload(2, Phase.DECODE, len(body_small)), body_small)
+        sender.send([(payload(1, Phase.PREFILL, len(body_big)), body_big)])
+        sender.send([(payload(2, Phase.DECODE, len(body_small)), body_small)])
         got = [received.get(timeout=10) for _ in range(2)]
         by_id = {p.payload_id: p for p in got}
         assert by_id[1].body == body_big
@@ -265,9 +271,10 @@ def test_sender_receiver_round_trip_chunked():
 
 
 class RecordingSocket:
-    """Keeps each frame a sender writes and the name of the thread that wrote
-    it; ``after_frame(count)`` runs after each, in that thread.  With
-    ``through``, a real socket, the frames go on to it too."""
+    """Keeps the bytes of each write a sender makes, one frame or a burst's
+    frames, and the name of the thread that made it; ``after_frame(count)``
+    runs after each, in that thread.  With ``through``, a real socket, the
+    bytes go on to it too."""
 
     def __init__(self, after_frame, through=None):
         self.frames = []
@@ -315,13 +322,13 @@ def test_sender_sends_each_chunk_from_its_offset():
 
     def after_frame(count):
         if count == 1:
-            sender.send(payload(2, Phase.DECODE, len(small)), small)
+            sender.send([(payload(2, Phase.DECODE, len(small)), small)])
             decode_sent.set()
 
     sock = RecordingSocket(after_frame)
     sender = SocketLinkSender(sock, chunk_size=1024, name="offsets")
     # The sender is idle, so this caller writes the first chunk itself.
-    sender.send(payload(1, Phase.PREFILL, len(body)), body)
+    sender.send([(payload(1, Phase.PREFILL, len(body)), body)])
     sender.start()
     assert decode_sent.wait(timeout=10)
     sender.close()
@@ -352,10 +359,10 @@ def test_a_send_to_an_idle_sender_is_written_from_the_callers_thread():
     sock = RecordingSocket(lambda count: None)
     sender = SocketLinkSender(sock, chunk_size=None, name="idle")
     me = threading.current_thread().name
-    sender.send(payload(1, Phase.DECODE, 8), b"decode!!")
+    sender.send([(payload(1, Phase.DECODE, 8), b"decode!!")])
     assert sock.frames == [encode_frame(1, 0, FLAG_LAST | FLAG_DECODE, b"decode!!")]
     sender.start()  # a started worker that has nothing to do changes nothing
-    sender.send(payload(2, Phase.PREFILL, 8), b"prefill!")
+    sender.send([(payload(2, Phase.PREFILL, 8), b"prefill!")])
     assert sock.frames[1:] == [encode_frame(2, 0, FLAG_LAST, b"prefill!")]
     assert sock.writers == [me, me]
     assert sender._bodies == {} and sender._queue.next_chunk() is None
@@ -363,6 +370,117 @@ def test_a_send_to_an_idle_sender_is_written_from_the_callers_thread():
     sender.join(timeout=10)
     assert not sender.is_alive()
     assert sock.shut == [socket.SHUT_WR] and len(sock.frames) == 2
+
+
+def frame_headers(data):
+    """(payload id, chunk index) of each frame in ``data``, a run of whole frames."""
+    found, at = [], 0
+    while at < len(data):
+        found.append(struct.unpack_from("<QI", data, at + 4))
+        at += 4 + struct.unpack_from("<I", data, at)[0]
+    assert at == len(data)
+    return found
+
+
+class WholeSocket(RecordingSocket):
+    """A pass-through RecordingSocket whose non-blocking ``send`` hands all
+    of its bytes on, as a kernel with room for them would."""
+
+    def __init__(self, through):
+        super().__init__(lambda count: None, through)
+
+    def send(self, data, flags):
+        assert flags == socket.MSG_DONTWAIT  # a caller's write never waits
+        self.sendall(data)
+        return len(data)
+
+
+burst_payloads = st.lists(
+    st.tuples(st.sampled_from(Phase), st.integers(1, 3000)), min_size=1, max_size=12
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    specs=burst_payloads,
+    cuts=st.lists(st.integers(0, 12), max_size=6),
+    chunk_size=st.sampled_from([None, 512]),
+    policy=st.sampled_from(LinkPolicy),
+)
+def test_bursts_arrive_once_with_their_bodies_in_queue_order(specs, cuts, chunk_size, policy):
+    payloads = [payload(i, phase, size) for i, (phase, size) in enumerate(specs)]
+    bodies = {p.id: random.Random(p.id).randbytes(p.size_bytes) for p in payloads}
+    bounds = sorted({0, len(payloads), *(cut % (len(payloads) + 1) for cut in cuts)})
+    bursts = [payloads[a:b] for a, b in zip(bounds, bounds[1:])]
+    # The chunks in the order a LinkQueue gives them when a burst that finds
+    # every earlier payload taken has one chunk per item taken at once, and
+    # the rest is drained after the last burst.
+    model, unfinished, on_idle, order = LinkQueue(chunk_size, policy), set(), [], []
+    for burst in bursts:
+        idle = not unfinished
+        for p in burst:
+            model.enqueue(p)
+            unfinished.add(p.id)
+        if idle:
+            taken = [model.next_chunk() for _ in burst]
+            on_idle.append(taken)
+            order += taken
+            unfinished -= {c.payload_id for c in taken if c.is_last}
+    while (chunk := model.next_chunk()) is not None:
+        order.append(chunk)
+
+    left, right = loopback_pair()
+    delivered = []
+    receiver = receiver_thread(right, collect(delivered.append))
+    receiver.start()
+    sock = WholeSocket(left)
+    sender = SocketLinkSender(sock, chunk_size, policy, name="bursts")
+    try:
+        for burst in bursts:
+            sender.send([(p, bodies[p.id]) for p in burst])
+        # Each burst on an idle hop made one socket send, of one frame per
+        # item; the worker is not started yet, so no other write was made.
+        me = threading.current_thread().name
+        writes = zip(sock.writers, sock.frames)
+        assert [(writer, frame_headers(data)) for writer, data in writes] == [
+            (me, [(c.payload_id, c.index) for c in taken]) for taken in on_idle
+        ]
+        sender.start()
+        sender.close()
+        sender.join(timeout=10)
+        receiver.join(timeout=10)
+    finally:
+        left.close()
+        right.close()
+    assert not sender.is_alive() and not receiver.is_alive()
+    wire_order = frame_headers(b"".join(sock.frames))
+    assert wire_order == [(c.payload_id, c.index) for c in order]
+    assert delivered == [
+        Received(c.payload_id, c.phase, bodies[c.payload_id]) for c in order if c.is_last
+    ]
+
+
+@pytest.mark.parametrize("bad, error, match", [
+    ((payload(3, Phase.DECODE, 10), b"123"), ProtocolError, "payload 3: body is 3 bytes"),
+    ((payload(3, Phase.PREFILL, 65), bytes(65)), ProtocolError, "payload 3: 65-byte chunks"),
+    ((payload(3, Phase.PREFILL, 0), b""), ConfigError, "payload 3: size must be >= 1"),
+], ids=["body-length", "oversize-chunk", "empty"])
+def test_a_burst_with_one_bad_item_is_refused_whole(monkeypatch, bad, error, match):
+    monkeypatch.setattr(wire, "MAX_FRAME_BYTES", wire.HEADER_BYTES + 64)
+    sock = RecordingSocket(lambda count: None)
+    sender = SocketLinkSender(sock, chunk_size=None, name="bad-burst")
+    good = [(payload(1, Phase.DECODE, 8), b"decode!!"), (payload(2, Phase.PREFILL, 64), bytes(64))]
+    with pytest.raises(error, match=match):
+        sender.send([good[0], bad, good[1]])
+    assert sender._bodies == {} and sender._queue.next_chunk() is None
+    assert sock.frames == []
+    # Nothing was queued, so the good items are new to the link, which is
+    # still idle: they go out at once, in one write.
+    sender.send(good)
+    assert sock.frames == [
+        encode_frame(1, 0, FLAG_LAST | FLAG_DECODE, b"decode!!")
+        + encode_frame(2, 0, FLAG_LAST, bytes(64))
+    ]
 
 
 class PartialSocket(RecordingSocket):
@@ -386,10 +504,10 @@ def test_the_rest_of_a_callers_frame_goes_out_before_any_other(take):
     sock = PartialSocket(take)
     sender = SocketLinkSender(sock, chunk_size=None, name="rest")
     prefill, decode = bytes(range(64)), b"decode!!"
-    sender.send(payload(1, Phase.PREFILL, len(prefill)), prefill)
+    sender.send([(payload(1, Phase.PREFILL, len(prefill)), prefill)])
     # Under decode priority a decode goes before any queued prefill, but it
     # cannot cut into a frame that is half written.
-    sender.send(payload(2, Phase.DECODE, len(decode)), decode)
+    sender.send([(payload(2, Phase.DECODE, len(decode)), decode)])
     sender.start()
     sender.close()
     sender.join(timeout=10)
@@ -426,9 +544,9 @@ def test_send_returns_at_once_when_the_peer_stops_reading(fill):
     def send():
         # An idle sender: the caller's write takes what fits, if anything,
         # the worker blocks on the rest, and the next sends queue behind it.
-        sender.send(payload(1, Phase.PREFILL, len(big)), big)
-        sender.send(payload(2, Phase.DECODE, 8), bytes(8))
-        sender.send(payload(3, Phase.PREFILL, len(big)), big)
+        sender.send([(payload(1, Phase.PREFILL, len(big)), big)])
+        sender.send([(payload(2, Phase.DECODE, 8), bytes(8))])
+        sender.send([(payload(3, Phase.PREFILL, len(big)), big)])
 
     try:
         if fill:
@@ -453,7 +571,7 @@ def test_a_decode_sent_while_the_worker_writes_a_prefill_goes_out_at_the_next_ch
 
     def after_frame(count):
         if count == 2:  # the worker has written the prefill's second chunk
-            sender.send(payload(2, Phase.DECODE, len(small)), small)
+            sender.send([(payload(2, Phase.DECODE, len(small)), small)])
             decode_sent.set()
 
     sock = RecordingSocket(after_frame, through=left)
@@ -470,7 +588,7 @@ def test_a_decode_sent_while_the_worker_writes_a_prefill_goes_out_at_the_next_ch
     sender.start()
     try:
         body = bytes(6 * 1024)
-        sender.send(payload(1, Phase.PREFILL, len(body)), body)
+        sender.send([(payload(1, Phase.PREFILL, len(body)), body)])
         assert decode_sent.wait(timeout=10)
         sender.close()
         sender.join(timeout=10)
@@ -488,13 +606,13 @@ def test_a_decode_sent_while_the_worker_writes_a_prefill_goes_out_at_the_next_ch
 def test_close_during_a_callers_write_drains_the_queue_then_half_closes():
     def after_frame(count):
         if count == 1:  # mid-write in this thread; the worker is waiting
-            sender.send(payload(2, Phase.DECODE, 8), bytes(8))
+            sender.send([(payload(2, Phase.DECODE, 8), bytes(8))])
             sender.close()
 
     sock = RecordingSocket(after_frame)
     sender = SocketLinkSender(sock, chunk_size=1024, name="closed")
     sender.start()
-    sender.send(payload(1, Phase.PREFILL, 3 * 1024), bytes(3 * 1024))
+    sender.send([(payload(1, Phase.PREFILL, 3 * 1024), bytes(3 * 1024))])
     sender.join(timeout=10)
     assert not sender.is_alive()
     assert headers(sock.frames) == [(1, 0), (2, 0), (1, 1), (1, 2)]
@@ -507,7 +625,7 @@ def test_sender_rejects_mismatched_body():
     sender = SocketLinkSender(left, chunk_size=None)
     try:
         with pytest.raises(ProtocolError):
-            sender.send(payload(1, Phase.DECODE, 10), b"123")
+            sender.send([(payload(1, Phase.DECODE, 10), b"123")])
     finally:
         left.close()
         right.close()
@@ -522,8 +640,8 @@ def test_decode_overtakes_queued_prefill_on_the_wire():
     receiver = receiver_thread(right, collect(received.put))
     big = bytes(1 << 20)
     small = b"\x07" * 16
-    sender.send(payload(1, Phase.PREFILL, len(big)), big)
-    sender.send(payload(2, Phase.DECODE, len(small)), small)
+    sender.send([(payload(1, Phase.PREFILL, len(big)), big)])
+    sender.send([(payload(2, Phase.DECODE, len(small)), small)])
     sender.start()
     receiver.start()
     try:
@@ -546,7 +664,7 @@ def test_sender_close_ends_receiver_at_eof():
     receiver = receiver_thread(right, collect(received.put))
     sender.start()
     receiver.start()
-    sender.send(payload(3, Phase.DECODE, 8), b"12345678")
+    sender.send([(payload(3, Phase.DECODE, 8), b"12345678")])
     sender.close()
     sender.join(timeout=10)
     receiver.join(timeout=10)
@@ -649,7 +767,7 @@ def test_receiver_returns_or_raises_protocol_error_on_any_stream(stream, tail):
 
     def receive():
         try:
-            receive_payloads(b, lambda p, body: None)
+            receive_payloads(b, lambda items: None)
             outcome.append(None)
         except Exception as exc:  # anything but a ProtocolError fails below
             outcome.append(exc)
@@ -672,20 +790,20 @@ def test_receiver_socket_error_is_protocol_error():
     b.close()
     try:
         with pytest.raises(ProtocolError, match="socket failed"):
-            receive_payloads(b, lambda p, body: None)
+            receive_payloads(b, lambda items: None)
     finally:
         a.close()
 
 
-def read_until_eof(sock, on_payload):
+def read_until_eof(sock, on_payloads):
     """What the demo's head does with a PayloadReader, read to the end."""
-    reader = PayloadReader(sock, on_payload)
+    reader = PayloadReader(sock, on_payloads)
     while (got := reader.read(timeout_s=5.0)) is not None:
         assert got, "PayloadReader waited out its timeout on a closed stream"
 
 
 def decoded(receive, stream, close=True):
-    """The payloads and the error, or None, of ``receive(sock, on_payload)``
+    """The payloads and the error, or None, of ``receive(sock, on_payloads)``
     over ``stream``, then EOF unless not ``close``; it must end within 5 s."""
     a, b = socket.socketpair()
     delivered, outcome = [], []
@@ -786,7 +904,7 @@ def test_head_reader_reads_frames_sent_byte_by_byte_as_they_complete():
 
 def test_head_reader_waits_up_to_its_timeout_for_a_frame():
     a, b = socket.socketpair()
-    reader = PayloadReader(b, lambda p, body: None)
+    reader = PayloadReader(b, lambda items: None)
     try:
         a.sendall(encode_frame(1, 0, FLAG_LAST, b"A")[:-1])  # no whole frame
         start = time.monotonic()
@@ -799,7 +917,7 @@ def test_head_reader_waits_up_to_its_timeout_for_a_frame():
 
 def test_head_reader_socket_error_is_protocol_error():
     a, b = socket.socketpair()
-    reader = PayloadReader(b, lambda p, body: None)
+    reader = PayloadReader(b, lambda items: None)
     b.close()
     try:
         with pytest.raises(ProtocolError, match="socket failed"):
@@ -830,14 +948,14 @@ def test_sender_that_failed_does_not_end_its_stream(monkeypatch, failure):
     def after_frame(count):
         # Payload 2 is sent while this caller writes payload 1, so the worker
         # writes it, and its write fails.
-        sender.send(payload(2, Phase.DECODE, 64), bytes(64))
+        sender.send([(payload(2, Phase.DECODE, 64), bytes(64))])
         if failure == "frame-refused":  # the worker's encode_frame refuses the chunk
             monkeypatch.setattr(wire, "MAX_FRAME_BYTES", wire.HEADER_BYTES + 8)
 
     good = 1 if failure == "peer-gone" else 2
     sock = FailingSocket(after_frame, good)
     sender = SocketLinkSender(sock, chunk_size=None, name="failed")
-    sender.send(payload(1, Phase.DECODE, 64), bytes(64))
+    sender.send([(payload(1, Phase.DECODE, 64), bytes(64))])
     sender.start()
     sender.close()
     sender.join(timeout=10)
@@ -851,11 +969,11 @@ def test_sender_that_failed_does_not_end_its_stream(monkeypatch, failure):
 def test_a_callers_write_that_fails_is_recorded_as_a_workers_is():
     sock = FailingSocket(lambda count: None, good=0)
     sender = SocketLinkSender(sock, chunk_size=None, name="caller-failed")
-    sender.send(payload(1, Phase.DECODE, 64), bytes(64))  # fails, but raises nothing
+    sender.send([(payload(1, Phase.DECODE, 64), bytes(64))])  # fails, but raises nothing
     assert sock.failed_in == [threading.current_thread().name]
     assert isinstance(sender._error, ConnectionResetError) and sender._bodies == {}
     with pytest.raises(ProtocolError, match="caller-failed: peer gone: peer reset"):
-        sender.send(payload(2, Phase.DECODE, 8), bytes(8))
+        sender.send([(payload(2, Phase.DECODE, 8), bytes(8))])
     sender.start()
     sender.close()
     sender.join(timeout=10)
@@ -874,7 +992,7 @@ def test_sender_to_dead_peer_refuses_later_sends_and_holds_no_body():
         with pytest.raises(ProtocolError, match="to-dead-peer: peer gone"):
             for pid in itertools.count():
                 assert time.monotonic() < deadline, "send() never failed"
-                sender.send(payload(pid, Phase.PREFILL, 1024), bytes(1024))
+                sender.send([(payload(pid, Phase.PREFILL, 1024), bytes(1024))])
                 time.sleep(0.01)
         sender.join(timeout=5)
         assert not sender.is_alive()
