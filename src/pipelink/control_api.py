@@ -456,11 +456,15 @@ class _Handler(BaseHTTPRequestHandler):
         raw_length = self.headers.get("Content-Length", "0")
         if not (raw_length.isascii() and raw_length.isdigit()):  # HTTP: 1*DIGIT
             raise RegistryError("invalid", f"bad Content-Length {raw_length!r}")
-        length = int(raw_length)
+        # Judge the value: int() refuses a string of over 4,300 digits, and a
+        # value of more digits than the limit's exceeds it.
+        digits = raw_length.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+            shown = digits if len(digits) <= 20 else f"a {len(digits)}-digit number of"
+            raise RegistryError("too_large", f"body of {shown} bytes exceeds {MAX_BODY_BYTES}")
+        length = int(digits)
         if length == 0:
             return {}
-        if length > MAX_BODY_BYTES:
-            raise RegistryError("too_large", f"body of {length} bytes exceeds {MAX_BODY_BYTES}")
         try:
             body = json.loads(self.rfile.read(length))
         except TimeoutError:

@@ -9,41 +9,41 @@ match the virtual run is the token accounting, and the test suite checks
 exactly that.
 
 Each hop of the ring (stage i to stage i+1, the last stage back to the head)
-is one loopback connection with one sender.  The head sends activations;
-each middle stage relays them unchanged; the tail turns each activation into
-one feedback payload for the head.  Payloads move in bursts: the head sends
-one dispatch's micro-batches in one ``send``, and a stage sends on what one
-``recv`` completed in one, so a burst on an idle hop is one socket write, by
-the thread that sends it; the hop's sender thread writes only what the
-kernel did not take and what queues up behind a write in progress.
+is one loopback connection, and one thread writes it, through its sender:
+the head hop 0, stage i hop i.  The head sends activations; each middle
+stage relays them unchanged; the tail turns each activation into one
+feedback payload for the head.  Payloads move in bursts: the head sends one
+dispatch's micro-batches in one ``send``, and a stage sends on what one
+``recv`` completed in one, so a burst on an idle hop is one socket write.
 Payloads have the simulator's sizes: an activation's first ``min(4, size)``
 bytes carry its request count, which fits because a micro-batch has no more
 requests than tokens, and no more tokens than activation bytes.
 
-A ring of n stages runs n - 1 stage threads, the relays and the tail, and
-one sender thread per hop.  Each stage thread runs :func:`_stage` and reads
-its hop with :func:`~pipelink.wire.receive_payloads`, whose
-``on_payloads(items)`` has the signature of ``SocketLinkSender.send``, so a
-relay passes the next hop's ``send`` itself.  No thread reads the return hop
-for the head: the head's loop reads it with a
-:class:`~pipelink.wire.PayloadReader`, and only when it has nothing left to
-dispatch.  It then applies every feedback that has arrived before it
-dispatches again, so micro-batches that return together go out together.
+Besides the head's, a ring of n stages runs n - 1 threads, the relays and
+the tail, and no lock.  Each runs :func:`_stage` and reads its hop with
+:func:`~pipelink.wire.receive_payloads`, whose ``on_payloads(items)`` has
+the signature of ``SocketLinkSender.send``, so a relay passes the next hop's
+``send`` itself.  The head reads the return hop with a
+:class:`~pipelink.wire.PayloadReader`, only when it has nothing left to
+dispatch, and applies every feedback that has arrived before it dispatches
+again, so micro-batches that return together go out together.  Each
+thread's reader flushes the thread's out hop while it waits for input.
 
 A stage's end report is a ``ProtocolError`` naming the stage and saying
 whether its input ended or what it raised.  :func:`_stage` does the stage's
 work, then puts its report on the head's queue of end reports, then closes
 its out sender, so every report upstream of a stage is queued before that
-stage reads EOF.  A run ends hop by hop: closing a sender drains it, then
-half-closes its socket, and the stage downstream reads EOF and ends too, up
-to the head.  A stage whose work raised, its out sender's failure included,
-also cuts its out hop first: it shuts the socket down both ways, so the
-stage downstream reads EOF at once, though a failed sender leaves its
-stream open.  At the end of a run the head joins the workers and closes the
-sockets; the end reports go unread.  An end report reaches the head when
-the return stream ends while work is in flight: the head then raises the
-first report queued, so a failed stage reaches it by name and cause, at
-once, and it shuts every socket down.
+stage reads EOF.  A run ends hop by hop: closing a sender waits until the
+stage downstream has taken everything pending, then half-closes the socket,
+and that stage reads EOF and ends too, up to the head.  A stage whose work
+raised, its out sender's failure included, also cuts its out hop first: it
+shuts the socket down both ways, so the stage downstream reads EOF at once,
+though a failed sender leaves its stream open.  At the end of a run the head
+joins the stage threads and closes the sockets; the end reports go unread.
+An end report reaches the head when the return stream ends while work is in
+flight: the head then raises the first report queued, so a failed stage
+reaches it by name and cause, at once, and it shuts every socket down, which
+ends every stage's wait.
 
 Arrivals are collapsed: the trace's requests are offered in arrival order as
 fast as the pipeline accepts them.
@@ -70,7 +70,7 @@ from .workload import Trace
 
 def _relay(in_sock, out_sender: SocketLinkSender) -> None:
     """Middle stage: pass each burst on unchanged, with its ids and phases."""
-    receive_payloads(in_sock, out_sender.send)
+    receive_payloads(in_sock, out_sender.send, out_sender)
 
 
 def _tail_worker(forward_sock, return_sender: SocketLinkSender) -> None:
@@ -81,7 +81,7 @@ def _tail_worker(forward_sock, return_sender: SocketLinkSender) -> None:
         sizes = [(p.id, feedback_bytes(int.from_bytes(body[:4], "little"))) for p, body in items]
         return_sender.send([(Payload(pid, Phase.DECODE, n), bytes(n)) for pid, n in sizes])
 
-    receive_payloads(forward_sock, on_payloads)
+    receive_payloads(forward_sock, on_payloads, return_sender)
 
 
 def _stage(name: str, work, in_sock, out_sock, out_sender: SocketLinkSender, reports) -> None:
@@ -161,7 +161,8 @@ def run_socket_demo(
         for i, (out, _) in enumerate(pairs)
     ]
     reports: queue.Queue[ProtocolError] = queue.Queue()
-    returns = PayloadReader(pairs[-1][1], _feedback_to(sched))
+    forward_sender = senders[0]
+    returns = PayloadReader(pairs[-1][1], _feedback_to(sched), forward_sender)
 
     # Stage i reads hop i-1 and writes hop i, for i from 1: the relays, then
     # the tail.  The head's loop writes hop 0 and reads the return hop.
@@ -173,11 +174,9 @@ def run_socket_demo(
             name, work, pairs[i - 1][1], pairs[i][0], senders[i], reports))
         for i, (name, work) in enumerate(roles, start=1)
     ]
-    workers = [*senders, *stages]
-    for worker in workers:
-        worker.start()
+    for stage in stages:
+        stage.start()
 
-    forward_sender = senders[0]
     socks = [sock for pair in pairs for sock in pair]
     try:
         while sched.unfinished:
@@ -195,9 +194,8 @@ def run_socket_demo(
                 raise ProtocolError("demo stalled with no work in flight")
             _apply_feedback(returns, reports, timeout_s)
     except BaseException:
-        # No joins on failure: a mute worker would hold each one for
-        # timeout_s.  Shutting the sockets down ends every blocked read/write.
-        forward_sender.close()
+        # No joins on failure: a mute stage would hold each one for
+        # timeout_s.  Shutting the sockets down ends every stage's wait.
         for sock in socks:
             try:
                 sock.shutdown(socket.SHUT_RDWR)
@@ -206,8 +204,8 @@ def run_socket_demo(
             sock.close()
         raise
     forward_sender.close()
-    for worker in workers:
-        worker.join(timeout=timeout_s)
+    for stage in stages:
+        stage.join(timeout=timeout_s)
     for sock in socks:
         sock.close()
 

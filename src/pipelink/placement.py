@@ -365,6 +365,11 @@ def partition_layers(nodes: list[NodeDescriptor], model: ModelSpec) -> Partition
 
     weights = [n.capacity_score * n.gpu_count for n in nodes]
     total_w = sum(weights)
+    if not math.isfinite(L * total_w):  # then no quota's L * w is past the range
+        raise ConfigError(
+            f"capacity_score * gpu_count summed over the nodes, times {L} layers, "
+            "is past the float range"
+        )
     quotas = [L * w / total_w for w in weights]
     counts = [math.floor(q) for q in quotas]
     leftover = L - sum(counts)

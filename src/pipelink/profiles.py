@@ -79,8 +79,8 @@ class LinkProfile:
     """Directed link estimate: one-way latency plus available bandwidth.
 
     ``bandwidth_bps`` is in **bytes** per second, not bits: a 100 Mbit/s
-    link is ``12_500_000``.  ``latency_s`` must be finite and >= 0, and
-    ``bandwidth_bps`` finite and > 0.
+    link is ``12_500_000``.  ``latency_s`` must be >= 0 and finite in ns, the
+    unit that link costs are counted in, and ``bandwidth_bps`` finite and > 0.
     """
 
     src: str = json_field(key="from")
@@ -89,8 +89,10 @@ class LinkProfile:
     bandwidth_bps: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.latency_s) and self.latency_s >= 0):
-            raise ConfigError(f"link {self.src}->{self.dst}: latency must be finite and >= 0")
+        if not (math.isfinite(self.latency_s * 1e9) and self.latency_s >= 0):
+            raise ConfigError(
+                f"link {self.src}->{self.dst}: latency must be finite in ns and >= 0"
+            )
         if not (math.isfinite(self.bandwidth_bps) and self.bandwidth_bps > 0):
             raise ConfigError(f"link {self.src}->{self.dst}: bandwidth must be finite and > 0")
 

@@ -7,7 +7,7 @@ transfer.  Setting ``chunk_size=None`` disables chunking and recovers the
 head-of-line-blocking baseline.
 
 The same queue mechanics back two transports: :class:`VirtualLink`, the one
-virtual-time driver, and the socket workers in :mod:`pipelink.wire`.  Only
+virtual-time driver, and the socket senders in :mod:`pipelink.wire`.  Only
 link mechanics live here: the rows a link logs reach a file only through a
 :class:`pipelink.outputs.HeldLog`, which prints each field as held.  A row is
 a plain tuple of ints and strings,
@@ -114,8 +114,14 @@ class LinkQueue:
         else:
             self._fifo.append(payload)
 
+    def largest_chunk(self, payload: Payload) -> int:
+        """The size of ``payload``'s largest chunk, as ``next_chunk`` splits it."""
+        if payload.phase is _DECODE or self.chunk_size is None:
+            return payload.size_bytes
+        return min(payload.size_bytes, self.chunk_size)
+
     def next_chunk(self) -> Chunk | None:
-        # Decode payloads are small and never split.
+        # Decode payloads are small and never split (largest_chunk).
         if self._decode:
             p = self._decode.popleft()
         elif not self._fifo:
@@ -140,7 +146,13 @@ LinkRow = tuple[str, str, int, int, int, str, str]  # see the module docstring
 
 
 def transmission_ns(profile: LinkProfile, size_bytes: int) -> int:
-    return round(size_bytes * NS_PER_S / profile.bandwidth_bps)
+    try:
+        return round(size_bytes * NS_PER_S / profile.bandwidth_bps)
+    except OverflowError:  # the bandwidth is finite, but this time in ns is not
+        raise ConfigError(
+            f"link {profile.name}: {size_bytes} bytes at {profile.bandwidth_bps} B/s "
+            "take longer than a float counts in ns"
+        ) from None
 
 
 def transfer_ns(profile: LinkProfile, nbytes: int) -> int:

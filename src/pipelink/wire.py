@@ -10,30 +10,31 @@ Wire format, little-endian throughout, length-prefixed:
     ...                         chunk body (frame_length - 16 bytes)
 
 The sender applies the same two-class, chunk-granular schedule as the
-virtual-time backend: it owns a :class:`LinkQueue` guarded by a condition
-variable.  ``send(items)`` takes a burst of ``(payload, body)`` pairs and
-checks each before it queues any.  When no thread is writing and nothing is
-queued, it takes one chunk per item, in ``LinkQueue`` order, and writes their
-frames, joined, with one non-blocking ``send`` from the caller's thread: one
-write and no thread hand-off per burst, yet no burst of long prefills copied
-whole, and a later decode still waits only a chunk.  The sender's worker
-thread writes whatever the kernel did not take, before any other frame, then
-drains the queue one chunk at a time.
-``send()`` never blocks on the socket: a full socket buffer or a peer that
-stops reading stalls only the worker.  A stream ends only with EOF between
-payloads: ``close()`` lets the worker wait out a caller's write, write its
-rest and drain the queue before it half-closes the socket
-(``shutdown(SHUT_WR)``), so each hop of a ring still delivers everything
-sent on it before its EOF.  A sender that failed, in either thread, leaves
-its stream open, so its peer never mistakes a cut stream for a finished one.
-The one receiver, :class:`PayloadReader`, splits what each ``recv`` takes in
-into frames, checks them (:func:`_frame_length` and :func:`_frame`) and the
-index order of each payload's chunks, and calls ``on_payloads(items)`` once
-with the ``(payload, body)`` of each payload they complete, the signature of
-``SocketLinkSender.send``.  :func:`receive_payloads` runs it in blocking mode
-for a thread that only reads; the demo's head calls ``read(timeout_s)``
-between other work.  :func:`read_frame` applies the same checks to one frame
-off a buffered reader.
+virtual-time backend, through a :class:`LinkQueue`, and it starts no thread
+and takes no lock: the one thread that sends on a hop owns its
+:class:`SocketLinkSender` and makes every write on it.  ``send(items)``
+takes a burst of ``(payload, body)`` pairs and checks each before it queues
+any.  On an idle link it takes one chunk per item, in ``LinkQueue`` order,
+and writes their frames, joined, with one non-blocking ``send``: one write
+per burst, yet no burst of long prefills copied whole.  Then it writes a
+chunk per write while the kernel takes them whole.  What is left is
+pending, and goes out in order: the rest of a cut write, then the queue a
+chunk at a time, so a decode queued meanwhile waits only a chunk.  No write
+waits for room; the owner's :class:`PayloadReader`, while it waits for
+input, waits for room on the out socket too whenever its sender is pending,
+and flushes it then.  ``close()`` waits for room until nothing is pending,
+then half-closes the socket (``shutdown(SHUT_WR)``), so a stream ends only
+with EOF between payloads, after everything sent on it.  A sender whose
+write failed leaves its stream open, so its peer never mistakes a cut stream
+for a finished one.
+:class:`PayloadReader` is the one receiver: it splits what each ``recv``
+takes in into frames, checks them (:func:`_frame_length` and
+:func:`_frame`) and the index order of each payload's chunks, and calls
+``on_payloads(items)`` once with the ``(payload, body)`` of each payload
+they complete, the signature of ``SocketLinkSender.send``.
+:func:`receive_payloads` reads with it until EOF, for a stage; the demo's
+head calls ``read(timeout_s)`` between other work.  :func:`read_frame`
+applies the same checks to one frame off a buffered reader.
 """
 
 from __future__ import annotations
@@ -42,13 +43,12 @@ import math
 import select
 import socket
 import struct
-import threading
 import time
 from typing import BinaryIO
 
 from .errors import ConfigError, ProtocolError
 from .profiles import Phase
-from .transport import Chunk, LinkPolicy, LinkQueue, Payload
+from .transport import LinkPolicy, LinkQueue, Payload
 
 _LEN = struct.Struct("<I")
 _HEADER = struct.Struct("<QII")
@@ -115,17 +115,13 @@ def read_frame(reader: BinaryIO) -> tuple[int, int, int, bytes] | None:
     return _frame(rest, 0, length)
 
 
-class SocketLinkSender(threading.Thread):
+class SocketLinkSender:
     """Writes payloads onto a socket, one chunk per frame, in LinkQueue order.
 
-    ``send()`` never blocks on the socket: on an idle link it writes a frame
-    per item from the caller's thread with one non-blocking ``send``, and this
-    worker thread writes what the kernel did not take, then every queued
-    chunk; ``close()`` lets it finish all of that before it half-closes.  The
-    socket must be in blocking mode (no timeout), so that the worker's writes
-    wait and the caller's return at once.  A write that fails, in either
-    thread, is recorded: later sends refuse, the worker stops, and the stream
-    is not half-closed.
+    Only the thread that owns a sender calls it.  ``send()`` and ``flush()``
+    write what the kernel takes at once; only ``close()`` waits, so the
+    socket must be in blocking mode (no timeout).  A write that fails is
+    recorded, not raised: later sends refuse, and nothing more is written.
     """
 
     def __init__(
@@ -135,21 +131,26 @@ class SocketLinkSender(threading.Thread):
         policy: LinkPolicy = LinkPolicy.DECODE_PRIORITY,
         name: str = "link-sender",
     ):
-        super().__init__(name=name, daemon=True)
+        self.name = name
         self._sock = sock
         self._queue = LinkQueue(chunk_size=chunk_size, policy=policy)
         # Payload id -> body, from send() until its last chunk is taken, so
         # the queue is empty exactly when this is.
         self._bodies: dict[int, bytes] = {}
-        self._cond = threading.Condition()
-        self._closing = False
-        self._writing = False  # a thread is writing a frame
-        self._rest: memoryview | None = None  # what a caller's write left over
+        self._rest: bytes | memoryview | None = None  # a write's bytes the kernel has not taken
+        self._closed = False
         # Why the sender stopped early.
         self._error: OSError | ProtocolError | None = None
 
+    @property
+    def pending(self) -> bool:
+        """Whether bytes wait to be written: a frame's rest or a queued chunk."""
+        return self._rest is not None or bool(self._bodies)
+
     def send(self, items) -> None:
-        """Queue the ``(payload, body)`` items; on an idle link, write a chunk per item now."""
+        """Queue the ``(payload, body)`` items, then write what the kernel
+        takes now: on an idle link, a chunk per item in one write, then one
+        chunk per write."""
         for payload, body in items:
             if len(body) != payload.size_bytes:
                 raise ProtocolError(
@@ -158,129 +159,91 @@ class SocketLinkSender(threading.Thread):
                 )
             if not body:  # as LinkQueue.enqueue refuses it, but before any is queued
                 raise ConfigError(f"payload {payload.id}: size must be >= 1 byte")
-            # Refuse here, not in a writing thread, a chunk no frame can carry.
-            # Decode payloads are never split (LinkQueue.next_chunk).
-            chunk = payload.size_bytes
-            if payload.phase is not Phase.DECODE and self._queue.chunk_size:
-                chunk = min(chunk, self._queue.chunk_size)
+            # Refuse here, not at a later write, a chunk no frame can carry.
+            chunk = self._queue.largest_chunk(payload)
             if HEADER_BYTES + chunk > MAX_FRAME_BYTES:
                 raise ProtocolError(
                     f"payload {payload.id}: {chunk}-byte chunks exceed the frame limit"
                 )
-        with self._cond:
-            if self._error is not None:
-                why = "peer gone" if isinstance(self._error, OSError) else "own frame refused"
-                raise ProtocolError(f"{self.name}: {why}: {self._error}")
-            if self._closing:
-                raise ProtocolError(f"{self.name}: payload {items[0][0].id}: sender is closing")
-            idle = not (self._writing or self._bodies or self._rest is not None)
-            for payload, body in items:
-                self._queue.enqueue(payload)
-                self._bodies[payload.id] = body
-            if not idle:
-                if not self._writing:  # a writer looks at the queue when it is done
-                    self._cond.notify()
-                return
-            taken = [self._take() for _ in items]  # a chunk per item, in queue order
-            self._writing = True
-        self._write_now(taken)
+        if self._error is not None:
+            why = "peer gone" if isinstance(self._error, OSError) else "own frame refused"
+            raise ProtocolError(f"{self.name}: {why}: {self._error}")
+        if self._closed:
+            raise ProtocolError(f"{self.name}: payload {items[0][0].id}: sender is closed")
+        idle = not self.pending
+        for payload, body in items:
+            self._queue.enqueue(payload)
+            self._bodies[payload.id] = body
+        if idle:  # a chunk per item, in queue order, joined: one write per burst
+            self._rest = b"".join([self._next_frame() for _ in items])
+        self.flush()
+
+    def flush(self) -> None:
+        """Write what the kernel takes now of what is pending: the rest of a
+        write first, then a chunk per write, so that a decode queued
+        meanwhile leaves at the next chunk."""
+        try:
+            while self._error is None:
+                if self._rest is not None:
+                    data, self._rest = self._rest, None
+                elif (data := self._next_frame()) is None:
+                    return
+                try:
+                    sent = self._sock.send(data, socket.MSG_DONTWAIT)
+                except BlockingIOError:  # the socket buffer is full
+                    sent = 0
+                if sent < len(data):
+                    self._rest = memoryview(data)[sent:]
+                    return
+        except (OSError, ProtocolError) as exc:
+            self._fail(exc)
 
     def close(self) -> None:
-        """Flush queued payloads, then half-close the socket and stop."""
-        with self._cond:
-            self._closing = True
-            self._cond.notify()
+        """Refuse later sends, write everything pending, waiting for room on
+        the socket, then half-close it; a sender that failed returns at once
+        and leaves its stream open."""
+        self._closed = True
+        self.flush()
+        if self.pending:
+            room = select.poll()
+            room.register(self._sock, select.POLLOUT)
+            while self.pending:
+                room.poll()
+                self.flush()
+        if self._error is None:
+            try:
+                self._sock.shutdown(socket.SHUT_WR)
+            except OSError as exc:  # the socket is gone already
+                self._fail(exc)
 
-    def _take(self) -> tuple[Chunk, bytes] | None:
-        """The next chunk and its payload's body; the caller holds ``_cond``."""
+    def _next_frame(self) -> bytes | None:
+        """The frame of the next chunk in queue order, or None."""
         chunk = self._queue.next_chunk()
         if chunk is None:
             return None
-        body = self._bodies[chunk.payload_id]
-        if chunk.is_last:
-            del self._bodies[chunk.payload_id]
-        return chunk, body
-
-    def _frame(self, chunk: Chunk, body: bytes) -> bytes:
+        payload_id, index, size, is_last, phase = chunk
+        body = self._bodies.pop(payload_id) if is_last else self._bodies[payload_id]
         # Only a chunked payload has chunks past index 0, and every chunk
         # before its last is full.
-        offset = chunk.index * (self._queue.chunk_size or 0)
-        flags = FLAG_LAST if chunk.is_last else 0
-        if chunk.phase is Phase.DECODE:
+        offset = index * (self._queue.chunk_size or 0)
+        flags = FLAG_LAST if is_last else 0
+        if phase is Phase.DECODE:
             flags |= FLAG_DECODE
-        return encode_frame(
-            chunk.payload_id, chunk.index, flags, body[offset : offset + chunk.size_bytes]
-        )
-
-    def _write_now(self, taken: list[tuple[Chunk, bytes]]) -> None:
-        """Write the frames of ``taken``, joined, from the caller's thread, without waiting."""
-        rest = error = None
-        try:
-            frame = b"".join([self._frame(*job) for job in taken])
-            try:
-                sent = self._sock.send(frame, socket.MSG_DONTWAIT)
-            except BlockingIOError:  # the socket buffer is full
-                sent = 0
-            if sent < len(frame):
-                rest = memoryview(frame)[sent:]
-        except (OSError, ProtocolError) as exc:
-            error = exc
-        finally:
-            with self._cond:
-                self._writing = False
-                self._rest = rest
-                if error is not None:
-                    self._fail(error)
-                if rest is not None or self._bodies or self._closing or error is not None:
-                    self._cond.notify()
+        return encode_frame(payload_id, index, flags, body[offset : offset + size])
 
     def _fail(self, error: OSError | ProtocolError) -> None:
-        """Record why writing stopped; the caller holds ``_cond``.  Later sends
-        refuse instead of queueing for nobody."""
+        """Record why writing stopped.  Later sends refuse instead of queueing
+        for nobody, and nothing is pending."""
         self._error = error
         self._bodies.clear()
-
-    def _next_job(self, wrote: bool) -> tuple[Chunk | None, bytes | memoryview] | None:
-        """The rest of a caller's frame, or the next chunk and its body, marked
-        as being written, waiting for one; None once closed and drained, or
-        once a write failed.  ``wrote``: the worker wrote the last job."""
-        with self._cond:
-            if wrote:
-                self._writing = False
-            while self._error is None:
-                if not self._writing:
-                    if (rest := self._rest) is not None:
-                        self._rest = None
-                        self._writing = True
-                        return None, rest
-                    if (taken := self._take()) is not None:
-                        self._writing = True
-                        return taken
-                    if self._closing:
-                        return None
-                self._cond.wait()
-            return None
-
-    def run(self) -> None:
-        try:
-            job = self._next_job(False)
-            while job is not None:
-                chunk, body = job
-                self._sock.sendall(body if chunk is None else self._frame(chunk, body))
-                job = self._next_job(True)
-            if self._error is None:  # closed and drained: no write can start now
-                self._sock.shutdown(socket.SHUT_WR)
-        except (OSError, ProtocolError) as exc:
-            with self._cond:
-                self._writing = False
-                self._fail(exc)
+        self._rest = None
 
 
-def receive_payloads(sock: socket.socket, on_payloads) -> None:
-    """Hand each ``recv``'s completed payloads to ``on_payloads(items)``,
-    reading in blocking mode, until EOF between payloads; a refused stream
+def receive_payloads(sock: socket.socket, on_payloads, out: SocketLinkSender) -> None:
+    """Hand each ``recv``'s completed payloads to ``on_payloads(items)`` until
+    EOF between payloads, flushing ``out`` while it waits; a refused stream
     or a socket error is a :class:`ProtocolError`."""
-    reader = PayloadReader(sock, on_payloads)
+    reader = PayloadReader(sock, on_payloads, out)
     while reader.read(None) is not None:
         pass
 
@@ -293,43 +256,45 @@ class PayloadReader:
     each payload its bytes complete, if any.  A refused frame, a chunk out of
     index order or repeated, a payload of 0 bytes and a stream cut mid-frame
     or mid-payload are a :class:`ProtocolError`, raised after the payloads
-    before it are handed on.
+    before it are handed on.  ``out`` is the sender of the thread that reads,
+    flushed while the reader waits.  Both descriptors are the ones the
+    sockets had when the reader was made.
     """
 
-    def __init__(self, sock: socket.socket, on_payloads) -> None:
+    def __init__(self, sock: socket.socket, on_payloads, out: SocketLinkSender) -> None:
         self._sock = sock
-        self._fd, self._poll = sock.fileno(), None  # made by the first read with a timeout
+        self._poll = select.poll()
+        try:
+            self._poll.register(sock, select.POLLIN)
+        except ValueError as exc:  # a closed socket has no descriptor
+            raise ProtocolError(f"link socket failed: {exc}") from exc
+        self._out, self._out_fd = out, out._sock.fileno()
+        self._watching = False  # the poll waits for room on out's socket
         self._chunk = memoryview(bytearray(_RECV_BYTES))  # each recv's bytes
         self._buf = bytearray()  # the start of a frame not yet whole
         self._partial: dict[int, list[bytes]] = {}  # payload id -> chunks so far
         self._on_payloads = on_payloads
 
     def read(self, timeout_s: float | None) -> bool | None:
-        """Hand on every payload that the bytes arrived so far complete; until
-        a whole frame has arrived, wait up to ``timeout_s`` with ``poll``, or
-        with None, in blocking ``recv`` calls.
+        """Hand on every payload that the bytes arrived so far complete,
+        waiting up to ``timeout_s`` (None: without end) until a whole frame
+        has arrived.
 
         Returns True once whole frames were read, False if none arrived in
         time, and None on EOF between payloads.  A refused stream or a socket
         error is a :class:`ProtocolError`.
         """
-        blocking = timeout_s is None
-        if not blocking and self._poll is None:
-            self._poll = select.poll()
-            self._poll.register(self._fd, select.POLLIN)
-        deadline = 0 if blocking else time.monotonic() + timeout_s
+        deadline = None if timeout_s is None else time.monotonic() + timeout_s
         took = False  # whole frames were read
         full = False  # the last recv filled the buffer: the kernel may hold more
         while True:
             if not full:
                 if took:
                     return True
-                if not blocking:
-                    left_ms = math.ceil((deadline - time.monotonic()) * 1000)
-                    if not self._poll.poll(max(left_ms, 0)):
-                        return False
+                if not self._wait(deadline):
+                    return False
             try:
-                n = self._sock.recv_into(self._chunk, 0, 0 if blocking else socket.MSG_DONTWAIT)
+                n = self._sock.recv_into(self._chunk, 0, socket.MSG_DONTWAIT)
             except BlockingIOError:  # woken with nothing to read after all
                 full = False
                 continue
@@ -343,7 +308,34 @@ class PayloadReader:
                     raise ProtocolError(f"stream ended in the middle of payload {cut}")
                 return None
             took |= self._take(n)
-            full = not blocking and n == _RECV_BYTES  # a blocking read leaves it to the next
+            full = n == _RECV_BYTES
+
+    def _wait(self, deadline: float | None) -> bool:
+        """Wait until the socket has bytes or its end to read, flushing ``out``
+        whenever it is pending and its socket has room; False if ``deadline``
+        (monotonic s, or None) passes first."""
+        out, poll = self._out, self._poll
+        while True:
+            if out.pending is not self._watching:
+                self._watching = not self._watching
+                if self._watching:
+                    poll.register(self._out_fd, select.POLLOUT)
+                else:
+                    poll.unregister(self._out_fd)
+            wait_ms = None
+            if deadline is not None:
+                wait_ms = max(math.ceil((deadline - time.monotonic()) * 1000), 0)
+            events = poll.poll(wait_ms)
+            if not events:
+                return False
+            readable = False
+            for fd, _ in events:
+                if fd == self._out_fd:
+                    out.flush()
+                else:
+                    readable = True
+            if readable:
+                return True
 
     def _take(self, n: int) -> bool:
         """Split the ``n`` bytes just received, after any start of a frame

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 import os
 import signal
 import socket
@@ -123,12 +124,20 @@ def test_simulate_missing_config_exits_2(tmp_path):
 
 
 def test_simulate_non_finite_bandwidth_exits_2(workdir, capsys):
-    cluster = json.loads((workdir / "cluster.json").read_text())
-    cluster["links"][0]["bandwidth_bps"] = float("nan")
-    (workdir / "cluster.json").write_text(json.dumps(cluster))
-    assert main(["simulate", "--config", str(workdir / "run.json"),
-                 "--out", str(workdir / "out")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    # Finite numbers too, whose link time in ns is not: 1e300 s, or one
+    # byte at 1e-300 B/s.
+    good = (workdir / "cluster.json").read_text()
+    for field, value in [
+        ("bandwidth_bps", float("nan")), ("bandwidth_bps", 1e-300), ("latency_s", 1e300)
+    ]:
+        cluster = json.loads(good)
+        cluster["links"][0][field] = value
+        (workdir / "cluster.json").write_text(json.dumps(cluster))
+        assert main(["simulate", "--config", str(workdir / "run.json"),
+                     "--out", str(workdir / "out")]) == 2, (field, value)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, err
+        assert math.isnan(value) or "alpha->beta" in err, err
 
 
 def test_sweep_bandwidth_three_points(workdir):
@@ -281,6 +290,24 @@ def test_plan_capacity_weighted(tmp_path, capsys):
                "--gpu-type", "g", "--gpu-count", "1"])
     assert rc == 0
     assert "layer counts: [20, 10]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("where, field, value", [
+    ("links", "latency_s", 1e300),
+    ("links", "bandwidth_bps", 1e-300),
+    ("nodes", "capacity_score", 1e308),
+], ids=["latency", "bandwidth", "capacity"])
+def test_plan_with_numbers_too_large_to_compute_exits_2(workdir, capsys, where, field, value):
+    cluster = json.loads((workdir / "cluster.json").read_text())
+    for item in cluster[where]:
+        item[field] = value
+    for node in cluster["nodes"]:
+        node["gpu_count"] = 2  # capacity_score * gpu_count is past the float range
+    (workdir / "cluster.json").write_text(json.dumps(cluster))
+    rc = main(["plan", "--cluster", str(workdir / "cluster.json"), "--model", "tiny-4l",
+               "--gpu-type", "rtx4090", "--gpu-count", "4"])  # both nodes, so both links
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error: ") and "Traceback" not in err, err
 
 
 def test_plan_infeasible_nonzero_exit(workdir, capsys):

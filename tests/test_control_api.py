@@ -387,6 +387,38 @@ def test_http_service_lifecycle_and_errors(http_server):
     assert call(base, "GET", "/services/svc")[0] == 404
 
 
+@pytest.mark.parametrize("field, value, refused_at", [
+    ("latency_s", 1e300, "/nodes"),
+    ("bandwidth_bps", 1e-300, "/services"),
+    ("capacity_score", 1e308, "/services"),
+], ids=["latency", "bandwidth", "capacity"])
+def test_http_numbers_too_large_to_plan_with_are_refused(http_server, field, value, refused_at):
+    # Finite numbers whose link time in ns, or whose capacity weight, is
+    # past the float range: a 400, never a 500.
+    _, base = http_server
+    statuses = []
+    for i in range(2):
+        link = {"latency_s": 0.01, "bandwidth_bps": 1e9}
+        if field in link:
+            link[field] = value
+        node = {
+            "name": f"w{i}", "gpu_type": "rtx4090", "gpu_count": 2,
+            "gpu_mem_bytes": 8 * GB, "capacity_score": value if field == "capacity_score" else 1.0,
+            "links": [{"from": "w0", "to": "w1", **link}, {"from": "w1", "to": "w0", **link}]
+            if i else [],
+        }
+        statuses.append(("/nodes", *call(base, "POST", "/nodes", node)))
+    deploy = {
+        "service_name": "svc", "model_name": "tiny-4l",
+        "resource_specification": {"gpu_type": "rtx4090", "gpu_count": 4},
+    }
+    statuses.append(("/services", *call(base, "POST", "/services", deploy)))
+    refused = [(path, status, body["code"]) for path, status, body in statuses if status != 201]
+    assert refused[0] == (refused_at, 400, "invalid"), statuses
+    assert all(status < 500 for _, status, _ in refused), statuses
+    assert call(base, "GET", "/services/svc")[0] == 404
+
+
 @pytest.mark.parametrize("name", ["a b", "a/b", "x?y", "n%41", "é"])
 def test_http_addresses_every_name_it_registers(http_server, name):
     _, base = http_server
@@ -743,17 +775,19 @@ def test_old_journal_with_a_cascading_exit_replays_to_the_same_snapshot(tmp_path
 
 def test_http_body_over_the_limit_is_refused_before_reading(http_server):
     _, base = http_server
-    conn = http.client.HTTPConnection(base.removeprefix("http://"), timeout=10)
-    try:
-        conn.putrequest("POST", "/nodes")
-        conn.putheader("Content-Length", str(10**15))
-        conn.endheaders()
-        resp = conn.getresponse()
-        body = json.loads(resp.read())
-        assert resp.status == 413 and body["code"] == "too_large"
-        assert str(MAX_BODY_BYTES) in body["message"]
-    finally:
-        conn.close()
+    # A length of over 4,300 digits is one that int() refuses to parse.
+    for length in (str(10**15), "9" * 5000):
+        conn = http.client.HTTPConnection(base.removeprefix("http://"), timeout=10)
+        try:
+            conn.putrequest("POST", "/nodes")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            resp = conn.getresponse()
+            body = json.loads(resp.read())
+            assert resp.status == 413 and body["code"] == "too_large", (length[:20], body)
+            assert str(MAX_BODY_BYTES) in body["message"]
+        finally:
+            conn.close()
     assert call(base, "GET", "/nodes/w0")[0] == 404  # still serving
 
 

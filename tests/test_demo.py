@@ -32,9 +32,9 @@ from pipelink.workload import Request, Trace
 from simsetup import engine_config, uniform_pipeline
 
 
-def two_stage(policy, chunk_size, decision_stride, stages=2):
+def two_stage(policy, chunk_size, decision_stride, stages=2, hidden_dim=64):
     cluster, model, plan, profiles = uniform_pipeline(
-        stages, 0.001, 0.001, bandwidth=1e9, hidden_dim=64, dtype_bytes=2
+        stages, 0.001, 0.001, bandwidth=1e9, hidden_dim=hidden_dim, dtype_bytes=2
     )
     cfg = engine_config(
         plan, model, max_batched_tokens=64, max_batch_size=4,
@@ -78,9 +78,9 @@ def test_socket_demo_matches_virtual_run(
 def test_socket_demo_matches_virtual_run_however_its_threads_interleave(
     interval, chunk_size, stages
 ):
-    # A thread holds the GIL for about ``interval``: at 1 us a caller's write
-    # and the worker's meet between almost any two bytecodes, at 50 ms each
-    # thread runs long before it is made to yield.
+    # A thread holds the GIL for about ``interval``: at 1 us the head's and
+    # the stages' reads and writes meet between almost any two bytecodes, at
+    # 50 ms each thread runs long before it is made to yield.
     cfg, cluster, profiles = two_stage(LinkPolicy.DECODE_PRIORITY, chunk_size, 1, stages)
     trace = Trace(requests=[
         Request(id=i, arrival_time=0.0, input_len=1 + 7 * i % 40, output_len=1 + i % 5)
@@ -95,6 +95,68 @@ def test_socket_demo_matches_virtual_run_however_its_threads_interleave(
         sys.setswitchinterval(before)
     assert live == virtual.tokens_by_request()
     assert live == {r.id: r.output_len for r in trace.requests}
+
+
+class CountingSocket(socket.socket):
+    """A socket that counts the writes that found too little room in its
+    buffer for all their bytes."""
+
+    cut_writes = 0
+
+    def send(self, data, flags=0):
+        try:
+            sent = super().send(data, flags)
+        except BlockingIOError:
+            CountingSocket.cut_writes += 1
+            raise
+        if sent < len(data):
+            CountingSocket.cut_writes += 1
+        return sent
+
+    def sendall(self, data, flags=0):
+        # A write that waits for room is counted as cut when the kernel
+        # cannot take all of it at once.
+        try:
+            sent = self.send(data, flags | socket.MSG_DONTWAIT)
+        except BlockingIOError:
+            sent = 0
+        super().sendall(memoryview(data)[sent:], flags)
+
+
+def small_buffered_pair():
+    """A loopback pair of CountingSockets whose buffers are 32 KiB: with
+    2 KiB tokens a micro-batch's activation outgrows them, so writes find
+    too little room and their rest waits for it."""
+    pair = []
+    for sock in loopback_pair():
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 32 << 10)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 32 << 10)
+        pair.append(CountingSocket(fileno=sock.detach()))
+    return tuple(pair)
+
+
+@pytest.mark.parametrize("chunk_size", [None, 8192], ids=["unchunked", "chunked"])
+@pytest.mark.parametrize("stages", [2, 3, 4])
+def test_socket_demo_matches_virtual_run_when_writes_fill_the_socket_buffers(
+    monkeypatch, stages, chunk_size
+):
+    # Smaller buffers than 32 KiB make TCP zero-window stalls: a run then
+    # crawls, however it writes.
+    monkeypatch.setattr(pipelink.demo, "loopback_pair", small_buffered_pair)
+    monkeypatch.setattr(CountingSocket, "cut_writes", 0)
+    cfg, cluster, profiles = two_stage(
+        LinkPolicy.DECODE_PRIORITY, chunk_size, 1, stages, hidden_dim=1024
+    )
+    assert cfg.model.bytes_per_token == 2048
+    trace = Trace(requests=[
+        Request(id=i, arrival_time=0.0, input_len=1 + 13 * i % 64, output_len=1 + i % 4)
+        for i in range(32)
+    ])
+    virtual = PipelineEngine(cfg, cluster, profiles).run(trace)
+    live = run_socket_demo(cfg, cluster, profiles, trace, timeout_s=30.0)
+    assert live == virtual.tokens_by_request()
+    assert live == {r.id: r.output_len for r in trace.requests}
+    assert CountingSocket.cut_writes > 0
 
 
 def test_live_payloads_have_the_simulator_sizes(monkeypatch):
@@ -176,7 +238,7 @@ def test_mute_tail_raises_protocol_error_after_timeout(monkeypatch):
     try:
         with pytest.raises(ProtocolError, match="no feedback"):
             run_socket_demo(cfg, cluster, profiles, trace, timeout_s=1.0)
-        # One wait of timeout_s, not more waits to join the held-up workers.
+        # One wait of timeout_s, not more waits to join the held-up stages.
         assert time.monotonic() - start < 1.5
     finally:
         release.set()
@@ -201,7 +263,7 @@ def test_relay_that_closes_its_input_mid_run_fails_the_head_at_once(monkeypatch)
             raise Stop
 
         try:
-            receive_payloads(in_sock, on_payloads)
+            receive_payloads(in_sock, on_payloads, out_sender)
         except Stop:
             in_sock.shutdown(socket.SHUT_RDWR)
             in_sock.close()
@@ -225,14 +287,14 @@ def relay_failing_after_one(in_sock, out_sender):
         out_sender.send(items)
         raise ProtocolError("payload 7: unknown flag bits 0x4")
 
-    receive_payloads(in_sock, on_payloads)
+    receive_payloads(in_sock, on_payloads, out_sender)
 
 
 def crashing_tail(forward_sock, return_sender):
     def on_payloads(items):
         raise RuntimeError("tail crashed")
 
-    receive_payloads(forward_sock, on_payloads)
+    receive_payloads(forward_sock, on_payloads, return_sender)
 
 
 @pytest.mark.parametrize("stage, work, match", [
@@ -253,7 +315,7 @@ def test_a_failing_stage_reaches_the_head_by_name(monkeypatch, stage, work, matc
     with pytest.raises(ProtocolError, match=match):
         run_socket_demo(cfg, cluster, profiles, trace, timeout_s=60.0)
     assert time.monotonic() - start < 5.0
-    # Every worker ends once the head has shut the sockets, and none of them
+    # Every stage ends once the head has shut the sockets, and none of them
     # leaves an exception to the hook.
     for thread in set(threading.enumerate()) - before:
         thread.join(timeout=5.0)
@@ -270,7 +332,8 @@ class ResetHop:
     def send(self, data, flags):
         raise ConnectionResetError("peer reset")
 
-    sendall = send
+    def fileno(self):
+        return self.sock.fileno()
 
     def shutdown(self, how):
         self.sock.shutdown(how)
@@ -289,7 +352,7 @@ def test_a_stage_whose_sender_failed_reaches_the_head_by_name_at_once(monkeypatc
             out_sender.send(items)  # its write fails, and the sender records why
             out_sender.send(items)  # refused
 
-        receive_payloads(in_sock, on_payloads)
+        receive_payloads(in_sock, on_payloads, out_sender)
 
     monkeypatch.setattr(pipelink.demo, "SocketLinkSender", sender)
     monkeypatch.setattr(pipelink.demo, "_relay", relay_sending_twice)
@@ -332,10 +395,12 @@ def frame_of(feedback):
 @contextlib.contextmanager
 def return_hop(sched):
     """A loopback return hop: yields its two ends and the head's reader of
-    its head end, which applies feedback to ``sched``."""
+    its head end, which applies feedback to ``sched`` and has an out sender
+    with nothing to send."""
     tail_end, head_end = loopback_pair()
+    idle = SocketLinkSender(tail_end, None, LinkPolicy.DECODE_PRIORITY, "idle")
     try:
-        yield tail_end, head_end, PayloadReader(head_end, pipelink.demo._feedback_to(sched))
+        yield tail_end, head_end, PayloadReader(head_end, pipelink.demo._feedback_to(sched), idle)
     finally:
         tail_end.close()
         head_end.close()
@@ -436,11 +501,10 @@ def test_the_head_starts_no_thread_of_its_own(monkeypatch, stages):
     assert run_socket_demo(cfg, cluster, profiles, trace, timeout_s=10.0) == {
         r.id: r.output_len for r in trace.requests
     }
-    assert sorted(started) == sorted([
-        *(f"hop{i}-sender" for i in range(stages)),
-        *(f"relay {i}" for i in range(1, stages - 1)),
-        "tail",
-    ])
+    # Only the n - 1 stages run threads: the head and every sender run in
+    # the thread that owns them.
+    assert sorted(started) == sorted([*(f"relay {i}" for i in range(1, stages - 1)), "tail"])
+    assert len(started) == stages - 1
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")

@@ -50,8 +50,23 @@ def collect(put):
     return on_payloads
 
 
+class NoHop:
+    """The socket of an out sender that sends nothing: a reader that has it
+    waits for input alone."""
+
+    def fileno(self):
+        return -1
+
+
+def no_out():
+    """The out sender of a thread that only reads."""
+    return SocketLinkSender(NoHop(), chunk_size=None, name="no-out")
+
+
 def receiver_thread(sock, on_payloads):
-    return threading.Thread(target=receive_payloads, args=(sock, on_payloads), daemon=True)
+    return threading.Thread(
+        target=receive_payloads, args=(sock, on_payloads, no_out()), daemon=True
+    )
 
 
 def test_frame_round_trip():
@@ -161,7 +176,6 @@ def test_chunked_sender_refuses_oversize_decode_payload_and_stays_usable(monkeyp
     received = queue.Queue()
     sender = SocketLinkSender(left, chunk_size=16)
     receiver = receiver_thread(right, collect(received.put))
-    sender.start()
     receiver.start()
     try:
         with pytest.raises(ProtocolError, match="frame limit"):
@@ -172,60 +186,106 @@ def test_chunked_sender_refuses_oversize_decode_payload_and_stays_usable(monkeyp
         assert got == {2: b"d" * 64, 3: b"p" * 65}
     finally:
         sender.close()
-        sender.join(timeout=10)
         receiver.join(timeout=10)
         left.close()
         right.close()
-    assert not sender.is_alive() and not receiver.is_alive()
+    assert not receiver.is_alive()
 
 
 def noting_refusals(monkeypatch):
-    """Patch ``wire.encode_frame`` to note the thread of each frame it refuses."""
-    refused_in = []
+    """Patch ``wire.encode_frame`` to note the arguments of each frame it refuses."""
+    refused = []
     encode = wire.encode_frame
 
     def encode_frame(*args):
         try:
             return encode(*args)
         except ProtocolError:
-            refused_in.append(threading.current_thread().name)
+            refused.append(args[:3])
             raise
 
     monkeypatch.setattr(wire, "encode_frame", encode_frame)
-    return refused_in
+    return refused
+
+
+class RecordingSocket:
+    """Keeps the bytes of each write a sender makes, one frame, a burst's
+    frames or a part of either, and its half-closes.  A write takes at most
+    ``room`` more bytes (None: any), and one that finds no room is refused
+    as a full socket buffer refuses it.  With ``through``, a real socket,
+    the bytes go on to it too."""
+
+    def __init__(self, room=None, through=None):
+        self.frames = []
+        self.room = room
+        self.through = through
+        self.shut = []
+        self.frames_at_shut = None
+
+    def _record(self, data):
+        self.frames.append(bytes(data))
+
+    def send(self, data, flags):
+        assert flags == socket.MSG_DONTWAIT  # no write waits
+        take = len(data) if self.room is None else min(self.room, len(data))
+        if not take:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        self._record(data[:take])
+        if self.room is not None:
+            self.room -= take
+        if self.through is not None:
+            self.through.sendall(data[:take])
+        return take
+
+    def shutdown(self, how):
+        if self.through is not None:
+            self.through.shutdown(how)
+        self.shut.append(how)
+        self.frames_at_shut = len(self.frames)
+
+
+def frame_headers(data):
+    """(payload id, chunk index) of each frame in ``data``, a run of whole frames."""
+    found, at = [], 0
+    while at < len(data):
+        found.append(struct.unpack_from("<QI", data, at + 4))
+        at += 4 + struct.unpack_from("<I", data, at)[0]
+    assert at == len(data)
+    return found
 
 
 def test_sender_whose_frame_is_refused_refuses_later_sends(monkeypatch):
-    refused_in = noting_refusals(monkeypatch)
-    left, right = loopback_pair()
-    sender = SocketLinkSender(left, chunk_size=64, name="refused")
-    # The caller writes the first chunk; the second waits for the worker.
-    sender.send([(payload(1, Phase.PREFILL, 128), bytes(128))])
-    # The limit shrinks after send() accepted the payload: the worker's
-    # encode_frame refuses its second chunk.
+    refused = noting_refusals(monkeypatch)
+    # Room for the first chunk's frame and 10 bytes of the second: the third
+    # chunk waits in the queue, unframed.
+    sock = RecordingSocket(room=4 + wire.HEADER_BYTES + 64 + 10)
+    sender = SocketLinkSender(sock, chunk_size=64, name="refused")
+    sender.send([(payload(1, Phase.PREFILL, 192), bytes(192))])
+    assert sender.pending and refused == []
+    # The limit shrinks after send() accepted the payload: the flush writes
+    # the second chunk's rest, then encode_frame refuses the third.
     monkeypatch.setattr(wire, "MAX_FRAME_BYTES", wire.HEADER_BYTES + 8)
-    sender.start()
-    try:
-        sender.join(timeout=10)
-        assert not sender.is_alive()
-        assert refused_in == ["refused"]
-        with pytest.raises(ProtocolError, match="refused: .*exceeds") as refused:
-            sender.send([(payload(2, Phase.DECODE, 8), bytes(8))])
-        assert "peer gone" not in str(refused.value)  # the peer is alive
-        assert sender._bodies == {}
-    finally:
-        left.close()
-        right.close()
+    sock.room = None
+    sender.flush()  # raises nothing
+    assert refused == [(1, 2, FLAG_LAST)] and not sender.pending
+    assert frame_headers(b"".join(sock.frames)) == [(1, 0), (1, 1)]
+    with pytest.raises(ProtocolError, match="refused: own frame refused: .*exceeds") as later:
+        sender.send([(payload(2, Phase.DECODE, 8), bytes(8))])
+    assert "peer gone" not in str(later.value)  # the peer is alive
+    assert sender._bodies == {}
+    sender.close()
+    assert sock.shut == []  # no EOF: the peer sees a cut stream
 
 
 def test_sender_that_is_closing_refuses_a_send_by_name_and_payload():
     left, right = loopback_pair()
     sender = SocketLinkSender(left, chunk_size=None, name="closing")
-    sender.close()  # not started: nothing drains, so it stays closing
     try:
-        with pytest.raises(ProtocolError, match=r"^closing: payload 4: sender is closing$"):
+        sender.close()  # nothing is pending: it half-closes at once
+        with pytest.raises(ProtocolError, match=r"^closing: payload 4: sender is closed$"):
             sender.send([(payload(4, Phase.DECODE, 8), bytes(8))])
         assert sender._bodies == {} and sender._queue.next_chunk() is None
+        assert right.recv(1) == b""  # EOF
     finally:
         left.close()
         right.close()
@@ -248,7 +308,6 @@ def test_sender_receiver_round_trip_chunked():
     received = queue.Queue()
     sender = SocketLinkSender(left, chunk_size=1024)
     receiver = receiver_thread(right, collect(received.put))
-    sender.start()
     receiver.start()
     try:
         body_big = bytes(range(256)) * 20  # 5120 B -> 5 chunks
@@ -263,82 +322,29 @@ def test_sender_receiver_round_trip_chunked():
         assert by_id[2].phase is Phase.DECODE
     finally:
         sender.close()
-        sender.join(timeout=10)
         receiver.join(timeout=10)
         left.close()
         right.close()
     assert not receiver.is_alive()  # the sender's half-close ended it
 
 
-class RecordingSocket:
-    """Keeps the bytes of each write a sender makes, one frame or a burst's
-    frames, and the name of the thread that made it; ``after_frame(count)``
-    runs after each, in that thread.  With ``through``, a real socket, the
-    bytes go on to it too."""
-
-    def __init__(self, after_frame, through=None):
-        self.frames = []
-        self.writers = []
-        self.after_frame = after_frame
-        self.through = through
-        self.shut = []
-        self.frames_at_shut = None
-
-    def _record(self, data):
-        self.frames.append(bytes(data))
-        self.writers.append(threading.current_thread().name)
-        self.after_frame(len(self.frames))
-
-    def sendall(self, data):
-        if self.through is not None:
-            self.through.sendall(data)
-        self._record(data)
-
-    def send(self, data, flags):
-        assert flags == socket.MSG_DONTWAIT  # a caller's write never waits
-        sent = len(data) if self.through is None else self.through.send(data, flags)
-        self._record(data[:sent])
-        return sent
-
-    def shutdown(self, how):
-        if self.through is not None:
-            self.through.shutdown(how)
-        self.shut.append(how)
-        self.frames_at_shut = len(self.frames)
-
-
-def headers(frames):
-    """(payload id, chunk index) of each frame."""
-    return [struct.unpack_from("<QI", frame, 4) for frame in frames]
-
-
 def test_sender_sends_each_chunk_from_its_offset():
     # No 1,024-byte stretch of the body repeats and its last chunk is short,
     # so a chunk cut from the wrong offset cannot reassemble to the body.  A
-    # decode payload is sent once the first prefill chunk is on the wire.
+    # decode payload is sent while the first prefill chunk is half written.
     body = random.Random(12).randbytes(5 * 1024 + 300)
     small = b"decode!!"
-    decode_sent = threading.Event()
-
-    def after_frame(count):
-        if count == 1:
-            sender.send([(payload(2, Phase.DECODE, len(small)), small)])
-            decode_sent.set()
-
-    sock = RecordingSocket(after_frame)
+    sock = RecordingSocket(room=10)
     sender = SocketLinkSender(sock, chunk_size=1024, name="offsets")
-    # The sender is idle, so this caller writes the first chunk itself.
     sender.send([(payload(1, Phase.PREFILL, len(body)), body)])
-    sender.start()
-    assert decode_sent.wait(timeout=10)
+    sender.send([(payload(2, Phase.DECODE, len(small)), small)])
+    sock.room = None
     sender.close()
-    sender.join(timeout=10)
-    assert not sender.is_alive()
+    assert not sender.pending
 
-    assert headers(sock.frames) == [
+    assert frame_headers(b"".join(sock.frames)) == [
         (1, 0), (2, 0), (1, 1), (1, 2), (1, 3), (1, 4), (1, 5)
     ]
-    assert sock.writers == [threading.current_thread().name] + ["offsets"] * 6
     assert len(sock.frames[-1]) == 4 + wire.HEADER_BYTES + 300  # length, header, short body
     assert sock.shut == [socket.SHUT_WR]
     a, b = socket.socketpair()
@@ -346,7 +352,7 @@ def test_sender_sends_each_chunk_from_its_offset():
     try:
         a.sendall(b"".join(sock.frames))
         a.close()
-        receive_payloads(b, collect(delivered.append))
+        receive_payloads(b, collect(delivered.append), no_out())
     finally:
         a.close()
         b.close()
@@ -356,43 +362,16 @@ def test_sender_sends_each_chunk_from_its_offset():
 
 
 def test_a_send_to_an_idle_sender_is_written_from_the_callers_thread():
-    sock = RecordingSocket(lambda count: None)
+    sock = RecordingSocket()
     sender = SocketLinkSender(sock, chunk_size=None, name="idle")
-    me = threading.current_thread().name
     sender.send([(payload(1, Phase.DECODE, 8), b"decode!!")])
     assert sock.frames == [encode_frame(1, 0, FLAG_LAST | FLAG_DECODE, b"decode!!")]
-    sender.start()  # a started worker that has nothing to do changes nothing
+    assert not sender.pending
     sender.send([(payload(2, Phase.PREFILL, 8), b"prefill!")])
     assert sock.frames[1:] == [encode_frame(2, 0, FLAG_LAST, b"prefill!")]
-    assert sock.writers == [me, me]
     assert sender._bodies == {} and sender._queue.next_chunk() is None
     sender.close()
-    sender.join(timeout=10)
-    assert not sender.is_alive()
     assert sock.shut == [socket.SHUT_WR] and len(sock.frames) == 2
-
-
-def frame_headers(data):
-    """(payload id, chunk index) of each frame in ``data``, a run of whole frames."""
-    found, at = [], 0
-    while at < len(data):
-        found.append(struct.unpack_from("<QI", data, at + 4))
-        at += 4 + struct.unpack_from("<I", data, at)[0]
-    assert at == len(data)
-    return found
-
-
-class WholeSocket(RecordingSocket):
-    """A pass-through RecordingSocket whose non-blocking ``send`` hands all
-    of its bytes on, as a kernel with room for them would."""
-
-    def __init__(self, through):
-        super().__init__(lambda count: None, through)
-
-    def send(self, data, flags):
-        assert flags == socket.MSG_DONTWAIT  # a caller's write never waits
-        self.sendall(data)
-        return len(data)
 
 
 burst_payloads = st.lists(
@@ -404,57 +383,75 @@ burst_payloads = st.lists(
 @given(
     specs=burst_payloads,
     cuts=st.lists(st.integers(0, 12), max_size=6),
+    full=st.lists(st.booleans(), min_size=13, max_size=13),
     chunk_size=st.sampled_from([None, 512]),
     policy=st.sampled_from(LinkPolicy),
 )
-def test_bursts_arrive_once_with_their_bodies_in_queue_order(specs, cuts, chunk_size, policy):
+def test_bursts_arrive_once_with_their_bodies_in_queue_order(
+    specs, cuts, full, chunk_size, policy
+):
     payloads = [payload(i, phase, size) for i, (phase, size) in enumerate(specs)]
     bodies = {p.id: random.Random(p.id).randbytes(p.size_bytes) for p in payloads}
     bounds = sorted({0, len(payloads), *(cut % (len(payloads) + 1) for cut in cuts)})
     bursts = [payloads[a:b] for a, b in zip(bounds, bounds[1:])]
-    # The chunks in the order a LinkQueue gives them when a burst that finds
-    # every earlier payload taken has one chunk per item taken at once, and
-    # the rest is drained after the last burst.
-    model, unfinished, on_idle, order = LinkQueue(chunk_size, policy), set(), [], []
-    for burst in bursts:
-        idle = not unfinished
+    # The writes, each a list of chunks, as a reference LinkQueue gives the
+    # chunks: a burst that finds nothing pending has one chunk per item taken
+    # at once, for one write; then what is pending goes out, one write for a
+    # write's rest and one per chunk, until a write finds no room and is kept
+    # whole; and close() writes what is left.
+    model, rest, unfinished, writes = LinkQueue(chunk_size, policy), None, set(), []
+
+    def take():
+        chunk = model.next_chunk()
+        if chunk is not None and chunk.is_last:
+            unfinished.discard(chunk.payload_id)
+        return chunk
+
+    def flush(room):
+        nonlocal rest
+        while True:
+            if rest is not None:
+                write, rest = rest, None
+            elif (chunk := take()) is not None:
+                write = [chunk]
+            else:
+                return
+            if not room:
+                rest = write
+                return
+            writes.append(write)
+
+    for burst, no_room in zip(bursts, full):
+        idle = rest is None and not unfinished
         for p in burst:
             model.enqueue(p)
             unfinished.add(p.id)
         if idle:
-            taken = [model.next_chunk() for _ in burst]
-            on_idle.append(taken)
-            order += taken
-            unfinished -= {c.payload_id for c in taken if c.is_last}
-    while (chunk := model.next_chunk()) is not None:
-        order.append(chunk)
+            rest = [take() for _ in burst]
+        flush(not no_room)
+    flush(True)
 
     left, right = loopback_pair()
     delivered = []
     receiver = receiver_thread(right, collect(delivered.append))
     receiver.start()
-    sock = WholeSocket(left)
+    sock = RecordingSocket(through=left)
     sender = SocketLinkSender(sock, chunk_size, policy, name="bursts")
     try:
-        for burst in bursts:
+        for burst, no_room in zip(bursts, full):
+            sock.room = 0 if no_room else None
             sender.send([(p, bodies[p.id]) for p in burst])
-        # Each burst on an idle hop made one socket send, of one frame per
-        # item; the worker is not started yet, so no other write was made.
-        me = threading.current_thread().name
-        writes = zip(sock.writers, sock.frames)
-        assert [(writer, frame_headers(data)) for writer, data in writes] == [
-            (me, [(c.payload_id, c.index) for c in taken]) for taken in on_idle
-        ]
-        sender.start()
+        sock.room = None
         sender.close()
-        sender.join(timeout=10)
         receiver.join(timeout=10)
     finally:
         left.close()
         right.close()
-    assert not sender.is_alive() and not receiver.is_alive()
-    wire_order = frame_headers(b"".join(sock.frames))
-    assert wire_order == [(c.payload_id, c.index) for c in order]
+    assert not receiver.is_alive()
+    assert [frame_headers(data) for data in sock.frames] == [
+        [(c.payload_id, c.index) for c in write] for write in writes
+    ]
+    order = [chunk for write in writes for chunk in write]
     assert delivered == [
         Received(c.payload_id, c.phase, bodies[c.payload_id]) for c in order if c.is_last
     ]
@@ -467,7 +464,7 @@ def test_bursts_arrive_once_with_their_bodies_in_queue_order(specs, cuts, chunk_
 ], ids=["body-length", "oversize-chunk", "empty"])
 def test_a_burst_with_one_bad_item_is_refused_whole(monkeypatch, bad, error, match):
     monkeypatch.setattr(wire, "MAX_FRAME_BYTES", wire.HEADER_BYTES + 64)
-    sock = RecordingSocket(lambda count: None)
+    sock = RecordingSocket()
     sender = SocketLinkSender(sock, chunk_size=None, name="bad-burst")
     good = [(payload(1, Phase.DECODE, 8), b"decode!!"), (payload(2, Phase.PREFILL, 64), bytes(64))]
     with pytest.raises(error, match=match):
@@ -483,141 +480,116 @@ def test_a_burst_with_one_bad_item_is_refused_whole(monkeypatch, bad, error, mat
     ]
 
 
-class PartialSocket(RecordingSocket):
-    """Takes only the first ``take`` bytes of a non-blocking send; with
-    ``take`` 0, its buffer is full."""
-
-    def __init__(self, take):
-        super().__init__(lambda count: None)
-        self.take = take
-
-    def send(self, data, flags):
-        assert flags == socket.MSG_DONTWAIT
-        if not self.take:
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-        self._record(data[: self.take])
-        return self.take
-
-
 @pytest.mark.parametrize("take", [0, 10], ids=["buffer-full", "part-taken"])
 def test_the_rest_of_a_callers_frame_goes_out_before_any_other(take):
-    sock = PartialSocket(take)
+    sock = RecordingSocket(room=take)
     sender = SocketLinkSender(sock, chunk_size=None, name="rest")
     prefill, decode = bytes(range(64)), b"decode!!"
     sender.send([(payload(1, Phase.PREFILL, len(prefill)), prefill)])
     # Under decode priority a decode goes before any queued prefill, but it
     # cannot cut into a frame that is half written.
     sender.send([(payload(2, Phase.DECODE, len(decode)), decode)])
-    sender.start()
+    assert sender.pending
+    sock.room = None
     sender.close()
-    sender.join(timeout=10)
-    assert not sender.is_alive()
     first = encode_frame(1, 0, FLAG_LAST, prefill)
     second = encode_frame(2, 0, FLAG_LAST | FLAG_DECODE, decode)
-    me = threading.current_thread().name
     if take:
         assert sock.frames == [first[:take], first[take:], second]
-        assert sock.writers == [me, "rest", "rest"]
     else:
         assert sock.frames == [first, second]
-        assert sock.writers == ["rest", "rest"]
     assert sock.shut == [socket.SHUT_WR]
 
 
-def returns_at_once(send, within_s=2.0):
-    """Whether ``send()``, run in a thread of its own, returns within ``within_s``."""
-    sending = threading.Thread(target=send, daemon=True)
-    sending.start()
-    sending.join(timeout=within_s)
-    return not sending.is_alive()
+def small_buffers(left, right):
+    """Shrink the buffers between ``left`` and ``right`` to 64 KiB each way."""
+    left.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 64 << 10)
+    right.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 64 << 10)
 
 
 @pytest.mark.parametrize("fill", [False, True], ids=["buffer-empty", "buffer-full"])
 def test_send_returns_at_once_when_the_peer_stops_reading(fill):
     left, right = loopback_pair()
-    left.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 64 << 10)
-    right.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 64 << 10)
+    small_buffers(left, right)
     big = bytes(4 << 20)  # far more than both buffers hold
     sender = SocketLinkSender(left, chunk_size=None, name="stalled")
-    sender.start()
-
-    def send():
-        # An idle sender: the caller's write takes what fits, if anything,
-        # the worker blocks on the rest, and the next sends queue behind it.
-        sender.send([(payload(1, Phase.PREFILL, len(big)), big)])
-        sender.send([(payload(2, Phase.DECODE, 8), bytes(8))])
-        sender.send([(payload(3, Phase.PREFILL, len(big)), big)])
-
     try:
         if fill:
             with pytest.raises(BlockingIOError):
                 for _ in range(10_000):
                     left.send(bytes(4096), socket.MSG_DONTWAIT)
-        assert returns_at_once(send)
-        assert sender.is_alive()  # still writing payload 1
+        start = time.monotonic()
+        # The first write takes what fits, if anything, and the next sends
+        # queue behind its rest.
+        sender.send([(payload(1, Phase.PREFILL, len(big)), big)])
+        sender.send([(payload(2, Phase.DECODE, 8), bytes(8))])
+        sender.send([(payload(3, Phase.PREFILL, len(big)), big)])
+        assert time.monotonic() - start < 2.0
+        assert sender.pending  # still writing payload 1
+        left.shutdown(socket.SHUT_RDWR)
+        sender.flush()  # the write fails, and raises nothing
+        assert isinstance(sender._error, OSError) and sender._bodies == {}
+        assert not sender.pending
+        sender.close()  # returns at once: nothing is left to write
     finally:
-        left.shutdown(socket.SHUT_RDWR)  # ends every blocked write
-        sender.join(timeout=10)
         left.close()
         right.close()
-    assert not sender.is_alive()
-    assert isinstance(sender._error, OSError) and sender._bodies == {}
 
 
-def test_a_decode_sent_while_the_worker_writes_a_prefill_goes_out_at_the_next_chunk():
+def test_a_decode_sent_while_a_prefill_is_pending_goes_out_at_the_next_chunk():
     left, right = loopback_pair()
     small = b"decode!!"
-    decode_sent = threading.Event()
-
-    def after_frame(count):
-        if count == 2:  # the worker has written the prefill's second chunk
-            sender.send([(payload(2, Phase.DECODE, len(small)), small)])
-            decode_sent.set()
-
-    sock = RecordingSocket(after_frame, through=left)
+    frame_bytes = 4 + wire.HEADER_BYTES + 1024
+    # Room for two chunks' frames and 10 bytes of the third.
+    sock = RecordingSocket(room=2 * frame_bytes + 10, through=left)
     sender = SocketLinkSender(sock, chunk_size=1024, name="preempted")
+    try:
+        body = bytes(6 * 1024)
+        sender.send([(payload(1, Phase.PREFILL, len(body)), body)])
+        sender.send([(payload(2, Phase.DECODE, len(small)), small)])
+        sock.room = None
+        sender.close()
+        with right.makefile("rb") as reader:
+            frames = []
+            while (frame := read_frame(reader)) is not None:
+                frames.append(frame)
+    finally:
+        left.close()
+        right.close()
+    # The chunk being written when the decode came is finished first.
+    order = [(1, 0), (1, 1), (1, 2), (2, 0), (1, 3), (1, 4), (1, 5)]
+    assert [(pid, index) for pid, index, _, _ in frames] == order
+    assert frame_headers(b"".join(sock.frames)) == order
+
+
+def test_close_during_a_callers_write_drains_the_queue_then_half_closes():
+    left, right = loopback_pair()
+    small_buffers(left, right)
+    sender = SocketLinkSender(left, chunk_size=64 << 10, name="closed")
+    big = bytes(4 << 20)  # 64 chunks, far more than both buffers hold
     frames = []
 
     def read_frames():
         with right.makefile("rb") as reader:
             while (frame := read_frame(reader)) is not None:
-                frames.append(frame)
+                frames.append(frame[:2])
 
     reader = threading.Thread(target=read_frames, daemon=True)
-    reader.start()
-    sender.start()
     try:
-        body = bytes(6 * 1024)
-        sender.send([(payload(1, Phase.PREFILL, len(body)), body)])
-        assert decode_sent.wait(timeout=10)
-        sender.close()
-        sender.join(timeout=10)
+        sender.send([(payload(1, Phase.PREFILL, len(big)), big)])
+        sender.send([(payload(2, Phase.DECODE, 8), bytes(8))])
+        assert sender.pending  # the peer has not read yet
+        reader.start()
+        sender.close()  # waits for room until everything is written
+        assert not sender.pending
         reader.join(timeout=10)
     finally:
         left.close()
         right.close()
-    assert not sender.is_alive() and not reader.is_alive()
-    order = [(1, 0), (1, 1), (2, 0), (1, 2), (1, 3), (1, 4), (1, 5)]
-    assert [(pid, index) for pid, index, _, _ in frames] == order
-    assert headers(sock.frames) == order
-    assert sock.writers == [threading.current_thread().name] + ["preempted"] * 6
-
-
-def test_close_during_a_callers_write_drains_the_queue_then_half_closes():
-    def after_frame(count):
-        if count == 1:  # mid-write in this thread; the worker is waiting
-            sender.send([(payload(2, Phase.DECODE, 8), bytes(8))])
-            sender.close()
-
-    sock = RecordingSocket(after_frame)
-    sender = SocketLinkSender(sock, chunk_size=1024, name="closed")
-    sender.start()
-    sender.send([(payload(1, Phase.PREFILL, 3 * 1024), bytes(3 * 1024))])
-    sender.join(timeout=10)
-    assert not sender.is_alive()
-    assert headers(sock.frames) == [(1, 0), (2, 0), (1, 1), (1, 2)]
-    assert sock.writers == [threading.current_thread().name] + ["closed"] * 3
-    assert sock.shut == [socket.SHUT_WR] and sock.frames_at_shut == 4
+    assert not reader.is_alive()  # it read EOF after every frame
+    prefill = [frame for frame in frames if frame[0] == 1]
+    assert prefill == [(1, index) for index in range(64)]
+    assert frames.index((2, 0)) < frames.index((1, 63))
 
 
 def test_sender_rejects_mismatched_body():
@@ -632,9 +604,10 @@ def test_sender_rejects_mismatched_body():
 
 
 def test_decode_overtakes_queued_prefill_on_the_wire():
-    # stuff a large prefill and a decode into the queue before starting the
-    # sender thread: the decode must be fully delivered first
+    # The peer reads nothing until both are sent: the prefill's first
+    # chunks fill the buffers, and the decode must be fully delivered first.
     left, right = loopback_pair()
+    small_buffers(left, right)
     received = queue.Queue()
     sender = SocketLinkSender(left, chunk_size=2048, policy=LinkPolicy.DECODE_PRIORITY)
     receiver = receiver_thread(right, collect(received.put))
@@ -642,16 +615,14 @@ def test_decode_overtakes_queued_prefill_on_the_wire():
     small = b"\x07" * 16
     sender.send([(payload(1, Phase.PREFILL, len(big)), big)])
     sender.send([(payload(2, Phase.DECODE, len(small)), small)])
-    sender.start()
     receiver.start()
     try:
+        sender.close()
         first = received.get(timeout=10)
         second = received.get(timeout=10)
         assert first.payload_id == 2  # decode preempted the queued prefill
         assert second.payload_id == 1
     finally:
-        sender.close()
-        sender.join(timeout=10)
         receiver.join(timeout=10)
         left.close()
         right.close()
@@ -662,11 +633,9 @@ def test_sender_close_ends_receiver_at_eof():
     received = queue.Queue()
     sender = SocketLinkSender(left, chunk_size=None)
     receiver = receiver_thread(right, collect(received.put))
-    sender.start()
     receiver.start()
     sender.send([(payload(3, Phase.DECODE, 8), b"12345678")])
     sender.close()
-    sender.join(timeout=10)
     receiver.join(timeout=10)
     assert not receiver.is_alive()
     assert received.get(timeout=1).payload_id == 3
@@ -682,7 +651,7 @@ def receive_frames(*frames):
         a.sendall(b"".join(encode_frame(*frame) for frame in frames))
         a.close()
         try:
-            receive_payloads(b, collect(delivered.append))
+            receive_payloads(b, collect(delivered.append), no_out())
         except ProtocolError as exc:
             return delivered, exc
         return delivered, None
@@ -767,7 +736,7 @@ def test_receiver_returns_or_raises_protocol_error_on_any_stream(stream, tail):
 
     def receive():
         try:
-            receive_payloads(b, lambda items: None)
+            receive_payloads(b, lambda items: None, no_out())
             outcome.append(None)
         except Exception as exc:  # anything but a ProtocolError fails below
             outcome.append(exc)
@@ -790,14 +759,19 @@ def test_receiver_socket_error_is_protocol_error():
     b.close()
     try:
         with pytest.raises(ProtocolError, match="socket failed"):
-            receive_payloads(b, lambda items: None)
+            receive_payloads(b, lambda items: None, no_out())
     finally:
         a.close()
 
 
+def receive_alone(sock, on_payloads):
+    """What a stage with nothing to send does with receive_payloads."""
+    receive_payloads(sock, on_payloads, no_out())
+
+
 def read_until_eof(sock, on_payloads):
     """What the demo's head does with a PayloadReader, read to the end."""
-    reader = PayloadReader(sock, on_payloads)
+    reader = PayloadReader(sock, on_payloads, no_out())
     while (got := reader.read(timeout_s=5.0)) is not None:
         assert got, "PayloadReader waited out its timeout on a closed stream"
 
@@ -835,13 +809,13 @@ def test_head_reader_decodes_any_stream_as_the_receiver_does(stream, tail):
     raw = b"".join(encode_frame(*frame) for frame in stream) + tail
     delivered, error = decoded(read_until_eof, raw)
     assert error is None or isinstance(error, ProtocolError), error
-    expected, expected_error = decoded(receive_payloads, raw)
+    expected, expected_error = decoded(receive_alone, raw)
     assert delivered == expected
     assert (type(error), str(error)) == (type(expected_error), str(expected_error))
 
 
 both_receivers = pytest.mark.parametrize(
-    "receive", [receive_payloads, read_until_eof], ids=["receiver", "head-reader"]
+    "receive", [receive_alone, read_until_eof], ids=["receiver", "head-reader"]
 )
 
 
@@ -885,7 +859,7 @@ def test_head_reader_reads_frames_sent_byte_by_byte_as_they_complete():
     ends = set(itertools.accumulate(map(len, frames)))
     a, b = socket.socketpair()
     delivered = []
-    reader = PayloadReader(b, collect(delivered.append))
+    reader = PayloadReader(b, collect(delivered.append), no_out())
     try:
         for sent, byte in enumerate(b"".join(frames), start=1):
             a.sendall(bytes([byte]))
@@ -904,7 +878,7 @@ def test_head_reader_reads_frames_sent_byte_by_byte_as_they_complete():
 
 def test_head_reader_waits_up_to_its_timeout_for_a_frame():
     a, b = socket.socketpair()
-    reader = PayloadReader(b, lambda items: None)
+    reader = PayloadReader(b, lambda items: None, no_out())
     try:
         a.sendall(encode_frame(1, 0, FLAG_LAST, b"A")[:-1])  # no whole frame
         start = time.monotonic()
@@ -917,7 +891,7 @@ def test_head_reader_waits_up_to_its_timeout_for_a_frame():
 
 def test_head_reader_socket_error_is_protocol_error():
     a, b = socket.socketpair()
-    reader = PayloadReader(b, lambda items: None)
+    reader = PayloadReader(b, lambda items: None, no_out())
     b.close()
     try:
         with pytest.raises(ProtocolError, match="socket failed"):
@@ -927,57 +901,49 @@ def test_head_reader_socket_error_is_protocol_error():
 
 
 class FailingSocket(RecordingSocket):
-    """A socket whose peer is gone after ``good`` frames: every later write fails."""
+    """A socket whose peer is gone after ``good`` writes: every later write fails."""
 
-    def __init__(self, after_frame, good):
-        super().__init__(after_frame)
+    def __init__(self, good, room=None):
+        super().__init__(room)
         self.good = good
-        self.failed_in = []
+        self.failed = 0
 
     def _record(self, data):
         if len(self.frames) >= self.good:
-            self.failed_in.append(threading.current_thread().name)
+            self.failed += 1
             raise ConnectionResetError("peer reset")
         super()._record(data)
 
 
 @pytest.mark.parametrize("failure", ["peer-gone", "frame-refused"])
 def test_sender_that_failed_does_not_end_its_stream(monkeypatch, failure):
-    refused_in = noting_refusals(monkeypatch)
-
-    def after_frame(count):
-        # Payload 2 is sent while this caller writes payload 1, so the worker
-        # writes it, and its write fails.
-        sender.send([(payload(2, Phase.DECODE, 64), bytes(64))])
-        if failure == "frame-refused":  # the worker's encode_frame refuses the chunk
-            monkeypatch.setattr(wire, "MAX_FRAME_BYTES", wire.HEADER_BYTES + 8)
-
-    good = 1 if failure == "peer-gone" else 2
-    sock = FailingSocket(after_frame, good)
+    refused = noting_refusals(monkeypatch)
+    # Payload 1's frame goes out in two writes, and payload 2 is queued
+    # behind its rest.  After the first two writes the peer is gone, or
+    # encode_frame refuses payload 2's frame.
+    sock = FailingSocket(good=2 if failure == "peer-gone" else 3, room=10)
     sender = SocketLinkSender(sock, chunk_size=None, name="failed")
     sender.send([(payload(1, Phase.DECODE, 64), bytes(64))])
-    sender.start()
-    sender.close()
-    sender.join(timeout=10)
-    assert not sender.is_alive()
-    assert sender._error is not None
-    assert sock.failed_in + refused_in == ["failed"]
+    sender.send([(payload(2, Phase.DECODE, 64), bytes(64))])
+    if failure == "frame-refused":
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", wire.HEADER_BYTES + 8)
+    sock.room = None
+    sender.close()  # raises nothing
+    assert sender._error is not None and not sender.pending
+    assert sock.failed + len(refused) == 1
     # No frame after the one written, and no EOF: the peer sees a cut stream.
-    assert headers(sock.frames) == [(1, 0)] and sock.shut == []
+    assert frame_headers(b"".join(sock.frames)) == [(1, 0)] and sock.shut == []
 
 
-def test_a_callers_write_that_fails_is_recorded_as_a_workers_is():
-    sock = FailingSocket(lambda count: None, good=0)
+def test_a_send_whose_write_fails_raises_nothing_and_is_recorded():
+    sock = FailingSocket(good=0)
     sender = SocketLinkSender(sock, chunk_size=None, name="caller-failed")
     sender.send([(payload(1, Phase.DECODE, 64), bytes(64))])  # fails, but raises nothing
-    assert sock.failed_in == [threading.current_thread().name]
+    assert sock.failed == 1
     assert isinstance(sender._error, ConnectionResetError) and sender._bodies == {}
     with pytest.raises(ProtocolError, match="caller-failed: peer gone: peer reset"):
         sender.send([(payload(2, Phase.DECODE, 8), bytes(8))])
-    sender.start()
     sender.close()
-    sender.join(timeout=10)
-    assert not sender.is_alive()
     assert sock.frames == [] and sock.shut == []  # no EOF: the peer sees a cut stream
 
 
@@ -986,7 +952,6 @@ def test_sender_to_dead_peer_refuses_later_sends_and_holds_no_body():
     b.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
     b.close()  # the peer resets the connection
     sender = SocketLinkSender(a, chunk_size=None, name="to-dead-peer")
-    sender.start()
     try:
         deadline = time.monotonic() + 5.0
         with pytest.raises(ProtocolError, match="to-dead-peer: peer gone"):
@@ -994,9 +959,28 @@ def test_sender_to_dead_peer_refuses_later_sends_and_holds_no_body():
                 assert time.monotonic() < deadline, "send() never failed"
                 sender.send([(payload(pid, Phase.PREFILL, 1024), bytes(1024))])
                 time.sleep(0.01)
-        sender.join(timeout=5)
-        assert not sender.is_alive()
-        assert sender._bodies == {}
+        assert sender._bodies == {} and not sender.pending
     finally:
         sender.close()
         a.close()
+
+
+def test_a_readers_wait_with_a_pending_out_sender_ends_at_its_timeout():
+    # The out hop's peer reads nothing, so its socket never has room: the
+    # reader waits for input and for that room, and neither comes.
+    in_a, in_b = socket.socketpair()
+    left, right = loopback_pair()
+    small_buffers(left, right)
+    out = SocketLinkSender(left, chunk_size=None, name="stuck")
+    reader = PayloadReader(in_b, lambda items: None, out)
+    try:
+        big = bytes(4 << 20)
+        out.send([(payload(1, Phase.PREFILL, len(big)), big)])
+        assert out.pending
+        start = time.monotonic()
+        assert reader.read(timeout_s=0.3) is False
+        assert 0.25 < time.monotonic() - start < 2.0
+        assert out.pending and out._error is None
+    finally:
+        for sock in (in_a, in_b, left, right):
+            sock.close()
